@@ -25,14 +25,7 @@ from .extrapolate import (
     estimate_balmer,
     richardson,
 )
-from .hamiltonian import (
-    HermiticityReport,
-    OperatorMatrix,
-    assemble,
-    dump_matrix,
-    hermiticity_report,
-    load_matrix,
-)
+from .hamiltonian import OperatorMatrix, assemble
 from .potentials import FAMILIES, PotentialSpec, evaluate, evaluate_on_grid
 from .precision import DOUBLE, EXTENDED, ScalarPrecision, from_name
 from .spectrum import (
@@ -44,7 +37,6 @@ from .spectrum import (
     EigenRecord,
     SpectrumResult,
     classify,
-    continuum_collapse_metric,
     detect_transition,
     pair_conjugates,
     transition_info,

@@ -1,25 +1,27 @@
 """Dense complex nonsymmetric eigensolver, generic over working precision.
 
-Double precision delegates the heavy decompositions to LAPACK (via numpy
-and scipy), which fuses balancing, Hessenberg reduction, and the shifted
-QR iteration inside ``zgeev``.  The extended mode runs the same algorithm
-chain -- Parlett-Reinsch balancing, Householder reduction, single-shift QR
-with Wilkinson shifts and deflation -- in software arithmetic (mpmath
-binary128-class scalars held in object arrays).  The software engine also
-accepts complex128 input, which the tests use to cross-check it against
-LAPACK on small matrices.
+Double precision computes the complex Schur form A = Z T Z^H once
+(LAPACK ``zgees`` via scipy); the eigenvalues are the diagonal of T.  Right
+eigenvectors for any subset of eigenvalues come from the same factors: a
+blocked back substitution on the triangular T for the selected columns
+only (the algorithm of LAPACK ``ztrevc3``), then V = Z Y, so one
+decomposition serves both values and vectors.
 
-Eigenvectors are never accumulated during the decomposition; callers ask
-for individual vectors afterwards through shifted inverse iteration.
+The extended mode runs the algorithm chain -- Parlett-Reinsch balancing,
+Householder reduction, single-shift QR with Wilkinson shifts and
+deflation -- in software arithmetic (mpmath binary128-class scalars held
+in object arrays), and fetches vectors by shifted inverse iteration on a
+reusable Hessenberg workspace.  The software engine also accepts
+complex128 input, which the tests use to cross-check it against LAPACK on
+small matrices.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -33,6 +35,11 @@ RESIDUAL_TOL = {"double64": 1e-10, "extended128": 1e-24}
 _LCG_MULT = 1664525
 _LCG_INC = 1013904223
 _LCG_MOD = 2 ** 32
+
+# rows per diagonal block of the triangular back substitution, and
+# eigenvectors per batch (bounds the n x batch work arrays)
+_BACKSUB_BLOCK = 64
+_VECTOR_BATCH = 512
 
 
 class ConvergenceError(RuntimeError):
@@ -49,12 +56,49 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """All eigenvalues of one matrix plus solver bookkeeping."""
+    """All eigenvalues of one matrix plus solver bookkeeping.
+
+    In double mode ``schur`` holds the complex Schur factors (T, Z) of the
+    matrix, with ``eigenvalues[k] == T[k, k]``; the extended mode leaves it
+    None.
+    """
 
     eigenvalues: np.ndarray
     residual_bound: float
     iteration_stats: Tuple[int, ...]
     precision: ScalarPrecision
+    schur: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False)
+
+    def eigenvectors(self, matrix: np.ndarray, indices: Sequence[int],
+                     max_iterations: int = 10, seed: int = 42
+                     ) -> Iterator[Tuple[int, Optional[np.ndarray]]]:
+        """Yield (index, vector) for the eigenvalues at ``indices``.
+
+        ``matrix`` is the matrix this solution was computed from; each
+        vector is scaled so its largest entry is 1.  The vector is None
+        when its residual ||A v - lambda v|| misses the precision's
+        tolerance times ||A||_F.  Double mode back-substitutes on the
+        Schur factors in batches (in Schur order); the extended mode runs
+        one inverse iteration per index (``max_iterations`` and ``seed``
+        steer it) in the order given.
+        """
+        if self.schur is not None:
+            yield from _schur_eigenvectors(matrix, *self.schur, indices,
+                                           self.residual_bound)
+            return
+        if len(indices) == 0:
+            return
+        workspace = HessenbergWorkspace(matrix, precision=self.precision)
+        for i in indices:
+            try:
+                sample = workspace.inverse_iteration(
+                    self.eigenvalues[i], max_iterations=max_iterations,
+                    seed=seed)
+            except RefinementError:
+                yield i, None
+                continue
+            yield i, sample.vector
 
 
 @dataclass(frozen=True)
@@ -146,11 +190,6 @@ def hessenberg_reduce(
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("hessenberg_reduce expects a square matrix")
-    if not precision.is_extended and not _is_object(a):
-        if accumulate_q:
-            h, q = scipy.linalg.hessenberg(a.astype(np.complex128), calc_q=True)
-            return h, q
-        return scipy.linalg.hessenberg(a.astype(np.complex128)), None
     with working_precision(precision):
         return _hessenberg_generic(a, accumulate_q)
 
@@ -264,12 +303,6 @@ def qr_eigenvalues(
         raise ValueError("qr_eigenvalues expects a square matrix")
     fro = _fro_norm(h)
     bound = RESIDUAL_TOL[precision.mode] * fro
-    if not precision.is_extended and not _is_object(h):
-        try:
-            vals = np.linalg.eigvals(h.astype(np.complex128))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(str(exc)) from exc
-        return EigenSolution(vals, bound, (), precision)
     with working_precision(precision):
         vals, stats = _qr_eigvals_generic(h, precision, max_iter_factor, fro)
     out = np.empty(n, dtype=object)
@@ -336,44 +369,96 @@ def _qr_eigvals_generic(h, precision, max_iter_factor, fro):
 def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> EigenSolution:
     """Full spectrum of a dense complex matrix at the requested precision.
 
-    In double mode this is a single fused LAPACK call (``zgeev`` performs
-    its own balancing and Hessenberg reduction); the extended mode chains
-    the exposed balance / reduce / QR stages explicitly.
+    In double mode this is one complex Schur decomposition, kept on the
+    solution for later eigenvector requests; the extended mode chains the
+    exposed balance / reduce / QR stages explicitly.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("eigenvalues expects a square matrix")
     if not precision.is_extended and not _is_object(a):
-        fro = float(np.linalg.norm(a))
         try:
-            vals = np.linalg.eigvals(a.astype(np.complex128))
+            t, z = scipy.linalg.schur(a, output="complex")
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(str(exc)) from exc
-        return EigenSolution(vals, RESIDUAL_TOL["double64"] * fro, (), precision)
+        return EigenSolution(t.diagonal().copy(),
+                             RESIDUAL_TOL["double64"] * float(np.linalg.norm(a)),
+                             (), precision, schur=(t, z))
     balanced, _ = balance(a)
     h, _ = hessenberg_reduce(balanced, accumulate_q=False, precision=precision)
     return qr_eigenvalues(h, precision=precision)
 
 
 # ---------------------------------------------------------------------------
-# inverse iteration
+# eigenvectors from the Schur form
 
 
-def _lcg_start_vector(n: int, seed: int, extended: bool) -> np.ndarray:
+def _triangular_eigenvectors(t: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Eigenvectors of upper triangular T for the ascending positions ``ks``.
+
+    Column c solves (T - T[k, k] I) y = 0 with y[k] = 1 and y[j] = 0 for
+    j > k, k = ks[c]; only rows 0..max(ks) are returned.  Rows are solved
+    bottom-up in diagonal blocks: within a block one row at a time for all
+    columns still open there, then one matrix product carries the block's
+    contribution to every row above it.  A divisor smaller than
+    eps * |T[k, k]| is raised to that size, as LAPACK ``ztrevc3`` does, so
+    a (near-)repeated eigenvalue still yields a finite vector.
+    """
+    m = len(ks)
+    lam = t[ks, ks]
+    size = int(ks[-1]) + 1
+    y = np.zeros((size, m), dtype=np.complex128)
+    y[ks, np.arange(m)] = 1.0
+    smin = np.maximum(np.finfo(float).eps * (np.abs(lam.real) + np.abs(lam.imag)),
+                      np.finfo(float).tiny)
+    for hi in range(size, 0, -_BACKSUB_BLOCK):
+        lo = max(hi - _BACKSUB_BLOCK, 0)
+        for j in range(hi - 1, lo - 1, -1):
+            # columns whose eigenvalue sits below row j
+            s = int(np.searchsorted(ks, j, side="right"))
+            if s == m:
+                continue
+            acc = y[j, s:] + t[j, j + 1:hi] @ y[j + 1:hi, s:]
+            d = t[j, j] - lam[s:]
+            d = np.where(np.abs(d) < smin[s:], smin[s:], d)
+            y[j, s:] = -acc / d
+        s = int(np.searchsorted(ks, lo, side="left"))
+        if lo > 0 and s < m:
+            y[:lo, s:] += t[:lo, lo:hi] @ y[lo:hi, s:]
+    return y
+
+
+def _schur_eigenvectors(matrix, t, z, indices, target):
+    """Yield (index, vector or None) for the Schur positions ``indices``."""
+    a = np.asarray(matrix)
+    ks = np.unique(np.asarray(indices, dtype=np.intp))
+    for start in range(0, len(ks), _VECTOR_BATCH):
+        batch = ks[start:start + _VECTOR_BATCH]
+        y = _triangular_eigenvectors(t, batch)
+        v = z[:, :y.shape[0]] @ y
+        del y
+        cols = np.arange(len(batch))
+        v /= v[np.argmax(np.abs(v), axis=0), cols]
+        residual = np.linalg.norm(a @ v - v * t[batch, batch], axis=0)
+        for c in cols:
+            yield int(batch[c]), v[:, c] if residual[c] <= target else None
+
+
+# ---------------------------------------------------------------------------
+# inverse iteration (software arithmetic)
+
+
+def _lcg_start_vector(n: int, seed: int) -> np.ndarray:
     """Deterministic pseudo-random start vector from a linear congruential stream."""
     state = seed & (_LCG_MOD - 1)
     samples = []
     for _ in range(2 * n):
         state = (_LCG_MULT * state + _LCG_INC) % _LCG_MOD
         samples.append(2.0 * state / _LCG_MOD - 1.0)
-    re = samples[0::2]
-    im = samples[1::2]
-    if extended:
-        out = np.empty(n, dtype=object)
-        out[:] = [mpmath.mpc(a, b) for a, b in zip(re, im)]
-        return out
-    return np.array(re) + 1j * np.array(im)
+    out = np.empty(n, dtype=object)
+    out[:] = [mpmath.mpc(a, b) for a, b in zip(samples[0::2], samples[1::2])]
+    return out
 
 
 def _lu_factor_generic(a):
@@ -414,7 +499,9 @@ def inverse_iteration(
 ) -> EigenvectorSample:
     """Eigenvector for a computed eigenvalue via shifted inverse iteration.
 
-    The start vector comes from a fixed linear congruential stream, so
+    Runs a dense LU in software arithmetic; this is the extended-precision
+    vector path (double mode takes vectors from the Schur factors).  The
+    start vector comes from a fixed linear congruential stream, so
     repeated calls are bitwise reproducible.  Raises RefinementError if the
     residual tolerance is not met within max_iterations.
     """
@@ -423,55 +510,38 @@ def inverse_iteration(
     if a.shape != (n, n):
         raise ValueError("inverse_iteration expects a square matrix")
     tol = RESIDUAL_TOL[precision.mode]
-    if not precision.is_extended and not _is_object(a):
-        return _inverse_iteration_double(
-            a.astype(np.complex128), complex(shift), tol, max_iterations, seed
-        )
     with working_precision(precision):
-        return _inverse_iteration_extended(a, shift, tol, max_iterations, seed)
-
-
-def _inverse_iteration_double(a, shift, tol, max_iterations, seed):
-    n = a.shape[0]
-    fro = float(np.linalg.norm(a))
-    target = tol * fro if fro > 0 else tol
-    sigma = shift
-    shifted = a - sigma * np.eye(n)
-    # near-singular shifted solves are the whole point of inverse iteration,
-    # so scipy's ill-conditioning warnings are noise here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = scipy.linalg.lu_factor(shifted, check_finite=False)
-    v = _lcg_start_vector(n, seed, extended=False)
-    v = v / np.abs(v).max()
-    for it in range(1, max_iterations + 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            w = scipy.linalg.lu_solve(lu, v, check_finite=False)
-            if not np.all(np.isfinite(w)):
-                # exactly singular shift: nudge by one part in 1e14 of the norm
-                sigma = sigma + 1e-14 * (fro if fro > 0 else 1.0)
-                lu = scipy.linalg.lu_factor(a - sigma * np.eye(n),
-                                            check_finite=False)
-                w = scipy.linalg.lu_solve(lu, v, check_finite=False)
-        idx = int(np.argmax(np.abs(w)))
-        v = w / w[idx]
-        residual = float(np.linalg.norm(a @ v - shift * v)) / float(np.abs(v).max())
-        if residual <= target:
-            return EigenvectorSample(shift, v, residual, it)
+        a = np.array(a, dtype=object, copy=True)
+        fro = mpmath.sqrt(sum(abs(z) ** 2 for z in a.ravel()))
+        target = tol * fro if fro > 0 else mpmath.mpf(tol)
+        sigma = mpmath.mpc(shift)
+        shifted = np.array(a, copy=True)
+        for i in range(n):
+            shifted[i, i] = shifted[i, i] - sigma
+        lu, piv = _lu_factor_generic(shifted)
+        v = _lcg_start_vector(n, seed)
+        for it in range(1, max_iterations + 1):
+            w = _lu_solve_generic(lu, piv, v)
+            mags = [abs(z) for z in w]
+            idx = max(range(n), key=lambda i: mags[i])
+            v = w / w[idx]
+            res_vec = a @ v - sigma * v
+            residual = mpmath.sqrt(sum(abs(z) ** 2 for z in res_vec))
+            if residual <= target:
+                return EigenvectorSample(sigma, v, float(residual), it)
     raise RefinementError(
-        f"inverse iteration stalled at residual {residual:.3e} "
-        f"(target {target:.3e}) for shift {shift}"
+        f"inverse iteration stalled at residual {float(residual):.3e} "
+        f"(target {float(target):.3e}) for shift {shift}"
     )
 
 
 class HessenbergWorkspace:
     """Reusable factorization for many inverse iterations on one matrix.
 
-    Reduces A = Q H Q^H once; each shift then needs only an O(n^2)
-    Hessenberg solve instead of a fresh dense LU.  Intended for the
-    classification pass, which fetches one vector per bound-state
-    candidate against the same immutable operator.
+    Reduces A = Q H Q^H once in software arithmetic; each shift then needs
+    only an O(n^2) Hessenberg solve instead of a fresh dense LU.  This is
+    how the extended mode fetches one vector per bound-state candidate
+    against the same immutable operator.
     """
 
     def __init__(self, matrix: np.ndarray, precision: ScalarPrecision = DOUBLE):
@@ -480,67 +550,36 @@ class HessenbergWorkspace:
         if a.shape != (n, n):
             raise ValueError("HessenbergWorkspace expects a square matrix")
         self.precision = precision
-        self.extended = precision.is_extended or _is_object(a)
-        if self.extended:
-            self.a = np.array(a, dtype=object, copy=True)
-            with working_precision(precision):
-                self.h, self.q = _hessenberg_generic(self.a, accumulate_q=True)
-                self.fro = mpmath.sqrt(sum(abs(z) ** 2 for z in self.a.ravel()))
-        else:
-            self.a = a.astype(np.complex128)
-            self.h, self.q = scipy.linalg.hessenberg(self.a, calc_q=True)
-            self.fro = float(np.linalg.norm(self.a))
+        self.a = np.array(a, dtype=object, copy=True)
+        with working_precision(precision):
+            self.h, self.q = _hessenberg_generic(self.a, accumulate_q=True)
+            self.fro = mpmath.sqrt(sum(abs(z) ** 2 for z in self.a.ravel()))
 
     def inverse_iteration(self, shift, max_iterations: int = 10, seed: int = 42):
-        if self.extended:
-            with working_precision(self.precision):
-                return self._invit_generic(shift, max_iterations, seed)
-        return self._invit_double(complex(shift), max_iterations, seed)
-
-    def _invit_double(self, shift, max_iterations, seed):
-        n = self.h.shape[0]
-        tol = RESIDUAL_TOL["double64"]
-        target = tol * self.fro if self.fro > 0 else tol
-        v = _lcg_start_vector(n, seed, extended=False)
-        v = v / np.abs(v).max()
-        for it in range(1, max_iterations + 1):
-            w = _solve_hessenberg_shifted(self.h, shift, v)
-            u = self.q @ w
-            idx = int(np.argmax(np.abs(u)))
-            u = u / u[idx]
-            residual = float(np.linalg.norm(self.a @ u - shift * u))
-            if residual <= target:
-                return EigenvectorSample(shift, u, residual, it)
-            v = np.conjugate(self.q.T) @ u
-        raise RefinementError(
-            f"inverse iteration stalled at residual {residual:.3e} "
-            f"(target {target:.3e}) for shift {shift}"
-        )
-
-    def _invit_generic(self, shift, max_iterations, seed):
-        n = self.h.shape[0]
-        tol = RESIDUAL_TOL[self.precision.mode]
-        target = tol * self.fro if self.fro > 0 else mpmath.mpf(tol)
-        sigma = mpmath.mpc(shift)
-        v = _lcg_start_vector(n, seed, extended=True)
-        for it in range(1, max_iterations + 1):
-            w = _solve_hessenberg_shifted(self.h, sigma, v, extended=True)
-            u = self.q @ w
-            mags = [abs(z) for z in u]
-            idx = max(range(n), key=lambda i: mags[i])
-            u = u / u[idx]
-            res_vec = self.a @ u - sigma * u
-            residual = mpmath.sqrt(sum(abs(z) ** 2 for z in res_vec))
-            if residual <= target:
-                return EigenvectorSample(sigma, u, float(residual), it)
-            v = np.conjugate(self.q.T) @ u
+        with working_precision(self.precision):
+            n = self.h.shape[0]
+            tol = RESIDUAL_TOL[self.precision.mode]
+            target = tol * self.fro if self.fro > 0 else mpmath.mpf(tol)
+            sigma = mpmath.mpc(shift)
+            v = _lcg_start_vector(n, seed)
+            for it in range(1, max_iterations + 1):
+                w = _solve_hessenberg_shifted(self.h, sigma, v)
+                u = self.q @ w
+                mags = [abs(z) for z in u]
+                idx = max(range(n), key=lambda i: mags[i])
+                u = u / u[idx]
+                res_vec = self.a @ u - sigma * u
+                residual = mpmath.sqrt(sum(abs(z) ** 2 for z in res_vec))
+                if residual <= target:
+                    return EigenvectorSample(sigma, u, float(residual), it)
+                v = np.conjugate(self.q.T) @ u
         raise RefinementError(
             f"inverse iteration stalled at residual {float(residual):.3e} "
             f"(target {float(target):.3e}) for shift {shift}"
         )
 
 
-def _solve_hessenberg_shifted(h, shift, b, extended=False):
+def _solve_hessenberg_shifted(h, shift, b):
     """Solve (H - shift I) x = b for upper Hessenberg H in O(n^2).
 
     Gaussian elimination with adjacent-row partial pivoting; an exactly
@@ -549,16 +588,10 @@ def _solve_hessenberg_shifted(h, shift, b, extended=False):
     practice.
     """
     n = h.shape[0]
-    if extended:
-        m = np.array(h, dtype=object, copy=True)
-        x = np.array(b, dtype=object, copy=True)
-        tiny = mpmath.mpf(2) ** (-2 * mpmath.mp.prec)
-        scale = max([abs(z) for z in np.diagonal(h)] + [mpmath.mpf(1)])
-    else:
-        m = np.array(h, dtype=np.complex128, copy=True)
-        x = np.array(b, dtype=np.complex128, copy=True)
-        tiny = 1e-300
-        scale = max(float(np.max(np.abs(np.diagonal(h)))), 1.0)
+    m = np.array(h, dtype=object, copy=True)
+    x = np.array(b, dtype=object, copy=True)
+    tiny = mpmath.mpf(2) ** (-2 * mpmath.mp.prec)
+    scale = max([abs(z) for z in np.diagonal(h)] + [mpmath.mpf(1)])
     for i in range(n):
         m[i, i] = m[i, i] - shift
     for k in range(n - 1):
@@ -582,29 +615,3 @@ def _solve_hessenberg_shifted(h, shift, b, extended=False):
             acc = acc - m[k, k + 1:] @ x[k + 1:]
         x[k] = acc / piv
     return x
-
-
-def _inverse_iteration_extended(a, shift, tol, max_iterations, seed):
-    a = np.array(a, dtype=object, copy=True)
-    n = a.shape[0]
-    fro = mpmath.sqrt(sum(abs(z) ** 2 for z in a.ravel()))
-    target = tol * fro if fro > 0 else mpmath.mpf(tol)
-    sigma = mpmath.mpc(shift)
-    shifted = np.array(a, copy=True)
-    for i in range(n):
-        shifted[i, i] = shifted[i, i] - sigma
-    lu, piv = _lu_factor_generic(shifted)
-    v = _lcg_start_vector(n, seed, extended=True)
-    for it in range(1, max_iterations + 1):
-        w = _lu_solve_generic(lu, piv, v)
-        mags = [abs(z) for z in w]
-        idx = max(range(n), key=lambda i: mags[i])
-        v = w / w[idx]
-        res_vec = a @ v - sigma * v
-        residual = mpmath.sqrt(sum(abs(z) ** 2 for z in res_vec))
-        if residual <= target:
-            return EigenvectorSample(sigma, v, float(residual), it)
-    raise RefinementError(
-        f"inverse iteration stalled at residual {float(residual):.3e} "
-        f"(target {float(target):.3e}) for shift {shift}"
-    )

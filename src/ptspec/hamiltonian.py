@@ -15,7 +15,6 @@ import numpy as np
 
 from .chebdiff import DiffMatrices, Grid
 from .potentials import PotentialSpec, evaluate_on_grid
-from .precision import to_complex128
 
 
 @dataclass(frozen=True)
@@ -34,15 +33,6 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class HermiticityReport:
-    """Structure diagnostics: how far the matrix is from i-diagonal form."""
-
-    real_asymmetry: float  # max |Re M - Re M^T|
-    imag_offdiag_max: float  # max off-diagonal |Im M|
-    imag_diag_max: float  # max diagonal |Im M|
-
-
 def assemble(grid: Grid, diff: DiffMatrices, spec: PotentialSpec) -> OperatorMatrix:
     """Assemble -(interior d2) + diag(V) on the interior nodes."""
     if diff.d2.shape != (grid.n_nodes, grid.n_nodes):
@@ -59,55 +49,3 @@ def assemble(grid: Grid, diff: DiffMatrices, spec: PotentialSpec) -> OperatorMat
         mat = core.astype(np.complex128)
         mat[np.diag_indices_from(mat)] += v
     return OperatorMatrix(matrix=mat, grid=grid, spec=spec)
-
-
-def hermiticity_report(op: OperatorMatrix) -> HermiticityReport:
-    m = to_complex128(op.matrix)
-    re, im = m.real, m.imag
-    real_asym = float(np.max(np.abs(re - re.T))) if m.size else 0.0
-    offdiag = im.copy()
-    np.fill_diagonal(offdiag, 0.0)
-    return HermiticityReport(
-        real_asymmetry=real_asym,
-        imag_offdiag_max=float(np.max(np.abs(offdiag))),
-        imag_diag_max=float(np.max(np.abs(np.diagonal(im)))),
-    )
-
-
-def dump_matrix(op: OperatorMatrix, path, scalar_bytes: int = 8) -> None:
-    """Write the matrix row-major as little-endian interleaved re/im scalars.
-
-    scalar_bytes = 8 writes float64 components; 16 writes x87 longdouble
-    components padded to 16 bytes (numpy float128 storage).
-    """
-    m = op.matrix
-    if scalar_bytes == 8:
-        arr = to_complex128(m).astype("<c16")
-        interleaved = arr.view("<f8")
-    elif scalar_bytes == 16:
-        comp = np.empty(m.shape + (2,), dtype=np.longdouble)
-        if m.dtype == object:
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    z = m[i, j]
-                    comp[i, j, 0] = np.longdouble(str(z.real))
-                    comp[i, j, 1] = np.longdouble(str(z.imag))
-        else:
-            comp[..., 0] = m.real
-            comp[..., 1] = m.imag
-        interleaved = comp
-    else:
-        raise ValueError("scalar_bytes must be 8 or 16")
-    with open(path, "wb") as fh:
-        interleaved.tofile(fh)
-
-
-def load_matrix(path, dim: int, scalar_bytes: int = 8) -> np.ndarray:
-    """Read back a dump_matrix file as a complex array (for cross-checks)."""
-    if scalar_bytes == 8:
-        raw = np.fromfile(path, dtype="<f8")
-        return raw.view("<c16").reshape(dim, dim)
-    if scalar_bytes == 16:
-        raw = np.fromfile(path, dtype=np.longdouble).reshape(dim, dim, 2)
-        return raw[..., 0].astype(np.complex128) + 1j * raw[..., 1].astype(np.complex128)
-    raise ValueError("scalar_bytes must be 8 or 16")

@@ -3,8 +3,8 @@
 Each half-width L is an independent job (build grid, differentiate,
 assemble, eigensolve, classify, locate the transition).  Jobs may run on a
 bounded thread pool; the heavy kernels release the interpreter lock inside
-LAPACK, and each job writes only its own files.  An eigensolver
-convergence failure aborts that L with a recorded diagnostic while the
+LAPACK, and each job writes only its own files.  Any exception inside a
+job aborts that L with a recorded "<Type>: <message>" diagnostic while the
 remaining half-widths still complete.
 
 Persisted layout under <output_dir>/<run name>/:
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..chebdiff import build_diff_matrices, build_grid
-from ..eigensolver import ConvergenceError, eigenvalues
+from ..eigensolver import eigenvalues
 from ..hamiltonian import assemble
 from ..potentials import PotentialSpec
 from ..precision import from_name
@@ -82,8 +82,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunArtifact:
     def job(half_width: float):
         try:
             result, timings = run_single(config, half_width)
-        except ConvergenceError as exc:
-            return half_width, None, None, str(exc)
+        except Exception as exc:  # recorded per L; the sweep goes on
+            return half_width, None, None, f"{type(exc).__name__}: {exc}"
         return half_width, result, timings, None
 
     if workers > 1 and len(config.half_widths) > 1:

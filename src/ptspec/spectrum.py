@@ -4,10 +4,14 @@ A truncated-interval discretization can only produce discrete eigenvalues,
 so membership in the continuous spectrum is decided from the eigenfunction:
 genuine bound states decay smoothly (exponentially) well before the
 boundary, while continuum eigenfunctions stay O(1) and drop abruptly at
-one or both endpoints.  The classifier fetches eigenvectors (by shifted
-inverse iteration) only for eigenvalues whose imaginary part is large
-enough to make them bound-state candidates; everything else is treated as
-numerically real continuum.
+one or both endpoints.  The classifier asks the eigensolution for the
+eigenvectors of the bound-state candidates only -- eigenvalues whose
+imaginary part is large enough -- and treats everything else as
+numerically real continuum.  In double mode all candidate vectors come in
+one batched back substitution on the Schur factors that produced the
+eigenvalues; the extended mode runs inverse iteration per candidate.  A
+vector whose residual misses the solver's tolerance leaves its eigenvalue
+``unresolved``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chebdiff import Grid
-from .eigensolver import EigenSolution, HessenbergWorkspace, RefinementError
+from .eigensolver import EigenSolution
 from .hamiltonian import OperatorMatrix
 from .precision import ScalarPrecision, to_complex128
 
@@ -179,8 +183,8 @@ def classify(
 ) -> SpectrumResult:
     """Label every eigenvalue and pair complex conjugates.
 
-    Inverse-iteration failures are recorded as ``unresolved`` rather than
-    silently promoted to bound states.
+    Eigenvectors that miss the residual tolerance are recorded as
+    ``unresolved`` rather than silently promoted to bound states.
     """
     policy = policy or ClassificationPolicy()
     precision = precision or solution.precision
@@ -189,29 +193,24 @@ def classify(
     x = to_complex128(grid.interior_nodes).real
 
     fro = float(np.linalg.norm(to_complex128(op.matrix)))
-    workspace = None
+    candidates = [i for i in order
+                  if abs(complex(raw[i]).imag) > policy.vector_threshold]
+    labels = {}
+    for i, vector in solution.eigenvectors(
+            op.matrix, candidates,
+            max_iterations=policy.max_vector_iterations,
+            seed=policy.vector_seed):
+        if vector is None:
+            labels[i] = (UNRESOLVED, None)
+            continue
+        absv = np.abs(to_complex128(vector))
+        tail_ratio, is_bound = _tail_classification(absv, x, grid, policy)
+        labels[i] = (BOUND if is_bound else CONTINUUM_COMPLEX, tail_ratio)
     records: List[EigenRecord] = []
     for i in order:
-        lam = raw[i]
-        z = complex(lam)
-        if abs(z.imag) <= policy.vector_threshold:
-            records.append(EigenRecord(value=z, label=CONTINUUM_REAL))
-            continue
-        if workspace is None:
-            workspace = HessenbergWorkspace(op.matrix, precision=precision)
-        try:
-            sample = workspace.inverse_iteration(
-                lam,
-                max_iterations=policy.max_vector_iterations,
-                seed=policy.vector_seed,
-            )
-        except RefinementError:
-            records.append(EigenRecord(value=z, label=UNRESOLVED))
-            continue
-        absv = np.abs(to_complex128(sample.vector))
-        tail_ratio, is_bound = _tail_classification(absv, x, grid, policy)
-        label = BOUND if is_bound else CONTINUUM_COMPLEX
-        records.append(EigenRecord(value=z, label=label, tail_ratio=tail_ratio))
+        label, tail_ratio = labels.get(i, (CONTINUUM_REAL, None))
+        records.append(EigenRecord(value=complex(raw[i]), label=label,
+                                   tail_ratio=tail_ratio))
 
     records = pair_conjugates(records, tol=None, tol_factor=policy.pairing_tol_factor)
     # a bound/complex record without a conjugate partner is suspect
@@ -328,22 +327,3 @@ def transition_info(
 def with_transition(result: SpectrumResult) -> SpectrumResult:
     """Attach the detected transition point (if any) to the result."""
     return dataclasses.replace(result, transition_point=detect_transition(result))
-
-
-def continuum_collapse_metric(results: Sequence[SpectrumResult]) -> List[float]:
-    """Max continuum |Im| per result, ordered by increasing half-width.
-
-    The inputs must share family, strength, and grid resolution; the
-    returned sequence is expected (not enforced) to decrease with L.
-    """
-    if len(results) < 2:
-        raise ValueError("need results at two or more half-widths")
-    key = {(r.meta.family, r.meta.strength, r.meta.n_intervals) for r in results}
-    if len(key) != 1:
-        raise ValueError("results mix potential families, strengths, or N")
-    ordered = sorted(results, key=lambda r: r.meta.half_width)
-    out = []
-    for r in ordered:
-        vals = r.continuum_values()
-        out.append(max((abs(z.imag) for z in vals), default=0.0))
-    return out

@@ -5,8 +5,9 @@ ptspec.harness.reproduce and asserts its pass flag, so the CLI
 ``reproduce`` subcommand and this suite can never drift apart.  The
 session-scoped cache shares the expensive spectra between criteria.
 
-Expect a total runtime in the tens of minutes: the slowest single job is
-the long-range potential at L = 100 with N = 4095 (criterion 5).
+Expect a few minutes in total: the slowest single job is the long-range
+potential at L = 100 with N = 4095 (criterion 5, about two minutes on two
+cores, almost all of it the Schur decomposition).
 """
 
 import importlib

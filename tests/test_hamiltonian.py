@@ -5,12 +5,7 @@ import pytest
 
 from ptspec.chebdiff import build_diff_matrices, build_grid
 from ptspec.eigensolver import eigenvalues
-from ptspec.hamiltonian import (
-    assemble,
-    dump_matrix,
-    hermiticity_report,
-    load_matrix,
-)
+from ptspec.hamiltonian import assemble
 from ptspec.potentials import PotentialSpec
 
 
@@ -38,10 +33,11 @@ def test_box_oracle_small():
 
 def test_imaginary_part_is_diagonal():
     op = _operator()
-    report = hermiticity_report(op)
-    assert report.imag_offdiag_max == 0.0
+    imag = op.matrix.imag
+    diag = np.diagonal(imag)
+    assert np.max(np.abs(imag - np.diag(diag))) == 0.0
     # grid samples near (but not exactly at) the potential's peak of 15
-    assert 14.0 < report.imag_diag_max <= 15.0
+    assert 14.0 < np.max(np.abs(diag)) <= 15.0
 
 
 def _multiset_gap(a, b):
@@ -71,19 +67,3 @@ def test_dimension_mismatch_rejected():
     diff = build_diff_matrices(build_grid(10.0, 16))
     with pytest.raises(ValueError):
         assemble(grid, diff, PotentialSpec("scarf2", 30.0))
-
-
-@pytest.mark.parametrize("scalar_bytes", [8, 16])
-def test_dump_load_round_trip(tmp_path, scalar_bytes):
-    op = _operator(n=16)
-    path = tmp_path / "matrix.bin"
-    dump_matrix(op, path, scalar_bytes=scalar_bytes)
-    assert path.stat().st_size == op.dim * op.dim * 2 * scalar_bytes
-    back = load_matrix(path, op.dim, scalar_bytes=scalar_bytes)
-    assert np.allclose(back, op.matrix, rtol=0, atol=0)
-
-
-def test_dump_rejects_other_widths(tmp_path):
-    op = _operator(n=16)
-    with pytest.raises(ValueError):
-        dump_matrix(op, tmp_path / "m.bin", scalar_bytes=4)

@@ -136,6 +136,29 @@ def test_serial_and_concurrent_runs_agree():
         assert a == b
 
 
+def test_failure_in_one_half_width_is_isolated(monkeypatch, tmp_path):
+    import ptspec.harness.runner as runner
+    real_eigenvalues = runner.eigenvalues
+    calls = []
+
+    def eigenvalues_failing_first(matrix, precision):
+        calls.append(precision)
+        if len(calls) == 1:  # serial sweep: the first call is L = 5
+            raise ValueError("injected")
+        return real_eigenvalues(matrix, precision=precision)
+
+    monkeypatch.setattr(runner, "eigenvalues", eigenvalues_failing_first)
+    artifact = run_experiment(_small_config(half_widths=(5.0, 10.0)))
+    assert artifact.failures == {5.0: "ValueError: injected"}
+    assert artifact.results[10.0].bound_pairs == 1
+    run_dir = persist(artifact, out_dir=tmp_path)
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["failures"] == {"5.0": "ValueError: injected"}
+    assert list(summary["runs"]) == ["L10"]
+    assert (run_dir / "L10" / "eigenvalues.csv").exists()
+    assert not (run_dir / "L5").exists()
+
+
 # --- plot data -------------------------------------------------------------
 
 def test_plot_data_schemas(small_artifact, tmp_path):

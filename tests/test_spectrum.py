@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ptspec.chebdiff import build_diff_matrices, build_grid
@@ -14,7 +15,6 @@ from ptspec.spectrum import (
     SpectrumMeta,
     SpectrumResult,
     classify,
-    continuum_collapse_metric,
     detect_transition,
     pair_conjugates,
     transition_info,
@@ -22,10 +22,14 @@ from ptspec.spectrum import (
 )
 
 
-def _classified(family="step", strength=3.0, half_width=10.0, n=255):
+def _operator(family, strength, half_width, n):
     grid = build_grid(half_width, n)
     diff = build_diff_matrices(grid)
-    op = assemble(grid, diff, PotentialSpec(family, strength))
+    return grid, assemble(grid, diff, PotentialSpec(family, strength))
+
+
+def _classified(family="step", strength=3.0, half_width=10.0, n=255):
+    grid, op = _operator(family, strength, half_width, n)
     solution = eigenvalues(op.matrix)
     return with_transition(classify(solution, op, grid))
 
@@ -163,34 +167,22 @@ def test_detect_transition_needs_enough_records():
     assert detect_transition(_synthetic_result(records)) is None
 
 
-def test_collapse_metric_orders_by_half_width():
-    small = _synthetic_result(
-        [EigenRecord(value=complex(k, 0.5), label=CONTINUUM_COMPLEX)
-         for k in range(1, 12)],
-        half_width=10.0)
-    large = _synthetic_result(
-        [EigenRecord(value=complex(k, 0.05), label=CONTINUUM_COMPLEX)
-         for k in range(1, 12)],
-        half_width=100.0)
-    assert continuum_collapse_metric([large, small]) == [0.5, 0.05]
-
-
-def test_collapse_metric_rejects_mixed_runs():
-    a = _synthetic_result(
-        [EigenRecord(value=1 + 1j, label=CONTINUUM_COMPLEX)], half_width=10.0)
-    meta = SpectrumMeta(half_width=100.0, n_intervals=511, family="scarf2",
-                       strength=30.0, precision_mode="double64",
-                       matrix_fro_norm=1e6)
-    b = SpectrumResult(records=(EigenRecord(value=1 + 1j, label=CONTINUUM_COMPLEX),),
-                       bound_pairs=0, transition_point=None, meta=meta,
-                       policy=ClassificationPolicy())
-    with pytest.raises(ValueError):
-        continuum_collapse_metric([a, b])
-    with pytest.raises(ValueError):
-        continuum_collapse_metric([a])
-
-
 def test_unresolved_never_counts_as_bound(step_result):
     for r in step_result.records:
         if r.label == UNRESOLVED:
             assert r.pair_index is None
+
+
+def test_vector_over_residual_target_is_unresolved(step_result):
+    # factors of A + I: the same vectors, every eigenvalue off by 1, so
+    # each candidate's residual against A is 1 -- far above 1e-10 ||A||_F
+    grid, op = _operator("step", 3.0, 10.0, 255)
+    shifted = eigenvalues(op.matrix + np.eye(op.dim))
+    result = classify(shifted, op, grid)
+    candidates = [r for r in result.records
+                  if abs(r.value.imag) > result.policy.vector_threshold]
+    assert candidates
+    assert all(r.label == UNRESOLVED for r in candidates)
+    assert result.bound_pairs == 0
+    assert len(candidates) == sum(
+        1 for r in step_result.records if r.label != CONTINUUM_REAL)
