@@ -7,15 +7,7 @@ sequence of the long-range family.
 """
 
 from .chebdiff import DiffMatrices, Grid, build_diff_matrices, build_grid
-from .eigensolver import (
-    ConvergenceError,
-    EigenSolution,
-    EigenvectorSample,
-    HessenbergWorkspace,
-    RefinementError,
-    eigenvalues,
-    inverse_iteration,
-)
+from .eigensolver import ConvergenceError, EigenSolution, eigenvalues
 from .extrapolate import (
     BalmerEstimate,
     InsufficientDataError,

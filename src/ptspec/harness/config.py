@@ -111,8 +111,6 @@ def parse_config(source: Union[str, Path]) -> ExperimentConfig:
             raw = raw.strip()
             if key == "log_floor":
                 policy_kwargs[key] = float(raw) if raw else None
-            elif key in ("max_vector_iterations", "vector_seed"):
-                policy_kwargs[key] = int(raw)
             else:
                 policy_kwargs[key] = float(raw)
     return ExperimentConfig(

@@ -23,14 +23,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import mpmath
 import numpy as np
 
 from .. import refdata
-from ..chebdiff import build_diff_matrices, build_grid
-from ..eigensolver import eigenvalues, inverse_iteration
+from ..eigensolver import eigenvalues
 from ..extrapolate import build_table, estimate_balmer
-from ..hamiltonian import assemble
-from ..potentials import PotentialSpec
 from ..precision import EXTENDED, as_working, working_precision
 from ..spectrum import SpectrumResult, transition_info
 from .config import ExperimentConfig
@@ -75,15 +73,12 @@ def _nearest(values: Sequence[complex], target: complex) -> Tuple[complex, float
 
 
 def check_box_oracle(cache: SpectrumCache) -> CheckResult:
-    """Free particle in a box: E_n = (n pi / 2L)^2, here L = 10, N = 512."""
-    grid = build_grid(10.0, 512)
-    diff = build_diff_matrices(grid)
-    op = assemble(grid, diff, PotentialSpec("scarf2", 0.0))
-    computed = sorted(eigenvalues(op.matrix).eigenvalues, key=lambda z: z.real)
+    """Free particle in a box: E_n = (n pi / 2L)^2, here L = 10, N = 511."""
+    records = cache.get("scarf2", 0.0, 10.0, 511).records  # ascending Re
     worst = 0.0
     for n in range(1, 11):
         exact = (n * math.pi / 20.0) ** 2
-        worst = max(worst, abs(computed[n - 1].real - exact) / exact)
+        worst = max(worst, abs(records[n - 1].value.real - exact) / exact)
     return CheckResult(
         name="box_oracle",
         passed=worst < 1e-6,
@@ -270,18 +265,25 @@ def check_balmer_synthetic(cache: SpectrumCache) -> CheckResult:
 
 def check_extended_residuals(cache: SpectrumCache, size: int = 50,
                              n_matrices: int = 1) -> CheckResult:
-    """Software extended precision beats double-precision roundoff limits."""
+    """Software extended precision beats double-precision roundoff limits.
+
+    The residuals are those of the first five Schur vectors, recomputed
+    here in extended arithmetic.
+    """
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(n_matrices):
         a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        fro = float(np.linalg.norm(a))
         with working_precision(EXTENDED):
             mat = as_working(a, EXTENDED)
             solution = eigenvalues(mat, precision=EXTENDED)
-            fro = float(np.linalg.norm(a))
-            for lam in solution.eigenvalues[:5]:
-                sample = inverse_iteration(mat, lam, precision=EXTENDED)
-                worst = max(worst, float(sample.residual) / fro)
+            for k, v in solution.eigenvectors(mat, range(5)):
+                if v is None:
+                    worst = math.inf
+                    continue
+                r = mat @ v - solution.eigenvalues[k] * v
+                worst = max(worst, float(mpmath.sqrt(sum(abs(x) ** 2 for x in r))) / fro)
     return CheckResult(
         name="extended_precision_residuals",
         passed=worst < 1e-24,
@@ -353,8 +355,8 @@ def full_scale_config() -> ExperimentConfig:
 
     L up to 1000 at N = 2^14 - 1 in extended precision, so opt-in only:
     the matrix alone holds 2.7e8 mpmath entries at ~254 B each, ~68 GB,
-    and cubic extrapolation from a 14 s n = 40 software solve gives
-    decades of compute.
+    and cubic extrapolation from a 14 s ``mpmath.schur`` of an n = 40
+    matrix gives decades of compute.
     """
     return ExperimentConfig(
         family="coulomb_regulated",

@@ -4,7 +4,10 @@ Two working precisions are supported: native double (complex128 arrays)
 and a software binary128-class mode backed by mpmath (arrays of ``mpc``
 objects with dtype=object).  The extended mode exists because the slowly
 decaying regulated-Coulomb runs at very large half-widths need imaginary
-parts resolved far below the double-precision noise floor.
+parts resolved far below the double-precision noise floor.  Its Schur
+decomposition and eigenvector back substitution run in mpmath under
+``working_precision``; ``machine_epsilon`` sets the back substitution's
+floor on divisors in either mode.
 """
 
 from __future__ import annotations
@@ -78,10 +81,13 @@ def as_working(a: np.ndarray, precision: ScalarPrecision) -> np.ndarray:
 
 
 def to_complex128(a: np.ndarray) -> np.ndarray:
-    """Collapse an object (mpmath) array down to complex128."""
+    """Collapse an object (mpmath) array down to complex128.
+
+    Complex128 input is returned as is, without a copy.
+    """
     a = np.asarray(a)
     if a.dtype != object:
-        return a.astype(np.complex128)
+        return np.asarray(a, dtype=np.complex128)
     out = np.empty(a.shape, dtype=np.complex128)
     flat = out.ravel()
     for i, z in enumerate(np.asarray(a).ravel()):

@@ -7,11 +7,10 @@ boundary, while continuum eigenfunctions stay O(1) and drop abruptly at
 one or both endpoints.  The classifier asks the eigensolution for the
 eigenvectors of the bound-state candidates only -- eigenvalues whose
 imaginary part is large enough -- and treats everything else as
-numerically real continuum.  In double mode all candidate vectors come in
-one batched back substitution on the Schur factors that produced the
-eigenvalues; the extended mode runs inverse iteration per candidate.  A
-vector whose residual misses the solver's tolerance leaves its eigenvalue
-``unresolved``.
+numerically real continuum.  In either precision all candidate vectors
+come in one batched back substitution on the Schur factors that produced
+the eigenvalues.  A vector whose residual misses the solver's tolerance
+leaves its eigenvalue ``unresolved``.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ class ClassificationPolicy:
     pairing_tol_factor: float = 1e-8
     jump_min_decades: float = 6.0
     log_floor: Optional[float] = None  # None: tiny absolute floor
-    max_vector_iterations: int = 10
-    vector_seed: int = 42
 
 
 @dataclass(frozen=True)
@@ -196,10 +193,7 @@ def classify(
     candidates = [i for i in order
                   if abs(complex(raw[i]).imag) > policy.vector_threshold]
     labels = {}
-    for i, vector in solution.eigenvectors(
-            op.matrix, candidates,
-            max_iterations=policy.max_vector_iterations,
-            seed=policy.vector_seed):
+    for i, vector in solution.eigenvectors(op.matrix, candidates):
         if vector is None:
             labels[i] = (UNRESOLVED, None)
             continue

@@ -1,18 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ptspec.eigensolver import (
-    HessenbergWorkspace,
-    balance,
-    eigenvalues,
-    hessenberg_reduce,
-    inverse_iteration,
-    qr_eigenvalues,
-)
-from ptspec.precision import EXTENDED, as_working, to_complex128, working_precision
+from ptspec.eigensolver import eigenvalues
+from ptspec.precision import DOUBLE, EXTENDED, as_working, working_precision
 
 
 def _random_complex(rng, n):
@@ -33,37 +27,6 @@ def test_companion_matrix_roots():
     roots = np.array([1.0, 2.0, -0.5 + 1.5j, -0.5 - 1.5j, 3.0 + 0j])
     ev = np.sort_complex(np.asarray(eigenvalues(_companion(roots)).eigenvalues))
     assert np.allclose(ev, np.sort_complex(roots), atol=1e-10)
-
-
-def test_balance_preserves_eigenvalues():
-    rng = np.random.default_rng(0)
-    a = _random_complex(rng, 12)
-    a[0] *= 1e6  # force nontrivial scaling
-    balanced, d = balance(a)
-    assert np.all(np.log2(d) == np.round(np.log2(d)))  # powers of two
-    restored = np.diag(d) @ balanced @ np.diag(1.0 / d)
-    assert np.allclose(restored, a, rtol=0, atol=0)  # exact similarity
-    ev_a = np.sort_complex(np.linalg.eigvals(a))
-    ev_b = np.sort_complex(np.linalg.eigvals(balanced))
-    assert np.allclose(ev_a, ev_b, rtol=1e-8)
-
-
-def test_hessenberg_similarity():
-    rng = np.random.default_rng(1)
-    a = _random_complex(rng, 15)
-    h, q = hessenberg_reduce(a, accumulate_q=True)  # software engine
-    h, q = to_complex128(h), to_complex128(q)
-    assert np.max(np.abs(np.tril(h, -2))) < 1e-12 * np.linalg.norm(a)
-    assert np.allclose(q @ h @ q.conj().T, a, atol=1e-12 * np.linalg.norm(a))
-
-
-def test_qr_on_hessenberg_matches_direct():
-    rng = np.random.default_rng(2)
-    a = _random_complex(rng, 20)
-    h, _ = hessenberg_reduce(a, accumulate_q=False)
-    ev_qr = np.sort_complex(to_complex128(qr_eigenvalues(h).eigenvalues))
-    ev_ref = np.sort_complex(np.linalg.eigvals(a))  # LAPACK
-    assert np.max(np.abs(ev_qr - ev_ref)) < 1e-10 * np.linalg.norm(a)
 
 
 def test_trace_identity():
@@ -124,36 +87,27 @@ def test_schur_vectors_match_scipy_eig():
         assert np.linalg.norm(v - phase * u) < 1e-9 * np.linalg.norm(v)
 
 
-def test_vector_over_residual_target_is_unresolved():
+@pytest.mark.parametrize("precision, n", [(DOUBLE, 30), (EXTENDED, 12)],
+                         ids=["double64", "extended128"])
+def test_vector_over_residual_target_is_unresolved(precision, n):
     rng = np.random.default_rng(12)
-    a = _random_complex(rng, 30)
-    sol = eigenvalues(a)
-    residuals = {k: np.linalg.norm(a @ v - sol.eigenvalues[k] * v)
-                 for k, v in _vectors(sol, a, range(30)).items()}
+    with working_precision(precision):
+        a = as_working(_random_complex(rng, n), precision)
+        sol = eigenvalues(a, precision=precision)
+        residuals = {}
+        for k, v in _vectors(sol, a, range(n)).items():
+            r = a @ v - sol.eigenvalues[k] * v
+            residuals[k] = math.sqrt(float(sum(abs(x) ** 2 for x in r)))
     cut = float(np.median(list(residuals.values())))
     strict = dataclasses.replace(sol, residual_bound=cut)
-    vectors = _vectors(strict, a, range(30))
-    # the batched residual rounds differently from a @ v: judge with margin
-    over = [k for k in vectors if residuals[k] > 1.5 * cut]
-    under = [k for k in vectors if residuals[k] < cut / 1.5]
+    vectors = _vectors(strict, a, range(n))
+    # in double the batched residual rounds differently from a @ v (by up
+    # to ~3% here): judge with a 10% margin
+    over = [k for k in vectors if residuals[k] > 1.1 * cut]
+    under = [k for k in vectors if residuals[k] < cut / 1.1]
     assert over and under
     assert all(vectors[k] is None for k in over)
     assert all(vectors[k] is not None for k in under)
-
-
-def test_workspace_matches_dense_inverse_iteration():
-    rng = np.random.default_rng(8)
-    a = _random_complex(rng, 12)
-    fro = np.linalg.norm(a)
-    with working_precision(EXTENDED):
-        mat = as_working(a, EXTENDED)
-        ws = HessenbergWorkspace(mat, precision=EXTENDED)
-        for lam in eigenvalues(mat, precision=EXTENDED).eigenvalues[:3]:
-            sample = ws.inverse_iteration(lam)
-            dense = inverse_iteration(mat, lam, precision=EXTENDED)
-            assert sample.residual < 1e-24 * fro
-            gap = max(abs(x - y) for x, y in zip(sample.vector, dense.vector))
-            assert float(gap) < 1e-20
 
 
 def test_diagonal_matrix_exact():

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ptspec.eigensolver import eigenvalues, inverse_iteration
+from ptspec.eigensolver import eigenvalues
 from ptspec.precision import (
     DOUBLE,
     EXTENDED,
@@ -43,7 +43,13 @@ def test_round_trip_conversions():
     assert np.array_equal(to_complex128(ext), a)
 
 
-def test_software_engine_matches_lapack():
+def test_to_complex128_does_not_copy_complex128():
+    a = np.arange(9, dtype=np.complex128).reshape(3, 3)
+    assert np.shares_memory(to_complex128(a), a)
+    assert np.array_equal(to_complex128(_to_extended(a)), a)
+
+
+def test_extended_schur_matches_lapack():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     with working_precision(EXTENDED):
@@ -61,9 +67,27 @@ def test_extended_residuals_beat_double_limit():
     with working_precision(EXTENDED):
         mat = _to_extended(a)
         sol = eigenvalues(mat, precision=EXTENDED)
-        for lam in sol.eigenvalues[:4]:
-            sample = inverse_iteration(mat, lam, precision=EXTENDED)
-            assert float(sample.residual) < 1e-24 * fro
+        for k, v in sol.eigenvectors(mat, range(4)):
+            assert v is not None
+            r = mat @ v - sol.eigenvalues[k] * v
+            assert float(mpmath.sqrt(sum(abs(x) ** 2 for x in r))) < 1e-24 * fro
+
+
+def test_extended_mode_solves_the_unrounded_matrix():
+    # A = S diag(1 + 2^-80, 2, 3, 4) S^-1 with S unit upper bidiagonal:
+    # S^-1 has entries (-1)^(j-i), so A is exact in extended arithmetic
+    # while 1 + 2^-80 rounds to 1 in double
+    n = 4
+    with working_precision(EXTENDED):
+        target = 1 + mpmath.mpf(2) ** -80
+        d = np.diag(np.array([target, 2, 3, 4], dtype=object))
+        s = np.eye(n, dtype=object) + np.eye(n, k=1, dtype=object)
+        s_inv = np.array([[(-1) ** (j - i) if j >= i else 0 for j in range(n)]
+                          for i in range(n)], dtype=object)
+        assert np.all(s @ s_inv == np.eye(n))
+        a = s @ d @ s_inv
+        values = eigenvalues(a, precision=EXTENDED).eigenvalues
+        assert min(abs(z - target) for z in values) < 1e-30
 
 
 def test_extended_eigenvalues_deterministic():

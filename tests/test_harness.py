@@ -35,8 +35,8 @@ def test_config_round_trip_default():
 
 
 def test_config_round_trip_custom_policy():
-    policy = ClassificationPolicy(bound_tail_threshold=1e-7, vector_seed=7,
-                                  log_floor=1e-200)
+    policy = ClassificationPolicy(bound_tail_threshold=1e-7,
+                                  relaxed_tail_coeff=0.25, log_floor=1e-200)
     config = _small_config(half_widths=(10.0, 100.0), policy=policy,
                           precision_mode="extended128", output_format="json")
     assert parse_config(serialize_config(config)) == config
@@ -59,7 +59,7 @@ def test_config_partial_classification_section():
     )
     config = parse_config(text)
     assert config.policy.jump_min_decades == 8.0
-    assert config.policy.vector_seed == 42  # untouched default
+    assert config.policy.relaxed_tail_coeff == 0.5  # untouched default
 
 
 @pytest.mark.parametrize("overrides", [
