@@ -1,9 +1,12 @@
 """Chebyshev collocation grids and differentiation matrices on [-L, L].
 
 Nodes are the Chebyshev-Lobatto points x_j = L cos(pi j / N), j = 0..N,
-ordered descending in x (j = 0 sits at +L).  The first-derivative matrix
-uses the standard collocation weights with the negative-sum trick on the
-diagonal; the second-derivative matrix is the square of the first.
+ordered descending in x (j = 0 sits at +L).  They are evaluated in the
+sine form L sin(pi (N - 2j) / 2N) (Weideman & Reddy, ACM TOMS 26, 2000),
+which makes them exactly antisymmetric, x_{N-j} = -x_j, and puts the
+centre node of an even N exactly at the origin.  The first-derivative
+matrix uses the standard collocation weights with the negative-sum trick
+on the diagonal; the second-derivative matrix is the square of the first.
 """
 
 from __future__ import annotations
@@ -68,12 +71,13 @@ def build_grid(
     precision = precision or DOUBLE
     if precision.is_extended:
         with mpmath.workprec(precision.bits):
-            vals = [mpmath.mpf(L) * mpmath.cos(mpmath.pi * j / n) for j in range(n + 1)]
+            vals = [mpmath.mpf(L) * mpmath.sin(mpmath.pi * (n - 2 * j) / (2 * n))
+                    for j in range(n + 1)]
         nodes = np.empty(n + 1, dtype=object)
         nodes[:] = vals
     else:
         j = np.arange(n + 1)
-        nodes = L * np.cos(np.pi * j / n)
+        nodes = L * np.sin(np.pi * (n - 2 * j) / (2 * n))
     return Grid(half_width=L, n_intervals=n, nodes=nodes)
 
 

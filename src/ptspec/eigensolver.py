@@ -1,14 +1,22 @@
-"""Dense complex nonsymmetric eigensolver, generic over working precision.
+"""Dense nonsymmetric eigensolver, generic over working precision.
 
-Both precisions compute the complex Schur form A = Z T Z^H once; the
-eigenvalues are the diagonal of T.  Double precision calls LAPACK
-(``zgees`` via scipy); the extended mode calls ``mpmath.schur`` on the
-unrounded object matrix at the mpmath working precision of the mode and
-keeps T and Z as object arrays.  Right eigenvectors for any subset of
+Every matrix gets one Schur decomposition, kept on the solution; the
+eigenvalues come from its (quasi-)triangular factor.  A real double matrix
+-- the PT form K that ``hamiltonian.assemble`` builds -- gets the real
+Schur form A = Z T Z^T from LAPACK (``dgees`` via scipy): each complex
+conjugate pair is read off its standardized 2 x 2 block as
+a +- i sqrt|b| sqrt|c|, so pairs are bitwise conjugate and real
+eigenvalues have an imaginary part of exactly 0.0.  A complex double
+matrix gets the complex Schur form A = Z T Z^H (``zgees``).  The extended
+mode calls ``mpmath.schur`` on the unrounded object matrix, real or
+complex, at the mpmath working precision of the mode; it returns the
+complex form, kept as object arrays.  Right eigenvectors for any subset of
 eigenvalues come from the same factors in either precision: a blocked
 back substitution on the triangular T for the selected columns only (the
 algorithm of LAPACK ``ztrevc3``), then V = Z Y, so one decomposition
-serves both values and vectors.
+serves both values and vectors.  A real Schur form is made triangular for
+this, one unitary 2 x 2 rotation per block, only when vectors are asked
+for.
 """
 
 from __future__ import annotations
@@ -37,16 +45,22 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """All eigenvalues of one matrix plus its complex Schur factors.
+    """All eigenvalues of one matrix plus its Schur factors.
 
-    ``schur`` holds (T, Z) with A = Z T Z^H and ``eigenvalues[k] ==
-    T[k, k]``: complex128 arrays in double mode, object arrays of mpmath
-    scalars in extended mode.  ``iteration_stats`` is empty; neither Schur
+    ``schur`` holds (T, Z) with A = Z T Z^H: the real Schur form (float64,
+    T quasi-triangular) for a real double matrix, the complex Schur form
+    (complex128) for a complex one, and the complex form as object arrays
+    of mpmath scalars in extended mode.  ``eigenvalues[k]`` is T[k, k], or
+    one of the conjugate pair of the 2 x 2 block at rows k..k+1 of a real
+    form, the one with positive imaginary part first.  ``matrix_fro_norm``
+    is ||A||_F and ``residual_bound`` its multiple accepted as an
+    eigenvector residual.  ``iteration_stats`` is empty; neither Schur
     routine reports its sweep counts.
     """
 
     eigenvalues: np.ndarray
     residual_bound: float
+    matrix_fro_norm: float
     iteration_stats: Tuple[int, ...]
     precision: ScalarPrecision
     schur: Tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
@@ -62,6 +76,9 @@ class EigenSolution:
         yielded in Schur order.
         """
         t, z = self.schur
+        rotations = None
+        if t.dtype == np.float64:
+            t, rotations = _complex_schur_form(t, self.eigenvalues)
         a = np.asarray(matrix)
         ks = np.unique(np.asarray(indices, dtype=np.intp))
         target2 = self.residual_bound ** 2
@@ -71,26 +88,30 @@ class EigenSolution:
             with working_precision(self.precision):
                 y = _triangular_eigenvectors(t, batch,
                                              self.precision.machine_epsilon)
-                v = z[:, :y.shape[0]] @ y
+                if rotations is not None:
+                    y = _rotate_rows(y, *rotations)
+                v = _product(z[:, :y.shape[0]], y)
                 del y
                 v /= v[np.argmax(np.abs(v), axis=0), cols]
-                residual2 = (np.abs(a @ v - v * t[batch, batch]) ** 2).sum(axis=0)
+                residual2 = (np.abs(_product(a, v) - v * t[batch, batch]) ** 2
+                             ).sum(axis=0)
             for c in cols:
                 yield int(batch[c]), v[:, c] if residual2[c] <= target2 else None
 
 
 def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> EigenSolution:
-    """Full spectrum of a dense complex matrix at the requested precision.
+    """Full spectrum of a dense real or complex matrix at the requested precision.
 
-    One complex Schur decomposition, kept on the solution for later
-    eigenvector requests.  Raises ConvergenceError when the QR iteration
-    behind it fails to converge.
+    One Schur decomposition -- real for a real double matrix, complex
+    otherwise -- kept on the solution for later eigenvector requests.
+    Raises ConvergenceError when the QR iteration behind it fails to
+    converge.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("eigenvalues expects a square matrix")
-    bound = RESIDUAL_TOL[precision.mode] * float(np.linalg.norm(to_complex128(a)))
+    fro = float(np.linalg.norm(to_complex128(a) if a.dtype == object else a))
     if precision.is_extended:
         with working_precision(precision):
             try:
@@ -99,12 +120,82 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
                 raise ConvergenceError(str(exc)) from exc
         t = np.array(r.tolist(), dtype=object)
         z = np.array(q.tolist(), dtype=object)
+        values = t.diagonal().copy()
     else:
+        real = a.dtype.kind in "biuf"
         try:
-            t, z = scipy.linalg.schur(to_complex128(a), output="complex")
+            t, z = scipy.linalg.schur(
+                np.asarray(a, dtype=np.float64) if real else to_complex128(a),
+                output="real" if real else "complex")
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(str(exc)) from exc
-    return EigenSolution(t.diagonal().copy(), bound, (), precision, schur=(t, z))
+        values = _real_schur_eigenvalues(t) if real else t.diagonal().copy()
+    return EigenSolution(values, RESIDUAL_TOL[precision.mode] * fro, fro, (),
+                         precision, schur=(t, z))
+
+
+def _real_schur_eigenvalues(t: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real Schur form, conjugate pairs bitwise conjugate.
+
+    LAPACK leaves each pair as a standardized block [[a, b], [c, a]] with
+    b c < 0, whose eigenvalues are a +- i sqrt|b| sqrt|c|.
+    """
+    values = np.diagonal(t).astype(np.complex128)
+    k = np.flatnonzero(np.diagonal(t, -1))
+    omega = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+    values.real[k + 1] = values.real[k]
+    values.imag[k] = omega
+    values.imag[k + 1] = -omega
+    return values
+
+
+def _complex_schur_form(t: np.ndarray, values: np.ndarray):
+    """Triangular complex form G^H T G of a real Schur form T.
+
+    G is the identity but for one unitary block [[c, i s], [i s, c]] per
+    2 x 2 block at rows k..k+1, whose first column is the block's
+    eigenvector for values[k] = a + i sqrt|b| sqrt|c|.  Returns the complex
+    triangular matrix, its diagonal set to ``values``, and (k, c, s) for
+    ``_rotate_rows``; the orthogonal Z times G is the unitary factor of the
+    complex form.
+    """
+    k = np.flatnonzero(np.diagonal(t, -1))
+    b, c = t[k, k + 1], t[k + 1, k]
+    r = np.sqrt(np.abs(b) + np.abs(c))
+    cos, sin = np.sqrt(np.abs(b)) / r, np.sign(b) * np.sqrt(np.abs(c)) / r
+    tc = t.astype(np.complex128)
+    for j, cj, sj in zip(k, cos, sin):
+        g = np.array([[cj, 1j * sj], [1j * sj, cj]])
+        tc[j:j + 2, j:] = g.conj() @ tc[j:j + 2, j:]
+        tc[:j + 2, j:j + 2] = tc[:j + 2, j:j + 2] @ g
+    tc[k + 1, k] = 0
+    np.fill_diagonal(tc, values)
+    return tc, (k, cos, sin)
+
+
+def _rotate_rows(y: np.ndarray, k: np.ndarray, cos: np.ndarray,
+                 sin: np.ndarray) -> np.ndarray:
+    """G y for the block rotations of ``_complex_schur_form``.
+
+    y holds rows 0..len(y)-1 of vectors that vanish below; a block that
+    starts on the last row adds one row.
+    """
+    if np.any(k == len(y) - 1):
+        y = np.vstack([y, np.zeros((1, y.shape[1]), dtype=y.dtype)])
+    inside = k + 1 < len(y)
+    k, cos, sin = k[inside], cos[inside, None], sin[inside, None]
+    upper, lower = y[k], y[k + 1]
+    y[k] = cos * upper + 1j * sin * lower
+    y[k + 1] = 1j * sin * upper + cos * lower
+    return y
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; a real ``a`` times a complex ``b`` without a complex copy of ``a``."""
+    if a.dtype == np.float64 and b.dtype == np.complex128:
+        b = np.ascontiguousarray(b).view(np.float64)
+        return (a @ b).view(np.complex128)
+    return a @ b
 
 
 def _triangular_eigenvectors(t: np.ndarray, ks: np.ndarray, eps: float

@@ -1,9 +1,11 @@
 """Experiment orchestration: run per-L jobs and persist their spectra.
 
 Each half-width L is an independent job (build grid, differentiate,
-assemble, eigensolve, classify, locate the transition).  Jobs may run on a
-bounded thread pool; the heavy kernels release the interpreter lock inside
-LAPACK, and each job writes only its own files.  Any exception inside a
+assemble the real PT form of H, eigensolve, classify, locate the
+transition); the grid, derivative and matrix entries are computed at the
+working precision of the run.  Jobs may run on a bounded thread pool; the
+heavy kernels release the interpreter lock inside LAPACK, and each job
+writes only its own files.  Any exception inside a
 job aborts that L with a recorded "<Type>: <message>" diagnostic while the
 remaining half-widths still complete.
 
@@ -30,7 +32,7 @@ from ..chebdiff import build_diff_matrices, build_grid
 from ..eigensolver import eigenvalues
 from ..hamiltonian import assemble
 from ..potentials import PotentialSpec
-from ..precision import from_name
+from ..precision import from_name, working_precision
 from ..spectrum import SpectrumResult, classify, with_transition
 from .config import ExperimentConfig
 
@@ -58,9 +60,10 @@ def run_single(config: ExperimentConfig, half_width: float
     spec = PotentialSpec(config.family, config.strength)
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
-    grid = build_grid(half_width, config.n_intervals, precision=precision)
-    diff = build_diff_matrices(grid)
-    op = assemble(grid, diff, spec)
+    with working_precision(precision):
+        grid = build_grid(half_width, config.n_intervals, precision=precision)
+        # the derivative matrices are dropped once K is built
+        op = assemble(grid, build_diff_matrices(grid), spec)
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

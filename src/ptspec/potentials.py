@@ -1,16 +1,17 @@
-"""The five decaying imaginary-odd potential families, plus tabulated input.
+"""The five decaying imaginary-odd potential families.
 
-Every built-in family evaluates to i * A * f(x) with f real and odd, so
+Every family evaluates to i * A * f(x) with f real and odd, so
 V(-x) = -V(x) and Re V = 0: the parity/conjugation symmetry that makes the
-Hamiltonian p^2 + V PT-symmetric.  All families vanish as |x| -> infinity,
-at rates ranging from exponential (scarf2) down to 1/|x| (coulomb_regulated).
+Hamiltonian p^2 + V PT-symmetric, and that symmetry is what lets
+``hamiltonian.assemble`` solve a real matrix.  All families vanish as
+|x| -> infinity, at rates ranging from exponential (scarf2) down to 1/|x|
+(coulomb_regulated).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath
 import numpy as np
@@ -23,7 +24,6 @@ FAMILIES = (
     "rational3",
     "step",
     "coulomb_regulated",
-    "custom_table",
 )
 
 # Half-width of the step family's support.
@@ -35,36 +35,18 @@ _SECH_CUTOFF = 710.0
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """A potential family plus its real strength parameter.
-
-    For ``custom_table`` the potential is piecewise-linear through the
-    tabulated (x, value) samples and 0 outside the tabulated range;
-    ``strength`` multiplies the tabulated values.
-    """
+    """A potential family plus its real strength parameter."""
 
     family: str
     strength: float = 0.0
-    table_x: Optional[np.ndarray] = None
-    table_v: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown potential family {self.family!r}")
-        if self.family == "custom_table":
-            if self.table_x is None or self.table_v is None:
-                raise ValueError("custom_table requires table_x and table_v")
-            tx = np.asarray(self.table_x, dtype=float)
-            tv = np.asarray(self.table_v, dtype=complex)
-            if tx.ndim != 1 or tx.shape != tv.shape or tx.size < 2:
-                raise ValueError("custom table needs matching 1-d arrays, >= 2 points")
-            if np.any(np.diff(tx) <= 0):
-                raise ValueError("custom table x samples must be strictly increasing")
-            object.__setattr__(self, "table_x", tx)
-            object.__setattr__(self, "table_v", tv)
 
 
 def _odd_profile(family: str, x):
-    """The real odd factor f(x) such that V = i * A * f(x) (built-ins only)."""
+    """The real odd factor f(x) such that V = i * A * f(x)."""
     extended = isinstance(x, (mpmath.mpf, mpmath.mpc))
     if family == "scarf2":
         if extended:
@@ -98,15 +80,6 @@ def evaluate(spec: PotentialSpec, x):
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"potential argument must be finite, got {x}")
-    if spec.family == "custom_table":
-        if extended:
-            x = float(x)
-        tx, tv = spec.table_x, spec.table_v
-        if x < tx[0] or x > tx[-1]:
-            return 0j
-        re = np.interp(x, tx, tv.real)
-        im = np.interp(x, tx, tv.imag)
-        return spec.strength * complex(re, im)
     f = _odd_profile(spec.family, x)
     if extended:
         return mpmath.mpc(0, 1) * spec.strength * f

@@ -1,13 +1,14 @@
 """Scalar precision modes for the eigensolver pipeline.
 
-Two working precisions are supported: native double (complex128 arrays)
-and a software binary128-class mode backed by mpmath (arrays of ``mpc``
-objects with dtype=object).  The extended mode exists because the slowly
-decaying regulated-Coulomb runs at very large half-widths need imaginary
-parts resolved far below the double-precision noise floor.  Its Schur
-decomposition and eigenvector back substitution run in mpmath under
-``working_precision``; ``machine_epsilon`` sets the back substitution's
-floor on divisors in either mode.
+Two working precisions are supported: native double (float64 and
+complex128 arrays) and a software binary128-class mode backed by mpmath
+(arrays of ``mpf``/``mpc`` objects with dtype=object).  The extended mode
+exists because the slowly decaying regulated-Coulomb runs at very large
+half-widths need imaginary parts resolved far below the double-precision
+noise floor.  Its grid, matrix, Schur decomposition and eigenvector back
+substitution are computed in mpmath under ``working_precision``;
+``machine_epsilon`` sets the back substitution's floor on divisors in
+either mode.
 """
 
 from __future__ import annotations

@@ -8,9 +8,13 @@ one or both endpoints.  The classifier asks the eigensolution for the
 eigenvectors of the bound-state candidates only -- eigenvalues whose
 imaginary part is large enough -- and treats everything else as
 numerically real continuum.  In either precision all candidate vectors
-come in one batched back substitution on the Schur factors that produced
-the eigenvalues.  A vector whose residual misses the solver's tolerance
-leaves its eigenvalue ``unresolved``.
+come in one batched back substitution on the Schur factors of the real PT
+form K that produced the eigenvalues, and each is mapped back to the grid
+by ``OperatorMatrix.grid_vector``.  A vector whose residual misses the
+solver's tolerance leaves its eigenvalue ``unresolved``; the residual is
+measured on K and equals that on H, as the map is unitary.  In double
+precision a conjugate pair is exactly conjugate and a PT-unbroken level
+exactly real.
 """
 
 from __future__ import annotations
@@ -189,7 +193,6 @@ def classify(
     order = sorted(range(len(raw)), key=lambda i: _sort_key(complex(raw[i])))
     x = to_complex128(grid.interior_nodes).real
 
-    fro = float(np.linalg.norm(to_complex128(op.matrix)))
     candidates = [i for i in order
                   if abs(complex(raw[i]).imag) > policy.vector_threshold]
     labels = {}
@@ -197,7 +200,8 @@ def classify(
         if vector is None:
             labels[i] = (UNRESOLVED, None)
             continue
-        absv = np.abs(to_complex128(vector))
+        absv = np.abs(op.grid_vector(to_complex128(vector)))
+        absv /= absv.max()
         tail_ratio, is_bound = _tail_classification(absv, x, grid, policy)
         labels[i] = (BOUND if is_bound else CONTINUUM_COMPLEX, tail_ratio)
     records: List[EigenRecord] = []
@@ -221,7 +225,7 @@ def classify(
         family=op.spec.family,
         strength=op.spec.strength,
         precision_mode=precision.mode,
-        matrix_fro_norm=fro,
+        matrix_fro_norm=solution.matrix_fro_norm,
     )
     return SpectrumResult(
         records=tuple(records),

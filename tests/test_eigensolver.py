@@ -110,6 +110,28 @@ def test_vector_over_residual_target_is_unresolved(precision, n):
     assert all(vectors[k] is not None for k in under)
 
 
+def test_real_matrix_takes_the_real_schur_form():
+    rng = np.random.default_rng(13)
+    n = 150  # more rows than one back-substitution block
+    a = rng.standard_normal((n, n))
+    fro = np.linalg.norm(a)
+    sol = eigenvalues(a)
+    assert all(f.dtype == np.float64 for f in sol.schur)
+    ev = np.asarray(sol.eigenvalues)
+    ref = scipy.linalg.eigvals(a)
+    assert max(np.min(np.abs(ref - z)) for z in ev) < 1e-12 * fro
+    # each pair bitwise conjugate, positive imaginary part first
+    upper = np.flatnonzero(ev.imag > 0)
+    assert upper.size and np.array_equal(ev[upper + 1], ev[upper].conj())
+    assert np.sum(ev.imag != 0) == 2 * upper.size
+    # a pair's first member as the last index needs its partner's row too
+    pair = upper[upper > 70][0]
+    for indices in ([0], [n - 1], [pair], [pair + 1], [3, pair, pair + 1]):
+        for k, v in _vectors(sol, a, indices).items():
+            assert np.linalg.norm(a @ v - ev[k] * v) < 1e-12 * fro
+            assert np.max(np.abs(v)) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_diagonal_matrix_exact():
     d = np.diag(np.array([1.0 + 2j, -3.0, 0.5j]))
     ev = np.sort_complex(np.asarray(eigenvalues(d).eigenvalues))
@@ -122,5 +144,6 @@ def test_solution_metadata():
     a = _random_complex(rng, 10)
     sol = eigenvalues(a)
     assert sol.precision.mode == "double64"
-    assert sol.residual_bound > 0
+    assert sol.matrix_fro_norm == np.linalg.norm(a)
+    assert sol.residual_bound == 1e-10 * sol.matrix_fro_norm
     assert len(sol.eigenvalues) == 10

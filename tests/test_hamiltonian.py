@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from ptspec.chebdiff import build_diff_matrices, build_grid
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
-from ptspec.potentials import PotentialSpec
+from ptspec.potentials import FAMILIES, PotentialSpec, evaluate_on_grid
+from ptspec.precision import EXTENDED, working_precision
 
 
 def _operator(family="scarf2", strength=30.0, half_width=10.0, n=64):
@@ -31,13 +34,86 @@ def test_box_oracle_small():
         assert ev[n - 1] == pytest.approx(exact, rel=1e-8)
 
 
-def test_imaginary_part_is_diagonal():
+def _complex_h(op):
+    """The complex collocation matrix H that K is similar to, built directly."""
+    diff = build_diff_matrices(op.grid)
+    v = evaluate_on_grid(op.spec, op.grid)[1:-1]
+    return -diff.d2[1:-1, 1:-1] + np.diag(v)
+
+
+def test_pt_form_block_structure():
+    # N = 64: an odd number of interior nodes, with the centre at x = 0
     op = _operator()
-    imag = op.matrix.imag
-    diag = np.diagonal(imag)
-    assert np.max(np.abs(imag - np.diag(diag))) == 0.0
+    k_mat = op.matrix
+    n, m = op.dim, op.dim // 2
+    me = n - m
+    assert k_mat.dtype == np.float64 and n == 63 and op.grid.nodes[32] == 0.0
+    # the even and odd blocks couple only through diag(A f(x_k))
+    w = np.diagonal(k_mat[me:, :m])
+    assert np.array_equal(np.diagonal(k_mat[:m, me:]), -w)
+    assert not np.any(k_mat[me:, :m] - np.diag(w))
+    assert not np.any(k_mat[:m, me:] - np.diag(-w))
+    assert not np.any(k_mat[m, me:])
+    assert np.array_equal(w, evaluate_on_grid(op.spec, op.grid)[1:m + 1].imag)
     # grid samples near (but not exactly at) the potential's peak of 15
-    assert 14.0 < np.max(np.abs(diag)) <= 15.0
+    assert 14.0 < np.max(np.abs(w)) <= 15.0
+    # De = T + R J, Do = T - R J from the top rows of -d2, centre scaled
+    core = -build_diff_matrices(op.grid).d2[1:-1, 1:-1]
+    t, rj = core[:m, :m], core[:m, n - m:][:, ::-1]
+    assert np.array_equal(k_mat[:m, :m], t + rj)
+    assert np.array_equal(k_mat[me:, me:], t - rj)
+    assert np.allclose(k_mat[:m, m], math.sqrt(2) * core[:m, m], rtol=1e-15)
+    assert k_mat[m, m] == core[m, m]
+
+
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pt_form_has_the_spectrum_of_h(family, n):
+    op = _operator(family=family, strength=3.0 if family == "step" else 30.0,
+                   n=n)
+    ev = np.asarray(eigenvalues(op.matrix).eigenvalues)
+    ref = np.linalg.eigvals(_complex_h(op))
+    cost = np.abs(ev[:, None] - ref[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert np.max(cost[rows, cols]) <= 1e-12 * np.max(np.abs(ref))
+    # pairs are exact conjugates, and real levels exactly real
+    complex_ev = ev[ev.imag != 0]
+    assert complex_ev.size and set(complex_ev.conj()) == set(complex_ev)
+    assert np.sum(ev.imag > 0) == np.sum(ev.imag < 0)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_mapped_vectors_solve_h(n):
+    op = _operator(family="step", strength=3.0, n=n)
+    h = _complex_h(op)
+    sol = eigenvalues(op.matrix)
+    vectors = dict(sol.eigenvectors(op.matrix, range(op.dim)))
+    assert len(vectors) == op.dim
+    for k, y in vectors.items():
+        v = op.grid_vector(y)
+        assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(y), rel=1e-14)
+        assert np.linalg.norm(h @ v - sol.eigenvalues[k] * v) <= sol.residual_bound
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_extended_pt_form_has_the_spectrum_of_h(n):
+    with working_precision(EXTENDED):
+        grid = build_grid(10.0, n, precision=EXTENDED)
+        diff = build_diff_matrices(grid)
+        op = assemble(grid, diff, PotentialSpec("scarf2", 30.0))
+        h = -diff.d2[1:-1, 1:-1] + np.diag(evaluate_on_grid(op.spec, grid)[1:-1])
+        sol = eigenvalues(op.matrix, precision=EXTENDED)
+        ref = eigenvalues(h, precision=EXTENDED).eigenvalues
+        cost = np.array([[float(abs(a - b)) for b in ref]
+                         for a in sol.eigenvalues])
+        scale = max(float(abs(z)) for z in ref)
+        for k, y in sol.eigenvectors(op.matrix, [0, op.dim - 1]):
+            v = op.grid_vector(y)
+            r = h @ v - sol.eigenvalues[k] * v
+            assert float(mpmath.sqrt(sum(abs(x) ** 2 for x in r))) <= sol.residual_bound
+    rows, cols = linear_sum_assignment(cost)
+    # well below double rounding: K keeps the full working precision
+    assert np.max(cost[rows, cols]) <= 1e-25 * scale
 
 
 def _multiset_gap(a, b):

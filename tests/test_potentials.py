@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from ptspec.chebdiff import build_grid
 from ptspec.potentials import FAMILIES, PotentialSpec, evaluate, evaluate_on_grid
 
-CLOSED_FORM = tuple(f for f in FAMILIES if f != "custom_table")
-
 finite_x = st.floats(min_value=-1e6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200)
-@given(family=st.sampled_from(CLOSED_FORM), x=finite_x)
+@given(family=st.sampled_from(FAMILIES), x=finite_x)
 def test_parity_antisymmetry(family, x):
     spec = PotentialSpec(family, 30.0)
     v = evaluate(spec, x)
@@ -24,7 +22,7 @@ def test_parity_antisymmetry(family, x):
 
 
 @settings(max_examples=200)
-@given(family=st.sampled_from(CLOSED_FORM), x=finite_x,
+@given(family=st.sampled_from(FAMILIES), x=finite_x,
        strength=st.floats(min_value=-100, max_value=100,
                           allow_nan=False, allow_infinity=False))
 def test_purely_imaginary_and_bounded(family, x, strength):
@@ -34,7 +32,7 @@ def test_purely_imaginary_and_bounded(family, x, strength):
 
 
 @settings(max_examples=100)
-@given(family=st.sampled_from(CLOSED_FORM),
+@given(family=st.sampled_from(FAMILIES),
        x=st.floats(min_value=1e4, max_value=1e8))
 def test_decay_at_infinity(family, x):
     v = evaluate(PotentialSpec(family, 30.0), x)
@@ -101,23 +99,3 @@ def test_unknown_family_rejected():
 def test_nonfinite_argument_rejected(bad):
     with pytest.raises(ValueError):
         evaluate(PotentialSpec("scarf2", 30.0), bad)
-
-
-def test_custom_table_interpolates_and_clips():
-    spec = PotentialSpec(
-        "custom_table", 2.0,
-        table_x=np.array([-1.0, 0.0, 1.0]),
-        table_v=np.array([-1j, 0j, 1j]),
-    )
-    assert evaluate(spec, 0.5) == pytest.approx(1j)
-    assert evaluate(spec, 1.0) == pytest.approx(2j)
-    assert evaluate(spec, 5.0) == 0j
-
-
-def test_custom_table_validation():
-    with pytest.raises(ValueError):
-        PotentialSpec("custom_table", 1.0)
-    with pytest.raises(ValueError):
-        PotentialSpec("custom_table", 1.0,
-                      table_x=np.array([0.0, 0.0]),
-                      table_v=np.array([1j, 2j]))
