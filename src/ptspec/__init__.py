@@ -30,7 +30,6 @@ from .spectrum import (
     SpectrumResult,
     classify,
     detect_transition,
-    pair_conjugates,
     transition_info,
     with_transition,
 )

@@ -10,7 +10,10 @@ eigenvalues have an imaginary part of exactly 0.0.  A complex double
 matrix gets the complex Schur form A = Z T Z^H (``zgees``).  The extended
 mode calls ``mpmath.schur`` on the unrounded object matrix, real or
 complex, at the mpmath working precision of the mode; it returns the
-complex form, kept as object arrays.  Right eigenvectors for any subset of
+complex form, kept as object arrays.  Each eigenvalue's conjugate partner
+is read off the same decomposition: the two positions of a 2 x 2 block of
+a real form, exactly; in a complex form, the mutually nearest conjugate
+within the solver's residual bound.  Right eigenvectors for any subset of
 eigenvalues come from the same factors in either precision: a blocked
 back substitution on the triangular T for the selected columns only (the
 algorithm of LAPACK ``ztrevc3``), then V = Z Y, so one decomposition
@@ -52,13 +55,15 @@ class EigenSolution:
     (complex128) for a complex one, and the complex form as object arrays
     of mpmath scalars in extended mode.  ``eigenvalues[k]`` is T[k, k], or
     one of the conjugate pair of the 2 x 2 block at rows k..k+1 of a real
-    form, the one with positive imaginary part first.  ``matrix_fro_norm``
-    is ||A||_F and ``residual_bound`` its multiple accepted as an
-    eigenvector residual.  ``iteration_stats`` is empty; neither Schur
-    routine reports its sweep counts.
+    form, the one with positive imaginary part first.  ``partners[k]`` is
+    the position of the conjugate partner of ``eigenvalues[k]``, or -1 when
+    it has none.  ``matrix_fro_norm`` is ||A||_F and ``residual_bound`` its
+    multiple accepted as an eigenvector residual.  ``iteration_stats`` is
+    empty; neither Schur routine reports its sweep counts.
     """
 
     eigenvalues: np.ndarray
+    partners: np.ndarray
     residual_bound: float
     matrix_fro_norm: float
     iteration_stats: Tuple[int, ...]
@@ -112,15 +117,17 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     if a.shape != (n, n):
         raise ValueError("eigenvalues expects a square matrix")
     fro = float(np.linalg.norm(to_complex128(a) if a.dtype == object else a))
+    bound = RESIDUAL_TOL[precision.mode] * fro
     if precision.is_extended:
         with working_precision(precision):
             try:
                 q, r = mpmath.schur(mpmath.matrix(a.tolist()))
             except RuntimeError as exc:  # "qr: failed to converge ..."
                 raise ConvergenceError(str(exc)) from exc
-        t = np.array(r.tolist(), dtype=object)
-        z = np.array(q.tolist(), dtype=object)
-        values = t.diagonal().copy()
+            t = np.array(r.tolist(), dtype=object)
+            z = np.array(q.tolist(), dtype=object)
+            values = t.diagonal().copy()
+            partners = _conjugate_partners(values, bound)
     else:
         real = a.dtype.kind in "biuf"
         try:
@@ -129,16 +136,21 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
                 output="real" if real else "complex")
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(str(exc)) from exc
-        values = _real_schur_eigenvalues(t) if real else t.diagonal().copy()
-    return EigenSolution(values, RESIDUAL_TOL[precision.mode] * fro, fro, (),
-                         precision, schur=(t, z))
+        if real:
+            values, partners = _real_schur_eigenvalues(t)
+        else:
+            values = t.diagonal().copy()
+            partners = _conjugate_partners(values, bound)
+    return EigenSolution(values, partners, bound, fro, (), precision,
+                         schur=(t, z))
 
 
-def _real_schur_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real Schur form, conjugate pairs bitwise conjugate.
+def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and conjugate partners of a real Schur form.
 
     LAPACK leaves each pair as a standardized block [[a, b], [c, a]] with
-    b c < 0, whose eigenvalues are a +- i sqrt|b| sqrt|c|.
+    b c < 0, whose eigenvalues are a +- i sqrt|b| sqrt|c|: bitwise
+    conjugate, and partners of each other.
     """
     values = np.diagonal(t).astype(np.complex128)
     k = np.flatnonzero(np.diagonal(t, -1))
@@ -146,7 +158,26 @@ def _real_schur_eigenvalues(t: np.ndarray) -> np.ndarray:
     values.real[k + 1] = values.real[k]
     values.imag[k] = omega
     values.imag[k + 1] = -omega
-    return values
+    partners = np.full(len(values), -1)
+    partners[k], partners[k + 1] = k + 1, k
+    return values, partners
+
+
+def _conjugate_partners(values: np.ndarray, tol: float) -> np.ndarray:
+    """Conjugate partners of the diagonal of a complex Schur form.
+
+    j is the partner of i when each is the other's nearest conjugate,
+    |lambda_i - conj(lambda_j)| minimal over j and over i, and that gap is
+    at most ``tol``; -1 otherwise.  A real eigenvalue, or one whose
+    imaginary part is rounding noise, is its own nearest conjugate and has
+    no partner.  Object arrays need the mpmath working precision set.
+    """
+    gap = np.abs(values[:, None] - np.conj(values)[None, :]).astype(np.float64)
+    nearest = np.argmin(gap, axis=1)
+    own = np.arange(len(values))
+    mutual = ((nearest != own) & (nearest[nearest] == own)
+              & (gap[own, nearest] <= tol))
+    return np.where(mutual, nearest, -1)
 
 
 def _complex_schur_form(t: np.ndarray, values: np.ndarray):

@@ -22,7 +22,7 @@ from ..spectrum import ClassificationPolicy
 from .config import ExperimentConfig, load_config, serialize_config
 from .plotdata import PLOT_KINDS, emit_plot_data
 from .reproduce import SELECTORS, full_scale_config, reproduce
-from .runner import persist, run_experiment
+from .runner import persist, run_experiment, write_records
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
@@ -64,31 +64,6 @@ def _config_from_args(args, half_widths) -> ExperimentConfig:
     )
 
 
-def _print_records(result, include_labels: bool, fmt: str) -> None:
-    if fmt == "json":
-        rows = [
-            {"re": r.value.real, "im": r.value.imag,
-             **({"label": r.label, "tail_ratio": r.tail_ratio}
-                if include_labels else {})}
-            for r in result.records
-        ]
-        payload = {"eigenvalues": rows}
-        if include_labels:
-            payload["bound_pairs"] = result.bound_pairs
-            payload["transition_point"] = result.transition_point
-        json.dump(payload, sys.stdout, indent=1)
-        print()
-        return
-    header = "re,im,label,tail_ratio" if include_labels else "re,im"
-    print(header)
-    for r in result.records:
-        row = f"{r.value.real!r},{r.value.imag!r}"
-        if include_labels:
-            tail = "" if r.tail_ratio is None else repr(r.tail_ratio)
-            row += f",{r.label},{tail}"
-        print(row)
-
-
 def _cmd_single(args, include_labels: bool) -> int:
     config = _config_from_args(args, [args.half_width])
     artifact = run_experiment(config)
@@ -103,7 +78,8 @@ def _cmd_single(args, include_labels: bool) -> int:
                            run_dir / f"L{args.half_width:g}" / f"{kind}.csv")
         print(run_dir)
     else:
-        _print_records(result, include_labels, args.format)
+        write_records(result, sys.stdout, args.format,
+                      labels=include_labels)
     if include_labels:
         print(f"# bound_pairs {result.bound_pairs} "
               f"transition {result.transition_point}", file=sys.stderr)
@@ -121,7 +97,7 @@ def _cmd_sweep(args) -> int:
                   "plus at least one --L", file=sys.stderr)
             return 2
         config = _config_from_args(args, sorted(args.half_widths))
-    artifact = run_experiment(config, workers=args.workers)
+    artifact = run_experiment(config)
     run_dir = persist(artifact)
     for half_width, result in artifact.results.items():
         for kind in PLOT_KINDS:
@@ -205,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sweep, multi_l=True, required=False)
     p_sweep.add_argument("--config", type=Path, default=None,
                          help="INI experiment config (flags override --out only)")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="concurrent per-L jobs (default 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ex = sub.add_parser(

@@ -75,8 +75,7 @@ def serialize_config(config: ExperimentConfig) -> str:
         "output_format": config.output_format,
     }
     cp["classification"] = {
-        f.name: "" if getattr(config.policy, f.name) is None
-        else repr(getattr(config.policy, f.name))
+        f.name: repr(getattr(config.policy, f.name))
         for f in dataclasses.fields(config.policy)
     }
     buf = io.StringIO()
@@ -104,15 +103,11 @@ def parse_config(source: Union[str, Path]) -> ExperimentConfig:
     )
     policy_kwargs = {}
     if "classification" in cp:
-        types = {f.name: f for f in dataclasses.fields(ClassificationPolicy)}
+        names = {f.name for f in dataclasses.fields(ClassificationPolicy)}
         for key, raw in cp["classification"].items():
-            if key not in types:
+            if key not in names:
                 raise ValueError(f"unknown classification key {key!r}")
-            raw = raw.strip()
-            if key == "log_floor":
-                policy_kwargs[key] = float(raw) if raw else None
-            else:
-                policy_kwargs[key] = float(raw)
+            policy_kwargs[key] = float(raw)
     return ExperimentConfig(
         family=exp["family"],
         strength=float(exp["strength"]),

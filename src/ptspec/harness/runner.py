@@ -3,14 +3,16 @@
 Each half-width L is an independent job (build grid, differentiate,
 assemble the real PT form of H, eigensolve, classify, locate the
 transition); the grid, derivative and matrix entries are computed at the
-working precision of the run.  Jobs may run on a bounded thread pool; the
-heavy kernels release the interpreter lock inside LAPACK, and each job
-writes only its own files.  Any exception inside a
-job aborts that L with a recorded "<Type>: <message>" diagnostic while the
-remaining half-widths still complete.
+working precision of the run.  Jobs run one after another: the extended
+mode's mpmath precision is process-wide state, and in double mode LAPACK
+already uses every core.  Any exception inside a job aborts that L with a
+recorded "<Type>: <message>" diagnostic while the remaining half-widths
+still complete.
 
 Persisted layout under <output_dir>/<run name>/:
-    L<value>/eigenvalues.csv   columns re, im, label, tail_ratio
+    L<value>/eigenvalues.csv   columns re, im, label, tail_ratio (or
+                               eigenvalues.json, a list of such rows);
+                               ``write_records`` also prints them for the CLI
     summary.json               counts, transitions, config snapshot, version
     timing.json                wall-clock seconds per stage (kept separate so
                                summary.json is bit-for-bit reproducible)
@@ -19,14 +21,12 @@ Persisted layout under <output_dir>/<run name>/:
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, TextIO, Tuple
 
 from ..chebdiff import build_diff_matrices, build_grid
 from ..eigensolver import eigenvalues
@@ -40,6 +40,8 @@ try:
     TOOL_VERSION = metadata.version("ptspec")
 except metadata.PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "unknown"
+
+COLUMNS = ("re", "im", "label", "tail_ratio")
 
 
 @dataclass(frozen=True)
@@ -78,47 +80,38 @@ def run_single(config: ExperimentConfig, half_width: float
     return result, timings
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunArtifact:
+def run_experiment(config: ExperimentConfig) -> RunArtifact:
     """Run every half-width in the config; failures abort only their own L."""
     artifact = RunArtifact(config=config)
-
-    def job(half_width: float):
+    for half_width in config.half_widths:
         try:
             result, timings = run_single(config, half_width)
         except Exception as exc:  # recorded per L; the sweep goes on
-            return half_width, None, None, f"{type(exc).__name__}: {exc}"
-        return half_width, result, timings, None
-
-    if workers > 1 and len(config.half_widths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, config.half_widths))
-    else:
-        outcomes = [job(w) for w in config.half_widths]
-
-    for half_width, result, timings, error in outcomes:
-        if error is not None:
-            artifact.failures[half_width] = error
-        else:
-            artifact.results[half_width] = result
-            artifact.timings[half_width] = timings
+            artifact.failures[half_width] = f"{type(exc).__name__}: {exc}"
+            continue
+        artifact.results[half_width] = result
+        artifact.timings[half_width] = timings
     return artifact
 
 
-def _format_float(value: Optional[float]) -> str:
-    return "" if value is None else repr(value)
+def write_records(result: SpectrumResult, fh: TextIO, output_format: str,
+                  labels: bool = True) -> None:
+    """Write one row per eigenvalue to the open text file ``fh``.
 
-
-def write_eigenvalue_csv(result: SpectrumResult, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
+    Columns re, im and, with ``labels``, label and tail_ratio; as CSV
+    (floats by repr, a missing tail ratio empty) or as a JSON list of
+    objects.
+    """
+    columns = COLUMNS if labels else COLUMNS[:2]
+    rows = [(r.value.real, r.value.imag, r.label, r.tail_ratio)[:len(columns)]
+            for r in result.records]
+    if output_format == "json":
+        json.dump([dict(zip(columns, row)) for row in rows], fh, indent=1)
+        fh.write("\n")
+    else:
         writer = csv.writer(fh)
-        writer.writerow(["re", "im", "label", "tail_ratio"])
-        for record in result.records:
-            writer.writerow([
-                repr(record.value.real),
-                repr(record.value.imag),
-                record.label,
-                _format_float(record.tail_ratio),
-            ])
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _result_summary(result: SpectrumResult) -> dict:
@@ -161,20 +154,9 @@ def persist(artifact: RunArtifact, out_dir: Optional[Path] = None,
         result = artifact.results[half_width]
         l_dir = run_dir / f"L{half_width:g}"
         l_dir.mkdir(exist_ok=True)
-        if config.output_format == "csv":
-            write_eigenvalue_csv(result, l_dir / "eigenvalues.csv")
-        else:
-            rows = [
-                {
-                    "re": r.value.real,
-                    "im": r.value.imag,
-                    "label": r.label,
-                    "tail_ratio": r.tail_ratio,
-                }
-                for r in result.records
-            ]
-            with open(l_dir / "eigenvalues.json", "w") as fh:
-                json.dump(rows, fh, indent=1)
+        with open(l_dir / f"eigenvalues.{config.output_format}", "w",
+                  newline="") as fh:
+            write_records(result, fh, config.output_format)
         summary["runs"][f"L{half_width:g}"] = _result_summary(result)
 
     with open(run_dir / "summary.json", "w") as fh:

@@ -4,17 +4,21 @@ A truncated-interval discretization can only produce discrete eigenvalues,
 so membership in the continuous spectrum is decided from the eigenfunction:
 genuine bound states decay smoothly (exponentially) well before the
 boundary, while continuum eigenfunctions stay O(1) and drop abruptly at
-one or both endpoints.  The classifier asks the eigensolution for the
-eigenvectors of the bound-state candidates only -- eigenvalues whose
-imaginary part is large enough -- and treats everything else as
-numerically real continuum.  In either precision all candidate vectors
-come in one batched back substitution on the Schur factors of the real PT
-form K that produced the eigenvalues, and each is mapped back to the grid
-by ``OperatorMatrix.grid_vector``.  A vector whose residual misses the
-solver's tolerance leaves its eigenvalue ``unresolved``; the residual is
-measured on K and equals that on H, as the map is unitary.  In double
-precision a conjugate pair is exactly conjugate and a PT-unbroken level
-exactly real.
+one or both endpoints.  Eigenvalues whose imaginary part is too small to
+matter are taken as numerically real continuum without a vector; the
+others -- the bound-state candidates -- are classified one conjugate pair
+at a time, with the pairs the eigensolver read off its Schur form.  Only
+the member with positive imaginary part gets an eigenvector: its partner
+of the real matrix K has the conjugate vector, whose grid profile is the
+mirror image, so it shares the label and the tail ratio.  In either
+precision all these vectors come in one batched back substitution on the
+Schur factors of K, and each is mapped back to the grid by
+``OperatorMatrix.grid_vector``.  A vector whose residual misses the
+solver's tolerance leaves its pair ``unresolved``, as does a candidate
+without a partner (possible only in extended precision, where pairs are
+matched within the residual bound); the residual is measured on K and
+equals that on H, as the map is unitary.  In double precision a
+conjugate pair is exactly conjugate and a PT-unbroken level exactly real.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .chebdiff import Grid
 from .eigensolver import EigenSolution
 from .hamiltonian import OperatorMatrix
-from .precision import ScalarPrecision, to_complex128
+from .precision import ScalarPrecision, from_name, to_complex128
 
 BOUND = "bound"
 CONTINUUM_COMPLEX = "continuum_complex"
@@ -62,9 +66,7 @@ class ClassificationPolicy:
     relaxed_band_fraction: float = 0.20
     relaxed_min_correlation: float = 0.999
     monotone_slack: float = 1e-6
-    pairing_tol_factor: float = 1e-8
     jump_min_decades: float = 6.0
-    log_floor: Optional[float] = None  # None: tiny absolute floor
 
 
 @dataclass(frozen=True)
@@ -182,43 +184,41 @@ def classify(
     policy: Optional[ClassificationPolicy] = None,
     precision: Optional[ScalarPrecision] = None,
 ) -> SpectrumResult:
-    """Label every eigenvalue and pair complex conjugates.
+    """Label every eigenvalue; each conjugate pair shares one label.
 
     Eigenvectors that miss the residual tolerance are recorded as
     ``unresolved`` rather than silently promoted to bound states.
     """
     policy = policy or ClassificationPolicy()
     precision = precision or solution.precision
-    raw = list(solution.eigenvalues)
-    order = sorted(range(len(raw)), key=lambda i: _sort_key(complex(raw[i])))
+    raw = [complex(z) for z in solution.eigenvalues]
+    partners = solution.partners.tolist()
+    order = sorted(range(len(raw)), key=lambda i: _sort_key(raw[i]))
+    position = {i: k for k, i in enumerate(order)}
     x = to_complex128(grid.interior_nodes).real
 
-    candidates = [i for i in order
-                  if abs(complex(raw[i]).imag) > policy.vector_threshold]
+    upper = [i for i in order
+             if raw[i].imag > policy.vector_threshold and partners[i] >= 0]
     labels = {}
-    for i, vector in solution.eigenvectors(op.matrix, candidates):
+    for i, vector in solution.eigenvectors(op.matrix, upper):
         if vector is None:
-            labels[i] = (UNRESOLVED, None)
-            continue
-        absv = np.abs(op.grid_vector(to_complex128(vector)))
-        absv /= absv.max()
-        tail_ratio, is_bound = _tail_classification(absv, x, grid, policy)
-        labels[i] = (BOUND if is_bound else CONTINUUM_COMPLEX, tail_ratio)
+            label = (UNRESOLVED, None)
+        else:
+            absv = np.abs(op.grid_vector(to_complex128(vector)))
+            absv /= absv.max()
+            tail_ratio, is_bound = _tail_classification(absv, x, grid, policy)
+            label = (BOUND if is_bound else CONTINUUM_COMPLEX, tail_ratio)
+        labels[i] = labels[partners[i]] = label
     records: List[EigenRecord] = []
     for i in order:
-        label, tail_ratio = labels.get(i, (CONTINUUM_REAL, None))
-        records.append(EigenRecord(value=complex(raw[i]), label=label,
-                                   tail_ratio=tail_ratio))
-
-    records = pair_conjugates(records, tol=None, tol_factor=policy.pairing_tol_factor)
-    # a bound/complex record without a conjugate partner is suspect
-    records = [
-        dataclasses.replace(r, label=UNRESOLVED)
-        if r.label in (BOUND, CONTINUUM_COMPLEX) and r.pair_index is None
-        else r
-        for r in records
-    ]
-    n_bound = sum(1 for r in records if r.label == BOUND)
+        if abs(raw[i].imag) <= policy.vector_threshold:
+            label, tail_ratio = CONTINUUM_REAL, None
+        else:
+            label, tail_ratio = labels.get(i, (UNRESOLVED, None))
+        pair = (position[partners[i]]
+                if label in (BOUND, CONTINUUM_COMPLEX) else None)
+        records.append(EigenRecord(value=raw[i], label=label,
+                                   tail_ratio=tail_ratio, pair_index=pair))
     meta = SpectrumMeta(
         half_width=grid.half_width,
         n_intervals=grid.n_intervals,
@@ -229,95 +229,43 @@ def classify(
     )
     return SpectrumResult(
         records=tuple(records),
-        bound_pairs=n_bound // 2,
+        bound_pairs=sum(r.label == BOUND and r.value.imag > 0 for r in records),
         transition_point=None,
         meta=meta,
         policy=policy,
     )
 
 
-def pair_conjugates(
-    records: Sequence[EigenRecord],
-    tol: Optional[float] = None,
-    tol_factor: float = 1e-8,
-) -> List[EigenRecord]:
-    """Match complex records with their conjugate partners (greedy nearest).
-
-    Candidates are records not labeled continuum_real and with nonzero
-    imaginary part; matched records get mutual pair_index values.
-    """
-    records = list(records)
-    if tol is None:
-        scale = max((abs(r.value) for r in records), default=0.0)
-        tol = tol_factor * scale
-    cand = [
-        i
-        for i, r in enumerate(records)
-        if r.label != CONTINUUM_REAL and r.value.imag != 0.0
-    ]
-    pairs = []
-    for ii, i in enumerate(cand):
-        for j in cand[ii + 1:]:
-            if records[i].value.imag * records[j].value.imag >= 0:
-                continue
-            d = abs(records[i].value - records[j].value.conjugate())
-            if d <= tol:
-                pairs.append((d, i, j))
-    pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-    used = set()
-    out = records[:]
-    for d, i, j in pairs:
-        if i in used or j in used:
-            continue
-        used.add(i)
-        used.add(j)
-        out[i] = dataclasses.replace(out[i], pair_index=j)
-        out[j] = dataclasses.replace(out[j], pair_index=i)
-    return out
-
-
-def detect_transition(
-    result: SpectrumResult,
-    jump_min_decades: Optional[float] = None,
-    log_floor: Optional[float] = None,
-) -> Optional[float]:
+def detect_transition(result: SpectrumResult) -> Optional[float]:
     """Locate the sharp complex-to-real drop in the continuum |Im| profile.
 
     Scans continuum records in order of increasing real part and returns
     the midpoint of the first adjacent pair whose drop of
-    log10(|Im| + floor) spans at least ``jump_min_decades`` decades;
-    otherwise None.  Taking the first qualifying drop (rather than the
-    globally largest) keeps the detector robust against marginally
-    resolved high-frequency modes that re-enter the complex plane above
-    the physical transition at desk-scale grid resolutions.
+    log10(|Im| + floor) spans at least ``policy.jump_min_decades``
+    decades; otherwise None.  The floor is eps^2 * max(||A||_F, 1) for the
+    machine epsilon of the run's precision.  Taking the first qualifying
+    drop (rather than the globally largest) keeps the detector robust
+    against marginally resolved high-frequency modes that re-enter the
+    complex plane above the physical transition at desk-scale grid
+    resolutions.
     """
-    info = transition_info(result, jump_min_decades, log_floor)
+    info = transition_info(result)
     return None if info is None else info[0]
 
 
-def transition_info(
-    result: SpectrumResult,
-    jump_min_decades: Optional[float] = None,
-    log_floor: Optional[float] = None,
-) -> Optional[Tuple[float, float]]:
+def transition_info(result: SpectrumResult) -> Optional[Tuple[float, float]]:
     """(location, drop in decades) of the continuum transition, or None."""
-    policy = result.policy
-    if jump_min_decades is None:
-        jump_min_decades = policy.jump_min_decades
-    if log_floor is None:
-        log_floor = policy.log_floor
-    if log_floor is None:
-        eps = 2.0 ** -52 if result.meta.precision_mode == "double64" else 2.0 ** -112
-        log_floor = eps * eps * max(result.meta.matrix_fro_norm, 1.0)
+    eps = from_name(result.meta.precision_mode).machine_epsilon
+    floor = eps * eps * max(result.meta.matrix_fro_norm, 1.0)
     cont = [r.value for r in result.records
             if r.label in (CONTINUUM_REAL, CONTINUUM_COMPLEX)]
     if len(cont) < 10:
         return None
     cont.sort(key=_sort_key)
-    logs = [math.log10(abs(z.imag) + log_floor) for z in cont]
+    logs = [math.log10(abs(z.imag) + floor) for z in cont]
     for a, b, la, lb in zip(cont[:-1], cont[1:], logs[:-1], logs[1:]):
         drop = la - lb
-        if drop >= jump_min_decades:
+        if drop >= result.policy.jump_min_decades:
             return 0.5 * (a.real + b.real), drop
     return None
 

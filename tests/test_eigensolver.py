@@ -124,12 +124,30 @@ def test_real_matrix_takes_the_real_schur_form():
     upper = np.flatnonzero(ev.imag > 0)
     assert upper.size and np.array_equal(ev[upper + 1], ev[upper].conj())
     assert np.sum(ev.imag != 0) == 2 * upper.size
+    # ... and partners of each other; real eigenvalues have none
+    partners = np.full(n, -1)
+    partners[upper], partners[upper + 1] = upper + 1, upper
+    assert np.array_equal(sol.partners, partners)
     # a pair's first member as the last index needs its partner's row too
     pair = upper[upper > 70][0]
     for indices in ([0], [n - 1], [pair], [pair + 1], [3, pair, pair + 1]):
         for k, v in _vectors(sol, a, indices).items():
             assert np.linalg.norm(a @ v - ev[k] * v) < 1e-12 * fro
             assert np.max(np.abs(v)) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED], ids=lambda p: p.mode)
+def test_partners_match_exact_conjugates(precision):
+    # a complex matrix takes the complex Schur form, whose pairs are matched
+    sol = eigenvalues(np.diag([2 + 3j, 2 - 3j, 5 + 0j]), precision=precision)
+    assert sol.partners.tolist() == [1, 0, -1]
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED], ids=lambda p: p.mode)
+def test_partners_require_the_residual_bound(precision):
+    # each is the other's nearest conjugate, but 0.5 apart
+    sol = eigenvalues(np.diag([2 + 3j, 2.5 - 3j]), precision=precision)
+    assert sol.partners.tolist() == [-1, -1]
 
 
 def test_diagonal_matrix_exact():

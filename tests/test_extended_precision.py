@@ -4,7 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from ptspec.chebdiff import build_diff_matrices, build_grid
 from ptspec.eigensolver import eigenvalues
+from ptspec.hamiltonian import assemble
+from ptspec.potentials import PotentialSpec
 from ptspec.precision import (
     DOUBLE,
     EXTENDED,
@@ -13,6 +16,7 @@ from ptspec.precision import (
     to_complex128,
     working_precision,
 )
+from ptspec.spectrum import classify
 
 
 def _to_extended(a):
@@ -110,3 +114,29 @@ def test_extended_trace_identity_tight():
         trace = sum(mat[i, i] for i in range(n))
         gap = abs(sum(sol.eigenvalues) - trace)
         assert float(gap) < 1e-26 * np.linalg.norm(a) * n
+
+
+def test_extended_pairs_from_the_complex_schur_form():
+    # mpmath.schur returns a complex form: its pairs are matched within
+    # the residual bound, and a real level's rounding noise in Im (about
+    # 1e-33 here) leaves it its own nearest conjugate, without a partner
+    with working_precision(EXTENDED):
+        grid = build_grid(10.0, 21, precision=EXTENDED)
+        op = assemble(grid, build_diff_matrices(grid),
+                      PotentialSpec("scarf2", 30.0))
+    sol = eigenvalues(op.matrix, precision=EXTENDED)
+    imag = np.array([float(z.imag) for z in sol.eigenvalues])
+    noisy = np.abs(imag) < 1e-30
+    assert np.any(imag[noisy] != 0)
+    assert np.all((sol.partners == -1) == noisy)
+    for k in np.flatnonzero(~noisy):
+        j = sol.partners[k]
+        assert sol.partners[j] == k
+        with working_precision(EXTENDED):
+            gap = abs(sol.eigenvalues[k] - mpmath.conj(sol.eigenvalues[j]))
+        assert float(gap) <= sol.residual_bound
+    # the same 14 records as the earlier tolerance matcher paired
+    result = classify(sol, op, grid)
+    pairs = {tuple(sorted((k, r.pair_index)))
+             for k, r in enumerate(result.records) if r.pair_index is not None}
+    assert sorted(pairs) == [(k, k + 1) for k in range(0, 14, 2)]

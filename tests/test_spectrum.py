@@ -16,7 +16,6 @@ from ptspec.spectrum import (
     SpectrumResult,
     classify,
     detect_transition,
-    pair_conjugates,
     transition_info,
     with_transition,
 )
@@ -63,7 +62,23 @@ def test_bound_records_have_conjugate_partners(step_result):
             assert r.pair_index is not None
             partner = records[r.pair_index]
             assert partner.pair_index == i
-            assert abs(r.value - partner.value.conjugate()) < 1e-6
+            assert r.value == partner.value.conjugate()
+
+
+@pytest.mark.parametrize("family, strength, half_width", [
+    ("step", 3.0, 10.0),
+    ("coulomb_regulated", 10.0, 100.0),
+])
+def test_pair_members_share_one_classification(family, strength, half_width):
+    # double mode: pairs come from the real Schur blocks, exactly
+    # conjugate, and one vector classifies both members
+    result = _classified(family, strength, half_width, 255)
+    paired = [r for r in result.records if r.pair_index is not None]
+    assert paired
+    for r in paired:
+        partner = result.records[r.pair_index]
+        assert r.value == partner.value.conjugate()
+        assert (r.label, r.tail_ratio) == (partner.label, partner.tail_ratio)
 
 
 def test_tail_ratio_range(step_result):
@@ -99,28 +114,6 @@ def test_box_oracle_has_no_transition(cache):
     result = cache.get("scarf2", 0.0, 10.0, 511)
     assert result.transition_point is None
     assert all(r.value.imag == 0.0 for r in result.records)
-
-
-def test_pair_conjugates_example():
-    records = [
-        EigenRecord(value=2 + 3j, label=CONTINUUM_COMPLEX),
-        EigenRecord(value=2 - 3j, label=CONTINUUM_COMPLEX),
-        EigenRecord(value=5 + 0j, label=CONTINUUM_REAL),
-    ]
-    out = pair_conjugates(records)
-    assert out[0].pair_index == 1
-    assert out[1].pair_index == 0
-    assert out[2].pair_index is None
-
-
-def test_pair_conjugates_requires_tolerance():
-    records = [
-        EigenRecord(value=2 + 3j, label=CONTINUUM_COMPLEX),
-        EigenRecord(value=2.5 - 3j, label=CONTINUUM_COMPLEX),
-    ]
-    out = pair_conjugates(records, tol=1e-6)
-    assert out[0].pair_index is None
-    assert out[1].pair_index is None
 
 
 def _synthetic_result(records, half_width=100.0):
