@@ -6,7 +6,7 @@ boundary behavior, and Richardson extrapolation of the bound-state
 sequence of the long-range family.
 """
 
-from .chebdiff import DiffMatrices, Grid, build_diff_matrices, build_grid
+from .chebdiff import Grid, build_grid
 from .eigensolver import ConvergenceError, EigenSolution, eigenvalues
 from .extrapolate import (
     BalmerEstimate,
@@ -29,9 +29,7 @@ from .spectrum import (
     EigenRecord,
     SpectrumResult,
     classify,
-    detect_transition,
     transition_info,
-    with_transition,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,15 +4,16 @@ Nodes are the Chebyshev-Lobatto points x_j = L cos(pi j / N), j = 0..N,
 ordered descending in x (j = 0 sits at +L).  They are evaluated in the
 sine form L sin(pi (N - 2j) / 2N) (Weideman & Reddy, ACM TOMS 26, 2000),
 which makes them exactly antisymmetric, x_{N-j} = -x_j, and puts the
-centre node of an even N exactly at the origin.  The first-derivative
-matrix uses the standard collocation weights with the negative-sum trick
-on the diagonal; the second-derivative matrix is the square of the first.
+centre node of an even N exactly at the origin.  Rows of the
+second-derivative matrix come from explicit formulas, so a caller pays
+O(N) per row it asks for, rather than the O(N^3) of squaring the
+first-derivative matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
@@ -38,18 +39,6 @@ class Grid:
     @property
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
-
-
-@dataclass(frozen=True)
-class DiffMatrices:
-    """First- and second-derivative collocation matrices, (N+1) x (N+1)."""
-
-    d1: np.ndarray
-    d2: np.ndarray
-
-    def __post_init__(self):
-        self.d1.setflags(write=False)
-        self.d2.setflags(write=False)
 
 
 def build_grid(
@@ -81,25 +70,35 @@ def build_grid(
     return Grid(half_width=L, n_intervals=n, nodes=nodes)
 
 
-def build_diff_matrices(grid: Grid) -> DiffMatrices:
-    """Collocation derivative matrices for the given grid.
+def second_derivative_rows(grid: Grid, rows: Sequence[int]) -> np.ndarray:
+    """Rows ``rows`` of the (N+1) x (N+1) second-derivative matrix, all columns.
 
-    d1 follows the classic Lobatto formula D_ij = (c_i / c_j) (-1)^(i+j)
-    / (x_i - x_j) with c = 2 at the endpoints, diagonal entries set to the
-    negated off-diagonal row sums.  d2 = d1 @ d1; the corner rows lose a
-    little accuracy this way but are discarded by the Dirichlet restriction.
+    Costs O(len(rows) N) in the arithmetic of the nodes (float64 or mpmath
+    scalars at the current working precision).  For i != j
+
+        D^(1)_ij = (c_i / c_j) (-1)^(i+j) / (x_i - x_j),  c = 2 at the endpoints,
+        D^(2)_ij = 2 D^(1)_ij (D^(1)_ii - 1 / (x_i - x_j)),
+
+    and each diagonal entry is the negated sum of the off-diagonal entries
+    of its row (Weideman & Reddy, ACM TOMS 26, 2000; Baltensperger &
+    Trummer, SIAM J. Sci. Comput. 24, 2003).
     """
     x = grid.nodes
     n = grid.n_intervals
+    i = np.asarray(rows, dtype=int)
+    own = (np.arange(i.size), i)
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
-    sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    w = c * sign
-    weight = np.outer(w, 1.0 / w)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    d1 = weight / dx
-    np.fill_diagonal(d1, 0.0)
-    np.fill_diagonal(d1, -d1.sum(axis=1))
-    d2 = d1 @ d1
-    return DiffMatrices(d1=d1, d2=d2)
+    w = c * np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    inv = x[i, None] - x[None, :]
+    inv[own] = 1.0
+    inv = np.divide(1.0, inv, out=inv)  # 1 / (x_i - x_j)
+    first = np.outer(w[i], 1.0 / w) * inv
+    first[own] = 0.0
+    first[own] = -first.sum(axis=1)
+    second = np.subtract(first[own][:, None], inv, out=inv)
+    second *= first
+    second *= 2.0
+    second[own] = 0.0
+    second[own] = -second.sum(axis=1)
+    return second

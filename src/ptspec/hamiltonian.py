@@ -16,10 +16,11 @@ Q = [[I, I], [J, -J]] / sqrt(2), followed by the phase diag(I, iI),
 where T and R are the top-left and top-right m x m blocks of the interior
 -d2 and W = diag(A f(x_k)) on the top-half nodes.  For odd n the centre
 row and column enter De scaled by sqrt(2) (V vanishes there).  K is built
-in O(n^2) from the top rows of -d2 and the top-half potential samples
-only, so the PT symmetry holds exactly by construction.  An eigenvector y
-of K maps back to the grid as v = [(ye + i yo); J (ye - i yo)] / sqrt(2),
-a unitary map, so residuals measured on K are those of H.
+in O(n^2) from the top rows of -d2, the only rows of d2 ever computed,
+and the top-half potential samples, so the PT symmetry holds exactly by
+construction.  An eigenvector y of K maps back to the grid as
+v = [(ye + i yo); J (ye - i yo)] / sqrt(2), a unitary map, so residuals
+measured on K are those of H.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .chebdiff import DiffMatrices, Grid
+from .chebdiff import Grid, second_derivative_rows
 from .potentials import PotentialSpec, evaluate_on_grid
 
 
@@ -70,20 +71,19 @@ class OperatorMatrix:
         return v
 
 
-def assemble(grid: Grid, diff: DiffMatrices, spec: PotentialSpec) -> OperatorMatrix:
+def assemble(grid: Grid, spec: PotentialSpec) -> OperatorMatrix:
     """Assemble the real PT form K of -(interior d2) + diag(V).
 
-    On an object (extended-precision) grid the entries are mpmath scalars
-    at the current working precision.
+    Only the me = n - n // 2 top interior rows of d2 are computed.  On an
+    object (extended-precision) grid the entries are mpmath scalars at the
+    current working precision.
     """
-    if diff.d2.shape != (grid.n_nodes, grid.n_nodes):
-        raise ValueError(
-            f"diff matrices built for {diff.d2.shape[0]} nodes, grid has {grid.n_nodes}"
-        )
     n = grid.n_intervals - 1
     m = n // 2
     me = n - m  # even block: the mirror pairs plus the centre node, if any
-    top = -diff.d2[1:me + 1, 1:-1]  # interior rows 0..me-1, all interior columns
+    # -d2 on interior rows 0..me-1, all interior columns, negated in place
+    top = second_derivative_rows(grid, range(1, me + 1))[:, 1:-1]
+    np.negative(top, out=top)
     flip = top[:, ::-1]  # column l -> mirror column n-1-l
     v = evaluate_on_grid(spec, grid)[1:m + 1]  # i A f(x_k) on the top half
     w = np.array([z.imag for z in v], dtype=object) if v.dtype == object else v.imag

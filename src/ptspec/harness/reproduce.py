@@ -121,19 +121,21 @@ def check_scarf2_third_pair(cache: SpectrumCache) -> CheckResult:
     )
 
 
-# transition checks: (family, strength, N at L=100, expected, tolerance)
+# transition checks: (family, strength, N at L=100, tolerance); the
+# expected locations are refdata.TRANSITION_POINTS
 _TRANSITION_CASES = (
-    ("scarf2", 30.0, 2047, 28.0, 1.5),
-    ("rational4", 30.0, 2047, 21.0, 1.5),
-    ("rational3", 30.0, 2047, 27.0, 1.5),
-    ("step", 3.0, 2047, 9.5, 1.0),
+    ("scarf2", 30.0, 2047, 1.5),
+    ("rational4", 30.0, 2047, 1.5),
+    ("rational3", 30.0, 2047, 1.5),
+    ("step", 3.0, 2047, 1.0),
 )
 
 
 def check_transitions(cache: SpectrumCache) -> CheckResult:
     rows = []
     ok = True
-    for family, strength, n, expected, tol in _TRANSITION_CASES:
+    for family, strength, n, tol in _TRANSITION_CASES:
+        expected = refdata.TRANSITION_POINTS[family]
         result = cache.get(family, strength, 100.0, n)
         info = transition_info(result)
         if info is None:
@@ -149,8 +151,8 @@ def check_transitions(cache: SpectrumCache) -> CheckResult:
         passed=ok,
         measured="; ".join(rows),
         expected="; ".join(
-            f"{fam}: {exp} +- {tol}, drop >= 8 decades"
-            for fam, _, _, exp, tol in _TRANSITION_CASES
+            f"{fam}: {refdata.TRANSITION_POINTS[fam]} +- {tol}, drop >= 8 decades"
+            for fam, _, _, tol in _TRANSITION_CASES
         ),
     )
 

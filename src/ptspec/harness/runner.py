@@ -1,13 +1,14 @@
 """Experiment orchestration: run per-L jobs and persist their spectra.
 
-Each half-width L is an independent job (build grid, differentiate,
-assemble the real PT form of H, eigensolve, classify, locate the
-transition); the grid, derivative and matrix entries are computed at the
-working precision of the run.  Jobs run one after another: the extended
-mode's mpmath precision is process-wide state, and in double mode LAPACK
-already uses every core.  Any exception inside a job aborts that L with a
-recorded "<Type>: <message>" diagnostic while the remaining half-widths
-still complete.
+Each half-width L is an independent job, a chain in which each step takes
+only what the previous one returned: grid -> real PT form K of H (built
+from the rows of the second-derivative matrix it reads) -> Schur
+decomposition -> labels and transition.  The grid and matrix entries are
+computed at the working precision of the run.  Jobs run one after
+another: the extended mode's mpmath precision is process-wide state, and
+in double mode LAPACK already uses every core.  Any exception inside a
+job aborts that L with a recorded "<Type>: <message>" diagnostic while
+the remaining half-widths still complete.
 
 Persisted layout under <output_dir>/<run name>/:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio (or
@@ -28,12 +29,12 @@ from importlib import metadata
 from pathlib import Path
 from typing import Dict, Optional, TextIO, Tuple
 
-from ..chebdiff import build_diff_matrices, build_grid
+from ..chebdiff import build_grid
 from ..eigensolver import eigenvalues
 from ..hamiltonian import assemble
 from ..potentials import PotentialSpec
 from ..precision import from_name, working_precision
-from ..spectrum import SpectrumResult, classify, with_transition
+from ..spectrum import SpectrumResult, classify
 from .config import ExperimentConfig
 
 try:
@@ -64,8 +65,7 @@ def run_single(config: ExperimentConfig, half_width: float
     t0 = time.perf_counter()
     with working_precision(precision):
         grid = build_grid(half_width, config.n_intervals, precision=precision)
-        # the derivative matrices are dropped once K is built
-        op = assemble(grid, build_diff_matrices(grid), spec)
+        op = assemble(grid, spec)
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -73,9 +73,7 @@ def run_single(config: ExperimentConfig, half_width: float
     timings["eigensolve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = classify(solution, op, grid, policy=config.policy,
-                      precision=precision)
-    result = with_transition(result)
+    result = classify(solution, op, policy=config.policy)
     timings["classify"] = time.perf_counter() - t0
     return result, timings
 

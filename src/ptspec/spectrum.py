@@ -19,6 +19,8 @@ without a partner (possible only in extended precision, where pairs are
 matched within the residual bound); the residual is measured on K and
 equals that on H, as the map is unitary.  In double precision a
 conjugate pair is exactly conjugate and a PT-unbroken level exactly real.
+``classify`` also locates the complex-to-real transition of the continuum
+(``transition_info``), so its result is complete.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .chebdiff import Grid
 from .eigensolver import EigenSolution
 from .hamiltonian import OperatorMatrix
-from .precision import ScalarPrecision, from_name, to_complex128
+from .precision import from_name, to_complex128
 
 BOUND = "bound"
 CONTINUUM_COMPLEX = "continuum_complex"
@@ -180,17 +182,17 @@ def _tail_classification(absv: np.ndarray, x: np.ndarray, grid: Grid,
 def classify(
     solution: EigenSolution,
     op: OperatorMatrix,
-    grid: Grid,
     policy: Optional[ClassificationPolicy] = None,
-    precision: Optional[ScalarPrecision] = None,
 ) -> SpectrumResult:
-    """Label every eigenvalue; each conjugate pair shares one label.
+    """Label every eigenvalue and locate the continuum transition.
 
-    Eigenvectors that miss the residual tolerance are recorded as
-    ``unresolved`` rather than silently promoted to bound states.
+    Each conjugate pair shares one label.  Eigenvectors that miss the
+    residual tolerance are recorded as ``unresolved`` rather than silently
+    promoted to bound states.  The grid comes from ``op`` and the
+    precision from ``solution``.
     """
     policy = policy or ClassificationPolicy()
-    precision = precision or solution.precision
+    grid = op.grid
     raw = [complex(z) for z in solution.eigenvalues]
     partners = solution.partners.tolist()
     order = sorted(range(len(raw)), key=lambda i: _sort_key(raw[i]))
@@ -224,37 +226,32 @@ def classify(
         n_intervals=grid.n_intervals,
         family=op.spec.family,
         strength=op.spec.strength,
-        precision_mode=precision.mode,
+        precision_mode=solution.precision.mode,
         matrix_fro_norm=solution.matrix_fro_norm,
     )
-    return SpectrumResult(
+    result = SpectrumResult(
         records=tuple(records),
         bound_pairs=sum(r.label == BOUND and r.value.imag > 0 for r in records),
         transition_point=None,
         meta=meta,
         policy=policy,
     )
+    info = transition_info(result)
+    return dataclasses.replace(result, transition_point=None if info is None else info[0])
 
 
-def detect_transition(result: SpectrumResult) -> Optional[float]:
-    """Locate the sharp complex-to-real drop in the continuum |Im| profile.
+def transition_info(result: SpectrumResult) -> Optional[Tuple[float, float]]:
+    """(location, drop in decades) of the continuum transition, or None.
 
     Scans continuum records in order of increasing real part and returns
     the midpoint of the first adjacent pair whose drop of
     log10(|Im| + floor) spans at least ``policy.jump_min_decades``
-    decades; otherwise None.  The floor is eps^2 * max(||A||_F, 1) for the
-    machine epsilon of the run's precision.  Taking the first qualifying
-    drop (rather than the globally largest) keeps the detector robust
-    against marginally resolved high-frequency modes that re-enter the
-    complex plane above the physical transition at desk-scale grid
-    resolutions.
+    decades.  The floor is eps^2 * max(||A||_F, 1) for the machine epsilon
+    of the run's precision.  Taking the first qualifying drop (rather than
+    the globally largest) keeps the detector robust against marginally
+    resolved high-frequency modes that re-enter the complex plane above
+    the physical transition at desk-scale grid resolutions.
     """
-    info = transition_info(result)
-    return None if info is None else info[0]
-
-
-def transition_info(result: SpectrumResult) -> Optional[Tuple[float, float]]:
-    """(location, drop in decades) of the continuum transition, or None."""
     eps = from_name(result.meta.precision_mode).machine_epsilon
     floor = eps * eps * max(result.meta.matrix_fro_norm, 1.0)
     cont = [r.value for r in result.records
@@ -268,8 +265,3 @@ def transition_info(result: SpectrumResult) -> Optional[Tuple[float, float]]:
         if drop >= result.policy.jump_min_decades:
             return 0.5 * (a.real + b.real), drop
     return None
-
-
-def with_transition(result: SpectrumResult) -> SpectrumResult:
-    """Attach the detected transition point (if any) to the result."""
-    return dataclasses.replace(result, transition_point=detect_transition(result))

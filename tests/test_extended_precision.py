@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ptspec.chebdiff import build_diff_matrices, build_grid
+from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
 from ptspec.potentials import PotentialSpec
@@ -122,8 +122,7 @@ def test_extended_pairs_from_the_complex_schur_form():
     # 1e-33 here) leaves it its own nearest conjugate, without a partner
     with working_precision(EXTENDED):
         grid = build_grid(10.0, 21, precision=EXTENDED)
-        op = assemble(grid, build_diff_matrices(grid),
-                      PotentialSpec("scarf2", 30.0))
+        op = assemble(grid, PotentialSpec("scarf2", 30.0))
     sol = eigenvalues(op.matrix, precision=EXTENDED)
     imag = np.array([float(z.imag) for z in sol.eigenvalues])
     noisy = np.abs(imag) < 1e-30
@@ -136,7 +135,7 @@ def test_extended_pairs_from_the_complex_schur_form():
             gap = abs(sol.eigenvalues[k] - mpmath.conj(sol.eigenvalues[j]))
         assert float(gap) <= sol.residual_bound
     # the same 14 records as the earlier tolerance matcher paired
-    result = classify(sol, op, grid)
+    result = classify(sol, op)
     pairs = {tuple(sorted((k, r.pair_index)))
              for k, r in enumerate(result.records) if r.pair_index is not None}
     assert sorted(pairs) == [(k, k + 1) for k in range(0, 14, 2)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from ptspec.chebdiff import build_diff_matrices, build_grid
+from ptspec.chebdiff import build_grid, second_derivative_rows
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
 from ptspec.potentials import FAMILIES, PotentialSpec, evaluate_on_grid
@@ -14,8 +14,7 @@ from ptspec.precision import EXTENDED, working_precision
 
 def _operator(family="scarf2", strength=30.0, half_width=10.0, n=64):
     grid = build_grid(half_width, n)
-    diff = build_diff_matrices(grid)
-    return assemble(grid, diff, PotentialSpec(family, strength))
+    return assemble(grid, PotentialSpec(family, strength))
 
 
 def test_dimensions_and_readonly():
@@ -34,11 +33,15 @@ def test_box_oracle_small():
         assert ev[n - 1] == pytest.approx(exact, rel=1e-8)
 
 
+def _interior_d2(grid):
+    """All interior rows and columns of the second-derivative matrix."""
+    return second_derivative_rows(grid, range(1, grid.n_intervals))[:, 1:-1]
+
+
 def _complex_h(op):
     """The complex collocation matrix H that K is similar to, built directly."""
-    diff = build_diff_matrices(op.grid)
     v = evaluate_on_grid(op.spec, op.grid)[1:-1]
-    return -diff.d2[1:-1, 1:-1] + np.diag(v)
+    return -_interior_d2(op.grid) + np.diag(v)
 
 
 def test_pt_form_block_structure():
@@ -58,7 +61,7 @@ def test_pt_form_block_structure():
     # grid samples near (but not exactly at) the potential's peak of 15
     assert 14.0 < np.max(np.abs(w)) <= 15.0
     # De = T + R J, Do = T - R J from the top rows of -d2, centre scaled
-    core = -build_diff_matrices(op.grid).d2[1:-1, 1:-1]
+    core = -_interior_d2(op.grid)
     t, rj = core[:m, :m], core[:m, n - m:][:, ::-1]
     assert np.array_equal(k_mat[:m, :m], t + rj)
     assert np.array_equal(k_mat[me:, me:], t - rj)
@@ -99,9 +102,8 @@ def test_mapped_vectors_solve_h(n):
 def test_extended_pt_form_has_the_spectrum_of_h(n):
     with working_precision(EXTENDED):
         grid = build_grid(10.0, n, precision=EXTENDED)
-        diff = build_diff_matrices(grid)
-        op = assemble(grid, diff, PotentialSpec("scarf2", 30.0))
-        h = -diff.d2[1:-1, 1:-1] + np.diag(evaluate_on_grid(op.spec, grid)[1:-1])
+        op = assemble(grid, PotentialSpec("scarf2", 30.0))
+        h = _complex_h(op)
         sol = eigenvalues(op.matrix, precision=EXTENDED)
         ref = eigenvalues(h, precision=EXTENDED).eigenvalues
         cost = np.array([[float(abs(a - b)) for b in ref]
@@ -137,9 +139,3 @@ def test_strength_reversal_symmetry():
     tol = 1e-8 * np.linalg.norm(_operator(strength=30.0, n=48).matrix)
     assert _multiset_gap(np.asarray(ev_plus), np.asarray(ev_minus)) < tol
 
-
-def test_dimension_mismatch_rejected():
-    grid = build_grid(10.0, 32)
-    diff = build_diff_matrices(build_grid(10.0, 16))
-    with pytest.raises(ValueError):
-        assemble(grid, diff, PotentialSpec("scarf2", 30.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptspec.chebdiff import build_diff_matrices, build_grid
+from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
 from ptspec.potentials import PotentialSpec
@@ -15,22 +15,17 @@ from ptspec.spectrum import (
     SpectrumMeta,
     SpectrumResult,
     classify,
-    detect_transition,
     transition_info,
-    with_transition,
 )
 
 
 def _operator(family, strength, half_width, n):
-    grid = build_grid(half_width, n)
-    diff = build_diff_matrices(grid)
-    return grid, assemble(grid, diff, PotentialSpec(family, strength))
+    return assemble(build_grid(half_width, n), PotentialSpec(family, strength))
 
 
 def _classified(family="step", strength=3.0, half_width=10.0, n=255):
-    grid, op = _operator(family, strength, half_width, n)
-    solution = eigenvalues(op.matrix)
-    return with_transition(classify(solution, op, grid))
+    op = _operator(family, strength, half_width, n)
+    return classify(eigenvalues(op.matrix), op)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +129,7 @@ def test_detect_transition_synthetic_drop():
         label = CONTINUUM_COMPLEX if re < 15 else CONTINUUM_REAL
         records.append(EigenRecord(value=complex(re, im), label=label))
     result = _synthetic_result(records)
-    assert detect_transition(result) == pytest.approx(14.5)
+    assert transition_info(result)[0] == pytest.approx(14.5)
 
 
 def test_detect_transition_takes_first_qualifying_drop():
@@ -148,7 +143,7 @@ def test_detect_transition_takes_first_qualifying_drop():
             im, label = 1e-14, CONTINUUM_REAL
         records.append(EigenRecord(value=complex(re, im), label=label))
     result = _synthetic_result(records)
-    assert detect_transition(result) == pytest.approx(14.5)
+    assert transition_info(result)[0] == pytest.approx(14.5)
 
 
 def test_detect_transition_absent_when_gradual():
@@ -157,7 +152,7 @@ def test_detect_transition_absent_when_gradual():
         for k in range(1, 30)
     ]
     result = _synthetic_result(records)
-    assert detect_transition(result) is None
+    assert transition_info(result) is None
 
 
 def test_detect_transition_needs_enough_records():
@@ -165,7 +160,7 @@ def test_detect_transition_needs_enough_records():
         EigenRecord(value=complex(k, 0.1), label=CONTINUUM_COMPLEX)
         for k in range(1, 6)
     ]
-    assert detect_transition(_synthetic_result(records)) is None
+    assert transition_info(_synthetic_result(records)) is None
 
 
 def test_unresolved_never_counts_as_bound(step_result):
@@ -177,9 +172,9 @@ def test_unresolved_never_counts_as_bound(step_result):
 def test_vector_over_residual_target_is_unresolved(step_result):
     # factors of A + I: the same vectors, every eigenvalue off by 1, so
     # each candidate's residual against A is 1 -- far above 1e-10 ||A||_F
-    grid, op = _operator("step", 3.0, 10.0, 255)
+    op = _operator("step", 3.0, 10.0, 255)
     shifted = eigenvalues(op.matrix + np.eye(op.dim))
-    result = classify(shifted, op, grid)
+    result = classify(shifted, op)
     candidates = [r for r in result.records
                   if abs(r.value.imag) > result.policy.vector_threshold]
     assert candidates
