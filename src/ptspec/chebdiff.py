@@ -48,8 +48,8 @@ def build_grid(
 ) -> Grid:
     """Build the Chebyshev-Lobatto grid with N subintervals on [-L, L].
 
-    An odd N leaves no node at the origin, which matters for potentials
-    with a sign discontinuity there.
+    An odd N leaves no node at the origin; an even N puts its centre node
+    exactly there, where an odd potential takes the value 0.
     """
     L = float(half_width)
     n = int(n_intervals)

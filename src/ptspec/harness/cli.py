@@ -37,7 +37,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
         parser.add_argument("--L", type=float, required=True, dest="half_width",
                             help="interval half-width")
     parser.add_argument("--N", type=int, default=1023, dest="n_intervals",
-                        help="number of grid intervals (odd; default 1023)")
+                        help="number of grid intervals (default 1023)")
     parser.add_argument("--precision", choices=("double", "extended"),
                         default="double")
     parser.add_argument("--out", type=Path, default=None,
@@ -144,7 +144,7 @@ def _cmd_reproduce(args) -> int:
     if args.full_scale:
         config = full_scale_config()
         print("# full-scale configuration (opt-in; the extended matrix alone "
-              "needs ~68 GB, and its mpmath.schur decades of compute):")
+              "needs ~68 GB, and its Schur form about two years of compute):")
         print(serialize_config(config))
         artifact = run_experiment(config)
         persist(artifact, out_dir=args.out or Path("runs"))

@@ -49,11 +49,8 @@ class ExperimentConfig:
             raise ValueError("half_widths must be strictly ascending")
         object.__setattr__(self, "half_widths", widths)
         object.__setattr__(self, "strength", float(self.strength))
-        if self.n_intervals < 4 or self.n_intervals % 2 == 0:
-            raise ValueError(
-                f"n_intervals must be odd and >= 4 (no node at the origin), "
-                f"got {self.n_intervals}"
-            )
+        if self.n_intervals < 4:
+            raise ValueError(f"n_intervals must be >= 4, got {self.n_intervals}")
         from_name(self.precision_mode)  # raises on unknown mode
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(

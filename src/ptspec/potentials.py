@@ -59,8 +59,8 @@ def _odd_profile(family: str, x):
     if family == "rational3":
         return x / (1 + abs(x) ** 3)
     if family == "step":
-        # sgn(0) = 0 and theta(0) = 1 pinned for determinism; default odd-N
-        # grids never sample x = 0 or |x| = 2.5.
+        # sgn(0) = 0 keeps f odd at the centre node of an even N;
+        # the support's edge |x| = 2.5 counts as inside, for determinism.
         sgn = (x > 0) - (x < 0)
         return sgn if abs(x) <= STEP_HALF_WIDTH else 0 * x
     if family == "coulomb_regulated":

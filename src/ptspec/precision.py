@@ -5,10 +5,11 @@ complex128 arrays) and a software binary128-class mode backed by mpmath
 (arrays of ``mpf``/``mpc`` objects with dtype=object).  The extended mode
 exists because the slowly decaying regulated-Coulomb runs at very large
 half-widths need imaginary parts resolved far below the double-precision
-noise floor.  Its grid, matrix, Schur decomposition and eigenvector back
-substitution are computed in mpmath under ``working_precision``;
-``machine_epsilon`` sets the back substitution's floor on divisors in
-either mode.
+noise floor.  Its grid, matrix and eigenvector back substitution are
+computed in mpmath under ``working_precision``; its Schur decomposition
+runs on fixed-point integers with guard bits beyond ``bits`` and returns
+``mpc`` rounded to ``bits`` (``_fixed_schur``).  ``machine_epsilon`` sets
+the back substitution's floor on divisors in either mode.
 """
 
 from __future__ import annotations

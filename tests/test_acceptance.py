@@ -5,10 +5,10 @@ ptspec.harness.reproduce and asserts its pass flag, so the CLI
 ``reproduce`` subcommand and this suite can never drift apart.  The
 session-scoped cache shares the expensive spectra between criteria.
 
-Expect about a minute and a half in total: the slowest single job is the
-long-range potential at L = 100 with N = 4095 (criterion 5, about 40 s on
-two cores, most of it the real Schur decomposition of the PT form), and
-the extended-precision residual check (criterion 9b) takes about 35 s.
+Expect about a minute in total: the slowest single job is the long-range
+potential at L = 100 with N = 4095 (criterion 5, about 30 s on two cores,
+most of it the real Schur decomposition of the PT form), and the
+extended-precision residual check (criterion 9b) takes about 3 s.
 """
 
 import importlib

@@ -117,9 +117,9 @@ def test_extended_trace_identity_tight():
 
 
 def test_extended_pairs_from_the_complex_schur_form():
-    # mpmath.schur returns a complex form: its pairs are matched within
-    # the residual bound, and a real level's rounding noise in Im (about
-    # 1e-33 here) leaves it its own nearest conjugate, without a partner
+    # the extended Schur form is complex: its pairs are matched within
+    # the residual bound, and a real level's rounding noise in Im (1e-48
+    # to 1e-38 here) leaves it its own nearest conjugate, without a partner
     with working_precision(EXTENDED):
         grid = build_grid(10.0, 21, precision=EXTENDED)
         op = assemble(grid, PotentialSpec("scarf2", 30.0))

@@ -12,7 +12,7 @@ from ptspec.harness.config import (
 )
 from ptspec.harness.plotdata import PLOT_KINDS, emit_plot_data
 from ptspec.harness.reproduce import full_scale_config, reproduce
-from ptspec.harness.runner import persist, run_experiment
+from ptspec.harness.runner import persist, run_experiment, run_single
 from ptspec.spectrum import ClassificationPolicy
 
 
@@ -64,7 +64,7 @@ def test_config_partial_classification_section():
 
 @pytest.mark.parametrize("overrides", [
     dict(family="unknown"),
-    dict(n_intervals=128),       # even
+    dict(half_widths=(10.0, 10.0)),    # repeated
     dict(n_intervals=3),         # too small
     dict(half_widths=()),
     dict(half_widths=(100.0, 10.0)),   # not ascending
@@ -75,6 +75,19 @@ def test_config_partial_classification_section():
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
         _small_config(**overrides)
+
+
+def test_even_n_puts_a_node_at_the_origin():
+    # the centre node of an even N sits at x = 0 exactly, where the step
+    # takes sgn(0) = 0; the spectrum keeps its pairs and its transition
+    config = _small_config(half_widths=(100.0,), n_intervals=1024)
+    result, _ = run_single(config, 100.0)
+    assert result.bound_pairs == 2
+    assert abs(result.transition_point - 9.5) <= 1.0
+    paired = [r for r in result.records if r.pair_index is not None]
+    assert paired
+    for r in paired:
+        assert result.records[r.pair_index].value == r.value.conjugate()
 
 
 def test_config_rejects_unknown_classification_key():
