@@ -22,10 +22,20 @@ algorithm of LAPACK ``ztrevc3``), then V = Z Y, so one decomposition
 serves both values and vectors.  A real Schur form is made triangular for
 this, one unitary 2 x 2 rotation per block, only when vectors are asked
 for.
+
+A double-precision Schur decomposition of order below ``_SERIAL_BELOW``
+runs on one thread of the OpenBLAS behind scipy's LAPACK: at that size the
+threads' synchronisation costs more than the second core gains, and the
+count is restored after the call.  Larger matrices run on the process's
+thread count.  numpy's own BLAS is never touched, and where scipy's LAPACK
+does not export OpenBLAS's thread controls the count is left as it is.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -43,6 +53,9 @@ RESIDUAL_TOL = {"double64": 1e-10, "extended128": 1e-24}
 _BACKSUB_BLOCK = 64
 _VECTOR_BATCH = 512
 
+# matrices of lower order take their double Schur form on one LAPACK thread
+_SERIAL_BELOW = 512
+
 
 @dataclass(frozen=True)
 class EigenSolution:
@@ -58,7 +71,10 @@ class EigenSolution:
     it has none.  ``matrix_fro_norm`` is ||A||_F and ``residual_bound`` its
     multiple accepted as an eigenvector residual.  ``iteration_stats`` is
     (QR sweeps,) of the extended kernel, and empty in double mode, where
-    LAPACK does not report its sweeps.
+    LAPACK does not report its sweeps.  ``lapack_threads`` is (threads the
+    Schur decomposition ran on, threads the process had) of scipy's
+    OpenBLAS, each None where unknown; the first is None in extended mode,
+    which makes no LAPACK call.
     """
 
     eigenvalues: np.ndarray
@@ -68,6 +84,7 @@ class EigenSolution:
     iteration_stats: Tuple[int, ...]
     precision: ScalarPrecision
     schur: Tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    lapack_threads: Tuple[Optional[int], Optional[int]]
 
     def eigenvectors(self, matrix: np.ndarray, indices: Sequence[int]
                      ) -> Iterator[Tuple[int, Optional[np.ndarray]]]:
@@ -79,12 +96,14 @@ class EigenSolution:
         Vectors are back-substituted on the Schur factors in batches and
         yielded in Schur order.
         """
+        ks = np.unique(np.asarray(indices, dtype=np.intp))
+        if not len(ks):
+            return
         t, z = self.schur
         rotations = None
         if t.dtype == np.float64:
             t, rotations = _complex_schur_form(t, self.eigenvalues)
         a = np.asarray(matrix)
-        ks = np.unique(np.asarray(indices, dtype=np.intp))
         target2 = self.residual_bound ** 2
         for start in range(0, len(ks), _VECTOR_BATCH):
             batch = ks[start:start + _VECTOR_BATCH]
@@ -121,15 +140,17 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     if precision.is_extended:
         t, z, sweeps = complex_schur(a, precision.bits)
         stats = (sweeps,)
+        threads = (None, _process_threads())
         values = t.diagonal().copy()
         with working_precision(precision):
             partners = _conjugate_partners(values, bound)
     else:
         real = a.dtype.kind in "biuf"
         try:
-            t, z = scipy.linalg.schur(
-                np.asarray(a, dtype=np.float64) if real else to_complex128(a),
-                output="real" if real else "complex")
+            with _lapack_threads(n) as threads:
+                t, z = scipy.linalg.schur(
+                    np.asarray(a, dtype=np.float64) if real else to_complex128(a),
+                    output="real" if real else "complex")
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(str(exc)) from exc
         if real:
@@ -138,7 +159,58 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
             values = t.diagonal().copy()
             partners = _conjugate_partners(values, bound)
     return EigenSolution(values, partners, bound, fro, stats, precision,
-                         schur=(t, z))
+                         schur=(t, z), lapack_threads=threads)
+
+
+def _thread_controls(lib) -> Optional[Tuple]:
+    """(get, set) of the OpenBLAS thread count that ``lib`` exports, or None.
+
+    Tries scipy's renamed OpenBLAS first, then a plain one.
+    """
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(lib, f"{prefix}_get_num_threads", None)
+        put = getattr(lib, f"{prefix}_set_num_threads", None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get, put
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> Optional[Tuple]:
+    """``_thread_controls`` of the library behind scipy's LAPACK."""
+    try:
+        from scipy.linalg import _flapack
+        return _thread_controls(ctypes.CDLL(_flapack.__file__))
+    except (ImportError, AttributeError, OSError):
+        return None
+
+
+def _process_threads() -> Optional[int]:
+    """The OpenBLAS thread count behind scipy's LAPACK, or None if unknown."""
+    controls = _openblas_threads()
+    return None if controls is None else controls[0]()
+
+
+@contextlib.contextmanager
+def _lapack_threads(n: int) -> Iterator[Tuple[Optional[int], Optional[int]]]:
+    """Run the block on one LAPACK thread when ``n < _SERIAL_BELOW``.
+
+    Yields (threads in the block, threads before it), both None where the
+    count cannot be read or set, and restores the count on exit, also on
+    an exception.  The count is process-wide: solves in concurrent threads
+    share it.
+    """
+    before = _process_threads()
+    if before is None or before == 1 or n >= _SERIAL_BELOW:
+        yield before, before
+        return
+    put = _openblas_threads()[1]
+    put(1)
+    try:
+        yield 1, before
+    finally:
+        put(before)
 
 
 def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

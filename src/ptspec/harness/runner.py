@@ -5,17 +5,24 @@ only what the previous one returned: grid -> real PT form K of H (built
 from the rows of the second-derivative matrix it reads) -> Schur
 decomposition -> labels and transition.  The grid and matrix entries are
 computed at the working precision of the run.  Jobs run one after
-another: the extended mode's mpmath precision is process-wide state, and
-in double mode LAPACK already uses every core.  Any exception inside a
-job aborts that L with a recorded "<Type>: <message>" diagnostic while
-the remaining half-widths still complete.
+another: the extended mode's mpmath precision and the LAPACK thread count
+are process-wide state.  A double-precision Schur decomposition of order
+below 512 runs on one LAPACK thread and a larger one on every thread the
+process has: on 2 cores one thread is the faster up to N ~ 767, most
+when the solve follows other work (N=511: 0.18 against 0.27 s), and two
+threads from about N=1023 (N=2047: 5.3 against 3.5 s); the ladder is in
+BENCH_lapack_threads.json.  Any exception inside a job aborts that L with
+a recorded "<Type>: <message>" diagnostic while the remaining half-widths
+still complete.
 
 Persisted layout under <output_dir>/<run name>/:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio (or
                                eigenvalues.json, a list of such rows);
                                ``write_records`` also prints them for the CLI
     summary.json               counts, transitions, config snapshot, version
-    timing.json                wall-clock seconds per stage (kept separate so
+    timing.json                wall-clock seconds per stage, and the LAPACK
+                               threads the Schur decomposition ran on and
+                               the process had (kept separate so
                                summary.json is bit-for-bit reproducible)
 """
 
@@ -52,16 +59,20 @@ class RunArtifact:
     config: ExperimentConfig
     results: Dict[float, SpectrumResult] = field(default_factory=dict)
     failures: Dict[float, str] = field(default_factory=dict)
-    timings: Dict[float, Dict[str, float]] = field(default_factory=dict)
+    timings: Dict[float, Dict[str, Optional[float]]] = field(default_factory=dict)
     tool_version: str = TOOL_VERSION
 
 
 def run_single(config: ExperimentConfig, half_width: float
-               ) -> Tuple[SpectrumResult, Dict[str, float]]:
-    """Run the full pipeline for one half-width; returns (result, timings)."""
+               ) -> Tuple[SpectrumResult, Dict[str, Optional[float]]]:
+    """Run the full pipeline for one half-width; returns (result, timings).
+
+    ``timings`` holds the seconds of each stage and, as ``schur_threads``
+    and ``process_threads``, the solution's ``lapack_threads``.
+    """
     precision = from_name(config.precision_mode)
     spec = PotentialSpec(config.family, config.strength)
-    timings: Dict[str, float] = {}
+    timings: Dict[str, Optional[float]] = {}
     t0 = time.perf_counter()
     with working_precision(precision):
         grid = build_grid(half_width, config.n_intervals, precision=precision)
@@ -71,6 +82,7 @@ def run_single(config: ExperimentConfig, half_width: float
     t0 = time.perf_counter()
     solution = eigenvalues(op.matrix, precision=precision)
     timings["eigensolve"] = time.perf_counter() - t0
+    timings["schur_threads"], timings["process_threads"] = solution.lapack_threads
 
     t0 = time.perf_counter()
     result = classify(solution, op, policy=config.policy)

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ptspec.eigensolver import eigenvalues
+from ptspec import eigensolver
+from ptspec.eigensolver import ConvergenceError, eigenvalues
+from ptspec.harness.config import ExperimentConfig
+from ptspec.harness.runner import run_single
 from ptspec.precision import DOUBLE, EXTENDED, as_working, working_precision
 
 
@@ -165,3 +168,95 @@ def test_solution_metadata():
     assert sol.matrix_fro_norm == np.linalg.norm(a)
     assert sol.residual_bound == 1e-10 * sol.matrix_fro_norm
     assert len(sol.eigenvalues) == 10
+
+
+def test_no_indices_skips_the_complex_form(monkeypatch):
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((20, 20))
+    sol = eigenvalues(a)
+
+    def fail(*args):
+        raise AssertionError("complex Schur form built for no vectors")
+
+    monkeypatch.setattr(eigensolver, "_complex_schur_form", fail)
+    assert list(sol.eigenvectors(a, [])) == []
+
+
+# --- LAPACK threads ----------------------------------------------------------
+
+_CONTROLS = eigensolver._openblas_threads()
+needs_openblas = pytest.mark.skipif(
+    _CONTROLS is None, reason="scipy's LAPACK exports no OpenBLAS thread count")
+
+
+@pytest.fixture
+def two_threads():
+    """scipy's OpenBLAS on 2 threads for the test, then as it was."""
+    get, put = _CONTROLS
+    before = get()
+    put(2)
+    yield
+    put(before)
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_small_schur_runs_on_one_thread_and_restores_the_count(monkeypatch):
+    get = _CONTROLS[0]
+    seen = []
+    schur = scipy.linalg.schur
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    a = np.random.default_rng(15).standard_normal((40, 40))
+    sol = eigenvalues(a)
+    assert seen == [1] and get() == 2
+    assert sol.lapack_threads == (1, 2)
+    eigenvalues(a + 0j)  # the complex form too
+    assert seen == [1, 1] and get() == 2
+    # a large one keeps the process's count
+    big = eigenvalues(np.eye(eigensolver._SERIAL_BELOW))
+    assert big.lapack_threads == (2, 2) and get() == 2
+    # extended mode makes no LAPACK call
+    assert eigenvalues(np.eye(3), precision=EXTENDED).lapack_threads == (None, 2)
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_thread_count_restored_when_schur_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "schur", fail)
+    with pytest.raises(ConvergenceError):
+        eigenvalues(np.eye(8))
+    assert _CONTROLS[0]() == 2
+
+
+def test_no_thread_controls_leaves_the_solve_alone(monkeypatch):
+    assert eigensolver._thread_controls(object()) is None
+    monkeypatch.setattr(eigensolver, "_openblas_threads", lambda: None)
+    sol = eigenvalues(np.diag([3.0, 1.0, 2.0]))
+    assert sorted(sol.eigenvalues.real) == [1.0, 2.0, 3.0]
+    assert sol.lapack_threads == (None, None)
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_one_and_two_threads_give_the_same_labels(monkeypatch):
+    config = ExperimentConfig(family="scarf2", strength=30.0,
+                              half_widths=(10.0,), n_intervals=255)
+    one, timings = run_single(config, 10.0)
+    assert (timings["schur_threads"], timings["process_threads"]) == (1, 2)
+    monkeypatch.setattr(eigensolver, "_SERIAL_BELOW", 0)
+    two, timings = run_single(config, 10.0)
+    assert (timings["schur_threads"], timings["process_threads"]) == (2, 2)
+    assert one.bound_pairs == two.bound_pairs > 0
+    assert ([(r.label, r.pair_index) for r in one.records]
+            == [(r.label, r.pair_index) for r in two.records])
+    z1 = np.array([r.value for r in one.records])
+    z2 = np.array([r.value for r in two.records])
+    assert np.max(np.abs(z1 - z2)) <= 1e-12 * np.max(np.abs(z1))

@@ -114,7 +114,8 @@ def test_run_experiment_produces_results(small_artifact):
     result = small_artifact.results[10.0]
     assert result.bound_pairs == 1
     assert set(small_artifact.timings[10.0]) == {
-        "assemble", "eigensolve", "classify"}
+        "assemble", "eigensolve", "classify", "schur_threads",
+        "process_threads"}
 
 
 def test_persist_layout_and_schema(small_artifact, tmp_path):
@@ -127,7 +128,11 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["runs"]["L10"]["bound_pairs"] == 1
     assert "timing" not in summary  # timings live in their own file
-    assert (run_dir / "timing.json").exists()
+    timing = json.loads((run_dir / "timing.json").read_text())["L10"]
+    threads = small_artifact.timings[10.0]["process_threads"]
+    # N=129 is a small solve: one LAPACK thread where the count can be set
+    assert timing["schur_threads"] == (None if threads is None else 1)
+    assert timing["process_threads"] == threads
 
 
 def test_persisted_files_are_reproducible(small_artifact, tmp_path):
