@@ -29,7 +29,6 @@ from .spectrum import (
     EigenRecord,
     SpectrumResult,
     classify,
-    transition_info,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

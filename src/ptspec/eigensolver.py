@@ -11,11 +11,12 @@ matrix gets the complex Schur form A = Z T Z^H (``zgees``).  The extended
 mode takes the complex form of the unrounded object matrix, real or
 complex, from ``_fixed_schur``: mpmath's Hessenberg-QR algorithm run on
 fixed-point Gaussian integers with ``GUARD_BITS`` bits beyond the mode's
-113, whose normwise backward error is below that of 113-bit floats.  T and
-Z come back as object arrays of ``mpc``.  Each eigenvalue's conjugate partner
-is read off the same decomposition: the two positions of a 2 x 2 block of
-a real form, exactly; in a complex form, the mutually nearest conjugate
-within the solver's residual bound.  Right eigenvectors for any subset of
+``bits``, whose normwise backward error is below that of floats of that
+length.  T and Z come back as object arrays of ``mpc``.  Each eigenvalue's
+conjugate partner is read off the same decomposition: the two positions of
+a 2 x 2 block of a real form, exactly; in a complex form, the mutually
+nearest conjugate within the solver's residual bound, the precision's
+``residual_tol`` times ||A||_F.  Right eigenvectors for any subset of
 eigenvalues come from the same factors in either precision: a blocked
 back substitution on the triangular T for the selected columns only (the
 algorithm of LAPACK ``ztrevc3``), then V = Z Y, so one decomposition
@@ -45,9 +46,6 @@ import scipy.linalg
 from ._fixed_schur import ConvergenceError, complex_schur
 from .precision import DOUBLE, ScalarPrecision, to_complex128, working_precision
 
-#: Residual tolerance factors (times ||A||_F) per precision mode.
-RESIDUAL_TOL = {"double64": 1e-10, "extended128": 1e-24}
-
 # rows per diagonal block of the triangular back substitution, and
 # eigenvectors per batch (bounds the n x batch work arrays)
 _BACKSUB_BLOCK = 64
@@ -69,7 +67,7 @@ class EigenSolution:
     form, the one with positive imaginary part first.  ``partners[k]`` is
     the position of the conjugate partner of ``eigenvalues[k]``, or -1 when
     it has none.  ``matrix_fro_norm`` is ||A||_F and ``residual_bound`` its
-    multiple accepted as an eigenvector residual.  ``iteration_stats`` is
+    multiple ``precision.residual_tol`` accepted as an eigenvector residual.  ``iteration_stats`` is
     (QR sweeps,) of the extended kernel, and empty in double mode, where
     LAPACK does not report its sweeps.  ``lapack_threads`` is (threads the
     Schur decomposition ran on, threads the process had) of scipy's
@@ -135,7 +133,7 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     if a.shape != (n, n):
         raise ValueError("eigenvalues expects a square matrix")
     fro = float(np.linalg.norm(to_complex128(a) if a.dtype == object else a))
-    bound = RESIDUAL_TOL[precision.mode] * fro
+    bound = precision.residual_tol * fro
     stats = ()
     if precision.is_extended:
         t, z, sweeps = complex_schur(a, precision.bits)

@@ -63,10 +63,6 @@ class RichardsonTable:
     input: Tuple[float, ...]
     columns: Dict[int, Tuple[float, ...]]
 
-    @property
-    def deepest_order(self) -> int:
-        return max(self.columns)
-
 
 def build_table(a: Sequence[float], max_order: int = MAX_ORDER) -> RichardsonTable:
     arr = tuple(float(v) for v in a)

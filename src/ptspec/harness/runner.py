@@ -15,7 +15,7 @@ BENCH_lapack_threads.json.  Any exception inside a job aborts that L with
 a recorded "<Type>: <message>" diagnostic while the remaining half-widths
 still complete.
 
-Persisted layout under <output_dir>/<run name>/:
+Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio (or
                                eigenvalues.json, a list of such rows);
                                ``write_records`` also prints them for the CLI
@@ -136,16 +136,16 @@ def _result_summary(result: SpectrumResult) -> dict:
     }
 
 
-def persist(artifact: RunArtifact, out_dir: Optional[Path] = None,
-            run_name: Optional[str] = None) -> Path:
-    """Write the artifact's CSV/JSON files; returns the run directory."""
+def persist(artifact: RunArtifact, out_dir: Optional[Path] = None) -> Path:
+    """Write the artifact's CSV/JSON files; returns the run directory.
+
+    ``out_dir`` defaults to the config's ``output_dir``.
+    """
     config = artifact.config
     if out_dir is None:
         out_dir = Path(config.output_dir)
-    if run_name is None:
-        run_name = (f"{config.family}_A{config.strength:g}"
-                    f"_N{config.n_intervals}_{config.precision_mode}")
-    run_dir = Path(out_dir) / run_name
+    run_dir = Path(out_dir) / (f"{config.family}_A{config.strength:g}"
+                               f"_N{config.n_intervals}_{config.precision_mode}")
     run_dir.mkdir(parents=True, exist_ok=True)
 
     summary = {

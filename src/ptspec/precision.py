@@ -8,8 +8,14 @@ half-widths need imaginary parts resolved far below the double-precision
 noise floor.  Its grid, matrix and eigenvector back substitution are
 computed in mpmath under ``working_precision``; its Schur decomposition
 runs on fixed-point integers with guard bits beyond ``bits`` and returns
-``mpc`` rounded to ``bits`` (``_fixed_schur``).  ``machine_epsilon`` sets
-the back substitution's floor on divisors in either mode.
+``mpc`` rounded to ``bits`` (``_fixed_schur``).
+
+``ScalarPrecision`` is the one place that says what a mode means: its
+``bits``, the ``machine_epsilon`` 2^(1 - bits) that sets the back
+substitution's floor on divisors and the transition search's floor on
+|Im E|, and the ``residual_tol`` that an eigenvector must meet.  Carrier
+conversions are numpy casts: ``to_complex128`` rounds ``mpc``/``mpf``
+entries to the nearest double.
 """
 
 from __future__ import annotations
@@ -20,30 +26,32 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-# Significand bits per mode; 113 matches IEEE binary128.
-_BITS = {"double64": 53, "extended128": 113}
-
 
 @dataclass(frozen=True)
 class ScalarPrecision:
-    mode: str  # "double64" or "extended128"
-    machine_epsilon: float
+    """Everything a working precision implies for the pipeline.
 
-    def __post_init__(self):
-        if self.mode not in _BITS:
-            raise ValueError(f"unknown precision mode {self.mode!r}")
+    ``bits`` is the significand length, from which ``machine_epsilon``
+    follows; ``residual_tol`` is the multiple of ||A||_F that an
+    eigenvector residual may reach.
+    """
+
+    mode: str  # "double64" or "extended128"
+    bits: int
+    residual_tol: float
 
     @property
-    def bits(self) -> int:
-        return _BITS[self.mode]
+    def machine_epsilon(self) -> float:
+        return 2.0 ** (1 - self.bits)
 
     @property
     def is_extended(self) -> bool:
         return self.mode == "extended128"
 
 
-DOUBLE = ScalarPrecision("double64", 2.0 ** -52)
-EXTENDED = ScalarPrecision("extended128", 2.0 ** -112)
+DOUBLE = ScalarPrecision("double64", 53, 1e-10)
+# 113 bits match IEEE binary128
+EXTENDED = ScalarPrecision("extended128", 113, 1e-24)
 
 
 def from_name(name: str) -> ScalarPrecision:
@@ -66,32 +74,24 @@ def working_precision(precision: ScalarPrecision):
     return contextlib.nullcontext()
 
 
+# elementwise mpmath.mpc over an array, giving an object array
+_to_mpc = np.frompyfunc(mpmath.mpc, 1, 1)
+
+
 def as_working(a: np.ndarray, precision: ScalarPrecision) -> np.ndarray:
     """Convert an array to the carrier type of the given precision."""
     a = np.asarray(a)
     if not precision.is_extended:
-        if a.dtype == object:
-            return to_complex128(a)
         return a.astype(np.complex128)
     if a.dtype == object:
         return a
     with mpmath.workprec(precision.bits):
-        flat = [mpmath.mpc(complex(z)) for z in a.ravel()]
-    out = np.empty(a.size, dtype=object)
-    out[:] = flat
-    return out.reshape(a.shape)
+        return _to_mpc(a)
 
 
 def to_complex128(a: np.ndarray) -> np.ndarray:
-    """Collapse an object (mpmath) array down to complex128.
+    """Round an object (mpmath) array to complex128.
 
     Complex128 input is returned as is, without a copy.
     """
-    a = np.asarray(a)
-    if a.dtype != object:
-        return np.asarray(a, dtype=np.complex128)
-    out = np.empty(a.shape, dtype=np.complex128)
-    flat = out.ravel()
-    for i, z in enumerate(np.asarray(a).ravel()):
-        flat[i] = complex(z)
-    return flat.reshape(a.shape)
+    return np.asarray(a).astype(np.complex128, copy=False)

@@ -20,12 +20,12 @@ matched within the residual bound); the residual is measured on K and
 equals that on H, as the map is unitary.  In double precision a
 conjugate pair is exactly conjugate and a PT-unbroken level exactly real.
 ``classify`` also locates the complex-to-real transition of the continuum
-(``transition_info``), so its result is complete.
+once, from the solution's precision and ||A||_F, and stores both its
+location and its drop on the result, so the result is complete.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -35,7 +35,7 @@ import numpy as np
 from .chebdiff import Grid
 from .eigensolver import EigenSolution
 from .hamiltonian import OperatorMatrix
-from .precision import from_name, to_complex128
+from .precision import to_complex128
 
 BOUND = "bound"
 CONTINUUM_COMPLEX = "continuum_complex"
@@ -80,21 +80,18 @@ class EigenRecord:
 
 
 @dataclass(frozen=True)
-class SpectrumMeta:
-    half_width: float
-    n_intervals: int
-    family: str
-    strength: float
-    precision_mode: str
-    matrix_fro_norm: float
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
+    """Labelled records in ascending (Re, Im) order, and the transition.
+
+    ``transition_point`` is the location of the continuum's complex-to-real
+    transition and ``transition_drop`` its drop in decades of |Im E|; both
+    are None when no drop qualifies.
+    """
+
     records: Tuple[EigenRecord, ...]
     bound_pairs: int
     transition_point: Optional[float]
-    meta: SpectrumMeta
+    transition_drop: Optional[float]
     policy: ClassificationPolicy
 
     def bound_values(self) -> List[complex]:
@@ -221,47 +218,39 @@ def classify(
                 if label in (BOUND, CONTINUUM_COMPLEX) else None)
         records.append(EigenRecord(value=raw[i], label=label,
                                    tail_ratio=tail_ratio, pair_index=pair))
-    meta = SpectrumMeta(
-        half_width=grid.half_width,
-        n_intervals=grid.n_intervals,
-        family=op.spec.family,
-        strength=op.spec.strength,
-        precision_mode=solution.precision.mode,
-        matrix_fro_norm=solution.matrix_fro_norm,
-    )
-    result = SpectrumResult(
+    eps = solution.precision.machine_epsilon
+    floor = eps * eps * max(solution.matrix_fro_norm, 1.0)
+    point, drop = (_transition(records, floor, policy.jump_min_decades)
+                   or (None, None))
+    return SpectrumResult(
         records=tuple(records),
         bound_pairs=sum(r.label == BOUND and r.value.imag > 0 for r in records),
-        transition_point=None,
-        meta=meta,
+        transition_point=point,
+        transition_drop=drop,
         policy=policy,
     )
-    info = transition_info(result)
-    return dataclasses.replace(result, transition_point=None if info is None else info[0])
 
 
-def transition_info(result: SpectrumResult) -> Optional[Tuple[float, float]]:
+def _transition(records: List[EigenRecord], floor: float,
+                min_decades: float) -> Optional[Tuple[float, float]]:
     """(location, drop in decades) of the continuum transition, or None.
 
-    Scans continuum records in order of increasing real part and returns
-    the midpoint of the first adjacent pair whose drop of
-    log10(|Im| + floor) spans at least ``policy.jump_min_decades``
-    decades.  The floor is eps^2 * max(||A||_F, 1) for the machine epsilon
-    of the run's precision.  Taking the first qualifying drop (rather than
-    the globally largest) keeps the detector robust against marginally
-    resolved high-frequency modes that re-enter the complex plane above
-    the physical transition at desk-scale grid resolutions.
+    Scans the continuum records, which come in ascending (Re, Im) order,
+    and returns the midpoint of the first adjacent pair whose drop of
+    log10(|Im| + floor) spans at least ``min_decades`` decades.
+    ``classify`` sets the floor to eps^2 * max(||A||_F, 1) for the machine
+    epsilon of the run's precision.  Taking the first qualifying drop
+    (rather than the globally largest) keeps the detector robust against
+    marginally resolved high-frequency modes that re-enter the complex
+    plane above the physical transition at desk-scale grid resolutions.
     """
-    eps = from_name(result.meta.precision_mode).machine_epsilon
-    floor = eps * eps * max(result.meta.matrix_fro_norm, 1.0)
-    cont = [r.value for r in result.records
+    cont = [r.value for r in records
             if r.label in (CONTINUUM_REAL, CONTINUUM_COMPLEX)]
     if len(cont) < 10:
         return None
-    cont.sort(key=_sort_key)
     logs = [math.log10(abs(z.imag) + floor) for z in cont]
     for a, b, la, lb in zip(cont[:-1], cont[1:], logs[:-1], logs[1:]):
         drop = la - lb
-        if drop >= result.policy.jump_min_decades:
+        if drop >= min_decades:
             return 0.5 * (a.real + b.real), drop
     return None

@@ -15,7 +15,6 @@ from ptspec.spectrum import (
     CONTINUUM_COMPLEX,
     ClassificationPolicy,
     EigenRecord,
-    SpectrumMeta,
     SpectrumResult,
 )
 
@@ -56,7 +55,6 @@ def test_build_table_column_lengths():
     assert sorted(table.columns) == [1, 2, 3, 4, 5]
     for order, col in table.columns.items():
         assert len(col) == 9 - order
-    assert table.deepest_order == 5
 
 
 def test_build_table_short_input():
@@ -117,11 +115,8 @@ def test_bound_sequence_ordering():
         EigenRecord(value=0.3 - 4.0j, label=BOUND),
         EigenRecord(value=2.0 + 1.0j, label=CONTINUUM_COMPLEX),
     )
-    meta = SpectrumMeta(half_width=10.0, n_intervals=255, family="step",
-                       strength=3.0, precision_mode="double64",
-                       matrix_fro_norm=1.0)
     result = SpectrumResult(records=records, bound_pairs=2,
-                            transition_point=None, meta=meta,
+                            transition_point=None, transition_drop=None,
                             policy=ClassificationPolicy())
     assert bound_sequence(result) == [0.3 + 4.0j, 1.0 + 0.5j]
 

@@ -5,6 +5,7 @@ from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
 from ptspec.potentials import PotentialSpec
+from ptspec.precision import DOUBLE
 from ptspec.spectrum import (
     BOUND,
     CONTINUUM_COMPLEX,
@@ -12,10 +13,8 @@ from ptspec.spectrum import (
     UNRESOLVED,
     ClassificationPolicy,
     EigenRecord,
-    SpectrumMeta,
-    SpectrumResult,
+    _transition,
     classify,
-    transition_info,
 )
 
 
@@ -89,12 +88,9 @@ def test_real_continuum_skips_vector_fetch(step_result):
 
 
 def test_step_transition_location(step_result):
-    info = transition_info(step_result)
-    assert info is not None
-    location, drop = info
+    location, drop = step_result.transition_point, step_result.transition_drop
     assert location == pytest.approx(10.2, abs=1.0)
     assert drop >= 6.0
-    assert step_result.transition_point == location
 
 
 def test_zero_strength_all_real():
@@ -108,17 +104,14 @@ def test_box_oracle_has_no_transition(cache):
     # complex-to-real drop for the detector to find
     result = cache.get("scarf2", 0.0, 10.0, 511)
     assert result.transition_point is None
+    assert result.transition_drop is None
     assert all(r.value.imag == 0.0 for r in result.records)
 
 
-def _synthetic_result(records, half_width=100.0):
-    meta = SpectrumMeta(half_width=half_width, n_intervals=1023,
-                       family="scarf2", strength=30.0,
-                       precision_mode="double64", matrix_fro_norm=1e6)
-    n_bound = sum(1 for r in records if r.label == BOUND)
-    return SpectrumResult(records=tuple(records), bound_pairs=n_bound // 2,
-                          transition_point=None, meta=meta,
-                          policy=ClassificationPolicy())
+def _synthetic_transition(records):
+    # the floor of a double-precision run with ||A||_F = 1e6
+    floor = DOUBLE.machine_epsilon ** 2 * 1e6
+    return _transition(records, floor, ClassificationPolicy().jump_min_decades)
 
 
 def test_detect_transition_synthetic_drop():
@@ -128,8 +121,7 @@ def test_detect_transition_synthetic_drop():
         im = 0.1 if re < 15 else 1e-14
         label = CONTINUUM_COMPLEX if re < 15 else CONTINUUM_REAL
         records.append(EigenRecord(value=complex(re, im), label=label))
-    result = _synthetic_result(records)
-    assert transition_info(result)[0] == pytest.approx(14.5)
+    assert _synthetic_transition(records)[0] == pytest.approx(14.5)
 
 
 def test_detect_transition_takes_first_qualifying_drop():
@@ -142,8 +134,7 @@ def test_detect_transition_takes_first_qualifying_drop():
         else:
             im, label = 1e-14, CONTINUUM_REAL
         records.append(EigenRecord(value=complex(re, im), label=label))
-    result = _synthetic_result(records)
-    assert transition_info(result)[0] == pytest.approx(14.5)
+    assert _synthetic_transition(records)[0] == pytest.approx(14.5)
 
 
 def test_detect_transition_absent_when_gradual():
@@ -151,8 +142,7 @@ def test_detect_transition_absent_when_gradual():
         EigenRecord(value=complex(k, 0.1 / k), label=CONTINUUM_COMPLEX)
         for k in range(1, 30)
     ]
-    result = _synthetic_result(records)
-    assert transition_info(result) is None
+    assert _synthetic_transition(records) is None
 
 
 def test_detect_transition_needs_enough_records():
@@ -160,7 +150,7 @@ def test_detect_transition_needs_enough_records():
         EigenRecord(value=complex(k, 0.1), label=CONTINUUM_COMPLEX)
         for k in range(1, 6)
     ]
-    assert transition_info(_synthetic_result(records)) is None
+    assert _synthetic_transition(records) is None
 
 
 def test_unresolved_never_counts_as_bound(step_result):
