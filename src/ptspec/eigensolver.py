@@ -17,12 +17,13 @@ conjugate partner is read off the same decomposition: the two positions of
 a 2 x 2 block of a real form, exactly; in a complex form, the mutually
 nearest conjugate within the solver's residual bound, the precision's
 ``residual_tol`` times ||A||_F.  Right eigenvectors for any subset of
-eigenvalues come from the same factors in either precision: a blocked
-back substitution on the triangular T for the selected columns only (the
-algorithm of LAPACK ``ztrevc3``), then V = Z Y, so one decomposition
-serves both values and vectors.  A real Schur form is made triangular for
-this, one unitary 2 x 2 rotation per block, only when vectors are asked
-for.
+eigenvalues come from the same factors in either precision, as one batch
+with their measured residuals: a blocked back substitution on T for the
+selected columns only (the algorithm of LAPACK ``dtrevc3``, in real
+arithmetic on a real form, where a 2 x 2 block is one small complex
+system per column), then V = Z Y, so one decomposition serves both values
+and vectors.  One routine serves the real, the complex and the extended
+form.
 
 A double-precision Schur decomposition of order below ``_SERIAL_BELOW``
 runs on one thread of the OpenBLAS behind scipy's LAPACK: at that size the
@@ -49,7 +50,9 @@ from .precision import DOUBLE, ScalarPrecision, to_complex128, working_precision
 # rows per diagonal block of the triangular back substitution, and
 # eigenvectors per batch (bounds the n x batch work arrays)
 _BACKSUB_BLOCK = 64
-_VECTOR_BATCH = 512
+_VECTOR_BATCH = 1024
+# eigenvectors per product with a leading block of Z
+_TRANSFORM_CHUNK = 256
 
 # matrices of lower order take their double Schur form on one LAPACK thread
 _SERIAL_BELOW = 512
@@ -85,39 +88,50 @@ class EigenSolution:
     lapack_threads: Tuple[Optional[int], Optional[int]]
 
     def eigenvectors(self, matrix: np.ndarray, indices: Sequence[int]
-                     ) -> Iterator[Tuple[int, Optional[np.ndarray]]]:
-        """Yield (index, vector) for the eigenvalues at ``indices``.
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Right eigenvectors for the eigenvalues at ``indices``, as one batch.
 
-        ``matrix`` is the matrix this solution was computed from; each
-        vector is scaled so its largest entry is 1.  The vector is None
-        when its residual ||A v - lambda v|| misses ``residual_bound``.
-        Vectors are back-substituted on the Schur factors in batches and
-        yielded in Schur order.
+        ``matrix`` is the matrix A this solution was computed from.  Returns
+        (ks, vectors, residuals): the distinct indices in ascending order;
+        an n x len(ks) array whose column c is the eigenvector of
+        ``eigenvalues[ks[c]]``, scaled so its largest entry is 1 (complex128,
+        or object in extended mode); and each column's relative residual
+        ||A v - lambda v|| / ||A||_F (float64).  The caller judges the
+        residual; the solver's own bound is ``precision.residual_tol``.
+        Vectors are back-substituted on the Schur factors, at most
+        ``_VECTOR_BATCH`` columns at a time.
         """
         ks = np.unique(np.asarray(indices, dtype=np.intp))
-        if not len(ks):
-            return
         t, z = self.schur
-        rotations = None
-        if t.dtype == np.float64:
-            t, rotations = _complex_schur_form(t, self.eigenvalues)
         a = np.asarray(matrix)
-        target2 = self.residual_bound ** 2
-        for start in range(0, len(ks), _VECTOR_BATCH):
-            batch = ks[start:start + _VECTOR_BATCH]
-            cols = np.arange(len(batch))
-            with working_precision(self.precision):
-                y = _triangular_eigenvectors(t, batch,
-                                             self.precision.machine_epsilon)
-                if rotations is not None:
-                    y = _rotate_rows(y, *rotations)
-                v = _product(z[:, :y.shape[0]], y)
+        vectors = np.empty((a.shape[0], len(ks)),
+                           dtype=object if t.dtype == object else np.complex128)
+        residual2 = np.empty(len(ks), dtype=object if t.dtype == object
+                             else np.float64)
+        # equal batches of at most _VECTOR_BATCH columns
+        batches = -(-len(ks) // _VECTOR_BATCH)
+        edges = np.linspace(0, len(ks), batches + 1).astype(int)
+        with working_precision(self.precision):
+            for start, stop in zip(edges[:-1], edges[1:]):
+                lam = self.eigenvalues[ks[start:stop]]
+                y = _schur_eigenvectors(t, ks[start:stop], lam,
+                                        self.precision.machine_epsilon)
+                # column c of y is 0 below row ks[c] + 1: each chunk reads
+                # only the rows of y, and columns of Z, its last column needs
+                for lo in range(start, stop, _TRANSFORM_CHUNK):
+                    hi = min(lo + _TRANSFORM_CHUNK, stop)
+                    rows = min(int(ks[hi - 1]) + 2, y.shape[0])
+                    _product(z[:, :rows], y[:rows, lo - start:hi - start],
+                             out=vectors[:, lo:hi])
                 del y
-                v /= v[np.argmax(np.abs(v), axis=0), cols]
-                residual2 = (np.abs(_product(a, v) - v * t[batch, batch]) ** 2
-                             ).sum(axis=0)
-            for c in cols:
-                yield int(batch[c]), v[:, c] if residual2[c] <= target2 else None
+                v = vectors[:, start:stop]
+                v /= v[np.argmax(np.abs(v), axis=0), np.arange(stop - start)]
+                r = _product(a, v)
+                r -= v * lam
+                residual2[start:stop] = (np.abs(r) ** 2).sum(axis=0)
+                del r
+        residuals = np.sqrt(residual2.astype(np.float64))
+        return ks, vectors, residuals / (self.matrix_fro_norm or 1.0)
 
 
 def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> EigenSolution:
@@ -246,89 +260,121 @@ def _conjugate_partners(values: np.ndarray, tol: float) -> np.ndarray:
     return np.where(mutual, nearest, -1)
 
 
-def _complex_schur_form(t: np.ndarray, values: np.ndarray):
-    """Triangular complex form G^H T G of a real Schur form T.
+def _product(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+             ) -> np.ndarray:
+    """a @ b, into ``out`` when given.
 
-    G is the identity but for one unitary block [[c, i s], [i s, c]] per
-    2 x 2 block at rows k..k+1, whose first column is the block's
-    eigenvector for values[k] = a + i sqrt|b| sqrt|c|.  Returns the complex
-    triangular matrix, its diagonal set to ``values``, and (k, c, s) for
-    ``_rotate_rows``; the orthogonal Z times G is the unitary factor of the
-    complex form.
+    A real ``a`` times a complex ``b`` is one real product over b's
+    interleaved real and imaginary parts, without a complex copy of ``a``;
+    the last axis of ``b`` and ``out`` must be contiguous.
     """
-    k = np.flatnonzero(np.diagonal(t, -1))
-    b, c = t[k, k + 1], t[k + 1, k]
-    r = np.sqrt(np.abs(b) + np.abs(c))
-    cos, sin = np.sqrt(np.abs(b)) / r, np.sign(b) * np.sqrt(np.abs(c)) / r
-    tc = t.astype(np.complex128)
-    for j, cj, sj in zip(k, cos, sin):
-        g = np.array([[cj, 1j * sj], [1j * sj, cj]])
-        tc[j:j + 2, j:] = g.conj() @ tc[j:j + 2, j:]
-        tc[:j + 2, j:j + 2] = tc[:j + 2, j:j + 2] @ g
-    tc[k + 1, k] = 0
-    np.fill_diagonal(tc, values)
-    return tc, (k, cos, sin)
-
-
-def _rotate_rows(y: np.ndarray, k: np.ndarray, cos: np.ndarray,
-                 sin: np.ndarray) -> np.ndarray:
-    """G y for the block rotations of ``_complex_schur_form``.
-
-    y holds rows 0..len(y)-1 of vectors that vanish below; a block that
-    starts on the last row adds one row.
-    """
-    if np.any(k == len(y) - 1):
-        y = np.vstack([y, np.zeros((1, y.shape[1]), dtype=y.dtype)])
-    inside = k + 1 < len(y)
-    k, cos, sin = k[inside], cos[inside, None], sin[inside, None]
-    upper, lower = y[k], y[k + 1]
-    y[k] = cos * upper + 1j * sin * lower
-    y[k + 1] = 1j * sin * upper + cos * lower
-    return y
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b; a real ``a`` times a complex ``b`` without a complex copy of ``a``."""
     if a.dtype == np.float64 and b.dtype == np.complex128:
-        b = np.ascontiguousarray(b).view(np.float64)
-        return (a @ b).view(np.complex128)
-    return a @ b
+        flat = None if out is None else out.view(np.float64)
+        return np.matmul(a, b.view(np.float64), out=flat).view(np.complex128)
+    return np.matmul(a, b, out=out)
 
 
-def _triangular_eigenvectors(t: np.ndarray, ks: np.ndarray, eps: float
-                             ) -> np.ndarray:
-    """Eigenvectors of upper triangular T for the ascending positions ``ks``.
+def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
+                        eps: float) -> np.ndarray:
+    """Eigenvectors of the Schur factor T for the ascending positions ``ks``.
 
-    Column c solves (T - T[k, k] I) y = 0 with y[k] = 1 and y[j] = 0 for
-    j > k, k = ks[c]; only rows 0..max(ks) are returned, with the dtype of
-    T.  Rows are solved bottom-up in diagonal blocks: within a block one
-    row at a time for all columns still open there, then one matrix
-    product carries the block's contribution to every row above it.  A
-    divisor smaller than eps * |T[k, k]| is raised to that size, as LAPACK
-    ``ztrevc3`` does, so a (near-)repeated eigenvalue still yields a
-    finite vector.
+    T is upper triangular -- a complex Schur form, complex128 or object --
+    or real quasi-triangular with LAPACK's standardized 2 x 2 blocks
+    [[a, b], [c, a]].  Column c solves (T - lam[c] I) y = 0 for the
+    eigenvalue lam[c] at position ks[c].  Its own diagonal block is seeded
+    with the block's exact eigenvector, 1 on a 1 x 1 block and [b, i Im lam]
+    on a 2 x 2 one, and the rows below that block are 0.  Only rows up to
+    the last column's own block are returned, complex128 for a double T and
+    object for an object one.
+
+    The algorithm is that of LAPACK ``dtrevc3`` (``ztrevc3`` on a
+    triangular T), in real arithmetic on a real T.  Rows are solved
+    bottom-up in panels of ``_BACKSUB_BLOCK`` rows anchored at its multiples
+    from row 0, so a column's arithmetic does not depend on which other
+    columns share the batch.  Within a panel each diagonal block is solved
+    for all columns still open there, with the divisors and 2 x 2 inverses
+    that ``_block_solvers`` computes for the whole panel at once; then one
+    matrix product carries the panel to every row above it.
     """
-    m = len(ks)
-    lam = t[ks, ks]
-    size = int(ks[-1]) + 1
-    y = np.zeros((size, m), dtype=t.dtype)
-    y[ks, np.arange(m)] = 1
-    # |Re| + |Im| as in ztrevc3; on an object array .real is the array
+    real = t.dtype == np.float64
+    n, m = t.shape[0], len(ks)
+    # pair[j]: rows j, j+1 hold a 2 x 2 block; pair[-1] == pair[n] is False
+    pair = np.zeros(n + 1, dtype=bool)
+    if real:
+        pair[:n - 1] = np.diagonal(t, -1) != 0
+    own = ks - pair[ks - 1]  # first row of each column's own block
+    size = int(own[-1]) + 1 + int(pair[own[-1]])
+    y = np.zeros((size, m), dtype=object if t.dtype == object else np.complex128)
+    cols = np.arange(m)
+    single = ~pair[own]
+    y[own[single], cols[single]] = 1
+    if real:
+        double = own[~single]
+        y[double, cols[~single]] = t[double, double + 1]
+        y[double + 1, cols[~single]] = 1j * lam[~single].imag
+    # |Re| + |Im| as in dtrevc3; on an object array .real is the array
     # itself and .imag is zero, so this reads |lambda| there
     smin = np.maximum(eps * (np.abs(lam.real) + np.abs(lam.imag)),
                       np.finfo(float).tiny)
-    for hi in range(size, 0, -_BACKSUB_BLOCK):
-        lo = max(hi - _BACKSUB_BLOCK, 0)
-        for j in range(hi - 1, lo - 1, -1):
-            # columns whose eigenvalue sits below row j
-            s = int(np.searchsorted(ks, j, side="right"))
-            if s == m:
-                continue
-            acc = y[j, s:] + t[j, j + 1:hi] @ y[j + 1:hi, s:]
-            d = t[j, j] - lam[s:]
-            d = np.where(np.abs(d) < smin[s:], smin[s:], d)
-            y[j, s:] = -acc / d
-        s = int(np.searchsorted(ks, lo, side="left"))
+    # a real T multiplies the real and imaginary parts of y as one real matrix
+    flat, width = (y.view(np.float64), 2) if real else (y, 1)
+
+    edges = [0, *(e - int(pair[e - 1]) for e in range(_BACKSUB_BLOCK, size,
+                                                       _BACKSUB_BLOCK)), size]
+    for lo, hi in reversed(list(zip(edges[:-1], edges[1:]))):
+        first = int(np.searchsorted(own, lo, side="right"))  # open in the panel
+        if first < m:
+            divisor, inverse = _block_solvers(t, lo, hi, pair, lam[first:],
+                                              smin[first:])
+            rows = np.arange(lo, hi)
+            tops = rows[~pair[rows - 1]]  # the panel's diagonal blocks
+            bottoms = np.append(tops[1:], hi) - 1
+            # columns whose own block lies below each diagonal block
+            opens = np.searchsorted(own, bottoms, side="right")
+            for top, end, s in zip(tops[::-1].tolist(), (bottoms[::-1] + 1).tolist(),
+                                    opens[::-1].tolist()):
+                if s == m:
+                    continue
+                block = top if end - top == 1 else slice(top, end)
+                r = y[block, s:] + (t[block, end:hi]
+                                    @ flat[end:hi, width * s:]).view(y.dtype)
+                if end - top == 1:
+                    y[top, s:] = -r / divisor[top - lo, s - first:]
+                else:
+                    y[block, s:] = (inverse[top - lo:end - lo, :, s - first:]
+                                    * r).sum(axis=1)
+        s = int(np.searchsorted(own, lo, side="left"))
         if lo > 0 and s < m:
-            y[:lo, s:] += t[:lo, lo:hi] @ y[lo:hi, s:]
+            flat[:lo, width * s:] += t[:lo, lo:hi] @ flat[lo:hi, width * s:]
     return y
+
+
+def _block_solvers(t: np.ndarray, lo: int, hi: int, pair: np.ndarray,
+                   lam: np.ndarray, smin: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """What solves each diagonal block B of T in rows lo..hi-1, per lam.
+
+    Returns (divisor, inverse).  ``divisor[j - lo, c]`` is T[j, j] - lam[c],
+    raised to ``smin[c]`` when smaller, for a 1 x 1 block at row j.
+    ``inverse[j - lo, k, c]`` is entry (j, k) of -(B - lam[c] I)^-1 for a
+    2 x 2 block B, j counted from the block's first row; its determinant,
+    when below ``smin[c]`` times the system's largest entry, is raised to
+    that, as LAPACK ``dlaln2`` does.  So a (near-)repeated eigenvalue still
+    yields a finite vector.  Rows of the other block size are left unused.
+    """
+    d = np.diagonal(t)[lo:hi, None] - lam[None, :]
+    divisor = np.where(np.abs(d) < smin, smin, d)
+    inverse = np.zeros((hi - lo, 2, len(lam)), dtype=d.dtype)
+    rows = np.arange(lo, hi)
+    top = rows[pair[rows]] - lo
+    if top.size:
+        m00, m11 = d[top], d[top + 1]
+        m01 = t[top + lo, top + lo + 1][:, None]
+        m10 = t[top + lo + 1, top + lo][:, None]
+        det = m00 * m11 - m01 * m10
+        floor = smin * np.maximum(np.maximum(np.abs(m00), np.abs(m11)),
+                                  np.maximum(np.abs(m01), np.abs(m10)))
+        inv = 1 / np.where(np.abs(det) < floor, floor, det)
+        inverse[top, 0], inverse[top, 1] = -m11 * inv, m01 * inv
+        inverse[top + 1, 0], inverse[top + 1, 1] = m10 * inv, -m00 * inv
+    return divisor, inverse

@@ -55,14 +55,16 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
     def grid_vector(self, y: np.ndarray) -> np.ndarray:
-        """Map an eigenvector of K to the eigenvector of H on the interior nodes.
+        """Map eigenvectors of K to eigenvectors of H on the interior nodes.
 
-        Object input is mapped at the current mpmath working precision.
+        ``y`` is one vector or a matrix whose columns are vectors; the
+        result has its shape.  Object input is mapped at the current mpmath
+        working precision.
         """
         n = self.dim
         m = n // 2
         ye, yo = y[:n - m], y[n - m:]
-        v = np.empty(n, dtype=np.result_type(y.dtype, np.complex128))
+        v = np.empty(y.shape, dtype=np.result_type(y.dtype, np.complex128))
         root2 = _sqrt2(v.dtype)
         v[:m] = (ye[:m] + 1j * yo) / root2
         v[n - m:] = ((ye[:m] - 1j * yo) / root2)[::-1]

@@ -277,10 +277,8 @@ def check_extended_residuals(cache: SpectrumCache) -> CheckResult:
     with working_precision(EXTENDED):
         mat = as_working(a, EXTENDED)
         solution = eigenvalues(mat, precision=EXTENDED)
-        for k, v in solution.eigenvectors(mat, range(5)):
-            if v is None:
-                worst = math.inf
-                continue
+        ks, vectors, _ = solution.eigenvectors(mat, range(5))
+        for k, v in zip(ks, vectors.T):
             r = mat @ v - solution.eigenvalues[k] * v
             worst = max(worst, float(mpmath.sqrt(sum(abs(x) ** 2 for x in r))) / fro)
     return CheckResult(
@@ -311,9 +309,9 @@ def check_eigensolver_properties(cache: SpectrumCache) -> CheckResult:
         ev = np.sort_complex(np.asarray(first.eigenvalues))
         worst_transpose = max(worst_transpose, np.max(np.abs(ev - ev_t)) / fro)
         # vectors from the Schur factors: both ends and the middle of T
-        for k, v in first.eigenvectors(a, (0, size // 2, size - 1)):
-            residual = (math.inf if v is None
-                        else np.linalg.norm(a @ v - first.eigenvalues[k] * v))
+        ks, vectors, _ = first.eigenvectors(a, (0, size // 2, size - 1))
+        for k, v in zip(ks, vectors.T):
+            residual = np.linalg.norm(a @ v - first.eigenvalues[k] * v)
             worst_residual = max(worst_residual, residual / fro)
     ok = (worst_trace < 1e-10 and worst_transpose < 1e-10
           and worst_residual < 1e-10 and deterministic)

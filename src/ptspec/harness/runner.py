@@ -16,8 +16,8 @@ a recorded "<Type>: <message>" diagnostic while the remaining half-widths
 still complete.
 
 Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
-    L<value>/eigenvalues.csv   columns re, im, label, tail_ratio (or
-                               eigenvalues.json, a list of such rows);
+    L<value>/eigenvalues.csv   columns re, im, label, tail_ratio, residual
+                               (or eigenvalues.json, a list of such rows);
                                ``write_records`` also prints them for the CLI
     summary.json               counts, transitions, config snapshot, version
     timing.json                wall-clock seconds per stage, and the LAPACK
@@ -49,7 +49,7 @@ try:
 except metadata.PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "unknown"
 
-COLUMNS = ("re", "im", "label", "tail_ratio")
+COLUMNS = ("re", "im", "label", "tail_ratio", "residual")
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,13 @@ def write_records(result: SpectrumResult, fh: TextIO, output_format: str,
                   labels: bool = True) -> None:
     """Write one row per eigenvalue to the open text file ``fh``.
 
-    Columns re, im and, with ``labels``, label and tail_ratio; as CSV
-    (floats by repr, a missing tail ratio empty) or as a JSON list of
-    objects.
+    Columns re, im and, with ``labels``, label, tail_ratio and residual; as
+    CSV (floats by repr, a missing tail ratio or residual empty) or as a
+    JSON list of objects.
     """
     columns = COLUMNS if labels else COLUMNS[:2]
-    rows = [(r.value.real, r.value.imag, r.label, r.tail_ratio)[:len(columns)]
+    rows = [(r.value.real, r.value.imag, r.label, r.tail_ratio,
+             r.residual)[:len(columns)]
             for r in result.records]
     if output_format == "json":
         json.dump([dict(zip(columns, row)) for row in rows], fh, indent=1)

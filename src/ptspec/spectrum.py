@@ -10,15 +10,19 @@ others -- the bound-state candidates -- are classified one conjugate pair
 at a time, with the pairs the eigensolver read off its Schur form.  Only
 the member with positive imaginary part gets an eigenvector: its partner
 of the real matrix K has the conjugate vector, whose grid profile is the
-mirror image, so it shares the label and the tail ratio.  In either
-precision all these vectors come in one batched back substitution on the
-Schur factors of K, and each is mapped back to the grid by
-``OperatorMatrix.grid_vector``.  A vector whose residual misses the
-solver's tolerance leaves its pair ``unresolved``, as does a candidate
-without a partner (possible only in extended precision, where pairs are
-matched within the residual bound); the residual is measured on K and
-equals that on H, as the map is unitary.  In double precision a
-conjugate pair is exactly conjugate and a PT-unbroken level exactly real.
+mirror image, so it shares the label, the tail ratio and the residual.
+In either precision all these vectors come as one batch from the Schur
+factors of K, with their measured residuals, and the whole batch is
+mapped back to the grid by ``OperatorMatrix.grid_vector``.  The tail
+ratios and the strict bound test are array operations over all
+candidates at once; only a candidate that fails the strict test with a
+tail below the relaxed cut gets the per-vector exponential fit.  A vector
+whose residual misses the solver's tolerance leaves its pair
+``unresolved``, as does a candidate without a partner (possible only in
+extended precision, where pairs are matched within the residual bound);
+the residual is measured on K and equals that on H, as the map is
+unitary.  In double precision a conjugate pair is exactly conjugate and a
+PT-unbroken level exactly real.
 ``classify`` also locates the complex-to-real transition of the continuum
 once, from the solution's precision and ||A||_F, and stores both its
 location and its drop on the result, so the result is complete.
@@ -32,7 +36,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chebdiff import Grid
 from .eigensolver import EigenSolution
 from .hamiltonian import OperatorMatrix
 from .precision import to_complex128
@@ -73,9 +76,20 @@ class ClassificationPolicy:
 
 @dataclass(frozen=True)
 class EigenRecord:
+    """One eigenvalue, its label, and the evidence for the label.
+
+    ``tail_ratio`` is the boundary-band amplitude of the normalized grid
+    eigenfunction and ``residual`` is ||K v - lambda v|| / ||K||_F of the
+    eigenvector v of K behind the label, v scaled to a largest entry of 1.
+    A conjugate partner shares both with the member whose vector was
+    fetched.  Both are None where no vector was fetched, and
+    ``tail_ratio`` also where the vector missed the residual tolerance.
+    """
+
     value: complex
     label: str = UNRESOLVED
     tail_ratio: Optional[float] = None
+    residual: Optional[float] = None
     pair_index: Optional[int] = None
 
 
@@ -109,40 +123,52 @@ def _sort_key(z: complex):
     return (z.real, z.imag)
 
 
-def _tail_classification(absv: np.ndarray, x: np.ndarray, grid: Grid,
-                         policy: ClassificationPolicy):
-    """Return (tail_ratio, is_bound) for one normalized |eigenvector|."""
-    L = grid.half_width
-    edge = (1.0 - policy.tail_band_fraction) * L
+def _non_increasing(seq: np.ndarray, floor: float, slack: float) -> np.ndarray:
+    """Per column: no entry above ``floor`` exceeds its predecessor by more
+    than the relative ``slack``.
+
+    Entries at or below the floor are exempt: at that level a vector is
+    dominated by solver noise.  A 1-D ``seq`` is one column.
+    """
+    rise = (seq[1:] > seq[:-1] * (1.0 + slack)) & (seq[1:] > floor)
+    return ~rise.any(axis=0)
+
+
+def _strict_tails(absv: np.ndarray, x: np.ndarray, half_width: float,
+                  policy: ClassificationPolicy) -> Tuple[np.ndarray, np.ndarray]:
+    """(tail ratios, strict bound flags) of the columns of ``absv``.
+
+    Each column is an |eigenvector| on the nodes ``x`` (descending), scaled
+    to a largest entry of 1.  The tail ratio is its largest entry in the
+    boundary bands |x| >= (1 - tail_band_fraction) L, at most 1.  The
+    strict test asks for a tail ratio below ``bound_tail_threshold`` and
+    for both envelopes, read from the interior towards each boundary, to be
+    non-increasing.
+    """
+    edge = (1.0 - policy.tail_band_fraction) * half_width
     band = np.abs(x) >= edge
-    tail_ratio = float(absv[band].max()) if band.any() else 0.0
-    tail_ratio = min(tail_ratio, 1.0)
+    tails = (np.minimum(absv[band].max(axis=0), 1.0) if band.any()
+             else np.zeros(absv.shape[1]))
+    floor, slack = policy.bound_tail_threshold, policy.monotone_slack
+    strict = ((tails < floor)
+              & _non_increasing(absv[x >= edge][::-1], floor, slack)
+              & _non_increasing(absv[x <= -edge], floor, slack))
+    return tails, strict
 
-    # interior-to-boundary envelope sequences on both sides (x is descending);
-    # entries already below the tail threshold are exempt from the monotone
-    # requirement (at that level the vector is dominated by solver noise)
-    right = absv[x >= edge][::-1]
-    left = absv[x <= -edge]
 
-    def non_increasing(seq, floor):
-        if seq.size < 2:
-            return True
-        for a, b in zip(seq[:-1], seq[1:]):
-            if b > a * (1.0 + policy.monotone_slack) and b > floor:
-                return False
-        return True
+def _relaxed_fit(absv: np.ndarray, x: np.ndarray, half_width: float,
+                 policy: ClassificationPolicy) -> bool:
+    """Relaxed bound test of one |eigenvector| that failed the strict one.
 
-    if (
-        tail_ratio < policy.bound_tail_threshold
-        and non_increasing(right, policy.bound_tail_threshold)
-        and non_increasing(left, policy.bound_tail_threshold)
-    ):
-        return tail_ratio, True
-
-    # relaxed test for shallow, slowly decaying states: the envelope over
-    # a band well inside the boundary region (before the Dirichlet
-    # condition bends the profile down to 0) must fit an exponential
-    relaxed_threshold = policy.relaxed_tail_coeff / (L * L)
+    For shallow, slowly decaying states: both envelopes must be
+    non-increasing above the relaxed tail cut, and the envelope over a band
+    well inside each boundary region (before the Dirichlet condition bends
+    the profile down to 0) must fit a decaying exponential.  The caller
+    checks the tail ratio against the cut.
+    """
+    L = half_width
+    cut = policy.relaxed_tail_coeff / (L * L)
+    edge = (1.0 - policy.tail_band_fraction) * L
     redge = (1.0 - policy.relaxed_band_fraction) * L
     fedge = (1.0 - 2.0 * policy.tail_band_fraction) * L
 
@@ -163,17 +189,11 @@ def _tail_classification(absv: np.ndarray, x: np.ndarray, grid: Grid,
         decaying = slope < 0 if toward_positive else slope > 0
         return decaying and abs(r) > policy.relaxed_min_correlation
 
-    if tail_ratio < relaxed_threshold:
-        fit_right = (x >= redge) & (x < fedge)
-        fit_left = (x <= -redge) & (x > -fedge)
-        if (
-            non_increasing(right, relaxed_threshold)
-            and non_increasing(left, relaxed_threshold)
-            and side_ok(fit_right, True)
-            and side_ok(fit_left, False)
-        ):
-            return tail_ratio, True
-    return tail_ratio, False
+    return bool(
+        _non_increasing(absv[x >= edge][::-1], cut, policy.monotone_slack)
+        and _non_increasing(absv[x <= -edge], cut, policy.monotone_slack)
+        and side_ok((x >= redge) & (x < fedge), True)
+        and side_ok((x <= -redge) & (x > -fedge), False))
 
 
 def classify(
@@ -183,41 +203,50 @@ def classify(
 ) -> SpectrumResult:
     """Label every eigenvalue and locate the continuum transition.
 
-    Each conjugate pair shares one label.  Eigenvectors that miss the
-    residual tolerance are recorded as ``unresolved`` rather than silently
-    promoted to bound states.  The grid comes from ``op`` and the
-    precision from ``solution``.
+    Each conjugate pair shares one label, tail ratio and residual.
+    Eigenvectors that miss the residual tolerance are recorded as
+    ``unresolved`` rather than silently promoted to bound states.  The
+    grid comes from ``op`` and the precision from ``solution``.
     """
     policy = policy or ClassificationPolicy()
-    grid = op.grid
+    L = op.grid.half_width
     raw = [complex(z) for z in solution.eigenvalues]
     partners = solution.partners.tolist()
     order = sorted(range(len(raw)), key=lambda i: _sort_key(raw[i]))
     position = {i: k for k, i in enumerate(order)}
-    x = to_complex128(grid.interior_nodes).real
+    x = to_complex128(op.grid.interior_nodes).real
 
     upper = [i for i in order
              if raw[i].imag > policy.vector_threshold and partners[i] >= 0]
+    ks, vectors, residuals = solution.eigenvectors(op.matrix, upper)
+    resolved = residuals <= solution.precision.residual_tol
+    absv = np.abs(op.grid_vector(to_complex128(vectors)))
+    del vectors
+    absv /= absv.max(axis=0)
+    tails, bound = _strict_tails(absv, x, L, policy)
+    cut = policy.relaxed_tail_coeff / (L * L)
+    for c in np.flatnonzero(resolved & ~bound & (tails < cut)):
+        bound[c] = _relaxed_fit(absv[:, c], x, L, policy)
     labels = {}
-    for i, vector in solution.eigenvectors(op.matrix, upper):
-        if vector is None:
-            label = (UNRESOLVED, None)
+    for c, i in enumerate(ks.tolist()):
+        residual = float(residuals[c])
+        if resolved[c]:
+            label = (BOUND if bound[c] else CONTINUUM_COMPLEX, float(tails[c]),
+                     residual)
         else:
-            absv = np.abs(op.grid_vector(to_complex128(vector)))
-            absv /= absv.max()
-            tail_ratio, is_bound = _tail_classification(absv, x, grid, policy)
-            label = (BOUND if is_bound else CONTINUUM_COMPLEX, tail_ratio)
+            label = (UNRESOLVED, None, residual)
         labels[i] = labels[partners[i]] = label
     records: List[EigenRecord] = []
     for i in order:
         if abs(raw[i].imag) <= policy.vector_threshold:
-            label, tail_ratio = CONTINUUM_REAL, None
+            label, tail_ratio, residual = CONTINUUM_REAL, None, None
         else:
-            label, tail_ratio = labels.get(i, (UNRESOLVED, None))
+            label, tail_ratio, residual = labels.get(i, (UNRESOLVED, None, None))
         pair = (position[partners[i]]
                 if label in (BOUND, CONTINUUM_COMPLEX) else None)
         records.append(EigenRecord(value=raw[i], label=label,
-                                   tail_ratio=tail_ratio, pair_index=pair))
+                                   tail_ratio=tail_ratio, residual=residual,
+                                   pair_index=pair))
     eps = solution.precision.machine_epsilon
     floor = eps * eps * max(solution.matrix_fro_norm, 1.0)
     point, drop = (_transition(records, floor, policy.jump_min_decades)

@@ -90,10 +90,12 @@ def test_mapped_vectors_solve_h(n):
     op = _operator(family="step", strength=3.0, n=n)
     h = _complex_h(op)
     sol = eigenvalues(op.matrix)
-    vectors = dict(sol.eigenvectors(op.matrix, range(op.dim)))
-    assert len(vectors) == op.dim
-    for k, y in vectors.items():
+    ks, vectors, _ = sol.eigenvectors(op.matrix, range(op.dim))
+    assert ks.tolist() == list(range(op.dim))
+    mapped = op.grid_vector(vectors)  # all columns at once
+    for k, y in zip(ks, vectors.T):
         v = op.grid_vector(y)
+        assert np.array_equal(mapped[:, k], v)
         assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(y), rel=1e-14)
         assert np.linalg.norm(h @ v - sol.eigenvalues[k] * v) <= sol.residual_bound
 
@@ -109,7 +111,8 @@ def test_extended_pt_form_has_the_spectrum_of_h(n):
         cost = np.array([[float(abs(a - b)) for b in ref]
                          for a in sol.eigenvalues])
         scale = max(float(abs(z)) for z in ref)
-        for k, y in sol.eigenvectors(op.matrix, [0, op.dim - 1]):
+        ks, vectors, _ = sol.eigenvectors(op.matrix, [0, op.dim - 1])
+        for k, y in zip(ks, vectors.T):
             v = op.grid_vector(y)
             r = h @ v - sol.eigenvalues[k] * v
             assert float(mpmath.sqrt(sum(abs(x) ** 2 for x in r))) <= sol.residual_bound

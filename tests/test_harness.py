@@ -123,8 +123,14 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
     csv_path = run_dir / "L10" / "eigenvalues.csv"
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["re", "im", "label", "tail_ratio"]
+    assert rows[0] == ["re", "im", "label", "tail_ratio", "residual"]
     assert len(rows) == 1 + len(small_artifact.results[10.0].records)
+    for row in rows[1:]:
+        # a measured residual wherever a vector was fetched, else empty
+        if row[2] == "continuum_real":
+            assert row[3:] == ["", ""]
+        else:
+            assert 0.0 <= float(row[4]) <= 1e-10
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["runs"]["L10"]["bound_pairs"] == 1
     assert "timing" not in summary  # timings live in their own file
@@ -211,7 +217,7 @@ def test_cli_classify_prints_csv(capsys):
     assert code == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
-    assert lines[0] == "re,im,label,tail_ratio"
+    assert lines[0] == "re,im,label,tail_ratio,residual"
     labels = {line.split(",")[2] for line in lines[1:]}
     assert "bound" in labels
 
@@ -227,6 +233,11 @@ def test_cli_classify_prints_the_persisted_records(tmp_path, capsys, fmt):
     persisted = f"{run_dir}/L10/eigenvalues.{fmt}"
     with open(persisted, newline="") as fh:
         assert printed == fh.read()
+    if fmt == "json":
+        rows = json.loads(printed)
+        assert all(set(row) == {"re", "im", "label", "tail_ratio", "residual"}
+                   for row in rows)
+        assert any(row["residual"] is not None for row in rows)
 
 
 def test_cli_sweep_with_config(tmp_path, capsys):

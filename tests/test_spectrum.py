@@ -5,7 +5,7 @@ from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
 from ptspec.potentials import PotentialSpec
-from ptspec.precision import DOUBLE
+from ptspec.precision import DOUBLE, to_complex128
 from ptspec.spectrum import (
     BOUND,
     CONTINUUM_COMPLEX,
@@ -169,6 +169,138 @@ def test_vector_over_residual_target_is_unresolved(step_result):
                   if abs(r.value.imag) > result.policy.vector_threshold]
     assert candidates
     assert all(r.label == UNRESOLVED for r in candidates)
+    # the residual that put each there is recorded: |lambda_A+I - lambda_A|
+    # = 1 against ||A||_F, for a vector scaled to a largest entry of 1
+    assert all(r.residual >= 1.0 / shifted.matrix_fro_norm for r in candidates)
     assert result.bound_pairs == 0
     assert len(candidates) == sum(
         1 for r in step_result.records if r.label != CONTINUUM_REAL)
+
+
+# --- batched tail tests against the one-vector reference ------------------
+
+def _tail_classification(absv, x, grid, policy):
+    """Return (tail_ratio, is_bound) for one normalized |eigenvector|.
+
+    The one-vector loop that ``classify`` replaced by array passes, kept
+    as the reference.
+    """
+    L = grid.half_width
+    edge = (1.0 - policy.tail_band_fraction) * L
+    band = np.abs(x) >= edge
+    tail_ratio = float(absv[band].max()) if band.any() else 0.0
+    tail_ratio = min(tail_ratio, 1.0)
+
+    right = absv[x >= edge][::-1]
+    left = absv[x <= -edge]
+
+    def non_increasing(seq, floor):
+        if seq.size < 2:
+            return True
+        for a, b in zip(seq[:-1], seq[1:]):
+            if b > a * (1.0 + policy.monotone_slack) and b > floor:
+                return False
+        return True
+
+    if (
+        tail_ratio < policy.bound_tail_threshold
+        and non_increasing(right, policy.bound_tail_threshold)
+        and non_increasing(left, policy.bound_tail_threshold)
+    ):
+        return tail_ratio, True
+
+    relaxed_threshold = policy.relaxed_tail_coeff / (L * L)
+    redge = (1.0 - policy.relaxed_band_fraction) * L
+    fedge = (1.0 - 2.0 * policy.tail_band_fraction) * L
+
+    def side_ok(mask, toward_positive):
+        xs = x[mask]
+        vs = absv[mask]
+        if vs.size == 0 or vs.max() < policy.bound_tail_threshold:
+            return True
+        keep = vs > 0
+        xs, vs = xs[keep], vs[keep]
+        if xs.size < 4:
+            return False
+        logs = np.log(vs)
+        r = np.corrcoef(xs, logs)[0, 1]
+        slope = np.polyfit(xs, logs, 1)[0]
+        decaying = slope < 0 if toward_positive else slope > 0
+        return decaying and abs(r) > policy.relaxed_min_correlation
+
+    if tail_ratio < relaxed_threshold:
+        fit_right = (x >= redge) & (x < fedge)
+        fit_left = (x <= -redge) & (x > -fedge)
+        if (
+            non_increasing(right, relaxed_threshold)
+            and non_increasing(left, relaxed_threshold)
+            and side_ok(fit_right, True)
+            and side_ok(fit_left, False)
+        ):
+            return tail_ratio, True
+    return tail_ratio, False
+
+
+def _reference_tail(op, vector, policy):
+    """(tail_ratio, is_bound) of one fetched vector by the reference loop."""
+    absv = np.abs(op.grid_vector(vector))
+    absv /= absv.max()
+    x = to_complex128(op.grid.interior_nodes).real
+    return _tail_classification(absv, x, op.grid, policy)
+
+
+def _candidates(solution, policy):
+    values = solution.eigenvalues
+    return np.flatnonzero((values.imag > policy.vector_threshold)
+                          & (solution.partners >= 0))
+
+
+@pytest.mark.parametrize("family, strength, half_width", [
+    ("scarf2", 30.0, 10.0),
+    ("step", 3.0, 10.0),
+    ("coulomb_regulated", 10.0, 100.0),
+])
+def test_batched_tail_tests_match_the_reference(family, strength, half_width):
+    op = _operator(family, strength, half_width, 255)
+    solution = eigenvalues(op.matrix)
+    result = classify(solution, op)
+    policy = result.policy
+    ks, vectors, residuals = solution.eigenvectors(
+        op.matrix, _candidates(solution, policy))
+    by_value = {r.value: r for r in result.records}
+    labels = set()
+    for k, v, residual in zip(ks, vectors.T, residuals):
+        record = by_value[complex(solution.eigenvalues[k])]
+        tail_ratio, is_bound = _reference_tail(op, v, policy)
+        assert record.tail_ratio == tail_ratio
+        assert record.label == (BOUND if is_bound else CONTINUUM_COMPLEX)
+        assert record.residual == residual
+        partner = result.records[record.pair_index]
+        assert (partner.tail_ratio, partner.residual) == (tail_ratio, residual)
+        labels.add(record.label)
+    assert labels == {BOUND, CONTINUUM_COMPLEX}
+
+
+def test_a_vector_does_not_depend_on_its_batch():
+    op = _operator("coulomb_regulated", 10.0, 100.0, 255)
+    solution = eigenvalues(op.matrix)
+    policy = ClassificationPolicy()
+    ks, vectors, _ = solution.eigenvectors(op.matrix,
+                                           _candidates(solution, policy))
+    assert len(ks) > 100
+    for c, k in enumerate(ks):
+        _, alone, _ = solution.eigenvectors(op.matrix, [k])
+        alone = alone[:, 0]
+        # each is scaled to a largest entry of 1
+        assert np.max(np.abs(alone - vectors[:, c])) <= 1e-13
+        assert (_reference_tail(op, alone, policy)[1]
+                == _reference_tail(op, vectors[:, c], policy)[1])
+
+
+def test_records_carry_the_measured_residual(step_result):
+    for r in step_result.records:
+        if r.label in (BOUND, CONTINUUM_COMPLEX):
+            assert 0.0 <= r.residual <= DOUBLE.residual_tol
+            assert step_result.records[r.pair_index].residual == r.residual
+        elif r.label == CONTINUUM_REAL:
+            assert r.residual is None
