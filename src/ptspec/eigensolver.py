@@ -51,8 +51,6 @@ from .precision import DOUBLE, ScalarPrecision, to_complex128, working_precision
 # eigenvectors per batch (bounds the n x batch work arrays)
 _BACKSUB_BLOCK = 64
 _VECTOR_BATCH = 1024
-# eigenvectors per product with a leading block of Z
-_TRANSFORM_CHUNK = 256
 
 # matrices of lower order take their double Schur form on one LAPACK thread
 _SERIAL_BELOW = 512
@@ -70,7 +68,9 @@ class EigenSolution:
     form, the one with positive imaginary part first.  ``partners[k]`` is
     the position of the conjugate partner of ``eigenvalues[k]``, or -1 when
     it has none.  ``matrix_fro_norm`` is ||A||_F and ``residual_bound`` its
-    multiple ``precision.residual_tol`` accepted as an eigenvector residual.  ``iteration_stats`` is
+    multiple ``precision.residual_tol``, the largest gap at which two
+    eigenvalues of a complex form are paired as conjugates; eigenvector
+    residuals are judged by the caller.  ``iteration_stats`` is
     (QR sweeps,) of the extended kernel, and empty in double mode, where
     LAPACK does not report its sweeps.  ``lapack_threads`` is (threads the
     Schur decomposition ran on, threads the process had) of scipy's
@@ -104,33 +104,28 @@ class EigenSolution:
         ks = np.unique(np.asarray(indices, dtype=np.intp))
         t, z = self.schur
         a = np.asarray(matrix)
-        vectors = np.empty((a.shape[0], len(ks)),
-                           dtype=object if t.dtype == object else np.complex128)
-        residual2 = np.empty(len(ks), dtype=object if t.dtype == object
-                             else np.float64)
-        # equal batches of at most _VECTOR_BATCH columns
-        batches = -(-len(ks) // _VECTOR_BATCH)
-        edges = np.linspace(0, len(ks), batches + 1).astype(int)
+        # per batch, after an empty part that holds the shapes for no index
+        vectors = [np.empty((a.shape[0], 0),
+                            dtype=object if t.dtype == object else np.complex128)]
+        residual2 = [np.empty(0)]
         with working_precision(self.precision):
-            for start, stop in zip(edges[:-1], edges[1:]):
-                lam = self.eigenvalues[ks[start:stop]]
-                y = _schur_eigenvectors(t, ks[start:stop], lam,
+            for start in range(0, len(ks), _VECTOR_BATCH):
+                batch = ks[start:start + _VECTOR_BATCH]
+                lam = self.eigenvalues[batch]
+                y = _schur_eigenvectors(t, batch, lam,
                                         self.precision.machine_epsilon)
-                # column c of y is 0 below row ks[c] + 1: each chunk reads
-                # only the rows of y, and columns of Z, its last column needs
-                for lo in range(start, stop, _TRANSFORM_CHUNK):
-                    hi = min(lo + _TRANSFORM_CHUNK, stop)
-                    rows = min(int(ks[hi - 1]) + 2, y.shape[0])
-                    _product(z[:, :rows], y[:rows, lo - start:hi - start],
-                             out=vectors[:, lo:hi])
+                v = _product(z[:, :y.shape[0]], y)
                 del y
-                v = vectors[:, start:stop]
-                v /= v[np.argmax(np.abs(v), axis=0), np.arange(stop - start)]
+                v /= v[np.argmax(np.abs(v), axis=0), np.arange(len(batch))]
                 r = _product(a, v)
                 r -= v * lam
-                residual2[start:stop] = (np.abs(r) ** 2).sum(axis=0)
+                vectors.append(v)
+                residual2.append((np.abs(r) ** 2).sum(axis=0).astype(np.float64))
                 del r
-        residuals = np.sqrt(residual2.astype(np.float64))
+        # a single batch is returned as computed, without a copy
+        vectors = (vectors[1] if len(vectors) == 2
+                   else np.concatenate(vectors, axis=1))
+        residuals = np.sqrt(np.concatenate(residual2))
         return ks, vectors, residuals / (self.matrix_fro_norm or 1.0)
 
 
@@ -260,18 +255,16 @@ def _conjugate_partners(values: np.ndarray, tol: float) -> np.ndarray:
     return np.where(mutual, nearest, -1)
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
-             ) -> np.ndarray:
-    """a @ b, into ``out`` when given.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.
 
     A real ``a`` times a complex ``b`` is one real product over b's
     interleaved real and imaginary parts, without a complex copy of ``a``;
-    the last axis of ``b`` and ``out`` must be contiguous.
+    the last axis of ``b`` must be contiguous.
     """
     if a.dtype == np.float64 and b.dtype == np.complex128:
-        flat = None if out is None else out.view(np.float64)
-        return np.matmul(a, b.view(np.float64), out=flat).view(np.complex128)
-    return np.matmul(a, b, out=out)
+        return (a @ b.view(np.float64)).view(np.complex128)
+    return a @ b
 
 
 def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
@@ -290,8 +283,9 @@ def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
     The algorithm is that of LAPACK ``dtrevc3`` (``ztrevc3`` on a
     triangular T), in real arithmetic on a real T.  Rows are solved
     bottom-up in panels of ``_BACKSUB_BLOCK`` rows anchored at its multiples
-    from row 0, so a column's arithmetic does not depend on which other
-    columns share the batch.  Within a panel each diagonal block is solved
+    from row 0, so the panels do not depend on which other columns share
+    the batch; the matrix products' shapes still do, and with them the
+    rounding.  Within a panel each diagonal block is solved
     for all columns still open there, with the divisors and 2 x 2 inverses
     that ``_block_solvers`` computes for the whole panel at once; then one
     matrix product carries the panel to every row above it.

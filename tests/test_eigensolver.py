@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -220,13 +219,12 @@ def test_real_form_vectors_match_the_complex_form(seed):
         assert np.max(np.abs(v - phase * u)) <= 1e-12
 
 
-def test_chunks_and_batches_do_not_change_the_vectors(monkeypatch):
+def test_batches_do_not_change_the_vectors(monkeypatch):
     rng = np.random.default_rng(21)
     n = 150
     a = rng.standard_normal((n, n))
     sol = eigenvalues(a)
     ks, vectors, residuals = sol.eigenvectors(a, range(n))
-    monkeypatch.setattr(eigensolver, "_TRANSFORM_CHUNK", 7)
     monkeypatch.setattr(eigensolver, "_VECTOR_BATCH", 40)
     again, small, small_residuals = sol.eigenvectors(a, range(n))
     assert np.array_equal(again, ks)

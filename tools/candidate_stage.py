@@ -172,10 +172,6 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--runs", type=int, default=3,
                         help="fresh interpreters per case and checkout")
-    parser.add_argument("--max-n", type=int, default=4095,
-                        help="skip cases with a larger N")
-    parser.add_argument("--family", default=None,
-                        help="only the cases of this family")
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -185,8 +181,7 @@ def main() -> int:
         return 0
     trees = [spec.split("=", 1) for spec in args.tree] or [["this", "."]]
     cases = []
-    for number, case in enumerate(c for c in CASES if c[3] <= args.max_n
-                                  and args.family in (None, c[0])):
+    for number, case in enumerate(CASES):
         family, strength, half_width, n = case
         row = {"family": family, "strength": strength,
                "half_width": half_width, "n_intervals": n, "trees": {}}
