@@ -1,36 +1,44 @@
 """Dense nonsymmetric eigensolver, generic over working precision.
 
 Every matrix gets one Schur decomposition, kept on the solution; the
-eigenvalues come from its (quasi-)triangular factor.  A real double matrix
--- the PT form K that ``hamiltonian.assemble`` builds -- gets the real
-Schur form A = Z T Z^T from LAPACK (``dgees`` via scipy): each complex
+eigenvalues come from its (quasi-)triangular factor.  A real matrix -- the
+PT form K that ``hamiltonian.assemble`` builds -- gets the real Schur form
+A = Z T Z^T: from LAPACK (``dgees`` via scipy) in double precision, and
+from ``_fixed_schur.real_schur`` in extended precision, the Francis
+double-shift QR of LAPACK ``dlahqr`` on fixed-point integers with
+``GUARD_BITS`` bits beyond the mode's ``bits``.  In both, each complex
 conjugate pair is read off its standardized 2 x 2 block as
-a +- i sqrt|b| sqrt|c|, so pairs are bitwise conjugate and real
-eigenvalues have an imaginary part of exactly 0.0.  A complex double
-matrix gets the complex Schur form A = Z T Z^H (``zgees``).  The extended
-mode takes the complex form of the unrounded object matrix, real or
-complex, from ``_fixed_schur``: mpmath's Hessenberg-QR algorithm run on
-fixed-point Gaussian integers with ``GUARD_BITS`` bits beyond the mode's
-``bits``, whose normwise backward error is below that of floats of that
-length.  T and Z come back as object arrays of ``mpc``.  Each eigenvalue's
-conjugate partner is read off the same decomposition: the two positions of
-a 2 x 2 block of a real form, exactly; in a complex form, the mutually
-nearest conjugate within the solver's residual bound, the precision's
-``residual_tol`` times ||A||_F.  Right eigenvectors for any subset of
-eigenvalues come from the same factors in either precision, as one batch
-with their measured residuals: a blocked back substitution on T for the
-selected columns only (the algorithm of LAPACK ``dtrevc3``, in real
-arithmetic on a real form, where a 2 x 2 block is one small complex
-system per column), then V = Z Y, so one decomposition serves both values
-and vectors.  One routine serves the real, the complex and the extended
-form.
+a +- i sqrt|b| sqrt|c|, so pairs are bitwise conjugate, partners of each
+other by construction, and real eigenvalues have an imaginary part of
+exactly 0.  A complex matrix gets the complex Schur form A = Z T Z^H
+(``zgees``, or ``_fixed_schur.complex_schur`` in extended precision), and
+each eigenvalue's conjugate partner is the mutually nearest conjugate
+within the solver's residual bound, the precision's ``residual_tol`` times
+||A||_F.  Extended T and Z come back as object arrays of ``mpf`` (real
+form) or ``mpc`` (complex form), and the extended kernels' normwise
+backward error is below that of floats of ``bits`` bits.
 
-A double-precision Schur decomposition of order below ``_SERIAL_BELOW``
-runs on one thread of the OpenBLAS behind scipy's LAPACK: at that size the
-threads' synchronisation costs more than the second core gains, and the
-count is restored after the call.  Larger matrices run on the process's
-thread count.  numpy's own BLAS is never touched, and where scipy's LAPACK
-does not export OpenBLAS's thread controls the count is left as it is.
+A block-diagonal matrix -- no nonzero entry couples the rows and columns
+before some index with those from it on -- gets one Schur decomposition
+per diagonal block, found from its nonzero pattern in O(n^2), written into
+one n x n T and Z.  K splits so when A = 0, into its even and odd parity
+blocks; with A != 0 it is one block.
+
+Right eigenvectors for any subset of eigenvalues come from the same
+factors in either precision, as one batch with their measured residuals:
+a blocked back substitution on T for the selected columns only (the
+algorithm of LAPACK ``dtrevc3``, in real arithmetic on a double real
+form, where a 2 x 2 block is one small complex system per column), then
+V = Z Y, so one decomposition serves both values and vectors.  One
+routine serves the real, the complex and the extended forms.
+
+A double-precision Schur decomposition of a block of order below
+``_SERIAL_BELOW`` runs on one thread of the OpenBLAS behind scipy's
+LAPACK: at that size the threads' synchronisation costs more than the
+second core gains, and the count is restored after the call.  Larger
+blocks run on the process's thread count.  numpy's own BLAS is never
+touched, and where scipy's LAPACK does not export OpenBLAS's thread
+controls the count is left as it is.
 """
 
 from __future__ import annotations
@@ -39,12 +47,13 @@ import contextlib
 import ctypes
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
-from ._fixed_schur import ConvergenceError, complex_schur
+from ._fixed_schur import ConvergenceError, complex_schur, real_schur
 from .precision import DOUBLE, ScalarPrecision, to_complex128, working_precision
 
 # rows per diagonal block of the triangular back substitution, and
@@ -60,22 +69,24 @@ _SERIAL_BELOW = 512
 class EigenSolution:
     """All eigenvalues of one matrix plus its Schur factors.
 
-    ``schur`` holds (T, Z) with A = Z T Z^H: the real Schur form (float64,
-    T quasi-triangular) for a real double matrix, the complex Schur form
-    (complex128) for a complex one, and the complex form as object arrays
-    of mpmath scalars in extended mode.  ``eigenvalues[k]`` is T[k, k], or
-    one of the conjugate pair of the 2 x 2 block at rows k..k+1 of a real
-    form, the one with positive imaginary part first.  ``partners[k]`` is
-    the position of the conjugate partner of ``eigenvalues[k]``, or -1 when
-    it has none.  ``matrix_fro_norm`` is ||A||_F and ``residual_bound`` its
-    multiple ``precision.residual_tol``, the largest gap at which two
-    eigenvalues of a complex form are paired as conjugates; eigenvector
-    residuals are judged by the caller.  ``iteration_stats`` is
-    (QR sweeps,) of the extended kernel, and empty in double mode, where
-    LAPACK does not report its sweeps.  ``lapack_threads`` is (threads the
-    Schur decomposition ran on, threads the process had) of scipy's
-    OpenBLAS, each None where unknown; the first is None in extended mode,
-    which makes no LAPACK call.
+    ``schur`` holds (T, Z) with A = Z T Z^H: the real Schur form (T
+    quasi-triangular) of a real matrix, float64 in double precision and
+    object arrays of ``mpf`` in extended precision, or the complex Schur
+    form of a complex one, complex128 or object arrays of ``mpc``.  A
+    block-diagonal matrix has block-diagonal factors.
+    ``eigenvalues[k]`` is T[k, k], or one of the conjugate pair of the
+    2 x 2 block at rows k..k+1 of a real form, the one with positive
+    imaginary part first.  ``partners[k]`` is the position of the
+    conjugate partner of ``eigenvalues[k]``, or -1 when it has none.
+    ``matrix_fro_norm`` is ||A||_F and ``residual_bound`` its multiple
+    ``precision.residual_tol``, the largest gap at which two eigenvalues of
+    a complex form are paired as conjugates; eigenvector residuals are
+    judged by the caller.  ``iteration_stats`` is (QR sweeps,) of the
+    extended kernels, summed over the diagonal blocks, and empty in double
+    mode, where LAPACK does not report its sweeps.  ``lapack_threads`` is
+    (threads the Schur decomposition of the largest block ran on, threads
+    the process had) of scipy's OpenBLAS, each None where unknown; the
+    first is None in extended mode, which makes no LAPACK call.
     """
 
     eigenvalues: np.ndarray
@@ -132,10 +143,11 @@ class EigenSolution:
 def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> EigenSolution:
     """Full spectrum of a dense real or complex matrix at the requested precision.
 
-    One Schur decomposition -- real for a real double matrix, complex
-    otherwise -- kept on the solution for later eigenvector requests.
-    Raises ConvergenceError when the QR iteration behind it fails to
-    converge.
+    One Schur decomposition -- real for a real matrix, complex otherwise --
+    kept on the solution for later eigenvector requests.  A block-diagonal
+    matrix gets one per diagonal block (``_diagonal_blocks``), written into
+    one n x n T and Z.  Raises ConvergenceError when the QR iteration
+    behind it fails to converge.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
@@ -143,30 +155,91 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
         raise ValueError("eigenvalues expects a square matrix")
     fro = float(np.linalg.norm(to_complex128(a) if a.dtype == object else a))
     bound = precision.residual_tol * fro
-    stats = ()
-    if precision.is_extended:
-        t, z, sweeps = complex_schur(a, precision.bits)
-        stats = (sweeps,)
-        threads = (None, _process_threads())
-        values = t.diagonal().copy()
-        with working_precision(precision):
-            partners = _conjugate_partners(values, bound)
+    real = _is_real(a)
+    blocks = _diagonal_blocks(a)
+    if len(blocks) == 1:  # T and Z as the solver returns them, no copy
+        t, z, sweeps, threads = _block_schur(a, real, precision)
     else:
-        real = a.dtype.kind in "biuf"
-        try:
-            with _lapack_threads(n) as threads:
-                t, z = scipy.linalg.schur(
-                    np.asarray(a, dtype=np.float64) if real else to_complex128(a),
-                    output="real" if real else "complex")
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(str(exc)) from exc
+        t, z = _zeros(n, real, precision), _zeros(n, real, precision)
+        sweeps = largest = 0
+        for lo, hi in blocks:
+            tb, zb, s, th = _block_schur(a[lo:hi, lo:hi], real, precision)
+            t[lo:hi, lo:hi], z[lo:hi, lo:hi] = tb, zb
+            del tb, zb
+            sweeps += s
+            if hi - lo > largest:
+                largest, threads = hi - lo, th
+    with working_precision(precision):
         if real:
             values, partners = _real_schur_eigenvalues(t)
         else:
             values = t.diagonal().copy()
             partners = _conjugate_partners(values, bound)
+    stats = (sweeps,) if precision.is_extended else ()
     return EigenSolution(values, partners, bound, fro, stats, precision,
                          schur=(t, z), lapack_threads=threads)
+
+
+def _is_real(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` has imaginary part 0."""
+    if a.dtype == object:
+        return not any(mpmath.mpmathify(x).imag for x in a.ravel().tolist())
+    return a.dtype.kind in "biuf"
+
+
+def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
+    """The finest split of ``a`` into diagonal blocks, as (first, stop) rows.
+
+    Rows and columns lo..hi-1 form a block when no nonzero entry couples
+    them with any outside it.  A block ends before k when no row above k
+    has a nonzero from column k on, and no row from k on has one left of
+    column k: O(n^2), reading rows only.
+    """
+    n = a.shape[0]
+    nonzero = a != 0
+    own = np.arange(n)
+    empty = ~nonzero.any(axis=1)
+    first = np.where(empty, own, np.minimum(np.argmax(nonzero, axis=1), own))
+    last = np.where(empty, own,
+                    np.maximum(n - 1 - np.argmax(nonzero[:, ::-1], axis=1), own))
+    del nonzero
+    # k = 1..n: nothing from rows < k reaches column k, nor from rows >= k left of k
+    closed = np.maximum.accumulate(last) < own + 1
+    closed[:-1] &= np.minimum.accumulate(first[::-1])[::-1][1:] >= own[1:]
+    ends = np.flatnonzero(closed) + 1
+    return list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+
+
+def _block_schur(a: np.ndarray, real: bool, precision: ScalarPrecision):
+    """(T, Z, QR sweeps, ``lapack_threads``) of one diagonal block.
+
+    Real or complex Schur form as ``real`` says: LAPACK in double
+    precision (on one thread below order ``_SERIAL_BELOW``), the
+    fixed-point kernels of ``_fixed_schur`` in extended precision.  Double
+    mode reports 0 sweeps.
+    """
+    if precision.is_extended:
+        kernel = real_schur if real else complex_schur
+        t, z, sweeps = kernel(a, precision.bits)
+        return t, z, sweeps, (None, _process_threads())
+    if a.dtype == object:
+        a = to_complex128(a)
+    try:
+        with _lapack_threads(a.shape[0]) as threads:
+            t, z = scipy.linalg.schur(
+                np.asarray(a.real, dtype=np.float64) if real else to_complex128(a),
+                output="real" if real else "complex")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
+    return t, z, 0, threads
+
+
+def _zeros(n: int, real: bool, precision: ScalarPrecision) -> np.ndarray:
+    """An n x n array of zeros in the carrier of a real or complex Schur form."""
+    if precision.is_extended:
+        zero = mpmath.mpf(0) if real else mpmath.mpc(0)
+        return np.full((n, n), zero, dtype=object)
+    return np.zeros((n, n), dtype=np.float64 if real else np.complex128)
 
 
 def _thread_controls(lib) -> Optional[Tuple]:
@@ -223,19 +296,33 @@ def _lapack_threads(n: int) -> Iterator[Tuple[Optional[int], Optional[int]]]:
 def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and conjugate partners of a real Schur form.
 
-    LAPACK leaves each pair as a standardized block [[a, b], [c, a]] with
-    b c < 0, whose eigenvalues are a +- i sqrt|b| sqrt|c|: bitwise
-    conjugate, and partners of each other.
+    Each pair sits in a standardized block [[a, b], [c, a]] with b c < 0,
+    from LAPACK or ``_fixed_schur.real_schur``, whose eigenvalues are
+    a +- i sqrt|b| sqrt|c|: bitwise conjugate, and partners of each other.
+    A float64 T gives complex128 values; an object T of ``mpf`` gives
+    ``mpc`` at the mpmath working precision.
     """
-    values = np.diagonal(t).astype(np.complex128)
     k = np.flatnonzero(np.diagonal(t, -1))
-    omega = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
-    values.real[k + 1] = values.real[k]
-    values.imag[k] = omega
-    values.imag[k + 1] = -omega
+    if t.dtype == object:
+        omega = _mp_sqrt(np.abs(t[k, k + 1])) * _mp_sqrt(np.abs(t[k + 1, k]))
+        imag = np.zeros(len(t), dtype=object)
+        imag[k], imag[k + 1] = omega, -omega
+        values = _mp_complex(np.diagonal(t), imag)
+    else:
+        omega = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+        values = np.diagonal(t).astype(np.complex128)
+        values.real[k + 1] = values.real[k]
+        values.imag[k] = omega
+        values.imag[k + 1] = -omega
     partners = np.full(len(values), -1)
     partners[k], partners[k + 1] = k + 1, k
     return values, partners
+
+
+# elementwise mpmath.sqrt, mpmath.mpc(re, im) and mpmath.im over object arrays
+_mp_sqrt = np.frompyfunc(mpmath.sqrt, 1, 1)
+_mp_complex = np.frompyfunc(mpmath.mpc, 2, 1)
+_mp_imag = np.frompyfunc(mpmath.im, 1, 1)
 
 
 def _conjugate_partners(values: np.ndarray, tol: float) -> np.ndarray:
@@ -271,21 +358,23 @@ def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
                         eps: float) -> np.ndarray:
     """Eigenvectors of the Schur factor T for the ascending positions ``ks``.
 
-    T is upper triangular -- a complex Schur form, complex128 or object --
-    or real quasi-triangular with LAPACK's standardized 2 x 2 blocks
-    [[a, b], [c, a]].  Column c solves (T - lam[c] I) y = 0 for the
-    eigenvalue lam[c] at position ks[c].  Its own diagonal block is seeded
-    with the block's exact eigenvector, 1 on a 1 x 1 block and [b, i Im lam]
-    on a 2 x 2 one, and the rows below that block are 0.  Only rows up to
-    the last column's own block are returned, complex128 for a double T and
-    object for an object one.
+    T is upper triangular -- a complex Schur form, complex128 or object of
+    ``mpc`` -- or real quasi-triangular, float64 or object of ``mpf``, with
+    standardized 2 x 2 blocks [[a, b], [c, a]], read off its nonzero
+    subdiagonal entries (a triangular T has none).  Column c solves
+    (T - lam[c] I) y = 0 for the eigenvalue lam[c] at position ks[c].  Its
+    own diagonal block is seeded with the block's exact eigenvector, 1 on a
+    1 x 1 block and [b, i Im lam] on a 2 x 2 one, and the rows below that
+    block are 0.  Only rows up to the last column's own block are
+    returned, complex128 for a double T and object for an object one.
 
     The algorithm is that of LAPACK ``dtrevc3`` (``ztrevc3`` on a
-    triangular T), in real arithmetic on a real T.  Rows are solved
-    bottom-up in panels of ``_BACKSUB_BLOCK`` rows anchored at its multiples
-    from row 0, so the panels do not depend on which other columns share
-    the batch; the matrix products' shapes still do, and with them the
-    rounding.  Within a panel each diagonal block is solved
+    triangular T), in real arithmetic on a float64 T; an object T
+    multiplies its ``mpf`` entries into the ``mpc`` columns directly.
+    Rows are solved bottom-up in panels of ``_BACKSUB_BLOCK`` rows anchored
+    at its multiples from row 0, so the panels do not depend on which other
+    columns share the batch; the matrix products' shapes still do, and
+    with them the rounding.  Within a panel each diagonal block is solved
     for all columns still open there, with the divisors and 2 x 2 inverses
     that ``_block_solvers`` computes for the whole panel at once; then one
     matrix product carries the panel to every row above it.
@@ -294,18 +383,17 @@ def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
     n, m = t.shape[0], len(ks)
     # pair[j]: rows j, j+1 hold a 2 x 2 block; pair[-1] == pair[n] is False
     pair = np.zeros(n + 1, dtype=bool)
-    if real:
-        pair[:n - 1] = np.diagonal(t, -1) != 0
+    pair[:n - 1] = np.diagonal(t, -1) != 0
     own = ks - pair[ks - 1]  # first row of each column's own block
     size = int(own[-1]) + 1 + int(pair[own[-1]])
     y = np.zeros((size, m), dtype=object if t.dtype == object else np.complex128)
     cols = np.arange(m)
     single = ~pair[own]
     y[own[single], cols[single]] = 1
-    if real:
-        double = own[~single]
-        y[double, cols[~single]] = t[double, double + 1]
-        y[double + 1, cols[~single]] = 1j * lam[~single].imag
+    double = own[~single]
+    imag = (_mp_imag if lam.dtype == object else np.imag)(lam[~single])
+    y[double, cols[~single]] = t[double, double + 1]
+    y[double + 1, cols[~single]] = 1j * imag
     # |Re| + |Im| as in dtrevc3; on an object array .real is the array
     # itself and .imag is zero, so this reads |lambda| there
     smin = np.maximum(eps * (np.abs(lam.real) + np.abs(lam.imag)),

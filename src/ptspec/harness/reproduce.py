@@ -353,8 +353,8 @@ def full_scale_config() -> ExperimentConfig:
 
     L up to 1000 at N = 2^14 - 1 in extended precision, so opt-in only:
     the matrix alone holds 2.7e8 mpmath entries at ~254 B each, ~68 GB,
-    and cubic extrapolation from the extended Schur form's 63 s at
-    n = 160 gives about two years of compute.
+    and cubic extrapolation from the real extended Schur kernel's 36 s
+    at n = 160 gives about 1.2 years of compute.
     """
     return ExperimentConfig(
         family="coulomb_regulated",

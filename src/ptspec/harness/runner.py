@@ -6,12 +6,13 @@ from the rows of the second-derivative matrix it reads) -> Schur
 decomposition -> labels and transition.  The grid and matrix entries are
 computed at the working precision of the run.  Jobs run one after
 another: the extended mode's mpmath precision and the LAPACK thread count
-are process-wide state.  A double-precision Schur decomposition of order
-below 512 runs on one LAPACK thread and a larger one on every thread the
-process has: on 2 cores one thread is the faster up to N ~ 767, most
-when the solve follows other work (N=511: 0.18 against 0.27 s), and two
-threads from about N=1023 (N=2047: 5.3 against 3.5 s); the ladder is in
-BENCH_lapack_threads.json.  Any exception inside a job aborts that L with
+are process-wide state.  The Schur decomposition runs per diagonal block
+of K: two parity blocks at A = 0, one block otherwise.  In double
+precision a block of order below 512 runs on one LAPACK thread and a
+larger one on every thread the process has: on 2 cores one thread is the
+faster up to N ~ 767, most when the solve follows other work (N=511: 0.18
+against 0.27 s), and two threads from about N=1023 (N=2047: 5.3 against
+3.5 s); the ladder is in BENCH_lapack_threads.json.  Any exception inside a job aborts that L with
 a recorded "<Type>: <message>" diagnostic while the remaining half-widths
 still complete.
 
@@ -21,9 +22,10 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
                                ``write_records`` also prints them for the CLI
     summary.json               counts, transitions, config snapshot, version
     timing.json                wall-clock seconds per stage, and the LAPACK
-                               threads the Schur decomposition ran on and
-                               the process had (kept separate so
-                               summary.json is bit-for-bit reproducible)
+                               threads the Schur decomposition of the
+                               largest block ran on and the process had
+                               (kept separate so summary.json is
+                               bit-for-bit reproducible)
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ exists because the slowly decaying regulated-Coulomb runs at very large
 half-widths need imaginary parts resolved far below the double-precision
 noise floor.  Its grid, matrix and eigenvector back substitution are
 computed in mpmath under ``working_precision``; its Schur decomposition
-runs on fixed-point integers with guard bits beyond ``bits`` and returns
-``mpc`` rounded to ``bits`` (``_fixed_schur``).
+runs on fixed-point integers with guard bits beyond ``bits``
+(``_fixed_schur``) and returns the real Schur form of a real matrix as
+``mpf`` and the complex form of a complex one as ``mpc``, rounded to
+``bits``.
 
 ``ScalarPrecision`` is the one place that says what a mode means: its
 ``bits``, the ``machine_epsilon`` 2^(1 - bits) that sets the back

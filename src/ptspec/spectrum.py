@@ -18,11 +18,11 @@ ratios and the strict bound test are array operations over all
 candidates at once; only a candidate that fails the strict test with a
 tail below the relaxed cut gets the per-vector exponential fit.  A vector
 whose residual misses the solver's tolerance leaves its pair
-``unresolved``, as does a candidate without a partner (possible only in
-extended precision, where pairs are matched within the residual bound);
+``unresolved``, as does a candidate without a partner (possible only for
+a complex matrix, whose pairs are matched within the residual bound);
 the residual is measured on K and equals that on H, as the map is
-unitary.  In double precision a conjugate pair is exactly conjugate and a
-PT-unbroken level exactly real.
+unitary.  K is real, so in either precision a conjugate pair is exactly
+conjugate and a PT-unbroken level exactly real.
 ``classify`` also locates the complex-to-real transition of the continuum
 once, from the solution's precision and ||A||_F, and stores both its
 location and its drop on the result, so the result is complete.

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +9,7 @@ from ptspec import eigensolver
 from ptspec.eigensolver import ConvergenceError, eigenvalues
 from ptspec.harness.config import ExperimentConfig
 from ptspec.harness.runner import run_single
-from ptspec.precision import DOUBLE, EXTENDED, as_working, working_precision
+from ptspec.precision import DOUBLE, EXTENDED, as_working, to_complex128, working_precision
 
 
 def _random_complex(rng, n):
@@ -266,6 +267,68 @@ def test_identical_blocks_give_a_finite_vector():
     assert np.all(residuals <= DOUBLE.residual_tol)
 
 
+# --- one Schur decomposition per diagonal block ---------------------------------
+
+_BLOCKS = [(0, 5), (5, 8), (8, 12)]
+
+
+def _three_blocks(rng, real):
+    a = np.zeros((12, 12), dtype=np.float64 if real else np.complex128)
+    for lo, hi in _BLOCKS:
+        block = rng.standard_normal((hi - lo, hi - lo))
+        if not real:
+            block = block + 1j * rng.standard_normal(block.shape)
+        a[lo:hi, lo:hi] = block
+    return a
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED], ids=lambda p: p.mode)
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision, real):
+    rng = np.random.default_rng(22)
+    a = _three_blocks(rng, real)
+    n = len(a)
+    assert eigensolver._diagonal_blocks(a) == _BLOCKS
+    with working_precision(precision):
+        a = as_working(a, precision) if precision.is_extended else a
+        split = eigenvalues(a, precision=precision)
+        ks, vectors, residuals = split.eigenvectors(a, range(n))
+    assert np.all(residuals <= precision.residual_tol)
+    outside = np.ones((n, n), dtype=bool)
+    for lo, hi in _BLOCKS:
+        outside[lo:hi, lo:hi] = False
+    assert all(x == 0 for m in split.schur for x in m[outside])
+    # a real matrix, also as mpc with Im 0, takes the real form
+    assert (split.schur[0].dtype == np.float64 if precision is DOUBLE
+            else isinstance(split.schur[0][0, 0], mpmath.mpf)) == real
+    monkeypatch.setattr(eigensolver, "_diagonal_blocks", lambda a: [(0, len(a))])
+    whole = eigenvalues(a, precision=precision)
+    ev_split = to_complex128(split.eigenvalues)
+    ev_whole = to_complex128(whole.eigenvalues)
+    gap = max(np.min(np.abs(ev_whole - z)) for z in ev_split)
+    assert gap <= 1e-12 * split.matrix_fro_norm
+    assert np.count_nonzero(split.partners >= 0) == np.count_nonzero(whole.partners >= 0)
+
+
+def test_one_coupling_entry_makes_one_schur_call(monkeypatch):
+    rng = np.random.default_rng(23)
+    a = _three_blocks(rng, True)
+    calls = []
+    schur = scipy.linalg.schur
+
+    def spy(m, *args, **kwargs):
+        calls.append(m.shape[0])
+        return schur(m, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    eigenvalues(a)
+    assert calls == [5, 3, 4]
+    a[2, 10] = 0.5  # couples the first block with the last, and so all three
+    calls.clear()
+    eigenvalues(a)
+    assert calls == [12]
+
+
 # --- LAPACK threads ----------------------------------------------------------
 
 _CONTROLS = eigensolver._openblas_threads()
@@ -301,11 +364,32 @@ def test_small_schur_runs_on_one_thread_and_restores_the_count(monkeypatch):
     assert sol.lapack_threads == (1, 2)
     eigenvalues(a + 0j)  # the complex form too
     assert seen == [1, 1] and get() == 2
-    # a large one keeps the process's count
-    big = eigenvalues(np.eye(eigensolver._SERIAL_BELOW))
+    # a large one keeps the process's count; the superdiagonal couples
+    # every row to the next, so it is one block, not n of order 1
+    n = eigensolver._SERIAL_BELOW
+    big = eigenvalues(np.eye(n) + np.eye(n, k=1))
     assert big.lapack_threads == (2, 2) and get() == 2
     # extended mode makes no LAPACK call
     assert eigenvalues(np.eye(3), precision=EXTENDED).lapack_threads == (None, 2)
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_each_block_takes_its_own_thread_count(monkeypatch):
+    get = _CONTROLS[0]
+    seen = []
+    schur = scipy.linalg.schur
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    n = eigensolver._SERIAL_BELOW
+    small = np.random.default_rng(24).standard_normal((40, 40))
+    sol = eigenvalues(scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1), small))
+    # the largest block's count is reported
+    assert seen == [2, 1] and sol.lapack_threads == (2, 2) and get() == 2
 
 
 @needs_openblas

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ptspec import eigensolver
 from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
@@ -119,24 +120,30 @@ def test_extended_trace_identity_tight():
         assert float(gap) < 1e-26 * np.linalg.norm(a) * n
 
 
-def test_extended_pairs_from_the_complex_schur_form():
-    # the extended Schur form is complex: its pairs are matched within
-    # the residual bound, and a real level's rounding noise in Im (1e-48
-    # to 1e-38 here) leaves it its own nearest conjugate, without a partner
+def test_extended_pairs_from_the_real_schur_form(monkeypatch):
+    # the real K takes the real Schur form: each pair is read off one
+    # standardized 2 x 2 block, and no tolerance matcher runs
+    def fail(*args):
+        raise AssertionError("conjugate pairs matched for a real matrix")
+
+    monkeypatch.setattr(eigensolver, "_conjugate_partners", fail)
     with working_precision(EXTENDED):
         grid = build_grid(10.0, 21, precision=EXTENDED)
         op = assemble(grid, PotentialSpec("scarf2", 30.0))
     sol = eigenvalues(op.matrix, precision=EXTENDED)
-    imag = np.array([float(z.imag) for z in sol.eigenvalues])
-    noisy = np.abs(imag) < 1e-30
-    assert np.any(imag[noisy] != 0)
-    assert np.all((sol.partners == -1) == noisy)
-    for k in np.flatnonzero(~noisy):
-        j = sol.partners[k]
-        assert sol.partners[j] == k
-        with working_precision(EXTENDED):
-            gap = abs(sol.eigenvalues[k] - mpmath.conj(sol.eigenvalues[j]))
-        assert float(gap) <= sol.residual_bound
+    values, partners = sol.eigenvalues, sol.partners
+    paired = np.flatnonzero(partners >= 0)
+    assert len(paired) == 14
+    for k in paired:
+        j = partners[k]
+        assert partners[j] == k and abs(j - k) == 1
+        # bitwise conjugate: equal mpf parts, the imaginary one negated
+        assert values[j].real._mpf_ == values[k].real._mpf_
+        assert values[j].imag._mpf_ == mpmath.libmp.mpf_neg(values[k].imag._mpf_)
+    # every PT-unbroken level has Im exactly 0
+    unpaired = np.flatnonzero(partners < 0)
+    assert len(unpaired) == 6
+    assert all(values[k].imag == 0 for k in unpaired)
     # the same 14 records as the earlier tolerance matcher paired
     result = classify(sol, op)
     pairs = {tuple(sorted((k, r.pair_index)))

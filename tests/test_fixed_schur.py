@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ptspec._fixed_schur as kernel
+from ptspec import eigensolver
 from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import ConvergenceError, eigenvalues
 from ptspec.hamiltonian import assemble
@@ -45,6 +46,28 @@ def _schur_errors(a):
         zh = np.vectorize(mpmath.conj, otypes=[object])(z).T
         orth = _fro(zh @ z - np.eye(len(a), dtype=object))
     return t, float(residual), float(orth)
+
+
+def _real_schur_errors(a):
+    """(T, ||A Z - Z T||_F / ||A||_F, ||Z^T Z - I||_F) of the real kernel."""
+    t, z, _ = kernel.real_schur(a, BITS)
+    with working_precision(EXTENDED):
+        a = np.asarray(a, dtype=object)
+        fro = _fro(a)
+        residual = _fro(a @ z - z @ t) / (fro if fro else 1)
+        orth = _fro(z.T @ z - np.eye(len(a), dtype=object))
+    return t, float(residual), float(orth)
+
+
+def _is_standard_real_form(t):
+    """T is 0 below its subdiagonal, and each nonzero subdiagonal entry
+    sits in a 2 x 2 block [[a, b], [c, a]] with b c < 0."""
+    n = len(t)
+    if any(t[i, j] != 0 for i in range(n) for j in range(i - 1)):
+        return False
+    sub = [j for j in range(n - 1) if t[j + 1, j] != 0]
+    return all(j + 1 not in sub and t[j, j] == t[j + 1, j + 1]
+               and t[j, j + 1] * t[j + 1, j] < 0 for j in sub)
 
 
 def _strictly_lower_is_zero(t):
@@ -186,16 +209,27 @@ def test_eigenvalues_match_mpmath_schur(name):
     a = _random_complex(1, 12) if name == "random12" else _scarf2_k()
     with working_precision(EXTENDED):
         r = mpmath.schur(mpmath.matrix(a.tolist()))[1]
+    reference = [r[k, k] for k in range(len(a))]
     t, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
-    assert _matched_gap(a, t.diagonal(), [r[k, k] for k in range(len(a))]) < 1e-30
+    assert _matched_gap(a, t.diagonal(), reference) < 1e-30
+    if name == "scarf2_k":  # real: the real kernel's pairs match too
+        t, residual, orth = _real_schur_errors(a)
+        assert residual < 1e-30 and orth < 1e-30
+        with working_precision(EXTENDED):
+            values, _ = eigensolver._real_schur_eigenvalues(t)
+        assert _matched_gap(a, values, reference) < 1e-30
 
 
 def test_iteration_stats_carry_the_sweep_count():
+    # a real matrix takes the real kernel, a complex one the complex kernel
     a = _scarf2_k()
     sol = eigenvalues(a, precision=EXTENDED)
-    assert sol.iteration_stats == (kernel.complex_schur(a, BITS)[2],)
+    assert sol.iteration_stats == (kernel.real_schur(a, BITS)[2],)
     assert sol.iteration_stats[0] > 0
+    c = _random_complex(3, 6)
+    assert (eigenvalues(c, precision=EXTENDED).iteration_stats
+            == (kernel.complex_schur(c, BITS)[2],))
     assert eigenvalues(np.eye(3) + np.eye(3, k=1), precision=DOUBLE).iteration_stats == ()
 
 
@@ -218,3 +252,108 @@ def test_schur_form_of_small_integer_matrices(a):
     assert residual <= 1e-30
     assert orth <= 1e-30
     assert _strictly_lower_is_zero(t)
+
+
+# --- the real kernel ------------------------------------------------------------
+
+@st.composite
+def _real_integer_matrices(draw):
+    n = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n))
+    return np.array(entries, dtype=object).reshape(n, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_real_integer_matrices())
+def test_real_schur_form_of_small_integer_matrices(a):
+    t, residual, orth = _real_schur_errors(a)
+    assert residual <= 1e-30
+    assert orth <= 1e-30
+    assert _is_standard_real_form(t)
+
+
+def test_real_one_by_one():
+    t, residual, orth = _real_schur_errors(np.array([[mpmath.mpf(-3.5)]], dtype=object))
+    assert t[0, 0] == -3.5
+    assert residual == orth == 0
+
+
+def test_real_zero_matrix():
+    t, residual, orth = _real_schur_errors(np.zeros((4, 4), dtype=object))
+    assert all(x == 0 for x in t.ravel())
+    assert residual == orth == 0
+
+
+@pytest.mark.parametrize("block, triangular", [
+    ([[1, 2], [3, 4]], True),     # eigenvalues (5 +- sqrt 33) / 2
+    ([[4, 0], [3, 1]], True),     # b = 0: a swap
+    ([[2, 5], [5, 2]], True),     # equal diagonal, b c > 0
+    ([[1, -2], [3, 4]], False),   # 5/2 +- i sqrt 15 / 2
+    ([[0, 1], [-1, 0]], False),   # already standard
+])
+def test_two_by_two_blocks_are_standardized(block, triangular):
+    a = np.array(block, dtype=object)
+    t, residual, orth = _real_schur_errors(a)
+    assert residual < 1e-30 and orth < 1e-30
+    assert _is_standard_real_form(t)
+    assert (t[1, 0] == 0) == triangular
+    with working_precision(EXTENDED):
+        values, _ = eigensolver._real_schur_eigenvalues(t)
+        exact = np.roots([1, -(block[0][0] + block[1][1]),
+                          block[0][0] * block[1][1] - block[0][1] * block[1][0]])
+    assert _matched_gap(a, values, exact) < 1e-15
+
+
+def test_real_kernel_rejects_complex_input():
+    with pytest.raises(ValueError, match="real matrix"):
+        kernel.real_schur(np.array([[1, 1j], [0, 1]], dtype=object), BITS)
+
+
+def test_real_non_convergence_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(kernel, "SWEEPS_PER_DIGIT", 0)
+    a = np.random.default_rng(5).standard_normal((6, 6))
+    with pytest.raises(ConvergenceError, match="failed to converge"):
+        eigenvalues(np.asarray(a, dtype=object), precision=EXTENDED)
+
+
+def _rounded(m, g):
+    return (m + (1 << (g - 1))) >> g
+
+
+def _reference_transform(h, z, q, p, g):
+    """h <- Q h Q^T and z <- z Q^T on rows/columns p.., one element at a
+    time from the entries as they were before, each rounded once."""
+    k, n = len(q), h.shape[0]
+    half = 1 << (g - 1)
+    rows = h.copy()
+    for r in range(k):
+        for c in range(n):
+            rows[p + r, c] = (sum(q[r, j] * h[p + j, c] for j in range(k)) + half) >> g
+    out = rows.copy()
+    for i in range(n):
+        for r in range(k):
+            out[i, p + r] = (sum(rows[i, p + j] * q[r, j] for j in range(k)) + half) >> g
+    zout = z.copy()
+    for i in range(n):
+        for r in range(k):
+            zout[i, p + r] = (sum(z[i, p + j] * q[r, j] for j in range(k)) + half) >> g
+    return out, zout
+
+
+@pytest.mark.parametrize("n, p", [(3, 0), (6, 2), (6, 3)])
+def test_reflector_application_matches_an_elementwise_loop(n, p):
+    rng = np.random.default_rng(n + p)
+    h, z = _random_planes(rng, n)  # two planes of random ints
+    x = [int(v) << 150 for v in rng.integers(-1000, 1000, 3)]
+    q, beta = kernel._reflector(x, G)
+    # P x = beta e_1 and P^2 = I, to a few units of 2^-g
+    px = _rounded(q @ np.array(x, dtype=object), G)
+    assert abs(px[0] - beta) <= 4 + (abs(beta) >> (G - 4))
+    assert all(abs(v) <= 4 + (abs(beta) >> (G - 4)) for v in px[1:])
+    identity = np.eye(3, dtype=object) * (1 << G)
+    assert all(abs(v) <= 8 for v in (_rounded(q @ q, G) - identity).ravel())
+    expected_h, expected_z = _reference_transform(h, z, q, p, G)
+    kernel._transform(h, z, q, p, 0, n, G)
+    assert np.array_equal(h, expected_h)
+    assert np.array_equal(z, expected_z)
+

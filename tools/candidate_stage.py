@@ -29,10 +29,25 @@ the memory numpy allocates during one more ``eigenvectors`` call
 runs in ``--runs`` fresh interpreters per checkout (N=4095 in one), the
 checkouts alternating, and every figure is the median over them; the
 first calls of all runs are listed too, as they scatter the most.  The
-JSON also records the OpenBLAS build and thread counts, the numpy, scipy
-and mpmath versions and the CPU count.  Checkouts whose ``eigenvectors``
-yields (index, vector) pairs, rather than returning one batch, are timed
-the same way.
+JSON also records the build and thread count of the OpenBLAS behind
+scipy's LAPACK and of numpy's own, the numpy, scipy and mpmath versions
+and the CPU count.  Checkouts whose ``eigenvectors`` yields (index,
+vector) pairs, rather than returning one batch, are timed the same way.
+
+With ``--schur-structure`` it times the Schur decompositions of the
+checkout it runs from instead, each in a fresh interpreter:
+
+    python3 tools/candidate_stage.py --schur-structure \\
+        --out BENCH_schur_structure.json
+
+- ``kernels``: both extended kernels of ``_fixed_schur``, ``real_schur``
+  and ``complex_schur``, on the real PT form K of scarf2 A=30 L=10 at
+  n = 20, 40 and 80 (N = n + 1): seconds (the median of ``--runs``), QR
+  sweeps, and the backward errors ||K Z - Z T||_F /
+  ||K||_F and ||Z^H Z - I||_F of T and Z as returned, at 113 bits;
+- ``box``: ``eigensolver.eigenvalues`` on the box K (scarf2 A=0, L=10) at
+  N = 1023 and 2047, split into its parity blocks as it is, and unsplit
+  (one block), with the blocks and the LAPACK threads of the largest.
 """
 
 from __future__ import annotations
@@ -133,36 +148,125 @@ def measure(family: str, strength: float, half_width: float, n: int,
     }
 
 
-def run_case(src: Path, case: tuple, repeats: int) -> dict:
-    """``measure`` in a fresh interpreter with ``src`` on its path."""
+def measure_kernel(kernel: str, n: int, runs: int) -> dict:
+    """One extended kernel on scarf2 K of order n, in this interpreter."""
+    import mpmath
+    import numpy as np
+    from ptspec import _fixed_schur
+    from ptspec.chebdiff import build_grid
+    from ptspec.hamiltonian import assemble
+    from ptspec.potentials import PotentialSpec
+    from ptspec.precision import EXTENDED, working_precision
+
+    with working_precision(EXTENDED):
+        grid = build_grid(10.0, n + 1, precision=EXTENDED)
+        a = assemble(grid, PotentialSpec("scarf2", 30.0)).matrix
+    schur = getattr(_fixed_schur, f"{kernel}_schur")
+    seconds = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        t, z, sweeps = schur(a, EXTENDED.bits)
+        seconds.append(time.perf_counter() - t0)
+    with working_precision(EXTENDED):
+        def fro(m):
+            return float(mpmath.sqrt(sum(abs(x) ** 2 for x in m.ravel())))
+
+        zh = np.vectorize(mpmath.conj, otypes=[object])(z).T
+        residual = fro(a @ z - z @ t) / fro(a)
+        orthogonality = fro(zh @ z - np.eye(n, dtype=object))
+    return {"seconds": statistics.median(seconds), "seconds_runs": seconds,
+            "sweeps": sweeps, "residual": residual,
+            "orthogonality": orthogonality}
+
+
+def measure_box(n: int, split: bool) -> dict:
+    """The box K's Schur decomposition at N=n, in this interpreter."""
+    from ptspec import eigensolver
+    from ptspec.chebdiff import build_grid
+    from ptspec.hamiltonian import assemble
+    from ptspec.potentials import PotentialSpec
+
+    op = assemble(build_grid(10.0, n), PotentialSpec("scarf2", 0.0))
+    blocks = eigensolver._diagonal_blocks(op.matrix)
+    if not split:
+        blocks = [(0, op.dim)]
+        eigensolver._diagonal_blocks = lambda a: [(0, len(a))]
+    t0 = time.perf_counter()
+    solution = eigensolver.eigenvalues(op.matrix)
+    return {"seconds": time.perf_counter() - t0, "blocks": blocks,
+            "schur_threads": solution.lapack_threads[0]}
+
+
+def run_case(src: Path, call: list) -> dict:
+    """``call`` = [function name, *args] in a fresh interpreter with
+    ``src`` on its path."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
-        [sys.executable, __file__, "--child", json.dumps([*case, repeats])],
+        [sys.executable, __file__, "--child", json.dumps(call)],
         env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def _openblas(path: str) -> tuple:
+    """(build, threads) of the OpenBLAS that the library at ``path`` exports."""
+    lib = ctypes.CDLL(path)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("", "64_"):
+            config = getattr(lib, f"{prefix}_get_config{suffix}", None)
+            threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if config is not None and threads is not None:
+                config.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
+                return config().decode(), threads()
+    return None, None
 
 
 def environment() -> dict:
     import mpmath
     import numpy as np
     import scipy
+    from numpy._core import _multiarray_umath
     from scipy.linalg import _flapack
 
-    lib = ctypes.CDLL(_flapack.__file__)
     info = {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "mpmath": mpmath.__version__,
-            "cpu_count": os.cpu_count(), "openblas": None,
-            "openblas_threads": None}
-    for prefix in ("scipy_openblas", "openblas"):
-        config = getattr(lib, f"{prefix}_get_config", None)
-        threads = getattr(lib, f"{prefix}_get_num_threads", None)
-        if config is not None and threads is not None:
-            config.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
-            info["openblas"] = config().decode()
-            info["openblas_threads"] = threads()
-            break
+            "cpu_count": os.cpu_count()}
+    info["openblas"], info["openblas_threads"] = _openblas(_flapack.__file__)
+    info["numpy_openblas"], info["numpy_openblas_threads"] = _openblas(
+        _multiarray_umath.__file__)
     info["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS")
     return info
+
+
+def schur_structure(runs: int) -> dict:
+    """The record of ``--schur-structure``, from this checkout's ``src/``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    kernels = []
+    for n in (20, 40, 80):
+        row = {"n": n}
+        for kernel in ("real", "complex"):
+            row[kernel] = run_case(src, ["measure_kernel", kernel, n, runs])
+            print(f"scarf2 K n={n} {kernel}_schur: {row[kernel]['seconds']:.3f} s, "
+                  f"{row[kernel]['sweeps']} sweeps, residual "
+                  f"{row[kernel]['residual']:.1e}", flush=True)
+        kernels.append(row)
+    box = []
+    for n in (1023, 2047):
+        runs_of = {True: [], False: []}
+        for run in range(runs):
+            for split in ((True, False) if run % 2 == 0 else (False, True)):
+                runs_of[split].append(run_case(src, ["measure_box", n, split]))
+        row = {"n_intervals": n}
+        for split, results in runs_of.items():
+            key = "split" if split else "unsplit"
+            row[key] = {**results[0],
+                        "seconds": statistics.median(r["seconds"] for r in results),
+                        "seconds_runs": [r["seconds"] for r in results]}
+            print(f"box N={n} {key}: {row[key]['seconds']:.3f} s on "
+                  f"{row[key]['schur_threads']} thread(s), blocks "
+                  f"{row[key]['blocks']}", flush=True)
+        box.append(row)
+    return {"runs": runs, "environment": environment(), "kernels": kernels,
+            "box": box}
 
 
 def main() -> int:
@@ -173,12 +277,16 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=3,
                         help="fresh interpreters per case and checkout")
     parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--schur-structure", action="store_true",
+                        help="time the Schur decompositions instead")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        *case, repeats = json.loads(args.child)
-        print(json.dumps(measure(*case, repeats)))
+        name, *call = json.loads(args.child)
+        print(json.dumps(globals()[name](*call)))
         return 0
+    if args.schur_structure:
+        return write(schur_structure(args.runs), args.out)
     trees = [spec.split("=", 1) for spec in args.tree] or [["this", "."]]
     cases = []
     for number, case in enumerate(CASES):
@@ -189,8 +297,8 @@ def main() -> int:
         for run in range(1 if n >= 4095 else args.runs):
             order = trees if (number + run) % 2 == 0 else trees[::-1]
             for label, path in order:
-                runs[label].append(run_case(Path(path).resolve() / "src", case,
-                                            args.repeats))
+                runs[label].append(run_case(Path(path).resolve() / "src",
+                                            ["measure", *case, args.repeats]))
         for label, results in runs.items():
             stage = {key: statistics.median(r[key] for r in results)
                      if isinstance(value, float) else value
@@ -206,14 +314,17 @@ def main() -> int:
                   f"candidates, alloc {stage['vector_alloc_peak_mb']:.1f} MB, "
                   f"rss {stage['peak_rss_mb']:.0f} MB", flush=True)
         cases.append(row)
-    record = {"repeats": args.repeats, "runs": args.runs,
-              "trees": [label for label, _ in trees],
-              "environment": environment(), "cases": cases}
+    return write({"repeats": args.repeats, "runs": args.runs,
+                  "trees": [label for label, _ in trees],
+                  "environment": environment(), "cases": cases}, args.out)
+
+
+def write(record: dict, out) -> int:
     text = json.dumps(record, indent=1)
-    if args.out is None:
+    if out is None:
         print(text)
     else:
-        args.out.write_text(text + "\n")
+        out.write_text(text + "\n")
     return 0
 
 
