@@ -1,22 +1,18 @@
-"""Dense nonsymmetric eigensolver, generic over working precision.
+"""Dense nonsymmetric eigensolver for real matrices, generic over working precision.
 
-Every matrix gets one Schur decomposition, kept on the solution; the
-eigenvalues come from its (quasi-)triangular factor.  A real matrix -- the
-PT form K that ``hamiltonian.assemble`` builds -- gets the real Schur form
-A = Z T Z^T: from LAPACK (``dgees`` via scipy) in double precision, and
-from ``_fixed_schur.real_schur`` in extended precision, the Francis
+The solver takes real matrices only: the PT form K that
+``hamiltonian.assemble`` builds is real for every built-in potential.
+Every matrix gets one real Schur decomposition A = Z T Z^T, kept on the
+solution: from LAPACK (``dgees`` via scipy) in double precision, and from
+``_fixed_schur.real_schur`` in extended precision, the Francis
 double-shift QR of LAPACK ``dlahqr`` on fixed-point integers with
-``GUARD_BITS`` bits beyond the mode's ``bits``.  In both, each complex
-conjugate pair is read off its standardized 2 x 2 block as
-a +- i sqrt|b| sqrt|c|, so pairs are bitwise conjugate, partners of each
-other by construction, and real eigenvalues have an imaginary part of
-exactly 0.  A complex matrix gets the complex Schur form A = Z T Z^H
-(``zgees``, or ``_fixed_schur.complex_schur`` in extended precision), and
-each eigenvalue's conjugate partner is the mutually nearest conjugate
-within the solver's residual bound, the precision's ``residual_tol`` times
-||A||_F.  Extended T and Z come back as object arrays of ``mpf`` (real
-form) or ``mpc`` (complex form), and the extended kernels' normwise
-backward error is below that of floats of ``bits`` bits.
+``GUARD_BITS`` bits beyond the mode's ``bits``.  Each complex conjugate
+pair is read off its standardized 2 x 2 block of the quasi-triangular T
+as a +- i sqrt|b| sqrt|c|, so pairs are bitwise conjugate, partners of
+each other by construction, and real eigenvalues have an imaginary part of
+exactly 0.  Extended T and Z come back as object arrays of ``mpf``, and
+the extended kernel's normwise backward error is below that of floats of
+``bits`` bits.
 
 A block-diagonal matrix -- no nonzero entry couples the rows and columns
 before some index with those from it on -- gets one Schur decomposition
@@ -30,7 +26,7 @@ a blocked back substitution on T for the selected columns only (the
 algorithm of LAPACK ``dtrevc3``, in real arithmetic on a double real
 form, where a 2 x 2 block is one small complex system per column), then
 V = Z Y, so one decomposition serves both values and vectors.  One
-routine serves the real, the complex and the extended forms.
+routine serves both precisions.
 
 A double-precision Schur decomposition of a block of order below
 ``_SERIAL_BELOW`` runs on one thread of the OpenBLAS behind scipy's
@@ -53,7 +49,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from ._fixed_schur import ConvergenceError, complex_schur, real_schur
+from ._fixed_schur import ConvergenceError, real_schur
 from .precision import DOUBLE, ScalarPrecision, to_complex128, working_precision
 
 # rows per diagonal block of the triangular back substitution, and
@@ -69,29 +65,25 @@ _SERIAL_BELOW = 512
 class EigenSolution:
     """All eigenvalues of one matrix plus its Schur factors.
 
-    ``schur`` holds (T, Z) with A = Z T Z^H: the real Schur form (T
-    quasi-triangular) of a real matrix, float64 in double precision and
-    object arrays of ``mpf`` in extended precision, or the complex Schur
-    form of a complex one, complex128 or object arrays of ``mpc``.  A
-    block-diagonal matrix has block-diagonal factors.
-    ``eigenvalues[k]`` is T[k, k], or one of the conjugate pair of the
-    2 x 2 block at rows k..k+1 of a real form, the one with positive
+    ``schur`` holds (T, Z) with A = Z T Z^T, the real Schur form (T
+    quasi-triangular): float64 in double precision and object arrays of
+    ``mpf`` in extended precision.  A block-diagonal matrix has
+    block-diagonal factors.  ``eigenvalues[k]`` is T[k, k], or one of the
+    conjugate pair of the 2 x 2 block at rows k..k+1, the one with positive
     imaginary part first.  ``partners[k]`` is the position of the
-    conjugate partner of ``eigenvalues[k]``, or -1 when it has none.
-    ``matrix_fro_norm`` is ||A||_F and ``residual_bound`` its multiple
-    ``precision.residual_tol``, the largest gap at which two eigenvalues of
-    a complex form are paired as conjugates; eigenvector residuals are
-    judged by the caller.  ``iteration_stats`` is (QR sweeps,) of the
-    extended kernels, summed over the diagonal blocks, and empty in double
-    mode, where LAPACK does not report its sweeps.  ``lapack_threads`` is
-    (threads the Schur decomposition of the largest block ran on, threads
-    the process had) of scipy's OpenBLAS, each None where unknown; the
-    first is None in extended mode, which makes no LAPACK call.
+    conjugate partner of ``eigenvalues[k]``, the other row of its block,
+    or -1 for a real eigenvalue.  ``matrix_fro_norm`` is ||A||_F;
+    eigenvector residuals are judged by the caller.  ``iteration_stats``
+    is (QR sweeps,) of the extended kernel, summed over the diagonal
+    blocks, and empty in double mode, where LAPACK does not report its
+    sweeps.  ``lapack_threads`` is (threads the Schur decomposition of the
+    largest block ran on, threads the process had) of scipy's OpenBLAS,
+    each None where unknown; the first is None in extended mode, which
+    makes no LAPACK call.
     """
 
     eigenvalues: np.ndarray
     partners: np.ndarray
-    residual_bound: float
     matrix_fro_norm: float
     iteration_stats: Tuple[int, ...]
     precision: ScalarPrecision
@@ -141,50 +133,49 @@ class EigenSolution:
 
 
 def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> EigenSolution:
-    """Full spectrum of a dense real or complex matrix at the requested precision.
+    """Full spectrum of a dense real matrix at the requested precision.
 
-    One Schur decomposition -- real for a real matrix, complex otherwise --
-    kept on the solution for later eigenvector requests.  A block-diagonal
-    matrix gets one per diagonal block (``_diagonal_blocks``), written into
-    one n x n T and Z.  Raises ConvergenceError when the QR iteration
-    behind it fails to converge.
+    The matrix has a real dtype, or in extended mode is an object array of
+    real numbers (``mpf``, or ``mpc`` with imaginary part 0); any other
+    raises ValueError before a Schur decomposition starts.  One real Schur
+    decomposition is kept on the solution for later eigenvector requests.
+    A block-diagonal matrix gets one per diagonal block
+    (``_diagonal_blocks``), written into one n x n T and Z.  Raises
+    ConvergenceError when the QR iteration behind it fails to converge.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("eigenvalues expects a square matrix")
-    fro = float(np.linalg.norm(to_complex128(a) if a.dtype == object else a))
-    bound = precision.residual_tol * fro
-    real = _is_real(a)
+    if a.dtype.kind not in ("biufO" if precision.is_extended else "biuf"):
+        raise ValueError(f"eigenvalues expects a real matrix, not {a.dtype}")
+    if a.dtype == object:
+        # rounded to double for the norm; an imaginary part too small to
+        # survive the rounding is left to real_schur's own check
+        rounded = to_complex128(a)
+        if rounded.imag.any():
+            raise ValueError("eigenvalues expects a real matrix")
+        fro = float(np.linalg.norm(rounded))
+    else:
+        fro = float(np.linalg.norm(a))
     blocks = _diagonal_blocks(a)
     if len(blocks) == 1:  # T and Z as the solver returns them, no copy
-        t, z, sweeps, threads = _block_schur(a, real, precision)
+        t, z, sweeps, threads = _block_schur(a, precision)
     else:
-        t, z = _zeros(n, real, precision), _zeros(n, real, precision)
+        t, z = _zeros(n, precision), _zeros(n, precision)
         sweeps = largest = 0
         for lo, hi in blocks:
-            tb, zb, s, th = _block_schur(a[lo:hi, lo:hi], real, precision)
+            tb, zb, s, th = _block_schur(a[lo:hi, lo:hi], precision)
             t[lo:hi, lo:hi], z[lo:hi, lo:hi] = tb, zb
             del tb, zb
             sweeps += s
             if hi - lo > largest:
                 largest, threads = hi - lo, th
     with working_precision(precision):
-        if real:
-            values, partners = _real_schur_eigenvalues(t)
-        else:
-            values = t.diagonal().copy()
-            partners = _conjugate_partners(values, bound)
+        values, partners = _real_schur_eigenvalues(t)
     stats = (sweeps,) if precision.is_extended else ()
-    return EigenSolution(values, partners, bound, fro, stats, precision,
+    return EigenSolution(values, partners, fro, stats, precision,
                          schur=(t, z), lapack_threads=threads)
-
-
-def _is_real(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` has imaginary part 0."""
-    if a.dtype == object:
-        return not any(mpmath.mpmathify(x).imag for x in a.ravel().tolist())
-    return a.dtype.kind in "biuf"
 
 
 def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
@@ -210,36 +201,30 @@ def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip([0, *ends[:-1].tolist()], ends.tolist()))
 
 
-def _block_schur(a: np.ndarray, real: bool, precision: ScalarPrecision):
+def _block_schur(a: np.ndarray, precision: ScalarPrecision):
     """(T, Z, QR sweeps, ``lapack_threads``) of one diagonal block.
 
-    Real or complex Schur form as ``real`` says: LAPACK in double
-    precision (on one thread below order ``_SERIAL_BELOW``), the
-    fixed-point kernels of ``_fixed_schur`` in extended precision.  Double
-    mode reports 0 sweeps.
+    The real Schur form: LAPACK in double precision (on one thread below
+    order ``_SERIAL_BELOW``), the fixed-point kernel of ``_fixed_schur``
+    in extended precision.  Double mode reports 0 sweeps.
     """
     if precision.is_extended:
-        kernel = real_schur if real else complex_schur
-        t, z, sweeps = kernel(a, precision.bits)
+        t, z, sweeps = real_schur(a, precision.bits)
         return t, z, sweeps, (None, _process_threads())
-    if a.dtype == object:
-        a = to_complex128(a)
     try:
         with _lapack_threads(a.shape[0]) as threads:
-            t, z = scipy.linalg.schur(
-                np.asarray(a.real, dtype=np.float64) if real else to_complex128(a),
-                output="real" if real else "complex")
+            t, z = scipy.linalg.schur(np.asarray(a, dtype=np.float64),
+                                      output="real")
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
     return t, z, 0, threads
 
 
-def _zeros(n: int, real: bool, precision: ScalarPrecision) -> np.ndarray:
-    """An n x n array of zeros in the carrier of a real or complex Schur form."""
+def _zeros(n: int, precision: ScalarPrecision) -> np.ndarray:
+    """An n x n array of zeros in the carrier of the real Schur form."""
     if precision.is_extended:
-        zero = mpmath.mpf(0) if real else mpmath.mpc(0)
-        return np.full((n, n), zero, dtype=object)
-    return np.zeros((n, n), dtype=np.float64 if real else np.complex128)
+        return np.full((n, n), mpmath.mpf(0), dtype=object)
+    return np.zeros((n, n))
 
 
 def _thread_controls(lib) -> Optional[Tuple]:
@@ -325,23 +310,6 @@ _mp_complex = np.frompyfunc(mpmath.mpc, 2, 1)
 _mp_imag = np.frompyfunc(mpmath.im, 1, 1)
 
 
-def _conjugate_partners(values: np.ndarray, tol: float) -> np.ndarray:
-    """Conjugate partners of the diagonal of a complex Schur form.
-
-    j is the partner of i when each is the other's nearest conjugate,
-    |lambda_i - conj(lambda_j)| minimal over j and over i, and that gap is
-    at most ``tol``; -1 otherwise.  A real eigenvalue, or one whose
-    imaginary part is rounding noise, is its own nearest conjugate and has
-    no partner.  Object arrays need the mpmath working precision set.
-    """
-    gap = np.abs(values[:, None] - np.conj(values)[None, :]).astype(np.float64)
-    nearest = np.argmin(gap, axis=1)
-    own = np.arange(len(values))
-    mutual = ((nearest != own) & (nearest[nearest] == own)
-              & (gap[own, nearest] <= tol))
-    return np.where(mutual, nearest, -1)
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b.
 
@@ -358,19 +326,18 @@ def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
                         eps: float) -> np.ndarray:
     """Eigenvectors of the Schur factor T for the ascending positions ``ks``.
 
-    T is upper triangular -- a complex Schur form, complex128 or object of
-    ``mpc`` -- or real quasi-triangular, float64 or object of ``mpf``, with
-    standardized 2 x 2 blocks [[a, b], [c, a]], read off its nonzero
-    subdiagonal entries (a triangular T has none).  Column c solves
+    T is a real Schur form, float64 or object of ``mpf``: quasi-triangular
+    with standardized 2 x 2 blocks [[a, b], [c, a]], read off its nonzero
+    subdiagonal entries.  Column c solves
     (T - lam[c] I) y = 0 for the eigenvalue lam[c] at position ks[c].  Its
     own diagonal block is seeded with the block's exact eigenvector, 1 on a
     1 x 1 block and [b, i Im lam] on a 2 x 2 one, and the rows below that
     block are 0.  Only rows up to the last column's own block are
     returned, complex128 for a double T and object for an object one.
 
-    The algorithm is that of LAPACK ``dtrevc3`` (``ztrevc3`` on a
-    triangular T), in real arithmetic on a float64 T; an object T
-    multiplies its ``mpf`` entries into the ``mpc`` columns directly.
+    The algorithm is that of LAPACK ``dtrevc3``, in real arithmetic on a
+    float64 T; an object T multiplies its ``mpf`` entries into the ``mpc``
+    columns directly.
     Rows are solved bottom-up in panels of ``_BACKSUB_BLOCK`` rows anchored
     at its multiples from row 0, so the panels do not depend on which other
     columns share the batch; the matrix products' shapes still do, and

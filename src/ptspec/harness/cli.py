@@ -144,7 +144,7 @@ def _cmd_reproduce(args) -> int:
     if args.full_scale:
         config = full_scale_config()
         print("# full-scale configuration (opt-in; the extended matrix alone "
-              "needs ~68 GB, and its Schur form about 1.2 years of compute):")
+              "needs ~68 GB, and its Schur form at least 1.2 years of compute):")
         print(serialize_config(config))
         artifact = run_experiment(config)
         persist(artifact, out_dir=args.out or Path("runs"))

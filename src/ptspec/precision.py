@@ -1,23 +1,22 @@
 """Scalar precision modes for the eigensolver pipeline.
 
-Two working precisions are supported: native double (float64 and
-complex128 arrays) and a software binary128-class mode backed by mpmath
-(arrays of ``mpf``/``mpc`` objects with dtype=object).  The extended mode
-exists because the slowly decaying regulated-Coulomb runs at very large
-half-widths need imaginary parts resolved far below the double-precision
-noise floor.  Its grid, matrix and eigenvector back substitution are
-computed in mpmath under ``working_precision``; its Schur decomposition
-runs on fixed-point integers with guard bits beyond ``bits``
-(``_fixed_schur``) and returns the real Schur form of a real matrix as
-``mpf`` and the complex form of a complex one as ``mpc``, rounded to
-``bits``.
+Two working precisions are supported: native double (float64 matrices,
+complex128 eigenvalues and vectors) and a software binary128-class mode
+backed by mpmath (object arrays: ``mpf`` matrices, ``mpc`` eigenvalues and
+vectors).  The extended mode exists because the slowly decaying
+regulated-Coulomb runs at very large half-widths need imaginary parts
+resolved far below the double-precision noise floor.  Its grid, matrix
+and eigenvector back substitution are computed in mpmath under
+``working_precision``; its real Schur decomposition runs on fixed-point
+integers with guard bits beyond ``bits`` (``_fixed_schur``) and returns
+``mpf`` rounded to ``bits``.
 
 ``ScalarPrecision`` is the one place that says what a mode means: its
 ``bits``, the ``machine_epsilon`` 2^(1 - bits) that sets the back
 substitution's floor on divisors and the transition search's floor on
-|Im E|, and the ``residual_tol`` that an eigenvector must meet.  Carrier
-conversions are numpy casts: ``to_complex128`` rounds ``mpc``/``mpf``
-entries to the nearest double.
+|Im E|, and the ``residual_tol`` that an eigenvector must meet.
+``as_working`` puts a real array in a mode's matrix carrier, and
+``to_complex128`` rounds ``mpc``/``mpf`` entries to the nearest double.
 """
 
 from __future__ import annotations
@@ -76,19 +75,20 @@ def working_precision(precision: ScalarPrecision):
     return contextlib.nullcontext()
 
 
-# elementwise mpmath.mpc over an array, giving an object array
-_to_mpc = np.frompyfunc(mpmath.mpc, 1, 1)
+# elementwise mpmath.mpf over an array, giving an object array
+_to_mpf = np.frompyfunc(mpmath.mpf, 1, 1)
 
 
 def as_working(a: np.ndarray, precision: ScalarPrecision) -> np.ndarray:
-    """Convert an array to the carrier type of the given precision."""
+    """A real array in the matrix carrier of the given precision: float64,
+    or an object array of ``mpf`` (object input is returned as is)."""
     a = np.asarray(a)
     if not precision.is_extended:
-        return a.astype(np.complex128)
+        return a.astype(np.float64)
     if a.dtype == object:
         return a
     with mpmath.workprec(precision.bits):
-        return _to_mpc(a)
+        return _to_mpf(a)
 
 
 def to_complex128(a: np.ndarray) -> np.ndarray:

@@ -18,11 +18,10 @@ ratios and the strict bound test are array operations over all
 candidates at once; only a candidate that fails the strict test with a
 tail below the relaxed cut gets the per-vector exponential fit.  A vector
 whose residual misses the solver's tolerance leaves its pair
-``unresolved``, as does a candidate without a partner (possible only for
-a complex matrix, whose pairs are matched within the residual bound);
-the residual is measured on K and equals that on H, as the map is
-unitary.  K is real, so in either precision a conjugate pair is exactly
-conjugate and a PT-unbroken level exactly real.
+``unresolved``; the residual is measured on K and equals that on H, as
+the map is unitary.  K is real, so in either precision every eigenvalue
+with Im != 0 has its partner by construction, a conjugate pair is
+exactly conjugate and a PT-unbroken level exactly real.
 ``classify`` also locates the complex-to-real transition of the continuum
 once, from the solution's precision and ||A||_F, and stores both its
 location and its drop on the result, so the result is complete.
@@ -216,8 +215,7 @@ def classify(
     position = {i: k for k, i in enumerate(order)}
     x = to_complex128(op.grid.interior_nodes).real
 
-    upper = [i for i in order
-             if raw[i].imag > policy.vector_threshold and partners[i] >= 0]
+    upper = [i for i in order if raw[i].imag > policy.vector_threshold]
     ks, vectors, residuals = solution.eigenvectors(op.matrix, upper)
     resolved = residuals <= solution.precision.residual_tol
     absv = np.abs(op.grid_vector(to_complex128(vectors)))
@@ -241,7 +239,7 @@ def classify(
         if abs(raw[i].imag) <= policy.vector_threshold:
             label, tail_ratio, residual = CONTINUUM_REAL, None, None
         else:
-            label, tail_ratio, residual = labels.get(i, (UNRESOLVED, None, None))
+            label, tail_ratio, residual = labels[i]
         pair = (position[partners[i]]
                 if label in (BOUND, CONTINUUM_COMPLEX) else None)
         records.append(EigenRecord(value=raw[i], label=label,

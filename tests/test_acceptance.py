@@ -8,7 +8,8 @@ session-scoped cache shares the expensive spectra between criteria.
 Expect about a minute in total: the slowest single job is the long-range
 potential at L = 100 with N = 4095 (criterion 5, about 30 s on two cores,
 most of it the real Schur decomposition of the PT form), and the
-extended-precision residual check (criterion 9b) takes about 3 s.
+extended-precision residual check (criterion 9b, the real Schur form of a
+random real 50 x 50 matrix) takes about 1.5 s.
 """
 
 import importlib

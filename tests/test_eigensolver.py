@@ -12,15 +12,12 @@ from ptspec.harness.runner import run_single
 from ptspec.precision import DOUBLE, EXTENDED, as_working, to_complex128, working_precision
 
 
-def _random_complex(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
 def _companion(coeffs):
-    """Companion matrix of the monic polynomial with the given roots."""
+    """Companion matrix of the monic polynomial with the given roots, all
+    real or in conjugate pairs."""
     poly = np.poly(coeffs)
     n = len(coeffs)
-    c = np.zeros((n, n), dtype=complex)
+    c = np.zeros((n, n))
     c[1:, :-1] = np.eye(n - 1)
     c[:, -1] = -poly[1:][::-1]
     return c
@@ -35,7 +32,7 @@ def test_companion_matrix_roots():
 def test_trace_identity():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        a = _random_complex(rng, 30)
+        a = rng.standard_normal((30, 30))
         sol = eigenvalues(a)
         gap = abs(np.sum(sol.eigenvalues) - np.trace(a))
         assert gap < 1e-10 * np.linalg.norm(a) * 30
@@ -43,7 +40,7 @@ def test_trace_identity():
 
 def test_transpose_has_same_spectrum():
     rng = np.random.default_rng(4)
-    a = _random_complex(rng, 25)
+    a = rng.standard_normal((25, 25))
     ev = np.sort_complex(np.asarray(eigenvalues(a).eigenvalues))
     ev_t = np.sort_complex(np.asarray(eigenvalues(a.T).eigenvalues))
     assert np.max(np.abs(ev - ev_t)) < 1e-10 * np.linalg.norm(a)
@@ -56,7 +53,7 @@ def _vectors(solution, matrix, indices):
 
 def test_bitwise_determinism():
     rng = np.random.default_rng(5)
-    a = _random_complex(rng, 40)
+    a = rng.standard_normal((40, 40))
     first = eigenvalues(a)
     second = eigenvalues(a)
     assert np.array_equal(np.asarray(first.eigenvalues),
@@ -68,7 +65,7 @@ def test_bitwise_determinism():
 
 def test_schur_vectors_residual_and_normalization():
     rng = np.random.default_rng(6)
-    a = _random_complex(rng, 30)
+    a = rng.standard_normal((30, 30))
     fro = np.linalg.norm(a)
     sol = eigenvalues(a)
     vectors = _vectors(sol, a, range(30))
@@ -81,7 +78,7 @@ def test_schur_vectors_residual_and_normalization():
 def test_schur_vectors_match_scipy_eig():
     rng = np.random.default_rng(8)
     n = 150  # more rows than one back-substitution block
-    a = _random_complex(rng, n)
+    a = rng.standard_normal((n, n))
     sol = eigenvalues(a)
     values, columns = scipy.linalg.eig(a)
     for k, v in _vectors(sol, a, [n - 1, 0, 70, 71, 130]).items():
@@ -96,7 +93,7 @@ def test_schur_vectors_match_scipy_eig():
 def test_batch_residuals_are_the_measured_ones(precision, n):
     rng = np.random.default_rng(12)
     with working_precision(precision):
-        a = as_working(_random_complex(rng, n), precision)
+        a = as_working(rng.standard_normal((n, n)), precision)
         sol = eigenvalues(a, precision=precision)
         ks, vectors, residuals = sol.eigenvectors(a, range(n))
         measured = []
@@ -139,32 +136,41 @@ def test_real_matrix_takes_the_real_schur_form():
 
 @pytest.mark.parametrize("precision", [DOUBLE, EXTENDED], ids=lambda p: p.mode)
 def test_partners_match_exact_conjugates(precision):
-    # a complex matrix takes the complex Schur form, whose pairs are matched
-    sol = eigenvalues(np.diag([2 + 3j, 2 - 3j, 5 + 0j]), precision=precision)
+    # the pair 2 +- 3i is one 2 x 2 block of the real Schur form
+    a = scipy.linalg.block_diag([[2.0, 3.0], [-3.0, 2.0]], [[5.0]])
+    sol = eigenvalues(a, precision=precision)
     assert sol.partners.tolist() == [1, 0, -1]
+    assert np.allclose(to_complex128(sol.eigenvalues), [2 + 3j, 2 - 3j, 5],
+                       rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("precision", [DOUBLE, EXTENDED], ids=lambda p: p.mode)
-def test_partners_require_the_residual_bound(precision):
-    # each is the other's nearest conjugate, but 0.5 apart
-    sol = eigenvalues(np.diag([2 + 3j, 2.5 - 3j]), precision=precision)
-    assert sol.partners.tolist() == [-1, -1]
+def test_complex_input_is_refused_before_any_schur_call(monkeypatch, precision):
+    def fail(*args):
+        raise AssertionError("Schur decomposition of a complex matrix")
+
+    monkeypatch.setattr(eigensolver, "_block_schur", fail)
+    a = np.diag([2 + 3j, 2 - 3j, 5 + 0j])
+    with working_precision(EXTENDED):
+        mpc = np.frompyfunc(mpmath.mpc, 1, 1)(a)
+    for m in (a, mpc):
+        with pytest.raises(ValueError, match="real matrix"):
+            eigenvalues(m, precision=precision)
 
 
 def test_diagonal_matrix_exact():
-    d = np.diag(np.array([1.0 + 2j, -3.0, 0.5j]))
+    d = scipy.linalg.block_diag([[1.0, 2.0], [-2.0, 1.0]], [[-3.0]], [[0.5]])
     ev = np.sort_complex(np.asarray(eigenvalues(d).eigenvalues))
-    assert np.allclose(ev, np.sort_complex(np.array([1 + 2j, -3, 0.5j])),
+    assert np.allclose(ev, np.sort_complex(np.array([1 + 2j, 1 - 2j, -3, 0.5])),
                        atol=1e-14)
 
 
 def test_solution_metadata():
     rng = np.random.default_rng(9)
-    a = _random_complex(rng, 10)
+    a = rng.standard_normal((10, 10))
     sol = eigenvalues(a)
     assert sol.precision.mode == "double64"
     assert sol.matrix_fro_norm == np.linalg.norm(a)
-    assert sol.residual_bound == 1e-10 * sol.matrix_fro_norm
     assert len(sol.eigenvalues) == 10
 
 
@@ -189,7 +195,7 @@ def _solution_of_real_schur_form(t):
     values, partners = eigensolver._real_schur_eigenvalues(t)
     fro = float(np.linalg.norm(t))
     return eigensolver.EigenSolution(
-        values, partners, DOUBLE.residual_tol * fro, fro, (), DOUBLE,
+        values, partners, fro, (), DOUBLE,
         schur=(t, np.eye(len(t))), lapack_threads=(None, None))
 
 
@@ -208,14 +214,10 @@ def test_real_form_vectors_match_the_complex_form(seed):
     assert 2 * upper.size > 0.9 * n
     ks, vectors, residuals = sol.eigenvectors(a, upper)
     assert np.all(residuals <= DOUBLE.residual_tol)
-    ref = eigenvalues(a + 0j)
-    assert ref.schur[0].dtype == np.complex128
-    nearest = [int(np.argmin(np.abs(ref.eigenvalues - z)))
-               for z in sol.eigenvalues[ks]]
-    _, ref_vectors, _ = ref.eigenvectors(a, nearest)
-    ref_vectors = dict(zip(sorted(set(nearest)), ref_vectors.T))
-    for v, k in zip(vectors.T, nearest):
-        u = ref_vectors[k]
+    # the reference: LAPACK zgeev, on the complex Schur form of a + 0j
+    values, columns = scipy.linalg.eig(a + 0j)
+    for v, k in zip(vectors.T, ks):
+        u = columns[:, np.argmin(np.abs(values - sol.eigenvalues[k]))]
         phase = np.vdot(u, v) / np.vdot(u, u)
         assert np.max(np.abs(v - phase * u)) <= 1e-12
 
@@ -272,25 +274,23 @@ def test_identical_blocks_give_a_finite_vector():
 _BLOCKS = [(0, 5), (5, 8), (8, 12)]
 
 
-def _three_blocks(rng, real):
-    a = np.zeros((12, 12), dtype=np.float64 if real else np.complex128)
+def _three_blocks(rng):
+    a = np.zeros((12, 12))
     for lo, hi in _BLOCKS:
-        block = rng.standard_normal((hi - lo, hi - lo))
-        if not real:
-            block = block + 1j * rng.standard_normal(block.shape)
-        a[lo:hi, lo:hi] = block
+        a[lo:hi, lo:hi] = rng.standard_normal((hi - lo, hi - lo))
     return a
 
 
-@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED], ids=lambda p: p.mode)
-@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision, real):
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED],
+                         ids=lambda p: f"real-{p.mode}")
+def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision):
     rng = np.random.default_rng(22)
-    a = _three_blocks(rng, real)
+    a = _three_blocks(rng)
     n = len(a)
     assert eigensolver._diagonal_blocks(a) == _BLOCKS
     with working_precision(precision):
-        a = as_working(a, precision) if precision.is_extended else a
+        if precision.is_extended:  # as mpc with Im 0
+            a = np.frompyfunc(mpmath.mpc, 1, 1)(a)
         split = eigenvalues(a, precision=precision)
         ks, vectors, residuals = split.eigenvectors(a, range(n))
     assert np.all(residuals <= precision.residual_tol)
@@ -298,9 +298,8 @@ def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision, real)
     for lo, hi in _BLOCKS:
         outside[lo:hi, lo:hi] = False
     assert all(x == 0 for m in split.schur for x in m[outside])
-    # a real matrix, also as mpc with Im 0, takes the real form
     assert (split.schur[0].dtype == np.float64 if precision is DOUBLE
-            else isinstance(split.schur[0][0, 0], mpmath.mpf)) == real
+            else all(type(x) is mpmath.mpf for x in split.schur[0].ravel()))
     monkeypatch.setattr(eigensolver, "_diagonal_blocks", lambda a: [(0, len(a))])
     whole = eigenvalues(a, precision=precision)
     ev_split = to_complex128(split.eigenvalues)
@@ -312,7 +311,7 @@ def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision, real)
 
 def test_one_coupling_entry_makes_one_schur_call(monkeypatch):
     rng = np.random.default_rng(23)
-    a = _three_blocks(rng, True)
+    a = _three_blocks(rng)
     calls = []
     schur = scipy.linalg.schur
 
@@ -362,8 +361,6 @@ def test_small_schur_runs_on_one_thread_and_restores_the_count(monkeypatch):
     sol = eigenvalues(a)
     assert seen == [1] and get() == 2
     assert sol.lapack_threads == (1, 2)
-    eigenvalues(a + 0j)  # the complex form too
-    assert seen == [1, 1] and get() == 2
     # a large one keeps the process's count; the superdiagonal couples
     # every row to the next, so it is one block, not n of order 1
     n = eigensolver._SERIAL_BELOW

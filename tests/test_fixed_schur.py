@@ -1,4 +1,4 @@
-"""The extended-precision Schur kernel on fixed-point Gaussian integers."""
+"""The extended-precision real Schur kernel on fixed-point integers."""
 
 import mpmath
 import numpy as np
@@ -25,9 +25,8 @@ def _scarf2_k():
         return assemble(grid, PotentialSpec("scarf2", 30.0)).matrix
 
 
-def _random_complex(seed, n):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _random_real(seed, n):
+    a = np.random.default_rng(seed).standard_normal((n, n))
     with working_precision(EXTENDED):
         return as_working(a, EXTENDED)
 
@@ -36,21 +35,10 @@ def _fro(m):
     return mpmath.sqrt(sum(abs(x) ** 2 for x in np.asarray(m).ravel()))
 
 
-def _schur_errors(a):
-    """(T, ||A Z - Z T||_F / ||A||_F, ||Z^H Z - I||_F) at 113 bits."""
-    t, z, _ = kernel.complex_schur(a, BITS)
-    with working_precision(EXTENDED):
-        a = np.asarray(a, dtype=object)
-        fro = _fro(a)
-        residual = _fro(a @ z - z @ t) / (fro if fro else 1)
-        zh = np.vectorize(mpmath.conj, otypes=[object])(z).T
-        orth = _fro(zh @ z - np.eye(len(a), dtype=object))
-    return t, float(residual), float(orth)
-
-
-def _real_schur_errors(a):
-    """(T, ||A Z - Z T||_F / ||A||_F, ||Z^T Z - I||_F) of the real kernel."""
-    t, z, _ = kernel.real_schur(a, BITS)
+def _schur_errors(a, schur=None):
+    """(T, ||A Z - Z T||_F / ||A||_F, ||Z^T Z - I||_F) at 113 bits, of
+    the factors ``schur`` = (T, Z), or else of the kernel's."""
+    t, z = schur or kernel.real_schur(a, BITS)[:2]
     with working_precision(EXTENDED):
         a = np.asarray(a, dtype=object)
         fro = _fro(a)
@@ -70,10 +58,6 @@ def _is_standard_real_form(t):
                and t[j, j + 1] * t[j + 1, j] < 0 for j in sub)
 
 
-def _strictly_lower_is_zero(t):
-    return all(t[i, j] == 0 for i in range(len(t)) for j in range(i))
-
-
 def _matched_gap(a, values, reference):
     """Largest eigenvalue gap after minimum-cost matching, over ||A||_F."""
     with working_precision(EXTENDED):
@@ -82,38 +66,8 @@ def _matched_gap(a, values, reference):
         return cost[rows, cols].max() / float(_fro(a))
 
 
-def _reference_rows(h, p, c, s, g):
-    """Rows p, p + 1 of planes ``h`` times G = [[conj c, conj s], [-s, c]],
-    one element at a time from the entries as they were before."""
-    (cr, ci), (sr, si) = c, s
-    half = 1 << (g - 1)
-    out = h.copy()
-    for k in range(h.shape[2]):
-        xr, xi, yr, yi = h[0, p, k], h[1, p, k], h[0, p + 1, k], h[1, p + 1, k]
-        # conj(c) x + conj(s) y and c y - s x
-        out[0, p, k] = (cr * xr + ci * xi + sr * yr + si * yi + half) >> g
-        out[1, p, k] = (cr * xi - ci * xr + sr * yi - si * yr + half) >> g
-        out[0, p + 1, k] = (cr * yr - ci * yi - sr * xr + si * xi + half) >> g
-        out[1, p + 1, k] = (cr * yi + ci * yr - sr * xi - si * xr + half) >> g
-    return out
-
-
-def _reference_cols(h, p, c, s, g):
-    """Columns p, p + 1 of planes ``h`` times G^H, likewise."""
-    (cr, ci), (sr, si) = c, s
-    half = 1 << (g - 1)
-    out = h.copy()
-    for k in range(h.shape[1]):
-        xr, xi, yr, yi = h[0, k, p], h[1, k, p], h[0, k, p + 1], h[1, k, p + 1]
-        # c x + s y and conj(c) y - conj(s) x
-        out[0, k, p] = (cr * xr - ci * xi + sr * yr - si * yi + half) >> g
-        out[1, k, p] = (cr * xi + ci * xr + sr * yi + si * yr + half) >> g
-        out[0, k, p + 1] = (cr * yr + ci * yi - sr * xr - si * xi + half) >> g
-        out[1, k, p + 1] = (cr * yi - ci * yr - sr * xi + si * xr + half) >> g
-    return out
-
-
-def _random_planes(rng, n):
+def _random_ints(rng, n):
+    """Two n x n arrays of random ints of about 160 bits."""
     h = np.empty((2, n, n), dtype=object)
     h[...] = [[[int(v) << 150 for v in row] for row in plane]
               for plane in rng.integers(-1000, 1000, (2, n, n))]
@@ -125,50 +79,50 @@ def test_rotation_reads_both_rows_before_writing_either(n):
     # slices of object arrays are views: a rotation that wrote row p back
     # before reading it for row p + 1 would mix new and old entries
     rng = np.random.default_rng(n)
-    h, z = _random_planes(rng, n), _random_planes(rng, n)
-    c, s, _ = kernel._givens((3, -1), (2, 5), G)
+    h, z = _random_ints(rng, n)
+    c, s, _ = kernel._givens(3, -2, G)
+    q = kernel._rotation(c, s)
     p = n - 2
-    expected_h = _reference_cols(_reference_rows(h, p, c, s, G), p, c, s, G)
-    expected_z = _reference_cols(z, p, c, s, G)
-    kernel._rotate(h, z, c, s, p, 0, n, G)
+    expected_h, expected_z = _reference_transform(h, z, q, p, G)
+    kernel._transform(h, z, q, p, 0, n, G)
     assert np.array_equal(h, expected_h)
     assert np.array_equal(z, expected_z)
 
 
-@pytest.mark.parametrize("x, y", [((1, 0), (1, -1)), ((0, 3), (2, 0)),
-                                  ((1 << 300, 7), (-5, 1 << 299))])
-def test_givens_of_a_few_units_is_unitary(x, y):
+@pytest.mark.parametrize("x, y", [(1, -1), (0, 3), (1 << 300, -5)],
+                         ids=["units", "axis", "wide"])
+def test_givens_of_a_few_units_is_orthogonal(x, y):
     # isqrt of a sum of a few units is off by up to 1 / v; the inputs
-    # are shifted up to g + 8 bits first, so |c|^2 + |s|^2 = 1 to 2^-g
-    (cr, ci), (sr, si), v = kernel._givens(x, y, G)
-    assert abs(cr * cr + ci * ci + sr * sr + si * si - (1 << 2 * G)) < 1 << (G + 2)
+    # are shifted up to g + 8 bits first, so c^2 + s^2 = 1 to 2^-g
+    c, s, v = kernel._givens(x, y, G)
+    assert abs(c * c + s * s - (1 << 2 * G)) < 1 << (G + 2)
     # G (x, y)^T = (v, 0)^T, to a unit and 2^-g relative
-    xr, xi = x
-    yr, yi = y
     tol = 2 + (v >> (G - 2))
-    assert abs(((cr * xr + ci * xi + sr * yr + si * yi) >> G) - v) <= tol
-    assert abs((cr * xi - ci * xr + sr * yi - si * yr) >> G) <= tol
-    assert abs((cr * yr - ci * yi - sr * xr + si * xi) >> G) <= tol
+    assert abs(((c * x + s * y) >> G) - v) <= tol
+    assert abs((c * y - s * x) >> G) <= tol
 
 
-def test_guard_width_keeps_the_deflation_test_above_rounding():
-    # 40 guard bits stall QR on scarf2 K (no convergence at n = 8); from
-    # 64 bits on it takes 62-68 sweeps, about the time of mpmath's 68
-    assert kernel.GUARD_BITS >= 80
-    _, _, sweeps = kernel.complex_schur(_scarf2_k(), BITS)
-    assert 0 < sweeps <= 68
+def test_guard_width_keeps_the_deflation_test_above_rounding(monkeypatch):
+    # on scarf2 K at N = 21, QR takes 31 sweeps with 64, 80, 96 or 128
+    # guard bits; with 40 the deflation test sits near the rounding level
+    # and it takes 188
+    assert kernel.GUARD_BITS >= 64
+    a = _scarf2_k()
+    assert 0 < kernel.real_schur(a, BITS)[2] <= 31
+    monkeypatch.setattr(kernel, "GUARD_BITS", 40)
+    assert kernel.real_schur(a, BITS)[2] > 100
 
 
 def test_one_by_one():
-    t, residual, orth = _schur_errors(np.array([[mpmath.mpc(2, -3)]], dtype=object))
-    assert t[0, 0] == mpmath.mpc(2, -3)
+    # an mpc with imaginary part 0 is a real number
+    t, residual, orth = _schur_errors(np.array([[mpmath.mpc(2, 0)]], dtype=object))
+    assert type(t[0, 0]) is mpmath.mpf and t[0, 0] == 2
     assert residual == orth == 0
 
 
-def test_zero_matrix():
-    t, residual, orth = _schur_errors(np.zeros((4, 4), dtype=object))
-    assert all(x == 0 for x in t.ravel())
-    assert residual == orth == 0
+def _eigenvalues_of(t):
+    with working_precision(EXTENDED):
+        return eigensolver._real_schur_eigenvalues(t)[0]
 
 
 def test_jordan_block():
@@ -177,9 +131,9 @@ def test_jordan_block():
     a = np.array([[2, 1], [-1, 0]], dtype=object)
     t, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
-    assert _strictly_lower_is_zero(t)
+    assert _is_standard_real_form(t)
     with working_precision(EXTENDED):
-        assert all(abs(t[k, k] - 1) < 1e-16 for k in range(2))
+        assert all(abs(z - 1) < 1e-16 for z in _eigenvalues_of(t))
 
 
 def test_graded_matrix():
@@ -194,47 +148,46 @@ def test_graded_matrix():
         reference = mpmath.schur(mpmath.matrix(a.tolist()))[1]
     t, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
-    assert _strictly_lower_is_zero(t)
-    assert _matched_gap(a, t.diagonal(), [reference[k, k] for k in range(n)]) < 1e-30
+    assert _is_standard_real_form(t)
+    assert _matched_gap(a, _eigenvalues_of(t), [reference[k, k] for k in range(n)]) < 1e-30
 
 
 def test_non_convergence_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(kernel, "SWEEPS_PER_DIGIT", 0)
     with pytest.raises(ConvergenceError, match="failed to converge"):
-        eigenvalues(_random_complex(5, 6), precision=EXTENDED)
+        kernel.real_schur(_random_real(5, 6), BITS)
 
 
 @pytest.mark.parametrize("name", ["random12", "scarf2_k"])
 def test_eigenvalues_match_mpmath_schur(name):
-    a = _random_complex(1, 12) if name == "random12" else _scarf2_k()
+    a = _random_real(1, 12) if name == "random12" else _scarf2_k()
     with working_precision(EXTENDED):
         r = mpmath.schur(mpmath.matrix(a.tolist()))[1]
     reference = [r[k, k] for k in range(len(a))]
     t, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
-    assert _matched_gap(a, t.diagonal(), reference) < 1e-30
-    if name == "scarf2_k":  # real: the real kernel's pairs match too
-        t, residual, orth = _real_schur_errors(a)
-        assert residual < 1e-30 and orth < 1e-30
-        with working_precision(EXTENDED):
-            values, _ = eigensolver._real_schur_eigenvalues(t)
-        assert _matched_gap(a, values, reference) < 1e-30
+    assert _matched_gap(a, _eigenvalues_of(t), reference) < 1e-30
 
 
 def test_iteration_stats_carry_the_sweep_count():
-    # a real matrix takes the real kernel, a complex one the complex kernel
     a = _scarf2_k()
     sol = eigenvalues(a, precision=EXTENDED)
     assert sol.iteration_stats == (kernel.real_schur(a, BITS)[2],)
     assert sol.iteration_stats[0] > 0
-    c = _random_complex(3, 6)
-    assert (eigenvalues(c, precision=EXTENDED).iteration_stats
-            == (kernel.complex_schur(c, BITS)[2],))
     assert eigenvalues(np.eye(3) + np.eye(3, k=1), precision=DOUBLE).iteration_stats == ()
+
+
+def test_zero_matrix():
+    # n diagonal blocks of order 1, each its own Schur form
+    sol = eigenvalues(np.zeros((4, 4), dtype=object), precision=EXTENDED)
+    assert all(z == 0 for z in sol.eigenvalues)
+    assert sol.partners.tolist() == [-1] * 4
+    assert sol.iteration_stats == (0,)
 
 
 @st.composite
 def _integer_matrices(draw):
+    """Object arrays of small integers, real or complex."""
     n = draw(st.integers(1, 6))
     entries = st.integers(-9, 9)
     re = draw(st.lists(entries, min_size=n * n, max_size=n * n))
@@ -248,13 +201,17 @@ def _integer_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(a=_integer_matrices())
 def test_schur_form_of_small_integer_matrices(a):
-    t, residual, orth = _schur_errors(a)
+    # the solver takes every matrix whose entries have Im 0, per diagonal
+    # block, and refuses the others
+    if any(complex(x).imag for x in a.ravel()):
+        with pytest.raises(ValueError, match="real matrix"):
+            eigenvalues(a, precision=EXTENDED)
+        return
+    t, residual, orth = _schur_errors(a, eigenvalues(a, precision=EXTENDED).schur)
     assert residual <= 1e-30
     assert orth <= 1e-30
-    assert _strictly_lower_is_zero(t)
+    assert _is_standard_real_form(t)
 
-
-# --- the real kernel ------------------------------------------------------------
 
 @st.composite
 def _real_integer_matrices(draw):
@@ -266,20 +223,20 @@ def _real_integer_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(a=_real_integer_matrices())
 def test_real_schur_form_of_small_integer_matrices(a):
-    t, residual, orth = _real_schur_errors(a)
+    t, residual, orth = _schur_errors(a)
     assert residual <= 1e-30
     assert orth <= 1e-30
     assert _is_standard_real_form(t)
 
 
 def test_real_one_by_one():
-    t, residual, orth = _real_schur_errors(np.array([[mpmath.mpf(-3.5)]], dtype=object))
+    t, residual, orth = _schur_errors(np.array([[mpmath.mpf(-3.5)]], dtype=object))
     assert t[0, 0] == -3.5
     assert residual == orth == 0
 
 
 def test_real_zero_matrix():
-    t, residual, orth = _real_schur_errors(np.zeros((4, 4), dtype=object))
+    t, residual, orth = _schur_errors(np.zeros((4, 4), dtype=object))
     assert all(x == 0 for x in t.ravel())
     assert residual == orth == 0
 
@@ -293,20 +250,23 @@ def test_real_zero_matrix():
 ])
 def test_two_by_two_blocks_are_standardized(block, triangular):
     a = np.array(block, dtype=object)
-    t, residual, orth = _real_schur_errors(a)
+    t, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
     assert _is_standard_real_form(t)
     assert (t[1, 0] == 0) == triangular
-    with working_precision(EXTENDED):
-        values, _ = eigensolver._real_schur_eigenvalues(t)
-        exact = np.roots([1, -(block[0][0] + block[1][1]),
-                          block[0][0] * block[1][1] - block[0][1] * block[1][0]])
-    assert _matched_gap(a, values, exact) < 1e-15
+    exact = np.roots([1, -(block[0][0] + block[1][1]),
+                      block[0][0] * block[1][1] - block[0][1] * block[1][0]])
+    assert _matched_gap(a, _eigenvalues_of(t), exact) < 1e-15
 
 
 def test_real_kernel_rejects_complex_input():
     with pytest.raises(ValueError, match="real matrix"):
         kernel.real_schur(np.array([[1, 1j], [0, 1]], dtype=object), BITS)
+    # an imaginary part that rounds to 0 in double still reaches the kernel,
+    # which refuses it
+    tiny = mpmath.mpc(0, mpmath.mpf(2) ** -2000)
+    with pytest.raises(ValueError, match="real matrix"):
+        eigenvalues(np.array([[1, tiny], [0, 1]], dtype=object), precision=EXTENDED)
 
 
 def test_real_non_convergence_raises_convergence_error(monkeypatch):
@@ -343,7 +303,7 @@ def _reference_transform(h, z, q, p, g):
 @pytest.mark.parametrize("n, p", [(3, 0), (6, 2), (6, 3)])
 def test_reflector_application_matches_an_elementwise_loop(n, p):
     rng = np.random.default_rng(n + p)
-    h, z = _random_planes(rng, n)  # two planes of random ints
+    h, z = _random_ints(rng, n)
     x = [int(v) << 150 for v in rng.integers(-1000, 1000, 3)]
     q, beta = kernel._reflector(x, G)
     # P x = beta e_1 and P^2 = I, to a few units of 2^-g

@@ -9,7 +9,7 @@ from ptspec.chebdiff import build_grid, second_derivative_rows
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
 from ptspec.potentials import FAMILIES, PotentialSpec, evaluate_on_grid
-from ptspec.precision import EXTENDED, working_precision
+from ptspec.precision import DOUBLE, EXTENDED, working_precision
 
 
 def _operator(family="scarf2", strength=30.0, half_width=10.0, n=64):
@@ -74,6 +74,8 @@ def test_pt_form_block_structure():
 def test_pt_form_has_the_spectrum_of_h(family, n):
     op = _operator(family=family, strength=3.0 if family == "step" else 30.0,
                    n=n)
+    # the eigensolver takes real matrices only
+    assert op.matrix.dtype == np.float64
     ev = np.asarray(eigenvalues(op.matrix).eigenvalues)
     ref = np.linalg.eigvals(_complex_h(op))
     cost = np.abs(ev[:, None] - ref[None, :])
@@ -97,25 +99,31 @@ def test_mapped_vectors_solve_h(n):
         v = op.grid_vector(y)
         assert np.array_equal(mapped[:, k], v)
         assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(y), rel=1e-14)
-        assert np.linalg.norm(h @ v - sol.eigenvalues[k] * v) <= sol.residual_bound
+        assert (np.linalg.norm(h @ v - sol.eigenvalues[k] * v)
+                <= DOUBLE.residual_tol * sol.matrix_fro_norm)
 
 
 @pytest.mark.parametrize("n", [12, 13])
 def test_extended_pt_form_has_the_spectrum_of_h(n):
     with working_precision(EXTENDED):
         grid = build_grid(10.0, n, precision=EXTENDED)
+        # the eigensolver takes real matrices only: every entry of K is real
+        for family in FAMILIES:
+            k_mat = assemble(grid, PotentialSpec(family, 30.0)).matrix
+            assert all(mpmath.im(x) == 0 for x in k_mat.ravel())
         op = assemble(grid, PotentialSpec("scarf2", 30.0))
         h = _complex_h(op)
         sol = eigenvalues(op.matrix, precision=EXTENDED)
-        ref = eigenvalues(h, precision=EXTENDED).eigenvalues
+        ref = mpmath.eig(mpmath.matrix(h.tolist()), left=False, right=False)
         cost = np.array([[float(abs(a - b)) for b in ref]
                          for a in sol.eigenvalues])
         scale = max(float(abs(z)) for z in ref)
         ks, vectors, _ = sol.eigenvectors(op.matrix, [0, op.dim - 1])
+        bound = EXTENDED.residual_tol * sol.matrix_fro_norm
         for k, y in zip(ks, vectors.T):
             v = op.grid_vector(y)
             r = h @ v - sol.eigenvalues[k] * v
-            assert float(mpmath.sqrt(sum(abs(x) ** 2 for x in r))) <= sol.residual_bound
+            assert float(mpmath.sqrt(sum(abs(x) ** 2 for x in r))) <= bound
     rows, cols = linear_sum_assignment(cost)
     # well below double rounding: K keeps the full working precision
     assert np.max(cost[rows, cols]) <= 1e-25 * scale

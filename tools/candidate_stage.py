@@ -40,11 +40,11 @@ checkout it runs from instead, each in a fresh interpreter:
     python3 tools/candidate_stage.py --schur-structure \\
         --out BENCH_schur_structure.json
 
-- ``kernels``: both extended kernels of ``_fixed_schur``, ``real_schur``
-  and ``complex_schur``, on the real PT form K of scarf2 A=30 L=10 at
-  n = 20, 40 and 80 (N = n + 1): seconds (the median of ``--runs``), QR
-  sweeps, and the backward errors ||K Z - Z T||_F /
-  ||K||_F and ||Z^H Z - I||_F of T and Z as returned, at 113 bits;
+- ``kernels``: the extended kernel ``_fixed_schur.real_schur`` on the
+  real PT form K of scarf2 A=30 L=10 at n = 20, 40 and 80 (N = n + 1):
+  seconds (the median of ``--runs``), QR sweeps, and the backward errors
+  ||K Z - Z T||_F / ||K||_F and ||Z^T Z - I||_F of T and Z as returned,
+  at 113 bits;
 - ``box``: ``eigensolver.eigenvalues`` on the box K (scarf2 A=0, L=10) at
   N = 1023 and 2047, split into its parity blocks as it is, and unsplit
   (one block), with the blocks and the LAPACK threads of the largest.
@@ -98,8 +98,7 @@ def measure(family: str, strength: float, half_width: float, n: int,
     schur_s = time.perf_counter() - t0
     values = solution.eigenvalues
     threshold = ClassificationPolicy().vector_threshold
-    candidates = [i for i in range(len(values))
-                  if values[i].imag > threshold and solution.partners[i] >= 0]
+    candidates = [i for i in range(len(values)) if values[i].imag > threshold]
 
     def fetch():
         batch = solution.eigenvectors(op.matrix, candidates)
@@ -148,11 +147,11 @@ def measure(family: str, strength: float, half_width: float, n: int,
     }
 
 
-def measure_kernel(kernel: str, n: int, runs: int) -> dict:
-    """One extended kernel on scarf2 K of order n, in this interpreter."""
+def measure_kernel(n: int, runs: int) -> dict:
+    """The extended kernel on scarf2 K of order n, in this interpreter."""
     import mpmath
     import numpy as np
-    from ptspec import _fixed_schur
+    from ptspec._fixed_schur import real_schur
     from ptspec.chebdiff import build_grid
     from ptspec.hamiltonian import assemble
     from ptspec.potentials import PotentialSpec
@@ -161,19 +160,17 @@ def measure_kernel(kernel: str, n: int, runs: int) -> dict:
     with working_precision(EXTENDED):
         grid = build_grid(10.0, n + 1, precision=EXTENDED)
         a = assemble(grid, PotentialSpec("scarf2", 30.0)).matrix
-    schur = getattr(_fixed_schur, f"{kernel}_schur")
     seconds = []
     for _ in range(runs):
         t0 = time.perf_counter()
-        t, z, sweeps = schur(a, EXTENDED.bits)
+        t, z, sweeps = real_schur(a, EXTENDED.bits)
         seconds.append(time.perf_counter() - t0)
     with working_precision(EXTENDED):
         def fro(m):
             return float(mpmath.sqrt(sum(abs(x) ** 2 for x in m.ravel())))
 
-        zh = np.vectorize(mpmath.conj, otypes=[object])(z).T
         residual = fro(a @ z - z @ t) / fro(a)
-        orthogonality = fro(zh @ z - np.eye(n, dtype=object))
+        orthogonality = fro(z.T @ z - np.eye(n, dtype=object))
     return {"seconds": statistics.median(seconds), "seconds_runs": seconds,
             "sweeps": sweeps, "residual": residual,
             "orthogonality": orthogonality}
@@ -242,12 +239,10 @@ def schur_structure(runs: int) -> dict:
     src = Path(__file__).resolve().parent.parent / "src"
     kernels = []
     for n in (20, 40, 80):
-        row = {"n": n}
-        for kernel in ("real", "complex"):
-            row[kernel] = run_case(src, ["measure_kernel", kernel, n, runs])
-            print(f"scarf2 K n={n} {kernel}_schur: {row[kernel]['seconds']:.3f} s, "
-                  f"{row[kernel]['sweeps']} sweeps, residual "
-                  f"{row[kernel]['residual']:.1e}", flush=True)
+        row = {"n": n, "real": run_case(src, ["measure_kernel", n, runs])}
+        print(f"scarf2 K n={n} real_schur: {row['real']['seconds']:.3f} s, "
+              f"{row['real']['sweeps']} sweeps, residual "
+              f"{row['real']['residual']:.1e}", flush=True)
         kernels.append(row)
     box = []
     for n in (1023, 2047):
