@@ -42,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -51,6 +52,7 @@ import scipy.linalg
 
 from ._fixed_schur import ConvergenceError, real_schur
 from .precision import DOUBLE, ScalarPrecision, to_complex128, working_precision
+from .trace import span
 
 # rows per diagonal block of the triangular back substitution, and
 # eigenvectors per batch (bounds the n x batch work arrays)
@@ -102,7 +104,10 @@ class EigenSolution:
         ||A v - lambda v|| / ||A||_F (float64).  The caller judges the
         residual; the solver's own bound is ``precision.residual_tol``.
         Vectors are back-substituted on the Schur factors, at most
-        ``_VECTOR_BATCH`` columns at a time.
+        ``_VECTOR_BATCH`` columns at a time.  The call is the ``trace``
+        span ``eigensolver.vectors`` (counter ``columns``), with the spans
+        ``eigensolver.backsub``, ``eigensolver.zy`` and
+        ``eigensolver.residual`` per batch.
         """
         ks = np.unique(np.asarray(indices, dtype=np.intp))
         t, z = self.schur
@@ -111,20 +116,24 @@ class EigenSolution:
         vectors = [np.empty((a.shape[0], 0),
                             dtype=object if t.dtype == object else np.complex128)]
         residual2 = [np.empty(0)]
-        with working_precision(self.precision):
+        with working_precision(self.precision), span("eigensolver.vectors") as count:
+            count["columns"] = len(ks)
             for start in range(0, len(ks), _VECTOR_BATCH):
                 batch = ks[start:start + _VECTOR_BATCH]
                 lam = self.eigenvalues[batch]
-                y = _schur_eigenvectors(t, batch, lam,
-                                        self.precision.machine_epsilon)
-                v = _product(z[:, :y.shape[0]], y)
-                del y
-                v /= v[np.argmax(np.abs(v), axis=0), np.arange(len(batch))]
-                r = _product(a, v)
-                r -= v * lam
-                vectors.append(v)
-                residual2.append((np.abs(r) ** 2).sum(axis=0).astype(np.float64))
-                del r
+                with span("eigensolver.backsub"):
+                    y = _schur_eigenvectors(t, batch, lam,
+                                            self.precision.machine_epsilon)
+                with span("eigensolver.zy"):
+                    v = _product(z[:, :y.shape[0]], y)
+                    del y
+                    v /= v[np.argmax(np.abs(v), axis=0), np.arange(len(batch))]
+                with span("eigensolver.residual"):
+                    r = _product(a, v)
+                    r -= v * lam
+                    vectors.append(v)
+                    residual2.append((np.abs(r) ** 2).sum(axis=0).astype(np.float64))
+                    del r
         # a single batch is returned as computed, without a copy
         vectors = (vectors[1] if len(vectors) == 2
                    else np.concatenate(vectors, axis=1))
@@ -142,6 +151,10 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     A block-diagonal matrix gets one per diagonal block
     (``_diagonal_blocks``), written into one n x n T and Z.  Raises
     ConvergenceError when the QR iteration behind it fails to converge.
+    The work after the input checks is the ``trace`` span
+    ``eigensolver.schur``, counting the ``blocks``, the ``largest_block``,
+    the ``qr_sweeps`` (None in double mode) and, as ``schur_threads`` and
+    ``process_threads``, the solution's ``lapack_threads``.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
@@ -149,30 +162,34 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
         raise ValueError("eigenvalues expects a square matrix")
     if a.dtype.kind not in ("biufO" if precision.is_extended else "biuf"):
         raise ValueError(f"eigenvalues expects a real matrix, not {a.dtype}")
-    if a.dtype == object:
-        # rounded to double for the norm; an imaginary part too small to
-        # survive the rounding is left to real_schur's own check
-        rounded = to_complex128(a)
-        if rounded.imag.any():
-            raise ValueError("eigenvalues expects a real matrix")
-        fro = float(np.linalg.norm(rounded))
-    else:
-        fro = float(np.linalg.norm(a))
-    blocks = _diagonal_blocks(a)
-    if len(blocks) == 1:  # T and Z as the solver returns them, no copy
-        t, z, sweeps, threads = _block_schur(a, precision)
-    else:
-        t, z = _zeros(n, precision), _zeros(n, precision)
-        sweeps = largest = 0
-        for lo, hi in blocks:
-            tb, zb, s, th = _block_schur(a[lo:hi, lo:hi], precision)
-            t[lo:hi, lo:hi], z[lo:hi, lo:hi] = tb, zb
-            del tb, zb
-            sweeps += s
-            if hi - lo > largest:
-                largest, threads = hi - lo, th
-    with working_precision(precision):
-        values, partners = _real_schur_eigenvalues(t)
+    with span("eigensolver.schur") as count:
+        if a.dtype == object:
+            # rounded to double for the norm; an imaginary part too small to
+            # survive the rounding is left to real_schur's own check
+            rounded = to_complex128(a)
+            if rounded.imag.any():
+                raise ValueError("eigenvalues expects a real matrix")
+            fro = float(np.linalg.norm(rounded))
+        else:
+            fro = float(np.linalg.norm(a))
+        blocks = _diagonal_blocks(a)
+        if len(blocks) == 1:  # T and Z as the solver returns them, no copy
+            t, z, sweeps, threads = _block_schur(a, precision)
+        else:
+            t, z = _zeros(n, precision), _zeros(n, precision)
+            sweeps = largest = 0
+            for lo, hi in blocks:
+                tb, zb, s, th = _block_schur(a[lo:hi, lo:hi], precision)
+                t[lo:hi, lo:hi], z[lo:hi, lo:hi] = tb, zb
+                del tb, zb
+                sweeps += s
+                if hi - lo > largest:
+                    largest, threads = hi - lo, th
+        with working_precision(precision):
+            values, partners = _real_schur_eigenvalues(t)
+        count.update(blocks=len(blocks), largest_block=max(hi - lo for lo, hi in blocks),
+                     qr_sweeps=sweeps if precision.is_extended else None,
+                     schur_threads=threads[0], process_threads=threads[1])
     stats = (sweeps,) if precision.is_extended else ()
     return EigenSolution(values, partners, fro, stats, precision,
                          schur=(t, z), lapack_threads=threads)
@@ -228,25 +245,29 @@ def _zeros(n: int, precision: ScalarPrecision) -> np.ndarray:
 
 
 def _thread_controls(lib) -> Optional[Tuple]:
-    """(get, set) of the OpenBLAS thread count that ``lib`` exports, or None.
+    """(get, set, build string) of the OpenBLAS that ``lib`` exports, or None.
 
-    Tries scipy's renamed OpenBLAS first, then a plain one.
+    Tries scipy's renamed OpenBLAS first, then a plain one, each also with
+    the ``64_`` suffix of the 64-bit-integer build behind numpy.
     """
+    names = ("get_num_threads", "set_num_threads", "get_config")
     for prefix in ("scipy_openblas", "openblas"):
-        get = getattr(lib, f"{prefix}_get_num_threads", None)
-        put = getattr(lib, f"{prefix}_set_num_threads", None)
-        if get is not None and put is not None:
-            get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-            return get, put
+        for suffix in ("", "64_"):
+            get, put, config = (getattr(lib, f"{prefix}_{name}{suffix}", None)
+                                for name in names)
+            if None not in (get, put, config):
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                config.restype = ctypes.c_char_p
+                return get, put, config
     return None
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas_threads() -> Optional[Tuple]:
-    """``_thread_controls`` of the library behind scipy's LAPACK."""
+def _openblas_threads(module: str = "scipy.linalg._flapack") -> Optional[Tuple]:
+    """``_thread_controls`` of the library behind the extension ``module``,
+    by default scipy's LAPACK."""
     try:
-        from scipy.linalg import _flapack
-        return _thread_controls(ctypes.CDLL(_flapack.__file__))
+        return _thread_controls(ctypes.CDLL(importlib.import_module(module).__file__))
     except (ImportError, AttributeError, OSError):
         return None
 

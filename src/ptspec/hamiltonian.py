@@ -32,6 +32,7 @@ import numpy as np
 
 from .chebdiff import Grid, second_derivative_rows
 from .potentials import PotentialSpec, evaluate_on_grid
+from .trace import span
 
 
 def _sqrt2(dtype):
@@ -78,28 +79,31 @@ def assemble(grid: Grid, spec: PotentialSpec) -> OperatorMatrix:
 
     Only the me = n - n // 2 top interior rows of d2 are computed.  On an
     object (extended-precision) grid the entries are mpmath scalars at the
-    current working precision.
+    current working precision.  The work is the ``trace`` span
+    ``hamiltonian.assemble``, counting the ``d2_rows`` computed.
     """
-    n = grid.n_intervals - 1
-    m = n // 2
-    me = n - m  # even block: the mirror pairs plus the centre node, if any
-    # -d2 on interior rows 0..me-1, all interior columns, negated in place
-    top = second_derivative_rows(grid, range(1, me + 1))[:, 1:-1]
-    np.negative(top, out=top)
-    flip = top[:, ::-1]  # column l -> mirror column n-1-l
-    v = evaluate_on_grid(spec, grid)[1:m + 1]  # i A f(x_k) on the top half
-    w = np.array([z.imag for z in v], dtype=object) if v.dtype == object else v.imag
-    mat = np.zeros((n, n), dtype=top.dtype)
-    even = top[:, :me] + flip[:, :me]
-    if n % 2:
-        # the centre is its own mirror: un-double its column and row
-        root2 = _sqrt2(mat.dtype)
-        even[:m, m] = even[:m, m] / root2
-        even[m, :m] = even[m, :m] / root2
-        even[m, m] = even[m, m] / 2
-    mat[:me, :me] = even
-    mat[me:, me:] = top[:m, :m] - flip[:m, :m]
-    k = np.arange(m)
-    mat[k, me + k] = -w
-    mat[me + k, k] = w
+    with span("hamiltonian.assemble") as count:
+        n = grid.n_intervals - 1
+        m = n // 2
+        me = n - m  # even block: the mirror pairs plus the centre node, if any
+        count["d2_rows"] = me
+        # -d2 on interior rows 0..me-1, all interior columns, negated in place
+        top = second_derivative_rows(grid, range(1, me + 1))[:, 1:-1]
+        np.negative(top, out=top)
+        flip = top[:, ::-1]  # column l -> mirror column n-1-l
+        v = evaluate_on_grid(spec, grid)[1:m + 1]  # i A f(x_k) on the top half
+        w = np.array([z.imag for z in v], dtype=object) if v.dtype == object else v.imag
+        mat = np.zeros((n, n), dtype=top.dtype)
+        even = top[:, :me] + flip[:, :me]
+        if n % 2:
+            # the centre is its own mirror: un-double its column and row
+            root2 = _sqrt2(mat.dtype)
+            even[:m, m] = even[:m, m] / root2
+            even[m, :m] = even[m, :m] / root2
+            even[m, m] = even[m, m] / 2
+        mat[:me, :me] = even
+        mat[me:, me:] = top[:m, :m] - flip[:m, :m]
+        k = np.arange(m)
+        mat[k, me + k] = -w
+        mat[me + k, k] = w
     return OperatorMatrix(matrix=mat, grid=grid, spec=spec)

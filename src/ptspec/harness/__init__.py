@@ -3,7 +3,7 @@ benchmark-reproduction suite."""
 
 from .config import ExperimentConfig, load_config, parse_config, serialize_config
 from .plotdata import PLOT_KINDS, emit_plot_data
-from .reproduce import CheckResult, SpectrumCache, full_scale_config, reproduce
+from .reproduce import CheckResult, SpectrumCache, full_scale_config
 from .runner import RunArtifact, persist, run_experiment, run_single
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "CheckResult",
     "SpectrumCache",
     "full_scale_config",
-    "reproduce",
     "RunArtifact",
     "persist",
     "run_experiment",

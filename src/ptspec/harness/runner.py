@@ -21,9 +21,11 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
                                (or eigenvalues.json, a list of such rows);
                                ``write_records`` also prints them for the CLI
     summary.json               counts, transitions, config snapshot, version
-    timing.json                wall-clock seconds per stage, and the LAPACK
-                               threads the Schur decomposition of the
-                               largest block ran on and the process had
+    timing.json                "runs": per L, the ``trace`` spans of its
+                               stages, each a name, wall-clock seconds,
+                               counters (among them the LAPACK threads of
+                               the Schur decomposition) and children;
+                               "environment": ``trace.environment()``
                                (kept separate so summary.json is
                                bit-for-bit reproducible)
 """
@@ -32,12 +34,12 @@ from __future__ import annotations
 
 import csv
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import metadata
 from pathlib import Path
-from typing import Dict, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
+from .. import trace
 from ..chebdiff import build_grid
 from ..eigensolver import eigenvalues
 from ..hamiltonian import assemble
@@ -56,40 +58,31 @@ COLUMNS = ("re", "im", "label", "tail_ratio", "residual")
 
 @dataclass(frozen=True)
 class RunArtifact:
-    """Everything one run produced: results, failures, timings, version."""
+    """Everything one run produced: results, failures, stage spans, version."""
 
     config: ExperimentConfig
     results: Dict[float, SpectrumResult] = field(default_factory=dict)
     failures: Dict[float, str] = field(default_factory=dict)
-    timings: Dict[float, Dict[str, Optional[float]]] = field(default_factory=dict)
+    spans: Dict[float, List[trace.Span]] = field(default_factory=dict)
     tool_version: str = TOOL_VERSION
 
 
 def run_single(config: ExperimentConfig, half_width: float
-               ) -> Tuple[SpectrumResult, Dict[str, Optional[float]]]:
-    """Run the full pipeline for one half-width; returns (result, timings).
+               ) -> Tuple[SpectrumResult, List[trace.Span]]:
+    """Run the full pipeline for one half-width; returns (result, spans).
 
-    ``timings`` holds the seconds of each stage and, as ``schur_threads``
-    and ``process_threads``, the solution's ``lapack_threads``.
+    ``spans`` are the ``trace`` spans the stages recorded, in the order
+    they ran.
     """
     precision = from_name(config.precision_mode)
     spec = PotentialSpec(config.family, config.strength)
-    timings: Dict[str, Optional[float]] = {}
-    t0 = time.perf_counter()
-    with working_precision(precision):
-        grid = build_grid(half_width, config.n_intervals, precision=precision)
-        op = assemble(grid, spec)
-    timings["assemble"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    solution = eigenvalues(op.matrix, precision=precision)
-    timings["eigensolve"] = time.perf_counter() - t0
-    timings["schur_threads"], timings["process_threads"] = solution.lapack_threads
-
-    t0 = time.perf_counter()
-    result = classify(solution, op, policy=config.policy)
-    timings["classify"] = time.perf_counter() - t0
-    return result, timings
+    with trace.record() as spans:
+        with working_precision(precision):
+            grid = build_grid(half_width, config.n_intervals, precision=precision)
+            op = assemble(grid, spec)
+        solution = eigenvalues(op.matrix, precision=precision)
+        result = classify(solution, op, policy=config.policy)
+    return result, spans
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifact:
@@ -97,12 +90,12 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     artifact = RunArtifact(config=config)
     for half_width in config.half_widths:
         try:
-            result, timings = run_single(config, half_width)
+            result, spans = run_single(config, half_width)
         except Exception as exc:  # recorded per L; the sweep goes on
             artifact.failures[half_width] = f"{type(exc).__name__}: {exc}"
             continue
         artifact.results[half_width] = result
-        artifact.timings[half_width] = timings
+        artifact.spans[half_width] = spans
     return artifact
 
 
@@ -175,8 +168,8 @@ def persist(artifact: RunArtifact, out_dir: Optional[Path] = None) -> Path:
     with open(run_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     with open(run_dir / "timing.json", "w") as fh:
-        json.dump(
-            {f"L{w:g}": t for w, t in sorted(artifact.timings.items())},
-            fh, indent=1, sort_keys=True,
-        )
+        json.dump({"environment": trace.environment(),
+                   "runs": {f"L{w:g}": [asdict(s) for s in spans]
+                            for w, spans in sorted(artifact.spans.items())}},
+                  fh, indent=1, sort_keys=True)
     return run_dir

@@ -38,6 +38,7 @@ import numpy as np
 from .eigensolver import EigenSolution
 from .hamiltonian import OperatorMatrix
 from .precision import to_complex128
+from .trace import span
 
 BOUND = "bound"
 CONTINUUM_COMPLEX = "continuum_complex"
@@ -205,7 +206,10 @@ def classify(
     Each conjugate pair shares one label, tail ratio and residual.
     Eigenvectors that miss the residual tolerance are recorded as
     ``unresolved`` rather than silently promoted to bound states.  The
-    grid comes from ``op`` and the precision from ``solution``.
+    grid comes from ``op`` and the precision from ``solution``.  Besides
+    the ``eigensolver.vectors`` span of the vector fetch, it records the
+    ``trace`` spans ``spectrum.tail_tests`` (counting the ``candidates``
+    and the ``relaxed_fits``) and ``spectrum.transition``.
     """
     policy = policy or ClassificationPolicy()
     L = op.grid.half_width
@@ -217,14 +221,17 @@ def classify(
 
     upper = [i for i in order if raw[i].imag > policy.vector_threshold]
     ks, vectors, residuals = solution.eigenvectors(op.matrix, upper)
-    resolved = residuals <= solution.precision.residual_tol
-    absv = np.abs(op.grid_vector(to_complex128(vectors)))
-    del vectors
-    absv /= absv.max(axis=0)
-    tails, bound = _strict_tails(absv, x, L, policy)
-    cut = policy.relaxed_tail_coeff / (L * L)
-    for c in np.flatnonzero(resolved & ~bound & (tails < cut)):
-        bound[c] = _relaxed_fit(absv[:, c], x, L, policy)
+    with span("spectrum.tail_tests") as count:
+        resolved = residuals <= solution.precision.residual_tol
+        absv = np.abs(op.grid_vector(to_complex128(vectors)))
+        del vectors
+        absv /= absv.max(axis=0)
+        tails, bound = _strict_tails(absv, x, L, policy)
+        cut = policy.relaxed_tail_coeff / (L * L)
+        relaxed = np.flatnonzero(resolved & ~bound & (tails < cut))
+        for c in relaxed:
+            bound[c] = _relaxed_fit(absv[:, c], x, L, policy)
+        count.update(candidates=len(ks), relaxed_fits=len(relaxed))
     labels = {}
     for c, i in enumerate(ks.tolist()):
         residual = float(residuals[c])
@@ -247,8 +254,9 @@ def classify(
                                    pair_index=pair))
     eps = solution.precision.machine_epsilon
     floor = eps * eps * max(solution.matrix_fro_norm, 1.0)
-    point, drop = (_transition(records, floor, policy.jump_min_decades)
-                   or (None, None))
+    with span("spectrum.transition"):
+        point, drop = (_transition(records, floor, policy.jump_min_decades)
+                       or (None, None))
     return SpectrumResult(
         records=tuple(records),
         bound_pairs=sum(r.label == BOUND and r.value.imag > 0 for r in records),

@@ -1,0 +1,84 @@
+"""Stage spans of one pipeline run: where its time went, timed by the code
+that runs each stage.
+
+``record()`` collects the spans opened inside it; ``span(name)`` times a
+block and yields a dict to which the block adds its counters.  A span
+opened inside another becomes its child.  Outside ``record()`` a span
+records nothing.  The open recorder is held in a context variable, so
+each thread records only its own spans and a finished ``record()``
+leaves none behind.  ``environment()`` describes what produced the
+spans: the library versions, the CPUs and the BLAS threads.
+"""
+
+import contextlib
+import contextvars
+import os
+import time
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List
+
+import mpmath
+import numpy
+import scipy
+
+# the list that a span opened now is appended to; None outside record()
+_siblings: contextvars.ContextVar = contextvars.ContextVar("siblings", default=None)
+
+
+@dataclass
+class Span:
+    """One timed block: its wall-clock seconds, counters and child spans."""
+
+    name: str
+    seconds: float = 0.0
+    counters: Dict[str, object] = field(default_factory=dict)
+    children: List["Span"] = field(default_factory=list)
+
+
+@contextlib.contextmanager
+def record() -> Iterator[List[Span]]:
+    """Collect the spans opened in the block; yields their (top-level) list."""
+    spans: List[Span] = []
+    token = _siblings.set(spans)
+    try:
+        yield spans
+    finally:
+        _siblings.reset(token)
+
+
+@contextlib.contextmanager
+def span(name: str) -> Iterator[Dict[str, object]]:
+    """Time the block as span ``name``; yields the span's counters to fill.
+
+    Outside ``record()`` the span and its children are dropped on exit.
+    The seconds are recorded also when the block raises.
+    """
+    node = Span(name)
+    siblings = _siblings.get()
+    if siblings is not None:
+        siblings.append(node)
+    token = _siblings.set(node.children)
+    start = time.perf_counter()
+    try:
+        yield node.counters
+    finally:
+        node.seconds = time.perf_counter() - start
+        _siblings.reset(token)
+
+
+def environment() -> dict:
+    """The numpy, scipy and mpmath versions, the CPUs this process may run
+    on, and the build string and thread count of the OpenBLAS behind
+    scipy's LAPACK and of numpy's own, each None where the library exports
+    no OpenBLAS controls."""
+    from .eigensolver import _openblas_threads  # eigensolver imports this module
+
+    info = {module.__name__: module.__version__ for module in (numpy, scipy, mpmath)}
+    info["cpu_count"] = (len(os.sched_getaffinity(0))
+                         if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    for key, module in (("scipy_openblas", "scipy.linalg._flapack"),
+                        ("numpy_openblas", "numpy.linalg._umath_linalg")):
+        get, _, config = _openblas_threads(module) or (None, None, None)
+        info[key] = None if config is None else config().decode()
+        info[f"{key}_threads"] = None if get is None else get()
+    return info

@@ -12,9 +12,7 @@ extended-precision residual check (criterion 9b, the real Schur form of a
 random real 50 x 50 matrix) takes about 1.5 s.
 """
 
-import importlib
-
-rep = importlib.import_module("ptspec.harness.reproduce")
+import ptspec.harness.reproduce as rep
 
 
 def _assert_check(check):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ptspec import eigensolver
+from ptspec import eigensolver, trace
 from ptspec.eigensolver import ConvergenceError, eigenvalues
 from ptspec.harness.config import ExperimentConfig
 from ptspec.harness.runner import run_single
@@ -338,7 +338,7 @@ needs_openblas = pytest.mark.skipif(
 @pytest.fixture
 def two_threads():
     """scipy's OpenBLAS on 2 threads for the test, then as it was."""
-    get, put = _CONTROLS
+    get, put, _ = _CONTROLS
     before = get()
     put(2)
     yield
@@ -384,9 +384,14 @@ def test_each_block_takes_its_own_thread_count(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", spy)
     n = eigensolver._SERIAL_BELOW
     small = np.random.default_rng(24).standard_normal((40, 40))
-    sol = eigenvalues(scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1), small))
-    # the largest block's count is reported
+    with trace.record() as spans:
+        sol = eigenvalues(scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1),
+                                                  small))
+    # the largest block's count is reported, on the solution and its span
     assert seen == [2, 1] and sol.lapack_threads == (2, 2) and get() == 2
+    assert spans[0].counters == {"blocks": 2, "largest_block": n,
+                                 "qr_sweeps": None, "schur_threads": 2,
+                                 "process_threads": 2}
 
 
 @needs_openblas
@@ -414,11 +419,13 @@ def test_no_thread_controls_leaves_the_solve_alone(monkeypatch):
 def test_one_and_two_threads_give_the_same_labels(monkeypatch):
     config = ExperimentConfig(family="scarf2", strength=30.0,
                               half_widths=(10.0,), n_intervals=255)
-    one, timings = run_single(config, 10.0)
-    assert (timings["schur_threads"], timings["process_threads"]) == (1, 2)
+    one, spans = run_single(config, 10.0)
+    schur = spans[1].counters
+    assert (schur["schur_threads"], schur["process_threads"]) == (1, 2)
     monkeypatch.setattr(eigensolver, "_SERIAL_BELOW", 0)
-    two, timings = run_single(config, 10.0)
-    assert (timings["schur_threads"], timings["process_threads"]) == (2, 2)
+    two, spans = run_single(config, 10.0)
+    schur = spans[1].counters
+    assert (schur["schur_threads"], schur["process_threads"]) == (2, 2)
     assert one.bound_pairs == two.bound_pairs > 0
     assert ([(r.label, r.pair_index) for r in one.records]
             == [(r.label, r.pair_index) for r in two.records])

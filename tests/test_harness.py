@@ -1,5 +1,7 @@
 import csv
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from ptspec.harness.config import (
     serialize_config,
 )
 from ptspec.harness.plotdata import PLOT_KINDS, emit_plot_data
-from ptspec.harness.reproduce import full_scale_config, reproduce
+from ptspec.harness.reproduce import SpectrumCache, full_scale_config, reproduce
 from ptspec.harness.runner import persist, run_experiment, run_single
 from ptspec.spectrum import ClassificationPolicy
 
@@ -113,9 +115,25 @@ def test_run_experiment_produces_results(small_artifact):
     assert not small_artifact.failures
     result = small_artifact.results[10.0]
     assert result.bound_pairs == 1
-    assert set(small_artifact.timings[10.0]) == {
-        "assemble", "eigensolve", "classify", "schur_threads",
-        "process_threads"}
+    # the stages' spans, in the order they ran, with their counters
+    spans = small_artifact.spans[10.0]
+    assert [s.name for s in spans] == [
+        "hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
+        "spectrum.tail_tests", "spectrum.transition"]
+    assemble, schur, vectors, tails, _ = spans
+    assert [c.name for c in vectors.children] == [
+        "eigensolver.backsub", "eigensolver.zy", "eigensolver.residual"]
+    assert sum(c.seconds for c in vectors.children) <= vectors.seconds
+    assert not any(s.children for s in spans if s is not vectors)
+    assert assemble.counters == {"d2_rows": 64}  # N=129: 128 interior nodes
+    assert schur.counters["blocks"] == 1
+    assert schur.counters["largest_block"] == 128
+    assert schur.counters["qr_sweeps"] is None  # LAPACK reports none
+    candidates = sum(r.value.imag > result.policy.vector_threshold
+                     for r in result.records)
+    assert vectors.counters == {"columns": candidates}
+    assert tails.counters["candidates"] == candidates
+    assert 0 <= tails.counters["relaxed_fits"] <= candidates
 
 
 def test_persist_layout_and_schema(small_artifact, tmp_path):
@@ -134,11 +152,17 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["runs"]["L10"]["bound_pairs"] == 1
     assert "timing" not in summary  # timings live in their own file
-    timing = json.loads((run_dir / "timing.json").read_text())["L10"]
-    threads = small_artifact.timings[10.0]["process_threads"]
+    timing = json.loads((run_dir / "timing.json").read_text())
+    assert set(timing["environment"]) == {
+        "numpy", "scipy", "mpmath", "cpu_count", "scipy_openblas",
+        "scipy_openblas_threads", "numpy_openblas", "numpy_openblas_threads"}
+    schur = timing["runs"]["L10"][1]
+    assert schur["name"] == "eigensolver.schur"
+    counters = schur["counters"]
+    threads = counters["process_threads"]
+    assert threads == timing["environment"]["scipy_openblas_threads"]
     # N=129 is a small solve: one LAPACK thread where the count can be set
-    assert timing["schur_threads"] == (None if threads is None else 1)
-    assert timing["process_threads"] == threads
+    assert counters["schur_threads"] == (None if threads is None else 1)
 
 
 def test_persisted_files_are_reproducible(small_artifact, tmp_path):
@@ -171,6 +195,36 @@ def test_failure_in_one_half_width_is_isolated(monkeypatch, tmp_path):
     assert list(summary["runs"]) == ["L10"]
     assert (run_dir / "L10" / "eigenvalues.csv").exists()
     assert not (run_dir / "L5").exists()
+    # the failed L's spans stay out of the next L's
+    runs = json.loads((run_dir / "timing.json").read_text())["runs"]
+    assert list(runs) == ["L10"]
+    assert [s["name"] for s in runs["L10"]] == [
+        "hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
+        "spectrum.tail_tests", "spectrum.transition"]
+
+
+# --- tools -----------------------------------------------------------------
+
+STAGES = {"hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
+          "eigensolver.backsub", "eigensolver.zy", "eigensolver.residual",
+          "spectrum.tail_tests", "spectrum.transition"}
+
+
+@pytest.mark.parametrize("case", [
+    ("coulomb_regulated", 10.0, 100.0, 31, "double64"),
+    ("scarf2", 30.0, 10.0, 9, "extended128"),
+])
+def test_stage_ladder_measures_a_case(case):
+    # the ladder's per-case function, as its child interpreters run it
+    ladder = Path(__file__).resolve().parent.parent / "tools" / "stage_ladder.py"
+    record = runpy.run_path(str(ladder))["measure"](*case)
+    assert set(record) == {"spans", "environment", "peak_rss_mb"}
+    assert set(record["spans"]) == STAGES
+    assert all(stage["seconds"] >= 0 for stage in record["spans"].values())
+    schur = record["spans"]["eigensolver.schur"]
+    assert (schur["qr_sweeps"] is None) == (case[-1] == "double64")
+    assert (record["spans"]["eigensolver.vectors"]["columns"]
+            == record["spans"]["spectrum.tail_tests"]["candidates"] > 0)
 
 
 # --- plot data -------------------------------------------------------------
@@ -275,6 +329,11 @@ def test_cli_reproduce_tables(capsys):
 def test_reproduce_rejects_unknown_selector():
     with pytest.raises(ValueError):
         reproduce("everything")
+
+
+def test_reproduce_module_is_not_shadowed_by_its_function():
+    import ptspec.harness.reproduce as module
+    assert module.SpectrumCache is SpectrumCache
 
 
 def test_full_scale_config_shape():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ptspec import trace
 from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
@@ -95,6 +96,8 @@ def test_step_transition_location(step_result):
 
 def test_zero_strength_all_real():
     result = _classified(strength=0.0, n=127)
+    # outside a run the stages record nothing and leave no recorder open
+    assert trace._siblings.get() is None
     assert result.bound_pairs == 0
     assert all(r.label == CONTINUUM_REAL for r in result.records)
 

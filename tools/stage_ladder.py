@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Time each stage of the pipeline on an N ladder, from the spans it records.
+
+Run from the root of a checkout of the repository:
+
+    python3 tools/stage_ladder.py --out BENCH_stages.json
+    python3 tools/stage_ladder.py --tree change=. --tree parent=../parent \\
+        --out BENCH_stages.json
+
+Each ``--tree label=path`` names a checkout whose ``src/`` is timed (by
+default the one the script is run from).  Every case runs
+``ptspec.harness.runner.run_single`` for one L in a fresh interpreter with
+that checkout's ``src/`` on its path, and reads only what the run records:
+the ``ptspec.trace`` spans of its stages, ``trace.environment()`` and the
+process's peak RSS.  A checkout without ``ptspec.trace`` is an error.  Each
+case runs in ``--runs`` interpreters per checkout (N=4095 in one), the
+checkouts alternating.  Per span the JSON holds the median seconds over
+them, each run's seconds, and the counters of the first run; a span that
+occurs more than once in a run (one per vector batch) is summed.
+
+The cases are coulomb_regulated A=10 L=100 at N = 255 ... 4095, the box
+(scarf2 A=0 L=10) and the step A=3 L=100 of the benchmark, and scarf2 A=30
+L=10 in extended precision.  Coulomb at N=1023 and 2047 runs a second time
+with ``OPENBLAS_NUM_THREADS=1`` in the child's environment, so that its
+Schur decomposition runs on one thread: the vector stage that follows it
+then shows what a two-thread decomposition costs the call after it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# (family, strength, half-width, N, precision mode, OPENBLAS_NUM_THREADS)
+CASES = (
+    *(("coulomb_regulated", 10.0, 100.0, n, "double64", None)
+      for n in (255, 511, 1023, 2047, 4095)),
+    *(("coulomb_regulated", 10.0, 100.0, n, "double64", 1) for n in (1023, 2047)),
+    *(("scarf2", 0.0, 10.0, n, "double64", None) for n in (1023, 2047)),
+    ("step", 3.0, 100.0, 1023, "double64", None),
+    ("scarf2", 30.0, 10.0, 21, "extended128", None),
+)
+
+# runs ``measure`` of the script at argv[1] on the case in argv[2]
+_CHILD = ("import json, runpy, sys; measure = runpy.run_path(sys.argv[1])"
+          "['measure']; print(json.dumps(measure(*json.loads(sys.argv[2]))))")
+
+
+def measure(family: str, strength: float, half_width: float, n: int,
+            precision: str) -> dict:
+    """One case through ``run_single`` in this interpreter.
+
+    Returns the seconds and counters of each span by name, the environment
+    and the peak RSS of the process in MB.
+    """
+    from ptspec import trace
+    from ptspec.harness.config import ExperimentConfig
+    from ptspec.harness.runner import run_single
+
+    config = ExperimentConfig(family=family, strength=strength,
+                              half_widths=(half_width,), n_intervals=n,
+                              precision_mode=precision)
+    _, spans = run_single(config, half_width)
+    stages: dict = {}
+    pending = list(spans)
+    while pending:
+        node = pending.pop(0)
+        stage = stages.setdefault(node.name, {"seconds": 0.0})
+        stage["seconds"] += node.seconds
+        stage.update(node.counters)
+        pending.extend(node.children)
+    return {"spans": stages, "environment": trace.environment(),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3}
+
+
+def run_case(label: str, path: str, case: tuple) -> dict:
+    """``measure`` of ``case`` in a fresh interpreter on the checkout at ``path``."""
+    *call, threads = case
+    env = {**os.environ, "PYTHONPATH": str(Path(path).resolve() / "src")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    out = subprocess.run([sys.executable, "-c", _CHILD, __file__, json.dumps(call)],
+                         env=env, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"tree {label} ({path}) failed on {call}:\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def summarize(results: list) -> dict:
+    """Per span the median seconds over the runs, and the first run's counters."""
+    stages = {}
+    for name, first in results[0]["spans"].items():
+        seconds = [r["spans"][name]["seconds"] for r in results]
+        stages[name] = {**first, "seconds": statistics.median(seconds),
+                        "seconds_runs": seconds}
+    return {"spans": stages,
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
+            "environment": results[0]["environment"]}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", default=[],
+                        help="label=path of a checkout; repeatable")
+    parser.add_argument("--runs", type=int, default=3,
+                        help="fresh interpreters per case and checkout")
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args()
+    trees = ([spec.split("=", 1) for spec in args.tree]
+             or [["this", str(Path(__file__).resolve().parent.parent)]])
+    cases = []
+    for number, case in enumerate(CASES):
+        family, strength, half_width, n, precision, threads = case
+        runs: dict = {label: [] for label, _ in trees}
+        for run in range(1 if n >= 4095 else args.runs):
+            order = trees if (number + run) % 2 == 0 else trees[::-1]
+            for label, path in order:
+                runs[label].append(run_case(label, path, case))
+        row = {"family": family, "strength": strength, "half_width": half_width,
+               "n_intervals": n, "precision": precision,
+               "OPENBLAS_NUM_THREADS": threads,
+               "trees": {label: summarize(results)
+                         for label, results in runs.items()}}
+        for label, tree in row["trees"].items():
+            seconds = " ".join(f"{name} {stage['seconds']:.3f}"
+                               for name, stage in tree["spans"].items())
+            print(f"{family} A={strength:g} L={half_width:g} N={n} {precision}"
+                  f"{'' if threads is None else f' {threads}T'} {label}: "
+                  f"{seconds}; rss {tree['peak_rss_mb']:.0f} MB", flush=True)
+        cases.append(row)
+    text = json.dumps({"runs": args.runs, "trees": [label for label, _ in trees],
+                       "cases": cases}, indent=1)
+    if args.out is None:
+        print(text)
+    else:
+        args.out.write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
