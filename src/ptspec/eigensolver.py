@@ -3,7 +3,8 @@
 The solver takes real matrices only: the PT form K that
 ``hamiltonian.assemble`` builds is real for every built-in potential.
 Every matrix gets one real Schur decomposition A = Z T Z^T, kept on the
-solution: from LAPACK (``dgees`` via scipy) in double precision, and from
+solution: from LAPACK ``dgees`` in double precision, called through ctypes
+in the OpenBLAS that numpy itself is built on, and from
 ``_fixed_schur.real_schur`` in extended precision, the Francis
 double-shift QR of LAPACK ``dlahqr`` on fixed-point integers with
 ``GUARD_BITS`` bits beyond the mode's ``bits``.  Each complex conjugate
@@ -18,7 +19,10 @@ A block-diagonal matrix -- no nonzero entry couples the rows and columns
 before some index with those from it on -- gets one Schur decomposition
 per diagonal block, found from its nonzero pattern in O(n^2), written into
 one n x n T and Z.  K splits so when A = 0, into its even and odd parity
-blocks; with A != 0 it is one block.
+blocks; with A != 0 it is one block.  In double precision the blocks are
+solved concurrently, since the ctypes call releases the GIL; extended
+precision solves them one after another, as ``real_schur`` is Python code
+and mpmath's precision is process-wide.
 
 Right eigenvectors for any subset of eigenvalues come from the same
 factors in either precision, as one batch with their measured residuals:
@@ -28,13 +32,18 @@ form, where a 2 x 2 block is one small complex system per column), then
 V = Z Y, so one decomposition serves both values and vectors.  One
 routine serves both precisions.
 
-A double-precision Schur decomposition of a block of order below
-``_SERIAL_BELOW`` runs on one thread of the OpenBLAS behind scipy's
-LAPACK: at that size the threads' synchronisation costs more than the
-second core gains, and the count is restored after the call.  Larger
-blocks run on the process's thread count.  numpy's own BLAS is never
-touched, and where scipy's LAPACK does not export OpenBLAS's thread
-controls the count is left as it is.
+The double Schur decomposition runs on numpy's OpenBLAS, the thread pool
+that also runs the Z Y product and the residual products.  A single block
+of order below ``_SERIAL_BELOW`` takes its Schur form on one thread of
+that pool: at that size the threads' synchronisation costs more than the
+second core gains.
+A larger one runs on the process's thread count.  Concurrent blocks each
+run on one thread, at most as many at once as the process has threads.
+The count is process-wide, so it is set once around the whole solve and
+restored after it, also on an exception.  Where numpy's library exports
+no ``LAPACKE_dgees`` (a build on another BLAS), ``scipy.linalg.schur``
+solves the blocks one after another, imported only then, and the thread
+count is left as it is.
 """
 
 from __future__ import annotations
@@ -43,12 +52,12 @@ import contextlib
 import ctypes
 import functools
 import importlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
-import scipy.linalg
 
 from ._fixed_schur import ConvergenceError, real_schur
 from .precision import DOUBLE, ScalarPrecision, to_complex128, working_precision
@@ -59,7 +68,8 @@ from .trace import span
 _BACKSUB_BLOCK = 64
 _VECTOR_BATCH = 1024
 
-# matrices of lower order take their double Schur form on one LAPACK thread
+# a single diagonal block of lower order takes its double Schur form on one
+# LAPACK thread
 _SERIAL_BELOW = 512
 
 
@@ -78,10 +88,7 @@ class EigenSolution:
     eigenvector residuals are judged by the caller.  ``iteration_stats``
     is (QR sweeps,) of the extended kernel, summed over the diagonal
     blocks, and empty in double mode, where LAPACK does not report its
-    sweeps.  ``lapack_threads`` is (threads the Schur decomposition of the
-    largest block ran on, threads the process had) of scipy's OpenBLAS,
-    each None where unknown; the first is None in extended mode, which
-    makes no LAPACK call.
+    sweeps.
     """
 
     eigenvalues: np.ndarray
@@ -90,7 +97,6 @@ class EigenSolution:
     iteration_stats: Tuple[int, ...]
     precision: ScalarPrecision
     schur: Tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    lapack_threads: Tuple[Optional[int], Optional[int]]
 
     def eigenvectors(self, matrix: np.ndarray, indices: Sequence[int]
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,15 +152,18 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
 
     The matrix has a real dtype, or in extended mode is an object array of
     real numbers (``mpf``, or ``mpc`` with imaginary part 0); any other
-    raises ValueError before a Schur decomposition starts.  One real Schur
+    raises ValueError before a Schur decomposition starts, as does a
+    double-mode matrix with an entry that is not finite.  One real Schur
     decomposition is kept on the solution for later eigenvector requests.
     A block-diagonal matrix gets one per diagonal block
     (``_diagonal_blocks``), written into one n x n T and Z.  Raises
     ConvergenceError when the QR iteration behind it fails to converge.
     The work after the input checks is the ``trace`` span
     ``eigensolver.schur``, counting the ``blocks``, the ``largest_block``,
-    the ``qr_sweeps`` (None in double mode) and, as ``schur_threads`` and
-    ``process_threads``, the solution's ``lapack_threads``.
+    the ``qr_sweeps`` (None in double mode), the LAPACK threads each block
+    ran on as ``schur_threads`` (None in extended mode, which makes no
+    LAPACK call) and the threads the process had as ``process_threads``,
+    each None where unknown.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
@@ -162,37 +171,28 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
         raise ValueError("eigenvalues expects a square matrix")
     if a.dtype.kind not in ("biufO" if precision.is_extended else "biuf"):
         raise ValueError(f"eigenvalues expects a real matrix, not {a.dtype}")
+    if not precision.is_extended and not np.isfinite(a).all():
+        raise ValueError("eigenvalues expects a finite matrix")
     with span("eigensolver.schur") as count:
+        rounded = a
         if a.dtype == object:
             # rounded to double for the norm; an imaginary part too small to
             # survive the rounding is left to real_schur's own check
             rounded = to_complex128(a)
             if rounded.imag.any():
                 raise ValueError("eigenvalues expects a real matrix")
-            fro = float(np.linalg.norm(rounded))
-        else:
-            fro = float(np.linalg.norm(a))
         blocks = _diagonal_blocks(a)
-        if len(blocks) == 1:  # T and Z as the solver returns them, no copy
-            t, z, sweeps, threads = _block_schur(a, precision)
-        else:
-            t, z = _zeros(n, precision), _zeros(n, precision)
-            sweeps = largest = 0
-            for lo, hi in blocks:
-                tb, zb, s, th = _block_schur(a[lo:hi, lo:hi], precision)
-                t[lo:hi, lo:hi], z[lo:hi, lo:hi] = tb, zb
-                del tb, zb
-                sweeps += s
-                if hi - lo > largest:
-                    largest, threads = hi - lo, th
+        t, z, sweeps, threads = _schur_factors(a, blocks, precision)
+        # only now: the norm is a threaded BLAS call, whose idle workers
+        # spin for a while on the cores that concurrent blocks run on
+        fro = float(np.linalg.norm(rounded))
         with working_precision(precision):
             values, partners = _real_schur_eigenvalues(t)
         count.update(blocks=len(blocks), largest_block=max(hi - lo for lo, hi in blocks),
                      qr_sweeps=sweeps if precision.is_extended else None,
                      schur_threads=threads[0], process_threads=threads[1])
     stats = (sweeps,) if precision.is_extended else ()
-    return EigenSolution(values, partners, fro, stats, precision,
-                         schur=(t, z), lapack_threads=threads)
+    return EigenSolution(values, partners, fro, stats, precision, schur=(t, z))
 
 
 def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
@@ -218,30 +218,102 @@ def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip([0, *ends[:-1].tolist()], ends.tolist()))
 
 
-def _block_schur(a: np.ndarray, precision: ScalarPrecision):
-    """(T, Z, QR sweeps, ``lapack_threads``) of one diagonal block.
+def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
+                   precision: ScalarPrecision):
+    """(T, Z, QR sweeps, (schur_threads, process_threads)) of ``a``.
 
-    The real Schur form: LAPACK in double precision (on one thread below
-    order ``_SERIAL_BELOW``), the fixed-point kernel of ``_fixed_schur``
-    in extended precision.  Double mode reports 0 sweeps.
+    Each of the diagonal ``blocks`` gets its own Schur decomposition.  In
+    double precision T starts as a Fortran-order copy of the blocks, zero
+    elsewhere, and ``_dgees`` overwrites each block of T and Z in place.
+    Several blocks run concurrently, each on one LAPACK thread, as many at
+    once as the process has threads; a single block runs on one thread
+    below order ``_SERIAL_BELOW``.  Extended blocks run one after another,
+    and a single one's T and Z are returned as ``real_schur`` returns them.
     """
+    n = a.shape[0]
     if precision.is_extended:
-        t, z, sweeps = real_schur(a, precision.bits)
-        return t, z, sweeps, (None, _process_threads())
-    try:
-        with _lapack_threads(a.shape[0]) as threads:
-            t, z = scipy.linalg.schur(np.asarray(a, dtype=np.float64),
-                                      output="real")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
+        threads = (None, _process_threads())
+        if len(blocks) == 1:
+            return (*real_schur(a, precision.bits), threads)
+        t = np.full((n, n), mpmath.mpf(0), dtype=object)
+        z, sweeps = t.copy(), 0
+        for lo, hi in blocks:
+            t[lo:hi, lo:hi], z[lo:hi, lo:hi], s = real_schur(a[lo:hi, lo:hi],
+                                                             precision.bits)
+            sweeps += s
+        return t, z, sweeps, threads
+    if len(blocks) == 1:
+        t = np.array(a, dtype=np.float64, order="F")
+    else:
+        t = np.zeros((n, n), order="F")
+        for lo, hi in blocks:
+            t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
+    z = np.zeros_like(t)
+
+    def solve(block: Tuple[int, int]) -> None:
+        lo, hi = block
+        _dgees(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
+
+    with _lapack_threads(len(blocks) > 1 or n < _SERIAL_BELOW) as threads:
+        workers = min(len(blocks), threads[1]) if threads[0] == 1 else 1
+        if workers == 1:
+            for block in blocks:
+                solve(block)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(solve, blocks))
     return t, z, 0, threads
 
 
-def _zeros(n: int, precision: ScalarPrecision) -> np.ndarray:
-    """An n x n array of zeros in the carrier of the real Schur form."""
-    if precision.is_extended:
-        return np.full((n, n), mpmath.mpf(0), dtype=object)
-    return np.zeros((n, n))
+# LAPACKE's matrix_layout code for column-major (Fortran-order) arrays
+_COL_MAJOR = 102
+
+
+def _dgees(t: np.ndarray, z: np.ndarray) -> None:
+    """Overwrite the square block ``t`` with its real Schur form T, and
+    ``z`` with Z, by LAPACK ``dgees``.
+
+    ``t`` and ``z`` are float64 views with contiguous columns and equal
+    strides, such as one diagonal block of two Fortran-order arrays; ``t``
+    holds finite entries.  Z is computed and nothing is reordered.  Calls
+    ``LAPACKE_dgees`` of numpy's OpenBLAS (``_lapacke_dgees``), or
+    ``scipy.linalg.schur`` where numpy's library does not export it.
+    Raises ConvergenceError when the QR iteration fails (info > 0) and
+    ValueError on an argument LAPACK rejects (info < 0).
+    """
+    n = t.shape[0]
+    if (t.dtype != np.float64 or t.shape != (n, n) or t.strides[0] != t.itemsize
+            or t.strides[1] < n * t.itemsize or z.strides != t.strides):
+        raise ValueError("dgees expects square float64 blocks with contiguous columns")
+    dgees = _lapacke_dgees()
+    if dgees is None:
+        import scipy.linalg  # a second LAPACK, loaded only where numpy has none
+
+        try:
+            t[...], z[...] = scipy.linalg.schur(t, output="real")
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(str(exc)) from exc
+        return
+    ld = max(t.strides[1] // t.itemsize, 1)  # entries from column to column
+    wr, wi = np.empty(n), np.empty(n)
+    sdim = ctypes.c_int64()
+    info = dgees(_COL_MAJOR, b"V", b"N", None, n, t.ctypes.data, ld,
+                 ctypes.byref(sdim), wr.ctypes.data, wi.ctypes.data,
+                 z.ctypes.data, ld)
+    if info > 0:
+        raise ConvergenceError(f"dgees: the QR iteration failed (info {info})")
+    if info < 0:
+        raise ValueError(f"dgees: argument {-info} is invalid")
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_library() -> Optional[ctypes.CDLL]:
+    """numpy's linear-algebra extension, through which ctypes finds the
+    BLAS and LAPACK library it links; None where it cannot be loaded."""
+    try:
+        return ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
 
 
 def _thread_controls(lib) -> Optional[Tuple]:
@@ -263,32 +335,50 @@ def _thread_controls(lib) -> Optional[Tuple]:
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas_threads(module: str = "scipy.linalg._flapack") -> Optional[Tuple]:
-    """``_thread_controls`` of the library behind the extension ``module``,
-    by default scipy's LAPACK."""
-    try:
-        return _thread_controls(ctypes.CDLL(importlib.import_module(module).__file__))
-    except (ImportError, AttributeError, OSError):
-        return None
+def _openblas_threads() -> Optional[Tuple]:
+    """``_thread_controls`` of numpy's OpenBLAS, or None."""
+    lib = _numpy_library()
+    return None if lib is None else _thread_controls(lib)
+
+
+@functools.lru_cache(maxsize=None)
+def _lapacke_dgees():
+    """``LAPACKE_dgees`` of numpy's OpenBLAS, typed for ctypes, or None.
+
+    numpy's OpenBLAS has 64-bit integers and marks its symbols so, with the
+    ``64_`` suffix (and the ``scipy_`` prefix of the wheels' build).
+    """
+    lib = _numpy_library()
+    for name in ("scipy_LAPACKE_dgees64_", "LAPACKE_dgees64_"):
+        entry = getattr(lib, name, None)
+        if entry is not None:
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            entry.restype = i64
+            # layout, jobvs, sort, select, n, a, lda, sdim, wr, wi, vs, ldvs
+            entry.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ptr,
+                              i64, ptr, i64, ctypes.POINTER(i64), ptr, ptr,
+                              ptr, i64]
+            return entry
+    return None
 
 
 def _process_threads() -> Optional[int]:
-    """The OpenBLAS thread count behind scipy's LAPACK, or None if unknown."""
+    """The thread count of numpy's OpenBLAS, or None if unknown."""
     controls = _openblas_threads()
     return None if controls is None else controls[0]()
 
 
 @contextlib.contextmanager
-def _lapack_threads(n: int) -> Iterator[Tuple[Optional[int], Optional[int]]]:
-    """Run the block on one LAPACK thread when ``n < _SERIAL_BELOW``.
+def _lapack_threads(serial: bool) -> Iterator[Tuple[Optional[int], Optional[int]]]:
+    """Run each LAPACK call in the block on one thread when ``serial``.
 
-    Yields (threads in the block, threads before it), both None where the
-    count cannot be read or set, and restores the count on exit, also on
-    an exception.  The count is process-wide: solves in concurrent threads
-    share it.
+    Yields (threads each call runs on, threads before the block), both None
+    where the count of the pool that runs ``_dgees`` cannot be read or set,
+    and restores the count on exit, also on an exception.  The count is
+    process-wide: calls in concurrent threads share it.
     """
-    before = _process_threads()
-    if before is None or before == 1 or n >= _SERIAL_BELOW:
+    before = None if _lapacke_dgees() is None else _process_threads()
+    if before is None or before == 1 or not serial:
         yield before, before
         return
     put = _openblas_threads()[1]

@@ -8,13 +8,14 @@ computed at the working precision of the run.  Jobs run one after
 another: the extended mode's mpmath precision and the LAPACK thread count
 are process-wide state.  The Schur decomposition runs per diagonal block
 of K: two parity blocks at A = 0, one block otherwise.  In double
-precision a block of order below 512 runs on one LAPACK thread and a
-larger one on every thread the process has: on 2 cores one thread is the
-faster up to N ~ 767, most when the solve follows other work (N=511: 0.18
-against 0.27 s), and two threads from about N=1023 (N=2047: 5.3 against
-3.5 s); the ladder is in BENCH_lapack_threads.json.  Any exception inside a job aborts that L with
-a recorded "<Type>: <message>" diagnostic while the remaining half-widths
-still complete.
+precision it runs on numpy's OpenBLAS, the pool that also runs the
+vector products.  The two parity blocks are solved concurrently, each on
+one LAPACK thread; a single block of order below 512 runs on one thread
+and a larger one on every thread the process has (on 2 cores the two
+break even somewhere between orders 512 and 800, and two threads win
+from about 1000 on; the ladder is in BENCH_stages.json).  Any exception
+inside a job aborts that L with a recorded "<Type>: <message>" diagnostic
+while the remaining half-widths still complete.
 
 Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio, residual
@@ -25,7 +26,8 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
                                stages, each a name, wall-clock seconds,
                                counters (among them the LAPACK threads of
                                the Schur decomposition) and children;
-                               "environment": ``trace.environment()``
+                               "environment": ``trace.environment()``,
+                               numpy's OpenBLAS build and threads among it
                                (kept separate so summary.json is
                                bit-for-bit reproducible)
 """

@@ -12,14 +12,15 @@ spans: the library versions, the CPUs and the BLAS threads.
 
 import contextlib
 import contextvars
+import functools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from importlib import metadata
+from typing import Dict, Iterator, List, Optional
 
 import mpmath
 import numpy
-import scipy
 
 # the list that a span opened now is appended to; None outside record()
 _siblings: contextvars.ContextVar = contextvars.ContextVar("siblings", default=None)
@@ -66,19 +67,29 @@ def span(name: str) -> Iterator[Dict[str, object]]:
         _siblings.reset(token)
 
 
+@functools.lru_cache(maxsize=None)  # the lookup scans sys.path: ms, per persist
+def _scipy_version() -> Optional[str]:
+    """The installed scipy's version, read without importing it; None if
+    scipy is not installed."""
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def environment() -> dict:
     """The numpy, scipy and mpmath versions, the CPUs this process may run
-    on, and the build string and thread count of the OpenBLAS behind
-    scipy's LAPACK and of numpy's own, each None where the library exports
-    no OpenBLAS controls."""
+    on, and the build string and thread count of numpy's OpenBLAS, which
+    runs the Schur decompositions and the matrix products, each None where
+    numpy's library exports no OpenBLAS controls.  scipy's version is that
+    of its installed distribution, so scipy need not be imported."""
     from .eigensolver import _openblas_threads  # eigensolver imports this module
 
-    info = {module.__name__: module.__version__ for module in (numpy, scipy, mpmath)}
+    info = {module.__name__: module.__version__ for module in (numpy, mpmath)}
+    info["scipy"] = _scipy_version()
     info["cpu_count"] = (len(os.sched_getaffinity(0))
                          if hasattr(os, "sched_getaffinity") else os.cpu_count())
-    for key, module in (("scipy_openblas", "scipy.linalg._flapack"),
-                        ("numpy_openblas", "numpy.linalg._umath_linalg")):
-        get, _, config = _openblas_threads(module) or (None, None, None)
-        info[key] = None if config is None else config().decode()
-        info[f"{key}_threads"] = None if get is None else get()
+    get, _, config = _openblas_threads() or (None, None, None)
+    info["openblas"] = None if config is None else config().decode()
+    info["openblas_threads"] = None if get is None else get()
     return info

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 import scipy.linalg
 
 from ptspec import eigensolver, trace
+from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import ConvergenceError, eigenvalues
+from ptspec.hamiltonian import assemble
 from ptspec.harness.config import ExperimentConfig
 from ptspec.harness.runner import run_single
+from ptspec.potentials import PotentialSpec
 from ptspec.precision import DOUBLE, EXTENDED, as_working, to_complex128, working_precision
 
 
@@ -149,7 +153,7 @@ def test_complex_input_is_refused_before_any_schur_call(monkeypatch, precision):
     def fail(*args):
         raise AssertionError("Schur decomposition of a complex matrix")
 
-    monkeypatch.setattr(eigensolver, "_block_schur", fail)
+    monkeypatch.setattr(eigensolver, "_schur_factors", fail)
     a = np.diag([2 + 3j, 2 - 3j, 5 + 0j])
     with working_precision(EXTENDED):
         mpc = np.frompyfunc(mpmath.mpc, 1, 1)(a)
@@ -196,7 +200,7 @@ def _solution_of_real_schur_form(t):
     fro = float(np.linalg.norm(t))
     return eigensolver.EigenSolution(
         values, partners, fro, (), DOUBLE,
-        schur=(t, np.eye(len(t))), lapack_threads=(None, None))
+        schur=(t, np.eye(len(t))))
 
 
 def _block(a, b, c):
@@ -309,9 +313,59 @@ def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision):
     assert np.count_nonzero(split.partners >= 0) == np.count_nonzero(whole.partners >= 0)
 
 
+def _spy_on_dgees(monkeypatch, before=None):
+    """Replace ``eigensolver._dgees`` by a spy; returns the block orders it saw.
+
+    ``before(t)``, if given, runs in the spy ahead of the real call.
+    """
+    calls = []
+    dgees = eigensolver._dgees
+
+    def spy(t, z):
+        calls.append(t.shape[0])
+        if before is not None:
+            before(t)
+        dgees(t, z)
+
+    monkeypatch.setattr(eigensolver, "_dgees", spy)
+    return calls
+
+
+def _schur_counters(a, precision=DOUBLE):
+    """The counters of the ``eigensolver.schur`` span of ``eigenvalues(a)``."""
+    with trace.record() as spans:
+        eigenvalues(a, precision=precision)
+    return spans[0].counters
+
+
 def test_one_coupling_entry_makes_one_schur_call(monkeypatch):
     rng = np.random.default_rng(23)
     a = _three_blocks(rng)
+    calls = _spy_on_dgees(monkeypatch)
+    eigenvalues(a)
+    assert sorted(calls) == [3, 4, 5]  # the blocks may run concurrently
+    a[2, 10] = 0.5  # couples the first block with the last, and so all three
+    calls.clear()
+    eigenvalues(a)
+    assert calls == [12]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_is_refused_before_any_schur_call(monkeypatch, bad):
+    def fail(*args):
+        raise AssertionError("Schur decomposition of a non-finite matrix")
+
+    monkeypatch.setattr(eigensolver, "_schur_factors", fail)
+    a = np.eye(4)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues(a)
+
+
+def test_without_lapacke_dgees_scipy_solves_the_blocks(monkeypatch):
+    rng = np.random.default_rng(25)
+    a = _three_blocks(rng)
+    own = eigenvalues(a)
     calls = []
     schur = scipy.linalg.schur
 
@@ -319,25 +373,52 @@ def test_one_coupling_entry_makes_one_schur_call(monkeypatch):
         calls.append(m.shape[0])
         return schur(m, *args, **kwargs)
 
+    monkeypatch.setattr(eigensolver, "_lapacke_dgees", lambda: None)
     monkeypatch.setattr(scipy.linalg, "schur", spy)
-    eigenvalues(a)
+    with trace.record() as spans:
+        sol = eigenvalues(a)
+    # one block after another, on a pool whose threads are not known
     assert calls == [5, 3, 4]
-    a[2, 10] = 0.5  # couples the first block with the last, and so all three
-    calls.clear()
-    eigenvalues(a)
-    assert calls == [12]
+    assert (spans[0].counters["schur_threads"],
+            spans[0].counters["process_threads"]) == (None, None)
+    assert np.allclose(sol.eigenvalues, own.eigenvalues, rtol=0, atol=1e-12)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "schur", fail)
+    with pytest.raises(ConvergenceError, match="no convergence"):
+        eigenvalues(a)
+
+
+def test_lapack_info_is_raised(monkeypatch):
+    if eigensolver._lapacke_dgees() is None:
+        pytest.skip("numpy's library exports no LAPACKE_dgees")
+    for info, error in ((1, ConvergenceError), (-6, ValueError)):
+        monkeypatch.setattr(eigensolver, "_lapacke_dgees",
+                            lambda: lambda *args: info)
+        with pytest.raises(error, match="dgees"):
+            eigenvalues(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_dgees_refuses_blocks_lapack_cannot_read():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])  # C order: its rows are contiguous
+    for t, z in ((a, np.empty_like(a, order="F")), (a.T, np.empty_like(a))):
+        with pytest.raises(ValueError, match="contiguous columns"):
+            eigensolver._dgees(t, z)
 
 
 # --- LAPACK threads ----------------------------------------------------------
 
 _CONTROLS = eigensolver._openblas_threads()
 needs_openblas = pytest.mark.skipif(
-    _CONTROLS is None, reason="scipy's LAPACK exports no OpenBLAS thread count")
+    _CONTROLS is None or eigensolver._lapacke_dgees() is None,
+    reason="numpy's OpenBLAS exports no thread count or no LAPACKE_dgees")
 
 
 @pytest.fixture
 def two_threads():
-    """scipy's OpenBLAS on 2 threads for the test, then as it was."""
+    """numpy's OpenBLAS on 2 threads for the test, then as it was."""
     get, put, _ = _CONTROLS
     before = get()
     put(2)
@@ -350,68 +431,118 @@ def two_threads():
 def test_small_schur_runs_on_one_thread_and_restores_the_count(monkeypatch):
     get = _CONTROLS[0]
     seen = []
-    schur = scipy.linalg.schur
-
-    def spy(*args, **kwargs):
-        seen.append(get())
-        return schur(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    _spy_on_dgees(monkeypatch, lambda m: seen.append(get()))
     a = np.random.default_rng(15).standard_normal((40, 40))
-    sol = eigenvalues(a)
+    counters = _schur_counters(a)
     assert seen == [1] and get() == 2
-    assert sol.lapack_threads == (1, 2)
+    assert (counters["schur_threads"], counters["process_threads"]) == (1, 2)
     # a large one keeps the process's count; the superdiagonal couples
     # every row to the next, so it is one block, not n of order 1
     n = eigensolver._SERIAL_BELOW
-    big = eigenvalues(np.eye(n) + np.eye(n, k=1))
-    assert big.lapack_threads == (2, 2) and get() == 2
+    big = _schur_counters(np.eye(n) + np.eye(n, k=1))
+    assert (big["schur_threads"], big["process_threads"]) == (2, 2) and get() == 2
     # extended mode makes no LAPACK call
-    assert eigenvalues(np.eye(3), precision=EXTENDED).lapack_threads == (None, 2)
+    ext = _schur_counters(np.eye(3), precision=EXTENDED)
+    assert (ext["schur_threads"], ext["process_threads"]) == (None, 2)
 
 
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
-def test_each_block_takes_its_own_thread_count(monkeypatch):
+def test_concurrent_blocks_each_run_on_one_thread(monkeypatch):
     get = _CONTROLS[0]
     seen = []
-    schur = scipy.linalg.schur
+    both = threading.Barrier(2, timeout=60)
 
-    def spy(*args, **kwargs):
+    def meet(m):
         seen.append(get())
-        return schur(*args, **kwargs)
+        both.wait()  # passes only while both blocks are in the solver at once
 
-    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    _spy_on_dgees(monkeypatch, meet)
     n = eigensolver._SERIAL_BELOW
     small = np.random.default_rng(24).standard_normal((40, 40))
-    with trace.record() as spans:
-        sol = eigenvalues(scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1),
-                                                  small))
-    # the largest block's count is reported, on the solution and its span
-    assert seen == [2, 1] and sol.lapack_threads == (2, 2) and get() == 2
-    assert spans[0].counters == {"blocks": 2, "largest_block": n,
-                                 "qr_sweeps": None, "schur_threads": 2,
-                                 "process_threads": 2}
+    counters = _schur_counters(scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1),
+                                                       small))
+    assert seen == [1, 1] and get() == 2
+    assert counters == {"blocks": 2, "largest_block": n, "qr_sweeps": None,
+                        "schur_threads": 1, "process_threads": 2}
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_no_more_concurrent_blocks_than_threads(monkeypatch):
+    lock = threading.Lock()
+    running, most = [0], [0]
+    dgees = eigensolver._dgees
+
+    def spy(t, z):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        try:
+            dgees(t, z)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(eigensolver, "_dgees", spy)
+    a = scipy.linalg.block_diag(*np.random.default_rng(26).standard_normal((6, 60, 60)))
+    assert _schur_counters(a)["blocks"] == 6
+    assert 1 <= most[0] <= 2
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_thread_count_restored_when_one_concurrent_block_fails(monkeypatch):
+    seen = []
+
+    def fail_one(m):
+        seen.append(_CONTROLS[0]())
+        if m.shape[0] == 3:
+            raise ConvergenceError("injected")
+
+    _spy_on_dgees(monkeypatch, fail_one)
+    with pytest.raises(ConvergenceError, match="injected"):
+        eigenvalues(_three_blocks(np.random.default_rng(27)))
+    assert set(seen) == {1} and _CONTROLS[0]() == 2
 
 
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
 def test_thread_count_restored_when_schur_fails(monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
+    # LAPACK reports no convergence, on one block and on several
+    monkeypatch.setattr(eigensolver, "_lapacke_dgees", lambda: lambda *args: 1)
+    for a in (np.ones((8, 8)), np.eye(8)):
+        with pytest.raises(ConvergenceError):
+            eigenvalues(a)
+        assert _CONTROLS[0]() == 2
 
-    monkeypatch.setattr(scipy.linalg, "schur", fail)
-    with pytest.raises(ConvergenceError):
-        eigenvalues(np.eye(8))
-    assert _CONTROLS[0]() == 2
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_concurrent_box_blocks_match_each_block_alone():
+    grid = build_grid(10.0, 255)
+    k = assemble(grid, PotentialSpec("scarf2", 0.0)).matrix
+    blocks = eigensolver._diagonal_blocks(k)
+    assert len(blocks) == 2
+    t, z = eigenvalues(k).schur
+    with eigensolver._lapack_threads(True) as threads:
+        assert threads == (1, 2)
+        for lo, hi in blocks:
+            tb = np.array(k[lo:hi, lo:hi], order="F")
+            zb = np.empty_like(tb)
+            eigensolver._dgees(tb, zb)
+            assert np.array_equal(t[lo:hi, lo:hi], tb)
+            assert np.array_equal(z[lo:hi, lo:hi], zb)
 
 
 def test_no_thread_controls_leaves_the_solve_alone(monkeypatch):
     assert eigensolver._thread_controls(object()) is None
     monkeypatch.setattr(eigensolver, "_openblas_threads", lambda: None)
-    sol = eigenvalues(np.diag([3.0, 1.0, 2.0]))
+    with trace.record() as spans:
+        sol = eigenvalues(np.diag([3.0, 1.0, 2.0]))
     assert sorted(sol.eigenvalues.real) == [1.0, 2.0, 3.0]
-    assert sol.lapack_threads == (None, None)
+    counters = spans[0].counters
+    assert (counters["schur_threads"], counters["process_threads"]) == (None, None)
 
 
 @needs_openblas

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from ptspec import eigensolver
 from ptspec.harness.cli import main
 from ptspec.harness.config import (
     ExperimentConfig,
@@ -153,16 +157,37 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
     assert summary["runs"]["L10"]["bound_pairs"] == 1
     assert "timing" not in summary  # timings live in their own file
     timing = json.loads((run_dir / "timing.json").read_text())
-    assert set(timing["environment"]) == {
-        "numpy", "scipy", "mpmath", "cpu_count", "scipy_openblas",
-        "scipy_openblas_threads", "numpy_openblas", "numpy_openblas_threads"}
+    environment = timing["environment"]
+    assert set(environment) == {"numpy", "scipy", "mpmath", "cpu_count",
+                                "openblas", "openblas_threads"}
     schur = timing["runs"]["L10"][1]
     assert schur["name"] == "eigensolver.schur"
     counters = schur["counters"]
     threads = counters["process_threads"]
-    assert threads == timing["environment"]["scipy_openblas_threads"]
+    # the pool that runs the Schur decomposition is numpy's OpenBLAS
+    assert threads == (None if eigensolver._lapacke_dgees() is None
+                       else environment["openblas_threads"])
     # N=129 is a small solve: one LAPACK thread where the count can be set
     assert counters["schur_threads"] == (None if threads is None else 1)
+
+
+@pytest.mark.skipif(eigensolver._lapacke_dgees() is None,
+                    reason="numpy's library exports no LAPACKE_dgees")
+def test_cli_run_imports_no_scipy_linalg(tmp_path):
+    # scipy's LAPACK is a second library, slow to import, that no stage uses
+    code = ("import sys\n"
+            "import ptspec.harness.cli as cli\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "rc = cli.main(['classify', '--family', 'scarf2', '--strength', '30',"
+            " '--L', '10', '--N', '33', '--out', sys.argv[1]])\n"
+            "assert rc == 0 and 'scipy.linalg' not in sys.modules\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.rglob("timing.json"))) == 1
 
 
 def test_persisted_files_are_reproducible(small_artifact, tmp_path):

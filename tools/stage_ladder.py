@@ -20,10 +20,15 @@ occurs more than once in a run (one per vector batch) is summed.
 
 The cases are coulomb_regulated A=10 L=100 at N = 255 ... 4095, the box
 (scarf2 A=0 L=10) and the step A=3 L=100 of the benchmark, and scarf2 A=30
-L=10 in extended precision.  Coulomb at N=1023 and 2047 runs a second time
-with ``OPENBLAS_NUM_THREADS=1`` in the child's environment, so that its
-Schur decomposition runs on one thread: the vector stage that follows it
-then shows what a two-thread decomposition costs the call after it.
+L=10 in extended precision.  Coulomb at N = 513, 767, 1023 and 2047 runs a
+second time with ``OPENBLAS_NUM_THREADS=1`` in the child's environment, so
+that its Schur decomposition runs on one thread.  Each run of the one is
+followed by a run of the other, so the two meet the same load on the
+machine.  The pairs bracket the order (512, ``eigensolver._SERIAL_BELOW``)
+from which a single block runs on every thread: N=513 is the smallest N
+whose K, of order N - 1, is at it, and N=511 runs on one thread either
+way.  The vector stage after the decomposition shows what a two-thread
+decomposition costs the call after it.
 """
 
 from __future__ import annotations
@@ -37,14 +42,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (family, strength, half-width, N, precision mode, OPENBLAS_NUM_THREADS)
+# (family, strength, half-width, N, precision mode, the OPENBLAS_NUM_THREADS
+# values to run it with; None leaves the variable as it is)
 CASES = (
-    *(("coulomb_regulated", 10.0, 100.0, n, "double64", None)
-      for n in (255, 511, 1023, 2047, 4095)),
-    *(("coulomb_regulated", 10.0, 100.0, n, "double64", 1) for n in (1023, 2047)),
-    *(("scarf2", 0.0, 10.0, n, "double64", None) for n in (1023, 2047)),
-    ("step", 3.0, 100.0, 1023, "double64", None),
-    ("scarf2", 30.0, 10.0, 21, "extended128", None),
+    *(("coulomb_regulated", 10.0, 100.0, n, "double64", (None,)) for n in (255, 511)),
+    *(("coulomb_regulated", 10.0, 100.0, n, "double64", (None, 1))
+      for n in (513, 767, 1023, 2047)),
+    ("coulomb_regulated", 10.0, 100.0, 4095, "double64", (None,)),
+    *(("scarf2", 0.0, 10.0, n, "double64", (None,)) for n in (1023, 2047)),
+    ("step", 3.0, 100.0, 1023, "double64", (None,)),
+    ("scarf2", 30.0, 10.0, 21, "extended128", (None,)),
 )
 
 # runs ``measure`` of the script at argv[1] on the case in argv[2]
@@ -115,25 +122,27 @@ def main() -> int:
     trees = ([spec.split("=", 1) for spec in args.tree]
              or [["this", str(Path(__file__).resolve().parent.parent)]])
     cases = []
-    for number, case in enumerate(CASES):
-        family, strength, half_width, n, precision, threads = case
-        runs: dict = {label: [] for label, _ in trees}
+    for number, (*call, settings) in enumerate(CASES):
+        family, strength, half_width, n, precision = call
+        runs: dict = {(threads, label): [] for threads in settings for label, _ in trees}
         for run in range(1 if n >= 4095 else args.runs):
             order = trees if (number + run) % 2 == 0 else trees[::-1]
-            for label, path in order:
-                runs[label].append(run_case(label, path, case))
-        row = {"family": family, "strength": strength, "half_width": half_width,
-               "n_intervals": n, "precision": precision,
-               "OPENBLAS_NUM_THREADS": threads,
-               "trees": {label: summarize(results)
-                         for label, results in runs.items()}}
-        for label, tree in row["trees"].items():
-            seconds = " ".join(f"{name} {stage['seconds']:.3f}"
-                               for name, stage in tree["spans"].items())
-            print(f"{family} A={strength:g} L={half_width:g} N={n} {precision}"
-                  f"{'' if threads is None else f' {threads}T'} {label}: "
-                  f"{seconds}; rss {tree['peak_rss_mb']:.0f} MB", flush=True)
-        cases.append(row)
+            for threads in settings:  # side by side, under the same load
+                for label, path in order:
+                    runs[threads, label].append(run_case(label, path, (*call, threads)))
+        for threads in settings:
+            row = {"family": family, "strength": strength, "half_width": half_width,
+                   "n_intervals": n, "precision": precision,
+                   "OPENBLAS_NUM_THREADS": threads,
+                   "trees": {label: summarize(runs[threads, label])
+                             for label, _ in trees}}
+            for label, tree in row["trees"].items():
+                seconds = " ".join(f"{name} {stage['seconds']:.3f}"
+                                   for name, stage in tree["spans"].items())
+                print(f"{family} A={strength:g} L={half_width:g} N={n} {precision}"
+                      f"{'' if threads is None else f' {threads}T'} {label}: "
+                      f"{seconds}; rss {tree['peak_rss_mb']:.0f} MB", flush=True)
+            cases.append(row)
     text = json.dumps({"runs": args.runs, "trees": [label for label, _ in trees],
                        "cases": cases}, indent=1)
     if args.out is None:
