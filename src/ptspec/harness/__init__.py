@@ -1,20 +1,18 @@
 """Experiment orchestration: configs, runners, plot data, CLI, and the
 benchmark-reproduction suite."""
 
-from .config import ExperimentConfig, load_config, parse_config, serialize_config
+from .config import ExperimentConfig, parse_config, serialize_config
 from .plotdata import PLOT_KINDS, emit_plot_data
-from .reproduce import CheckResult, SpectrumCache, full_scale_config
+from .reproduce import CheckResult, full_scale_config
 from .runner import RunArtifact, persist, run_experiment, run_single
 
 __all__ = [
     "ExperimentConfig",
-    "load_config",
     "parse_config",
     "serialize_config",
     "PLOT_KINDS",
     "emit_plot_data",
     "CheckResult",
-    "SpectrumCache",
     "full_scale_config",
     "RunArtifact",
     "persist",

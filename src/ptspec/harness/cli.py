@@ -19,10 +19,9 @@ from pathlib import Path
 from ..extrapolate import build_table, estimate_balmer, load_bound_sequence
 from ..potentials import FAMILIES
 from ..spectrum import ClassificationPolicy
-from .config import ExperimentConfig, load_config, serialize_config
-from .plotdata import PLOT_KINDS, emit_plot_data
+from .config import ExperimentConfig, parse_config, serialize_config
 from .reproduce import SELECTORS, full_scale_config, reproduce
-from .runner import persist, run_experiment, write_records
+from .runner import RunArtifact, persist, run_experiment, write_records
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
@@ -57,38 +56,43 @@ def _config_from_args(args, half_widths) -> ExperimentConfig:
         strength=args.strength,
         half_widths=tuple(half_widths),
         n_intervals=args.n_intervals,
-        precision_mode={"double": "double64", "extended": "extended128"}[args.precision],
+        precision_mode=args.precision,
         output_dir=str(args.out) if args.out else "runs",
         output_format=args.format,
         policy=policy,
     )
 
 
+def _run(config: ExperimentConfig, stdout: bool = False,
+         labels: bool = True) -> RunArtifact:
+    """Run every half-width of ``config``, then persist the run and print
+    its directory, or with ``stdout`` print each L's records instead (only
+    re, im without ``labels``); each failed L is reported on stderr."""
+    artifact = run_experiment(config)
+    if stdout:
+        for result in artifact.results.values():
+            write_records(result, sys.stdout, config.output_format,
+                          labels=labels)
+    else:
+        print(persist(artifact))
+    for half_width, message in sorted(artifact.failures.items()):
+        print(f"L={half_width:g} failed: {message}", file=sys.stderr)
+    return artifact
+
+
 def _cmd_single(args, include_labels: bool) -> int:
     config = _config_from_args(args, [args.half_width])
-    artifact = run_experiment(config)
-    if args.half_width in artifact.failures:
-        print(f"error: {artifact.failures[args.half_width]}", file=sys.stderr)
-        return 1
-    result = artifact.results[args.half_width]
-    if args.out is not None:
-        run_dir = persist(artifact, out_dir=args.out)
-        for kind in PLOT_KINDS:
-            emit_plot_data(result, kind,
-                           run_dir / f"L{args.half_width:g}" / f"{kind}.csv")
-        print(run_dir)
-    else:
-        write_records(result, sys.stdout, args.format,
-                      labels=include_labels)
-    if include_labels:
+    artifact = _run(config, stdout=args.out is None, labels=include_labels)
+    if include_labels and not artifact.failures:
+        result = artifact.results[args.half_width]
         print(f"# bound_pairs {result.bound_pairs} "
               f"transition {result.transition_point}", file=sys.stderr)
-    return 0
+    return 1 if artifact.failures else 0
 
 
 def _cmd_sweep(args) -> int:
     if args.config is not None:
-        config = load_config(args.config)
+        config = parse_config(args.config)
         if args.out is not None:
             config = dataclasses.replace(config, output_dir=str(args.out))
     else:
@@ -97,16 +101,7 @@ def _cmd_sweep(args) -> int:
                   "plus at least one --L", file=sys.stderr)
             return 2
         config = _config_from_args(args, sorted(args.half_widths))
-    artifact = run_experiment(config)
-    run_dir = persist(artifact)
-    for half_width, result in artifact.results.items():
-        for kind in PLOT_KINDS:
-            emit_plot_data(result, kind,
-                           run_dir / f"L{half_width:g}" / f"{kind}.csv")
-    print(run_dir)
-    for half_width, message in sorted(artifact.failures.items()):
-        print(f"L={half_width:g} failed: {message}", file=sys.stderr)
-    return 1 if artifact.failures else 0
+    return 1 if _run(config).failures else 0
 
 
 def _cmd_extrapolate(args) -> int:
@@ -143,12 +138,12 @@ def _cmd_extrapolate(args) -> int:
 def _cmd_reproduce(args) -> int:
     if args.full_scale:
         config = full_scale_config()
+        if args.out is not None:
+            config = dataclasses.replace(config, output_dir=str(args.out))
         print("# full-scale configuration (opt-in; the extended matrix alone "
               "needs ~68 GB, and its Schur form at least 1.2 years of compute):")
         print(serialize_config(config))
-        artifact = run_experiment(config)
-        persist(artifact, out_dir=args.out or Path("runs"))
-        return 1 if artifact.failures else 0
+        return 1 if _run(config).failures else 0
     results = reproduce(args.selector)
     for check in results:
         print(check.line())

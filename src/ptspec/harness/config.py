@@ -51,7 +51,9 @@ class ExperimentConfig:
         object.__setattr__(self, "strength", float(self.strength))
         if self.n_intervals < 4:
             raise ValueError(f"n_intervals must be >= 4, got {self.n_intervals}")
-        from_name(self.precision_mode)  # raises on unknown mode
+        # one spelling per mode, so that one job gets one run directory
+        object.__setattr__(self, "precision_mode",
+                           from_name(self.precision_mode).mode)
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(
                 f"output_format must be one of {OUTPUT_FORMATS}, "
@@ -115,7 +117,3 @@ def parse_config(source: Union[str, Path]) -> ExperimentConfig:
         output_format=exp.get("output_format", "csv"),
         policy=ClassificationPolicy(**policy_kwargs),
     )
-
-
-def load_config(path: Union[str, Path]) -> ExperimentConfig:
-    return parse_config(Path(path))

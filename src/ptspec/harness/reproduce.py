@@ -3,9 +3,11 @@
 Each check function computes a measured quantity (running the pipeline at
 desk-scale grid sizes where needed) and compares against the reference
 values in :mod:`ptspec.refdata`, returning a CheckResult with both sides
-of the comparison.  A shared SpectrumCache memoizes ``runner.run_single``
-(the pipeline the CLI runs), so spectra used by several checks are
-computed once.
+of the comparison.  The checks read their spectra through one memoized
+call of ``runner.run_single`` (the pipeline the CLI runs), so a spectrum
+used by several checks, or by several ``reproduce`` calls in one process,
+is computed once.  ``reproduce`` times each check as a ``trace`` span
+named ``reproduce.<check>``.
 
 Selectors group the checks:
     box    -- the analytic free-particle oracle only (seconds);
@@ -19,14 +21,15 @@ selector; ``full_scale_config`` builds it for explicit opt-in runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import mpmath
 import numpy as np
 
-from .. import refdata
+from .. import refdata, trace
 from ..eigensolver import eigenvalues
 from ..extrapolate import build_table, estimate_balmer
 from ..precision import EXTENDED, as_working, working_precision
@@ -49,22 +52,14 @@ class CheckResult:
         return f"[{status}] {self.name}: measured {self.measured}; expected {self.expected}"
 
 
-class SpectrumCache:
-    """Memoizes classified spectra keyed by (family, A, L, N, precision)."""
-
-    def __init__(self):
-        self._store: Dict[tuple, SpectrumResult] = {}
-
-    def get(self, family: str, strength: float, half_width: float,
-            n_intervals: int, precision_mode: str = "double64"
-            ) -> SpectrumResult:
-        key = (family, float(strength), float(half_width),
-               int(n_intervals), precision_mode)
-        if key not in self._store:
-            config = ExperimentConfig(family, strength, (half_width,),
-                                      n_intervals, precision_mode)
-            self._store[key], _ = run_single(config, half_width)
-        return self._store[key]
+@functools.lru_cache(maxsize=None)
+def _spectrum(family: str, strength: float, half_width: float,
+              n_intervals: int) -> SpectrumResult:
+    """The classified double-precision spectrum of one job, computed once
+    per process."""
+    config = ExperimentConfig(family, strength, (half_width,), n_intervals)
+    result, _ = run_single(config, half_width)
+    return result
 
 
 def _nearest(values: Sequence[complex], target: complex) -> Tuple[complex, float]:
@@ -72,9 +67,9 @@ def _nearest(values: Sequence[complex], target: complex) -> Tuple[complex, float
     return best, abs(best - target)
 
 
-def check_box_oracle(cache: SpectrumCache) -> CheckResult:
+def check_box_oracle() -> CheckResult:
     """Free particle in a box: E_n = (n pi / 2L)^2, here L = 10, N = 511."""
-    records = cache.get("scarf2", 0.0, 10.0, 511).records  # ascending Re
+    records = _spectrum("scarf2", 0.0, 10.0, 511).records  # ascending Re
     worst = 0.0
     for n in range(1, 11):
         exact = (n * math.pi / 20.0) ** 2
@@ -87,8 +82,8 @@ def check_box_oracle(cache: SpectrumCache) -> CheckResult:
     )
 
 
-def check_scarf2_bound_l10(cache: SpectrumCache) -> CheckResult:
-    result = cache.get("scarf2", 30.0, 10.0, 1023)
+def check_scarf2_bound_l10() -> CheckResult:
+    result = _spectrum("scarf2", 30.0, 10.0, 1023)
     bound = [z for z in result.bound_values() if z.imag > 0]
     errs = []
     for ref in refdata.SCARF2_BOUND_L10:
@@ -106,8 +101,8 @@ def check_scarf2_bound_l10(cache: SpectrumCache) -> CheckResult:
     )
 
 
-def check_scarf2_third_pair(cache: SpectrumCache) -> CheckResult:
-    result = cache.get("scarf2", 30.0, 100.0, 2047)
+def check_scarf2_third_pair() -> CheckResult:
+    result = _spectrum("scarf2", 30.0, 100.0, 2047)
     bound = [z for z in result.bound_values() if z.imag > 0]
     if bound:
         _, err = _nearest(bound, refdata.SCARF2_BOUND_THIRD_L100)
@@ -131,12 +126,12 @@ _TRANSITION_CASES = (
 )
 
 
-def check_transitions(cache: SpectrumCache) -> CheckResult:
+def check_transitions() -> CheckResult:
     rows = []
     ok = True
     for family, strength, n, tol in _TRANSITION_CASES:
         expected = refdata.TRANSITION_POINTS[family]
-        result = cache.get(family, strength, 100.0, n)
+        result = _spectrum(family, strength, 100.0, n)
         location, drop = result.transition_point, result.transition_drop
         if location is None:
             ok = False
@@ -164,14 +159,14 @@ _UNCOVERING_CASES = (
 )
 
 
-def check_pair_uncovering(cache: SpectrumCache) -> CheckResult:
+def check_pair_uncovering() -> CheckResult:
     rows = []
     ok = True
     for family, strength, (n10, n100) in _UNCOVERING_CASES:
         expected = refdata.BOUND_PAIR_COUNTS[(family, strength)]
         got = (
-            cache.get(family, strength, 10.0, n10).bound_pairs,
-            cache.get(family, strength, 100.0, n100).bound_pairs,
+            _spectrum(family, strength, 10.0, n10).bound_pairs,
+            _spectrum(family, strength, 100.0, n100).bound_pairs,
         )
         ok = ok and got == expected
         rows.append(f"{family}: {got[0]}->{got[1]}")
@@ -187,7 +182,7 @@ def check_pair_uncovering(cache: SpectrumCache) -> CheckResult:
     )
 
 
-def check_continuum_collapse(cache: SpectrumCache) -> CheckResult:
+def check_continuum_collapse() -> CheckResult:
     """Max continuum |Im| shrinks as the interval grows (fixed N).
 
     N = 2047 keeps both half-widths fully resolved; coarser grids leave
@@ -196,7 +191,7 @@ def check_continuum_collapse(cache: SpectrumCache) -> CheckResult:
     """
     maxima = []
     for half_width in (10.0, 100.0):
-        result = cache.get("scarf2", 30.0, half_width, 2047)
+        result = _spectrum("scarf2", 30.0, half_width, 2047)
         maxima.append(max(abs(z.imag) for z in result.continuum_values()))
     return CheckResult(
         name="continuum_collapse",
@@ -217,7 +212,7 @@ def _table_agreement(input_seq, reference_columns) -> float:
     return worst
 
 
-def check_richardson_tables(cache: SpectrumCache) -> CheckResult:
+def check_richardson_tables() -> CheckResult:
     """Reproduce the published extrapolant tables to 4 significant figures.
 
     The scaled input sequences k^2 Re E_k and k^3 |Im E_k| are rebuilt at
@@ -241,7 +236,7 @@ def check_richardson_tables(cache: SpectrumCache) -> CheckResult:
     )
 
 
-def check_balmer_reference(cache: SpectrumCache) -> CheckResult:
+def check_balmer_reference() -> CheckResult:
     estimate = estimate_balmer(refdata.REG_COULOMB_BOUND)
     ok = 24.0 <= estimate.alpha <= 26.0 and 60.0 <= estimate.beta <= 63.0
     return CheckResult(
@@ -252,7 +247,7 @@ def check_balmer_reference(cache: SpectrumCache) -> CheckResult:
     )
 
 
-def check_balmer_synthetic(cache: SpectrumCache) -> CheckResult:
+def check_balmer_synthetic() -> CheckResult:
     exact = [complex(25.0 / k ** 2, 61.0 / k ** 3) for k in range(1, 10)]
     estimate = estimate_balmer(exact)
     err = max(abs(estimate.alpha - 25.0), abs(estimate.beta - 61.0))
@@ -264,7 +259,7 @@ def check_balmer_synthetic(cache: SpectrumCache) -> CheckResult:
     )
 
 
-def check_extended_residuals(cache: SpectrumCache) -> CheckResult:
+def check_extended_residuals() -> CheckResult:
     """Software extended precision beats double-precision roundoff limits.
 
     The residuals are those of the Schur vectors of the first real
@@ -292,7 +287,7 @@ def check_extended_residuals(cache: SpectrumCache) -> CheckResult:
     )
 
 
-def check_eigensolver_properties(cache: SpectrumCache) -> CheckResult:
+def check_eigensolver_properties() -> CheckResult:
     """Trace, transpose, residual and determinism on 20 random real 100 x 100 matrices."""
     size = 100
     rng = np.random.default_rng(11)
@@ -327,7 +322,7 @@ def check_eigensolver_properties(cache: SpectrumCache) -> CheckResult:
     )
 
 
-_CHECKS: Dict[str, Tuple[Callable[[SpectrumCache], CheckResult], ...]] = {
+_CHECKS: Dict[str, Tuple[Callable[[], CheckResult], ...]] = {
     "box": (check_box_oracle,),
     "tables": (
         check_richardson_tables,
@@ -369,9 +364,11 @@ def full_scale_config() -> ExperimentConfig:
     )
 
 
-def reproduce(selector: str = "desk",
-              cache: Optional[SpectrumCache] = None) -> List[CheckResult]:
+def reproduce(selector: str = "desk") -> List[CheckResult]:
     if selector not in _CHECKS:
         raise ValueError(f"selector must be one of {sorted(_CHECKS)}, got {selector!r}")
-    cache = cache or SpectrumCache()
-    return [check(cache) for check in _CHECKS[selector]]
+    results = []
+    for check in _CHECKS[selector]:
+        with trace.span(f"reproduce.{check.__name__.removeprefix('check_')}"):
+            results.append(check())
+    return results

@@ -21,7 +21,10 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio, residual
                                (or eigenvalues.json, a list of such rows);
                                ``write_records`` also prints them for the CLI
-    summary.json               counts, transitions, config snapshot, version
+    L<value>/complex_plane.csv, L<value>/log_im.csv, L<value>/loglog_bound.csv
+                               the plot data of ``plotdata.PLOT_KINDS``
+    summary.json               counts, transitions, config snapshot, version,
+                               and "failures": per failed L its diagnostic
     timing.json                "runs": per L, the ``trace`` spans of its
                                stages, each a name, wall-clock seconds,
                                counters (among them the LAPACK threads of
@@ -39,7 +42,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from importlib import metadata
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, TextIO, Tuple
 
 from .. import trace
 from ..chebdiff import build_grid
@@ -49,6 +52,7 @@ from ..potentials import PotentialSpec
 from ..precision import from_name, working_precision
 from ..spectrum import SpectrumResult, classify
 from .config import ExperimentConfig
+from .plotdata import PLOT_KINDS, emit_plot_data
 
 try:
     TOOL_VERSION = metadata.version("ptspec")
@@ -60,13 +64,12 @@ COLUMNS = ("re", "im", "label", "tail_ratio", "residual")
 
 @dataclass(frozen=True)
 class RunArtifact:
-    """Everything one run produced: results, failures, stage spans, version."""
+    """Everything one run produced: results, failures and stage spans."""
 
     config: ExperimentConfig
     results: Dict[float, SpectrumResult] = field(default_factory=dict)
     failures: Dict[float, str] = field(default_factory=dict)
     spans: Dict[float, List[trace.Span]] = field(default_factory=dict)
-    tool_version: str = TOOL_VERSION
 
 
 def run_single(config: ExperimentConfig, half_width: float
@@ -134,20 +137,17 @@ def _result_summary(result: SpectrumResult) -> dict:
     }
 
 
-def persist(artifact: RunArtifact, out_dir: Optional[Path] = None) -> Path:
-    """Write the artifact's CSV/JSON files; returns the run directory.
-
-    ``out_dir`` defaults to the config's ``output_dir``.
-    """
+def persist(artifact: RunArtifact) -> Path:
+    """Write the artifact's files under the config's ``output_dir`` in the
+    layout above; returns the run directory."""
     config = artifact.config
-    if out_dir is None:
-        out_dir = Path(config.output_dir)
-    run_dir = Path(out_dir) / (f"{config.family}_A{config.strength:g}"
-                               f"_N{config.n_intervals}_{config.precision_mode}")
+    run_dir = Path(config.output_dir) / (
+        f"{config.family}_A{config.strength:g}"
+        f"_N{config.n_intervals}_{config.precision_mode}")
     run_dir.mkdir(parents=True, exist_ok=True)
 
     summary = {
-        "tool_version": artifact.tool_version,
+        "tool_version": TOOL_VERSION,
         "config": {
             "family": config.family,
             "strength": config.strength,
@@ -165,6 +165,8 @@ def persist(artifact: RunArtifact, out_dir: Optional[Path] = None) -> Path:
         with open(l_dir / f"eigenvalues.{config.output_format}", "w",
                   newline="") as fh:
             write_records(result, fh, config.output_format)
+        for kind in PLOT_KINDS:
+            emit_plot_data(result, kind, l_dir / f"{kind}.csv")
         summary["runs"][f"L{half_width:g}"] = _result_summary(result)
 
     with open(run_dir / "summary.json", "w") as fh:

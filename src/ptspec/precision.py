@@ -56,11 +56,12 @@ EXTENDED = ScalarPrecision("extended128", 113, 1e-24)
 
 
 def from_name(name: str) -> ScalarPrecision:
-    """Map user-facing names ("double", "extended") to precision objects."""
+    """Map a mode's name ("double" or "double64", "extended" or
+    "extended128") to its precision object."""
     key = name.strip().lower()
-    if key in ("double", "double64", "d"):
+    if key in ("double", "double64"):
         return DOUBLE
-    if key in ("extended", "extended128", "quad", "q"):
+    if key in ("extended", "extended128"):
         return EXTENDED
     raise ValueError(f"unknown precision {name!r}")
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import runpy
@@ -10,15 +11,10 @@ import pytest
 
 from ptspec import eigensolver
 from ptspec.harness.cli import main
-from ptspec.harness.config import (
-    ExperimentConfig,
-    load_config,
-    parse_config,
-    serialize_config,
-)
+from ptspec.harness.config import ExperimentConfig, parse_config, serialize_config
 from ptspec.harness.plotdata import PLOT_KINDS, emit_plot_data
-from ptspec.harness.reproduce import SpectrumCache, full_scale_config, reproduce
-from ptspec.harness.runner import persist, run_experiment, run_single
+from ptspec.harness.reproduce import full_scale_config, reproduce
+from ptspec.harness.runner import RunArtifact, persist, run_experiment, run_single
 from ptspec.spectrum import ClassificationPolicy
 
 
@@ -31,6 +27,12 @@ def _small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _output_to(artifact, directory):
+    # the artifact as if its config had named ``directory`` as output_dir
+    config = dataclasses.replace(artifact.config, output_dir=str(directory))
+    return dataclasses.replace(artifact, config=config)
 
 
 # --- config ----------------------------------------------------------------
@@ -52,7 +54,7 @@ def test_config_file_round_trip(tmp_path):
     config = _small_config()
     path = tmp_path / "experiment.ini"
     path.write_text(serialize_config(config))
-    assert load_config(path) == config
+    assert parse_config(path) == config
 
 
 def test_config_partial_classification_section():
@@ -77,10 +79,29 @@ def test_config_partial_classification_section():
     dict(half_widths=(-1.0,)),
     dict(output_format="xml"),
     dict(precision_mode="half"),
+    dict(precision_mode="quad"),
 ])
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
         _small_config(**overrides)
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("double", "double64"), ("double64", "double64"),
+    ("extended", "extended128"), ("extended128", "extended128"),
+])
+def test_one_spelling_per_precision_mode(tmp_path, name, mode):
+    # the INI name and the CLI name of one mode persist one directory
+    text = ("[experiment]\n"
+            "family = step\nstrength = 3.0\nhalf_widths = 10.0\n"
+            f"n_intervals = 65\nprecision = {name}\n"
+            f"output_dir = {tmp_path}\n")
+    config = parse_config(text)
+    assert config.precision_mode == mode
+    run_dir = persist(RunArtifact(config))
+    assert run_dir.name == f"step_A3_N65_{mode}"
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["config"]["precision"] == mode
 
 
 def test_even_n_puts_a_node_at_the_origin():
@@ -141,7 +162,7 @@ def test_run_experiment_produces_results(small_artifact):
 
 
 def test_persist_layout_and_schema(small_artifact, tmp_path):
-    run_dir = persist(small_artifact, out_dir=tmp_path)
+    run_dir = persist(_output_to(small_artifact, tmp_path))
     csv_path = run_dir / "L10" / "eigenvalues.csv"
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
@@ -191,8 +212,9 @@ def test_cli_run_imports_no_scipy_linalg(tmp_path):
 
 
 def test_persisted_files_are_reproducible(small_artifact, tmp_path):
-    first = persist(small_artifact, out_dir=tmp_path / "a")
-    again = persist(run_experiment(_small_config()), out_dir=tmp_path / "b")
+    first = persist(_output_to(small_artifact, tmp_path / "a"))
+    again = persist(run_experiment(_small_config(
+        output_dir=str(tmp_path / "b"))))
     assert ((first / "L10" / "eigenvalues.csv").read_bytes()
             == (again / "L10" / "eigenvalues.csv").read_bytes())
     assert ((first / "summary.json").read_bytes()
@@ -214,7 +236,7 @@ def test_failure_in_one_half_width_is_isolated(monkeypatch, tmp_path):
     artifact = run_experiment(_small_config(half_widths=(5.0, 10.0)))
     assert artifact.failures == {5.0: "ValueError: injected"}
     assert artifact.results[10.0].bound_pairs == 1
-    run_dir = persist(artifact, out_dir=tmp_path)
+    run_dir = persist(_output_to(artifact, tmp_path))
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["failures"] == {"5.0": "ValueError: injected"}
     assert list(summary["runs"]) == ["L10"]
@@ -331,6 +353,43 @@ def test_cli_sweep_with_config(tmp_path, capsys):
     assert run_dir.endswith("step_A3_N129_double64")
 
 
+def _files(run_dir):
+    return {path.relative_to(run_dir): path.read_bytes()
+            for path in Path(run_dir).rglob("*") if path.is_file()}
+
+
+def test_cli_classify_and_sweep_persist_one_layout(tmp_path, capsys):
+    job = ["--family", "step", "--strength", "3", "--L", "10", "--N", "129"]
+    assert main(["classify", *job, "--out", str(tmp_path / "classify")]) == 0
+    classified = _files(capsys.readouterr().out.strip())
+    assert main(["sweep", *job, "--out", str(tmp_path / "sweep")]) == 0
+    swept = _files(capsys.readouterr().out.strip())
+    assert set(classified) == set(swept) == {
+        Path("summary.json"), Path("timing.json"),
+        *(Path("L10") / f"{name}.csv" for name in ("eigenvalues", *PLOT_KINDS))}
+    # the same job, so the same bytes wherever no time is recorded
+    del classified[Path("timing.json")], swept[Path("timing.json")]
+    assert classified == swept
+
+
+def test_cli_classify_reports_and_persists_a_failure(monkeypatch, tmp_path,
+                                                     capsys):
+    import ptspec.harness.runner as runner
+
+    def eigenvalues_failing(matrix, precision):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(runner, "eigenvalues", eigenvalues_failing)
+    assert main(["classify", "--family", "step", "--strength", "3", "--L", "10",
+                 "--N", "129", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "L=10 failed: ValueError: injected\n"
+    run_dir = Path(captured.out.strip())
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["failures"] == {"10.0": "ValueError: injected"}
+    assert summary["runs"] == {}
+
+
 def test_cli_sweep_needs_target(capsys):
     assert main(["sweep", "--N", "129"]) == 2
 
@@ -358,7 +417,22 @@ def test_reproduce_rejects_unknown_selector():
 
 def test_reproduce_module_is_not_shadowed_by_its_function():
     import ptspec.harness.reproduce as module
-    assert module.SpectrumCache is SpectrumCache
+    assert module.reproduce is reproduce
+
+
+def test_reproduce_computes_each_spectrum_once(monkeypatch):
+    import ptspec.harness.reproduce as module
+    calls = []
+
+    def run_single_counted(config, half_width):
+        calls.append((config, half_width))
+        return run_single(config, half_width)
+
+    monkeypatch.setattr(module, "run_single", run_single_counted)
+    module._spectrum.cache_clear()  # earlier tests may have filled it
+    first, again = reproduce("box"), reproduce("box")
+    assert first == again and first[0].passed
+    assert len(calls) == 1
 
 
 def test_full_scale_config_shape():

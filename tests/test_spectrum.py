@@ -102,10 +102,10 @@ def test_zero_strength_all_real():
     assert all(r.label == CONTINUUM_REAL for r in result.records)
 
 
-def test_box_oracle_has_no_transition(cache):
+def test_box_oracle_has_no_transition():
     # A = 0: every level of the free box is real, exactly, so there is no
     # complex-to-real drop for the detector to find
-    result = cache.get("scarf2", 0.0, 10.0, 511)
+    result = _classified("scarf2", 0.0, 10.0, 511)
     assert result.transition_point is None
     assert result.transition_drop is None
     assert all(r.value.imag == 0.0 for r in result.records)

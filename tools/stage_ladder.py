@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time each stage of the pipeline on an N ladder, from the spans it records.
+"""Time each stage of the pipeline on an N ladder, and the two end-to-end jobs.
 
 Run from the root of a checkout of the repository:
 
@@ -29,6 +29,14 @@ from which a single block runs on every thread: N=513 is the smallest N
 whose K, of order N - 1, is at it, and N=511 runs on one thread either
 way.  The vector stage after the decomposition shows what a two-thread
 decomposition costs the call after it.
+
+Two end-to-end cases follow, each once per checkout in a fresh process:
+``reproduce --selector desk`` (``measure_desk``: the seconds of each check
+from its ``reproduce.<check>`` span, where the checkout records one, and
+the checks that passed) and the tier-1 command ``python -m pytest -q
+--continue-on-collection-errors`` run in the checkout (its last output
+line).  For both the JSON holds the wall seconds of the process and its
+peak RSS.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # (family, strength, half-width, N, precision mode, the OPENBLAS_NUM_THREADS
@@ -54,9 +63,12 @@ CASES = (
     ("scarf2", 30.0, 10.0, 21, "extended128", (None,)),
 )
 
-# runs ``measure`` of the script at argv[1] on the case in argv[2]
-_CHILD = ("import json, runpy, sys; measure = runpy.run_path(sys.argv[1])"
-          "['measure']; print(json.dumps(measure(*json.loads(sys.argv[2]))))")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+
+# runs the function named argv[2] of the script at argv[1] on the arguments
+# in argv[3]
+_CHILD = ("import json, runpy, sys; function = runpy.run_path(sys.argv[1])"
+          "[sys.argv[2]]; print(json.dumps(function(*json.loads(sys.argv[3]))))")
 
 
 def measure(family: str, strength: float, half_width: float, n: int,
@@ -86,17 +98,61 @@ def measure(family: str, strength: float, half_width: float, n: int,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3}
 
 
-def run_case(label: str, path: str, case: tuple) -> dict:
-    """``measure`` of ``case`` in a fresh interpreter on the checkout at ``path``."""
-    *call, threads = case
+def measure_desk() -> dict:
+    """``reproduce --selector desk`` in this interpreter.
+
+    Returns the seconds of each check by name (empty where the checkout
+    records no ``reproduce.<check>`` spans) and the checks run and passed.
+    """
+    from ptspec import trace
+    from ptspec.harness.reproduce import reproduce
+
+    with trace.record() as spans:
+        results = reproduce("desk")
+    return {"checks": {s.name: s.seconds for s in spans
+                       if s.name.startswith("reproduce.")},
+            "passed": sum(bool(r.passed) for r in results), "run": len(results)}
+
+
+def run_child(path: str, args: tuple, threads=None) -> dict:
+    """A fresh interpreter with ``args``, in the checkout at ``path`` and with
+    its ``src/`` on the path: the exit code, the output (stdout and stderr),
+    the wall seconds and the peak RSS in MB of the process."""
     env = {**os.environ, "PYTHONPATH": str(Path(path).resolve() / "src")}
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(threads)
-    out = subprocess.run([sys.executable, "-c", _CHILD, __file__, json.dumps(call)],
-                         env=env, capture_output=True, text=True)
-    if out.returncode != 0:
-        sys.exit(f"tree {label} ({path}) failed on {call}:\n{out.stderr}")
-    return json.loads(out.stdout.splitlines()[-1])
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, *args], cwd=path, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT) as proc:
+        output = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"returncode": proc.returncode, "output": output,
+            "wall_s": time.perf_counter() - start,
+            "peak_rss_mb": usage.ru_maxrss / 1e3}
+
+
+def run_case(label: str, path: str, case: tuple) -> dict:
+    """``measure`` of ``case`` in a fresh interpreter on the checkout at ``path``."""
+    *call, threads = case
+    out = run_child(path, ("-c", _CHILD, __file__, "measure", json.dumps(call)), threads)
+    if out["returncode"] != 0:
+        sys.exit(f"tree {label} ({path}) failed on {call}:\n{out['output']}")
+    return json.loads(out["output"].splitlines()[-1])
+
+
+def run_end_to_end(label: str, path: str, case: str) -> dict:
+    """One end-to-end ``case`` ("desk" or "tier-1") on the checkout at ``path``."""
+    if case == "desk":
+        out = run_child(path, ("-c", _CHILD, __file__, "measure_desk", "[]"))
+        if out["returncode"] != 0:
+            sys.exit(f"tree {label} ({path}) failed on desk:\n{out['output']}")
+        record = json.loads(out["output"].splitlines()[-1])
+    else:
+        out = run_child(path, TIER1)
+        record = {"returncode": out["returncode"],
+                  "result": out["output"].strip().splitlines()[-1]}
+    return {**record, "wall_s": out["wall_s"], "peak_rss_mb": out["peak_rss_mb"]}
 
 
 def summarize(results: list) -> dict:
@@ -143,8 +199,16 @@ def main() -> int:
                       f"{'' if threads is None else f' {threads}T'} {label}: "
                       f"{seconds}; rss {tree['peak_rss_mb']:.0f} MB", flush=True)
             cases.append(row)
+    end_to_end = {}
+    for number, case in enumerate(("desk", "tier-1")):
+        order = trees if number % 2 == 0 else trees[::-1]
+        records = {label: run_end_to_end(label, path, case) for label, path in order}
+        end_to_end[case] = {label: records[label] for label, _ in trees}
+        for label, record in end_to_end[case].items():
+            print(f"{case} {label}: {record['wall_s']:.1f} s, rss "
+                  f"{record['peak_rss_mb']:.0f} MB", flush=True)
     text = json.dumps({"runs": args.runs, "trees": [label for label, _ in trees],
-                       "cases": cases}, indent=1)
+                       "cases": cases, "end_to_end": end_to_end}, indent=1)
     if args.out is None:
         print(text)
     else:
