@@ -32,6 +32,8 @@ import mpmath
 import numpy as np
 from mpmath import libmp
 
+from .eigensolver import ConvergenceError
+
 #: Bits kept beyond the target precision.  The deflation test needs its
 #: threshold well above the rounding level: on scarf2 K (A = 30, L = 10,
 #: N = 21) QR takes 78 sweeps with 20 guard bits and 188 with 40, and 31
@@ -42,10 +44,6 @@ GUARD_BITS = 96
 #: precision, counted since an eigenvalue or a pair last converged at the
 #: bottom of the active block.
 SWEEPS_PER_DIGIT = 4
-
-
-class ConvergenceError(RuntimeError):
-    """The Schur decomposition failed to converge."""
 
 
 def real_schur(a: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray, int]:

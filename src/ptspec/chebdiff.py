@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .precision import DOUBLE, ScalarPrecision
@@ -59,6 +58,8 @@ def build_grid(
         raise ValueError(f"n_intervals must be >= 4, got {n_intervals}")
     precision = precision or DOUBLE
     if precision.is_extended:
+        import mpmath
+
         with mpmath.workprec(precision.bits):
             vals = [mpmath.mpf(L) * mpmath.sin(mpmath.pi * (n - 2 * j) / (2 * n))
                     for j in range(n + 1)]

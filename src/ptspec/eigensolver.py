@@ -13,16 +13,16 @@ as a +- i sqrt|b| sqrt|c|, so pairs are bitwise conjugate, partners of
 each other by construction, and real eigenvalues have an imaginary part of
 exactly 0.  Extended T and Z come back as object arrays of ``mpf``, and
 the extended kernel's normwise backward error is below that of floats of
-``bits`` bits.
+``bits`` bits.  mpmath and ``_fixed_schur`` are imported by the extended
+branches only, so a double-precision solve loads neither.
 
 A block-diagonal matrix -- no nonzero entry couples the rows and columns
 before some index with those from it on -- gets one Schur decomposition
 per diagonal block, found from its nonzero pattern in O(n^2), written into
 one n x n T and Z.  K splits so when A = 0, into its even and odd parity
-blocks; with A != 0 it is one block.  In double precision the blocks are
-solved concurrently, since the ctypes call releases the GIL; extended
-precision solves them one after another, as ``real_schur`` is Python code
-and mpmath's precision is process-wide.
+blocks; with A != 0 it is one block.  Extended precision solves the blocks
+one after another, as ``real_schur`` is Python code and mpmath's precision
+is process-wide.
 
 Right eigenvectors for any subset of eigenvalues come from the same
 factors in either precision, as one batch with their measured residuals:
@@ -33,12 +33,14 @@ V = Z Y, so one decomposition serves both values and vectors.  One
 routine serves both precisions.
 
 The double Schur decomposition runs on numpy's OpenBLAS, the thread pool
-that also runs the Z Y product and the residual products.  A single block
-of order below ``_SERIAL_BELOW`` takes its Schur form on one thread of
-that pool: at that size the threads' synchronisation costs more than the
-second core gains.
-A larger one runs on the process's thread count.  Concurrent blocks each
-run on one thread, at most as many at once as the process has threads.
+that also runs the Z Y product and the residual products.  A matrix of
+order below ``_SERIAL_BELOW`` runs on one thread of that pool, its blocks
+one after another: at that size the threads' synchronisation costs more
+than the second core gains, and no thread pool is started.  From that
+order on, a single block runs on the process's thread count, and several
+blocks run concurrently, since the ctypes call releases the GIL, each on
+one thread, at most as many at once as the process has threads.  A block
+runs on one thread either way, so its factors do not depend on the rule.
 The count is process-wide, so it is set once around the whole solve and
 restored after it, also on an exception.  Where numpy's library exports
 no ``LAPACKE_dgees`` (a build on another BLAS), ``scipy.linalg.schur``
@@ -52,14 +54,11 @@ import contextlib
 import ctypes
 import functools
 import importlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
-from ._fixed_schur import ConvergenceError, real_schur
 from .precision import DOUBLE, ScalarPrecision, to_complex128, working_precision
 from .trace import span
 
@@ -68,9 +67,13 @@ from .trace import span
 _BACKSUB_BLOCK = 64
 _VECTOR_BATCH = 1024
 
-# a single diagonal block of lower order takes its double Schur form on one
-# LAPACK thread
+# a matrix of lower order takes its double Schur form on one LAPACK thread,
+# one diagonal block after another
 _SERIAL_BELOW = 512
+
+
+class ConvergenceError(RuntimeError):
+    """The Schur decomposition failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,10 @@ class EigenSolution:
         ``eigensolver.backsub``, ``eigensolver.zy`` and
         ``eigensolver.residual`` per batch.
         """
-        ks = np.unique(np.asarray(indices, dtype=np.intp))
+        ks = np.sort(np.asarray(indices, dtype=np.intp).ravel())
+        distinct = np.ones(len(ks), dtype=bool)
+        distinct[1:] = ks[1:] != ks[:-1]
+        ks = ks[distinct]
         t, z = self.schur
         a = np.asarray(matrix)
         # per batch, after an empty part that holds the shapes for no index
@@ -225,13 +231,19 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
     Each of the diagonal ``blocks`` gets its own Schur decomposition.  In
     double precision T starts as a Fortran-order copy of the blocks, zero
     elsewhere, and ``_dgees`` overwrites each block of T and Z in place.
-    Several blocks run concurrently, each on one LAPACK thread, as many at
-    once as the process has threads; a single block runs on one thread
-    below order ``_SERIAL_BELOW``.  Extended blocks run one after another,
-    and a single one's T and Z are returned as ``real_schur`` returns them.
+    Below order ``_SERIAL_BELOW`` the blocks run one after another on one
+    LAPACK thread.  From it on, a single block runs on the process's
+    threads, and several run concurrently, each on one thread, as many at
+    once as the process has threads.  Extended blocks run one after
+    another, and a single one's T and Z are returned as ``real_schur``
+    returns them.
     """
     n = a.shape[0]
     if precision.is_extended:
+        import mpmath
+
+        from ._fixed_schur import real_schur
+
         threads = (None, _process_threads())
         if len(blocks) == 1:
             return (*real_schur(a, precision.bits), threads)
@@ -254,12 +266,15 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
         lo, hi = block
         _dgees(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
 
-    with _lapack_threads(len(blocks) > 1 or n < _SERIAL_BELOW) as threads:
-        workers = min(len(blocks), threads[1]) if threads[0] == 1 else 1
+    serial = n < _SERIAL_BELOW
+    with _lapack_threads(serial or len(blocks) > 1) as threads:
+        workers = 1 if serial or threads[0] != 1 else min(len(blocks), threads[1])
         if workers == 1:
             for block in blocks:
                 solve(block)
         else:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(workers) as pool:
                 list(pool.map(solve, blocks))
     return t, z, 0, threads
@@ -400,10 +415,13 @@ def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     k = np.flatnonzero(np.diagonal(t, -1))
     if t.dtype == object:
-        omega = _mp_sqrt(np.abs(t[k, k + 1])) * _mp_sqrt(np.abs(t[k + 1, k]))
+        import mpmath
+
+        root = np.frompyfunc(mpmath.sqrt, 1, 1)
+        omega = root(np.abs(t[k, k + 1])) * root(np.abs(t[k + 1, k]))
         imag = np.zeros(len(t), dtype=object)
         imag[k], imag[k + 1] = omega, -omega
-        values = _mp_complex(np.diagonal(t), imag)
+        values = np.frompyfunc(mpmath.mpc, 2, 1)(np.diagonal(t), imag)
     else:
         omega = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
         values = np.diagonal(t).astype(np.complex128)
@@ -413,12 +431,6 @@ def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     partners = np.full(len(values), -1)
     partners[k], partners[k + 1] = k + 1, k
     return values, partners
-
-
-# elementwise mpmath.sqrt, mpmath.mpc(re, im) and mpmath.im over object arrays
-_mp_sqrt = np.frompyfunc(mpmath.sqrt, 1, 1)
-_mp_complex = np.frompyfunc(mpmath.mpc, 2, 1)
-_mp_imag = np.frompyfunc(mpmath.im, 1, 1)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -469,7 +481,12 @@ def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
     single = ~pair[own]
     y[own[single], cols[single]] = 1
     double = own[~single]
-    imag = (_mp_imag if lam.dtype == object else np.imag)(lam[~single])
+    if lam.dtype == object:
+        import mpmath
+
+        imag = np.frompyfunc(mpmath.im, 1, 1)(lam[~single])
+    else:
+        imag = np.imag(lam[~single])
     y[double, cols[~single]] = t[double, double + 1]
     y[double + 1, cols[~single]] = 1j * imag
     # |Re| + |Im| as in dtrevc3; on an object array .real is the array

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .chebdiff import Grid, second_derivative_rows
@@ -37,7 +36,11 @@ from .trace import span
 
 def _sqrt2(dtype):
     """sqrt(2) in the arithmetic of ``dtype`` (mpmath working precision for object)."""
-    return mpmath.sqrt(2) if dtype == object else np.sqrt(2.0)
+    if dtype == object:
+        import mpmath
+
+        return mpmath.sqrt(2)
+    return np.sqrt(2.0)
 
 
 @dataclass(frozen=True)

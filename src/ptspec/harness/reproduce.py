@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from .. import refdata, trace
@@ -46,6 +45,11 @@ class CheckResult:
     passed: bool
     measured: str
     expected: str
+
+    def __post_init__(self):
+        # a comparison of numpy scalars gives a numpy.bool, which json
+        # cannot write into the failure report
+        object.__setattr__(self, "passed", bool(self.passed))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -266,6 +270,8 @@ def check_extended_residuals() -> CheckResult:
     eigenvalue and of both members of the first conjugate pair of one
     random 50 x 50 real matrix, recomputed here in extended arithmetic.
     """
+    import mpmath
+
     rng = np.random.default_rng(7)
     worst = 0.0
     a = rng.standard_normal((50, 50))

@@ -9,11 +9,12 @@ another: the extended mode's mpmath precision and the LAPACK thread count
 are process-wide state.  The Schur decomposition runs per diagonal block
 of K: two parity blocks at A = 0, one block otherwise.  In double
 precision it runs on numpy's OpenBLAS, the pool that also runs the
-vector products.  The two parity blocks are solved concurrently, each on
-one LAPACK thread; a single block of order below 512 runs on one thread
-and a larger one on every thread the process has (on 2 cores the two
-break even somewhere between orders 512 and 800, and two threads win
-from about 1000 on; the ladder is in BENCH_stages.json).  Any exception
+vector products.  A K of order below 512 runs on one LAPACK thread, its
+parity blocks one after another.  From that order on, the two parity
+blocks are solved concurrently, each on one thread, and a single block
+runs on every thread the process has (on 2 cores the two break even
+somewhere between orders 512 and 800, and two threads win from about 1000
+on; the ladder is in BENCH_stages.json).  Any exception
 inside a job aborts that L with a recorded "<Type>: <message>" diagnostic
 while the remaining half-widths still complete.
 
@@ -23,8 +24,10 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
                                ``write_records`` also prints them for the CLI
     L<value>/complex_plane.csv, L<value>/log_im.csv, L<value>/loglog_bound.csv
                                the plot data of ``plotdata.PLOT_KINDS``
-    summary.json               counts, transitions, config snapshot, version,
-                               and "failures": per failed L its diagnostic
+    summary.json               counts, transitions, config snapshot, the
+                               installed ptspec's version ("unknown" in a
+                               source tree), and "failures": per failed L
+                               its diagnostic
     timing.json                "runs": per L, the ``trace`` spans of its
                                stages, each a name, wall-clock seconds,
                                counters (among them the LAPACK threads of
@@ -40,7 +43,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
-from importlib import metadata
 from pathlib import Path
 from typing import Dict, List, TextIO, Tuple
 
@@ -53,11 +55,6 @@ from ..precision import from_name, working_precision
 from ..spectrum import SpectrumResult, classify
 from .config import ExperimentConfig
 from .plotdata import PLOT_KINDS, emit_plot_data
-
-try:
-    TOOL_VERSION = metadata.version("ptspec")
-except metadata.PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "unknown"
 
 COLUMNS = ("re", "im", "label", "tail_ratio", "residual")
 
@@ -147,7 +144,7 @@ def persist(artifact: RunArtifact) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
 
     summary = {
-        "tool_version": TOOL_VERSION,
+        "tool_version": trace.installed_version("ptspec") or "unknown",
         "config": {
             "family": config.family,
             "strength": config.strength,

@@ -5,15 +5,16 @@ V(-x) = -V(x) and Re V = 0: the parity/conjugation symmetry that makes the
 Hamiltonian p^2 + V PT-symmetric, and that symmetry is what lets
 ``hamiltonian.assemble`` solve a real matrix.  All families vanish as
 |x| -> infinity, at rates ranging from exponential (scarf2) down to 1/|x|
-(coulomb_regulated).
+(coulomb_regulated).  mpmath, which an ``mpf`` argument needs, is
+imported by the extended branches only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .chebdiff import Grid
@@ -45,11 +46,19 @@ class PotentialSpec:
             raise ValueError(f"unknown potential family {self.family!r}")
 
 
+def _is_mp(x) -> bool:
+    """Whether ``x`` is an mpmath number; there is none before mpmath is
+    imported, so a double argument does not import it."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
+
+
 def _odd_profile(family: str, x):
     """The real odd factor f(x) such that V = i * A * f(x)."""
-    extended = isinstance(x, (mpmath.mpf, mpmath.mpc))
     if family == "scarf2":
-        if extended:
+        if _is_mp(x):
+            import mpmath
+
             return mpmath.tanh(x) / mpmath.cosh(x)
         if abs(x) > _SECH_CUTOFF:
             return 0.0
@@ -75,13 +84,15 @@ def evaluate(spec: PotentialSpec, x):
     mpc) follows the argument so extended-precision assemblies stay in
     extended precision throughout.
     """
-    extended = isinstance(x, (mpmath.mpf, mpmath.mpc))
+    extended = _is_mp(x)
     if not extended:
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"potential argument must be finite, got {x}")
     f = _odd_profile(spec.family, x)
     if extended:
+        import mpmath
+
         return mpmath.mpc(0, 1) * spec.strength * f
     return 1j * spec.strength * f
 

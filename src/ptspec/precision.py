@@ -17,6 +17,9 @@ substitution's floor on divisors and the transition search's floor on
 |Im E|, and the ``residual_tol`` that an eigenvector must meet.
 ``as_working`` puts a real array in a mode's matrix carrier, and
 ``to_complex128`` rounds ``mpc``/``mpf`` entries to the nearest double.
+
+mpmath is imported by the extended branches only, on a process's first
+extended grid, matrix or solve, so a double-precision run never loads it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 
@@ -72,12 +74,10 @@ def working_precision(precision: ScalarPrecision):
     A no-op for double mode, where arithmetic is native complex128.
     """
     if precision.is_extended:
+        import mpmath
+
         return mpmath.workprec(precision.bits)
     return contextlib.nullcontext()
-
-
-# elementwise mpmath.mpf over an array, giving an object array
-_to_mpf = np.frompyfunc(mpmath.mpf, 1, 1)
 
 
 def as_working(a: np.ndarray, precision: ScalarPrecision) -> np.ndarray:
@@ -88,8 +88,10 @@ def as_working(a: np.ndarray, precision: ScalarPrecision) -> np.ndarray:
         return a.astype(np.float64)
     if a.dtype == object:
         return a
+    import mpmath
+
     with mpmath.workprec(precision.bits):
-        return _to_mpf(a)
+        return np.frompyfunc(mpmath.mpf, 1, 1)(a)
 
 
 def to_complex128(a: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ records nothing.  The open recorder is held in a context variable, so
 each thread records only its own spans and a finished ``record()``
 leaves none behind.  ``environment()`` describes what produced the
 spans: the library versions, the CPUs and the BLAS threads.
+``installed_version`` reads a distribution's version from its metadata,
+once per process: ``importlib.metadata`` is imported by the first lookup,
+when a run is persisted, not by a run itself.
 """
 
 import contextlib
@@ -16,10 +19,8 @@ import functools
 import os
 import time
 from dataclasses import dataclass, field
-from importlib import metadata
 from typing import Dict, Iterator, List, Optional
 
-import mpmath
 import numpy
 
 # the list that a span opened now is appended to; None outside record()
@@ -68,11 +69,13 @@ def span(name: str) -> Iterator[Dict[str, object]]:
 
 
 @functools.lru_cache(maxsize=None)  # the lookup scans sys.path: ms, per persist
-def _scipy_version() -> Optional[str]:
-    """The installed scipy's version, read without importing it; None if
-    scipy is not installed."""
+def installed_version(distribution: str) -> Optional[str]:
+    """The version of the installed ``distribution``, read from its
+    metadata without importing it; None if it is not installed."""
+    from importlib import metadata  # ~20 ms to import, so only when asked
+
     try:
-        return metadata.version("scipy")
+        return metadata.version(distribution)
     except metadata.PackageNotFoundError:
         return None
 
@@ -81,12 +84,15 @@ def environment() -> dict:
     """The numpy, scipy and mpmath versions, the CPUs this process may run
     on, and the build string and thread count of numpy's OpenBLAS, which
     runs the Schur decompositions and the matrix products, each None where
-    numpy's library exports no OpenBLAS controls.  scipy's version is that
-    of its installed distribution, so scipy need not be imported."""
+    numpy's library exports no OpenBLAS controls.  scipy's and mpmath's
+    versions are those of their installed distributions
+    (``installed_version``), so neither need be imported: the first call
+    imports ``importlib.metadata`` instead."""
     from .eigensolver import _openblas_threads  # eigensolver imports this module
 
-    info = {module.__name__: module.__version__ for module in (numpy, mpmath)}
-    info["scipy"] = _scipy_version()
+    info = {"numpy": numpy.__version__}
+    for name in ("scipy", "mpmath"):
+        info[name] = installed_version(name)
     info["cpu_count"] = (len(os.sched_getaffinity(0))
                          if hasattr(os, "sched_getaffinity") else os.cpu_count())
     get, _, config = _openblas_threads() or (None, None, None)

@@ -192,6 +192,17 @@ def test_no_indices_skips_the_back_substitution(monkeypatch):
     assert vectors.shape == (20, 0)
 
 
+def test_repeated_and_unordered_indices_give_each_vector_once():
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((20, 20))
+    sol = eigenvalues(a)
+    indices = [7, 3, 7, 19, 0, 3]
+    ks, vectors, residuals = sol.eigenvectors(a, indices)
+    assert ks.tolist() == np.unique(indices).tolist()
+    once = sol.eigenvectors(a, [0, 3, 7, 19])
+    assert np.array_equal(vectors, once[1]) and np.array_equal(residuals, once[2])
+
+
 # --- back substitution on the real Schur form ---------------------------------
 
 def _solution_of_real_schur_form(t):
@@ -343,7 +354,7 @@ def test_one_coupling_entry_makes_one_schur_call(monkeypatch):
     a = _three_blocks(rng)
     calls = _spy_on_dgees(monkeypatch)
     eigenvalues(a)
-    assert sorted(calls) == [3, 4, 5]  # the blocks may run concurrently
+    assert calls == [5, 3, 4]
     a[2, 10] = 0.5  # couples the first block with the last, and so all three
     calls.clear()
     eigenvalues(a)
@@ -485,9 +496,28 @@ def test_no_more_concurrent_blocks_than_threads(monkeypatch):
                 running[0] -= 1
 
     monkeypatch.setattr(eigensolver, "_dgees", spy)
-    a = scipy.linalg.block_diag(*np.random.default_rng(26).standard_normal((6, 60, 60)))
+    # six blocks of order _SERIAL_BELOW or more in all, so they run concurrently
+    size = -(-eigensolver._SERIAL_BELOW // 6)
+    a = scipy.linalg.block_diag(
+        *np.random.default_rng(26).standard_normal((6, size, size)))
     assert _schur_counters(a)["blocks"] == 6
     assert 1 <= most[0] <= 2
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_small_blocks_run_one_after_another_on_one_thread(monkeypatch):
+    # below order _SERIAL_BELOW no pool is started: the blocks run in order,
+    # on the calling thread, each on one LAPACK thread
+    get = _CONTROLS[0]
+    seen = []
+    _spy_on_dgees(monkeypatch,
+                  lambda m: seen.append((len(m), get(), threading.get_ident())))
+    counters = _schur_counters(_three_blocks(np.random.default_rng(28)))
+    me = threading.get_ident()
+    assert seen == [(5, 1, me), (3, 1, me), (4, 1, me)] and get() == 2
+    assert (counters["blocks"], counters["schur_threads"],
+            counters["process_threads"]) == (3, 1, 2)
 
 
 @needs_openblas
@@ -501,8 +531,12 @@ def test_thread_count_restored_when_one_concurrent_block_fails(monkeypatch):
             raise ConvergenceError("injected")
 
     _spy_on_dgees(monkeypatch, fail_one)
+    # of order _SERIAL_BELOW or more in all, so the blocks run concurrently
+    n = eigensolver._SERIAL_BELOW
+    a = scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1),
+                                _three_blocks(np.random.default_rng(27)))
     with pytest.raises(ConvergenceError, match="injected"):
-        eigenvalues(_three_blocks(np.random.default_rng(27)))
+        eigenvalues(a)
     assert set(seen) == {1} and _CONTROLS[0]() == 2
 
 
@@ -520,7 +554,8 @@ def test_thread_count_restored_when_schur_fails(monkeypatch):
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
 def test_concurrent_box_blocks_match_each_block_alone():
-    grid = build_grid(10.0, 255)
+    # K of order _SERIAL_BELOW: its two parity blocks run concurrently
+    grid = build_grid(10.0, eigensolver._SERIAL_BELOW + 1)
     k = assemble(grid, PotentialSpec("scarf2", 0.0)).matrix
     blocks = eigensolver._diagonal_blocks(k)
     assert len(blocks) == 2

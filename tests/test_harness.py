@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ptspec import eigensolver
@@ -192,6 +193,18 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
     assert counters["schur_threads"] == (None if threads is None else 1)
 
 
+def _fresh_interpreter(code, *args):
+    """Run ``code`` in a new interpreter with this checkout's ``src`` on its
+    path; returns its stdout, after asserting that it succeeded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.mark.skipif(eigensolver._lapacke_dgees() is None,
                     reason="numpy's library exports no LAPACKE_dgees")
 def test_cli_run_imports_no_scipy_linalg(tmp_path):
@@ -202,13 +215,43 @@ def test_cli_run_imports_no_scipy_linalg(tmp_path):
             "rc = cli.main(['classify', '--family', 'scarf2', '--strength', '30',"
             " '--L', '10', '--N', '33', '--out', sys.argv[1]])\n"
             "assert rc == 0 and 'scipy.linalg' not in sys.modules\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    _fresh_interpreter(code, tmp_path)
     assert len(list(tmp_path.rglob("timing.json"))) == 1
+
+
+# what a double-precision run has no use for: the extended mode's library
+# and kernel, the metadata lookups of a persisted run, numpy's masked
+# arrays and the thread pool of concurrent parity blocks
+UNUSED_BY_DOUBLE = ("mpmath", "importlib.metadata", "numpy.ma",
+                    "concurrent.futures", "ptspec._fixed_schur")
+
+
+def test_double_cli_runs_import_only_what_they_use():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from ptspec.harness.cli import main\n"
+            "run = ['--family', 'scarf2', '--strength', '30', '--L', '10', '--N', '33']\n"
+            "assert main(['spectrum', *run]) == 0\n"
+            "assert main(['classify', *run]) == 0\n"
+            "print([m for m in sys.argv[1:] if m in sys.modules and m not in before])\n")
+    out = _fresh_interpreter(code, *UNUSED_BY_DOUBLE)
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_extended_run_is_the_same_when_mpmath_loads_on_first_use(tmp_path):
+    argv = ["classify", "--family", "scarf2", "--strength", "30", "--L", "10",
+            "--N", "5", "--precision", "extended", "--out"]
+    code = ("import sys\n"
+            "from ptspec.harness.cli import main\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    _fresh_interpreter(code, *argv, tmp_path / "fresh")
+    import mpmath  # noqa: F401  -- loaded before the run, as in this process
+
+    assert main([*argv, str(tmp_path / "loaded")]) == 0
+    fresh, loaded = (next((tmp_path / name).rglob("eigenvalues.csv")).read_bytes()
+                     for name in ("fresh", "loaded"))
+    assert fresh == loaded
 
 
 def test_persisted_files_are_reproducible(small_artifact, tmp_path):
@@ -272,6 +315,13 @@ def test_stage_ladder_measures_a_case(case):
     assert (schur["qr_sweeps"] is None) == (case[-1] == "double64")
     assert (record["spans"]["eigensolver.vectors"]["columns"]
             == record["spans"]["spectrum.tail_tests"]["candidates"] > 0)
+
+
+def test_stage_ladder_cold_start_loads_nothing_a_double_run_does_not_use():
+    root = Path(__file__).resolve().parent.parent
+    cold_start = runpy.run_path(str(root / "tools" / "stage_ladder.py"))["cold_start"]
+    record = cold_start("this", str(root))
+    assert record["seconds"] > 0 and record["loaded"] == []
 
 
 # --- plot data -------------------------------------------------------------
@@ -408,6 +458,16 @@ def test_cli_reproduce_tables(capsys):
     assert main(["reproduce", "--selector", "tables"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 3
+
+
+def test_cli_reproduce_reports_a_failed_check(monkeypatch, capsys):
+    import ptspec.harness.reproduce as module
+    # a comparison of numpy scalars, as several checks make, fails
+    monkeypatch.setattr(module, "_table_agreement", lambda *args: np.float64(1.0))
+    assert main(["reproduce", "--selector", "tables"]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert [(c["name"], c["passed"]) for c in report["failed"]] == [
+        ("richardson_tables", False)]
 
 
 def test_reproduce_rejects_unknown_selector():

@@ -30,13 +30,19 @@ whose K, of order N - 1, is at it, and N=511 runs on one thread either
 way.  The vector stage after the decomposition shows what a two-thread
 decomposition costs the call after it.
 
-Two end-to-end cases follow, each once per checkout in a fresh process:
+Three end-to-end cases follow.  ``cold-start`` times a fresh interpreter
+from its start to the end of a first double ``spectrum`` call through
+``ptspec.harness.cli.main`` (a 4 x 4 K), as perfbench's ``setup_s`` does:
+the child reports when it got there on the system-wide monotonic clock, so
+its teardown is not counted.  It runs ``--runs`` times per checkout, the
+checkouts alternating, and the JSON holds the median seconds, each run's
+seconds and which of ``COLD_START_MODULES`` the first run had loaded.
 ``reproduce --selector desk`` (``measure_desk``: the seconds of each check
 from its ``reproduce.<check>`` span, where the checkout records one, and
 the checks that passed) and the tier-1 command ``python -m pytest -q
 --continue-on-collection-errors`` run in the checkout (its last output
-line).  For both the JSON holds the wall seconds of the process and its
-peak RSS.
+line) run once per checkout in a fresh process.  For both the JSON holds
+the wall seconds of the process and its peak RSS.
 """
 
 from __future__ import annotations
@@ -64,6 +70,24 @@ CASES = (
 )
 
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+
+# modules that a double-precision run has no use for (README, "Start-up")
+COLD_START_MODULES = ("mpmath", "importlib.metadata", "numpy.ma",
+                      "concurrent.futures", "ptspec._fixed_schur")
+
+# a first double spectrum call; prints when it was done and which of the
+# modules named in argv[1:] were loaded by then
+_COLD_START = (
+    "import contextlib, io, json, sys, time\n"
+    "from ptspec.harness.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    rc = main(['spectrum', '--family', 'scarf2', '--strength', '0',"
+    " '--L', '1', '--N', '5'])\n"
+    "ready = time.perf_counter()\n"
+    "print(json.dumps({'ready': ready,"
+    " 'loaded': [m for m in sys.argv[1:] if m in sys.modules]}))\n"
+    "sys.exit(rc)\n"
+)
 
 # runs the function named argv[2] of the script at argv[1] on the arguments
 # in argv[3]
@@ -130,6 +154,18 @@ def run_child(path: str, args: tuple, threads=None) -> dict:
     return {"returncode": proc.returncode, "output": output,
             "wall_s": time.perf_counter() - start,
             "peak_rss_mb": usage.ru_maxrss / 1e3}
+
+
+def cold_start(label: str, path: str) -> dict:
+    """One ``cold-start`` run on the checkout at ``path``: the seconds from
+    before the interpreter starts to the end of its first spectrum call,
+    and the ``COLD_START_MODULES`` it had loaded by then."""
+    start = time.perf_counter()
+    out = run_child(path, ("-c", _COLD_START, *COLD_START_MODULES))
+    if out["returncode"] != 0:
+        sys.exit(f"tree {label} ({path}) failed on cold-start:\n{out['output']}")
+    record = json.loads(out["output"].splitlines()[-1])
+    return {"seconds": record["ready"] - start, "loaded": record["loaded"]}
 
 
 def run_case(label: str, path: str, case: tuple) -> dict:
@@ -199,7 +235,18 @@ def main() -> int:
                       f"{'' if threads is None else f' {threads}T'} {label}: "
                       f"{seconds}; rss {tree['peak_rss_mb']:.0f} MB", flush=True)
             cases.append(row)
-    end_to_end = {}
+    starts: dict = {label: [] for label, _ in trees}
+    for run in range(args.runs):
+        for label, path in (trees if run % 2 == 0 else trees[::-1]):
+            starts[label].append(cold_start(label, path))
+    end_to_end = {"cold-start": {
+        label: {"seconds": statistics.median(r["seconds"] for r in records),
+                "seconds_runs": [r["seconds"] for r in records],
+                "loaded": records[0]["loaded"]}
+        for label, records in starts.items()}}
+    for label, record in end_to_end["cold-start"].items():
+        print(f"cold-start {label}: {record['seconds']:.3f} s, loaded "
+              f"{record['loaded']}", flush=True)
     for number, case in enumerate(("desk", "tier-1")):
         order = trees if number % 2 == 0 else trees[::-1]
         records = {label: run_end_to_end(label, path, case) for label, path in order}
