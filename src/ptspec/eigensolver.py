@@ -42,8 +42,13 @@ blocks run concurrently, since the ctypes call releases the GIL, each on
 one thread, at most as many at once as the process has threads.  A block
 runs on one thread either way, so its factors do not depend on the rule.
 The count is process-wide, so it is set once around the whole solve and
-restored after it, also on an exception.  Where numpy's library exports
-no ``LAPACKE_dgees`` (a build on another BLAS), ``scipy.linalg.schur``
+restored after it, also on an exception.  Inside ``solves_side_by_side``,
+which holds the count at one thread so that the caller can run whole
+solves concurrently (the half-widths of a double sweep), every solve
+takes the one-thread path at any order: its blocks one after another,
+no pool of its own, the count left alone, and the count from before the
+hold reported as the process's.  Where numpy's library exports no
+``LAPACKE_dgees`` (a build on another BLAS), ``scipy.linalg.schur``
 solves the blocks one after another, imported only then, and the thread
 count is left as it is.
 """
@@ -70,6 +75,10 @@ _VECTOR_BATCH = 1024
 # a matrix of lower order takes its double Schur form on one LAPACK thread,
 # one diagonal block after another
 _SERIAL_BELOW = 512
+
+# while ``solves_side_by_side`` holds numpy's OpenBLAS at one thread: the
+# count it had before; None otherwise
+_held_from: Optional[int] = None
 
 
 class ConvergenceError(RuntimeError):
@@ -168,8 +177,9 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     ``eigensolver.schur``, counting the ``blocks``, the ``largest_block``,
     the ``qr_sweeps`` (None in double mode), the LAPACK threads each block
     ran on as ``schur_threads`` (None in extended mode, which makes no
-    LAPACK call) and the threads the process had as ``process_threads``,
-    each None where unknown.
+    LAPACK call) and the threads the process had as ``process_threads``
+    (inside ``solves_side_by_side``, those it had before), each None where
+    unknown.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
@@ -231,7 +241,8 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
     Each of the diagonal ``blocks`` gets its own Schur decomposition.  In
     double precision T starts as a Fortran-order copy of the blocks, zero
     elsewhere, and ``_dgees`` overwrites each block of T and Z in place.
-    Below order ``_SERIAL_BELOW`` the blocks run one after another on one
+    Below order ``_SERIAL_BELOW``, and at any order inside
+    ``solves_side_by_side``, the blocks run one after another on one
     LAPACK thread.  From it on, a single block runs on the process's
     threads, and several run concurrently, each on one thread, as many at
     once as the process has threads.  Extended blocks run one after
@@ -266,7 +277,7 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
         lo, hi = block
         _dgees(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
 
-    serial = n < _SERIAL_BELOW
+    serial = n < _SERIAL_BELOW or _held_from is not None
     with _lapack_threads(serial or len(blocks) > 1) as threads:
         workers = 1 if serial or threads[0] != 1 else min(len(blocks), threads[1])
         if workers == 1:
@@ -378,9 +389,40 @@ def _lapacke_dgees():
 
 
 def _process_threads() -> Optional[int]:
-    """The thread count of numpy's OpenBLAS, or None if unknown."""
+    """The thread count of numpy's OpenBLAS, or None if unknown; inside
+    ``solves_side_by_side``, the count from before it."""
+    if _held_from is not None:
+        return _held_from
     controls = _openblas_threads()
     return None if controls is None else controls[0]()
+
+
+@contextlib.contextmanager
+def solves_side_by_side() -> Iterator[int]:
+    """Hold numpy's OpenBLAS at one thread in the block; yields how many
+    solves may run at once, each on one thread.
+
+    That is the process's thread count from before, or 1 where it cannot
+    be read or set (no ``LAPACKE_dgees`` or no OpenBLAS controls), is 1
+    already, or is held by an enclosing block: then nothing is set.  The
+    count is set once, and restored on exit, also on an exception.  Inside
+    the block every double ``eigenvalues`` call runs its blocks one after
+    another on that thread, so a solve's factors are those it gets alone
+    on one thread, and the vector products run on one thread too.
+    """
+    global _held_from
+    before = None if _lapacke_dgees() is None else _process_threads()
+    if before is None or before == 1 or _held_from is not None:
+        yield 1
+        return
+    put = _openblas_threads()[1]
+    put(1)
+    _held_from = before
+    try:
+        yield before
+    finally:
+        _held_from = None
+        put(before)
 
 
 @contextlib.contextmanager
@@ -390,9 +432,13 @@ def _lapack_threads(serial: bool) -> Iterator[Tuple[Optional[int], Optional[int]
     Yields (threads each call runs on, threads before the block), both None
     where the count of the pool that runs ``_dgees`` cannot be read or set,
     and restores the count on exit, also on an exception.  The count is
-    process-wide: calls in concurrent threads share it.
+    process-wide: calls in concurrent threads share it.  Inside
+    ``solves_side_by_side`` it is already one and is left so.
     """
     before = None if _lapacke_dgees() is None else _process_threads()
+    if _held_from is not None:
+        yield 1, before
+        return
     if before is None or before == 1 or not serial:
         yield before, before
         return

@@ -20,8 +20,23 @@ from ..extrapolate import build_table, estimate_balmer, load_bound_sequence
 from ..potentials import FAMILIES
 from ..spectrum import ClassificationPolicy
 from .config import ExperimentConfig, parse_config, serialize_config
-from .reproduce import SELECTORS, full_scale_config, reproduce
 from .runner import RunArtifact, persist, run_experiment, write_records
+
+
+class _Selectors:
+    """``reproduce.SELECTORS`` as the choices of ``--selector``, read when
+    argparse first asks: ``reproduce`` and with it ``refdata`` serve no
+    other subcommand, so they are imported only then."""
+
+    def __contains__(self, name) -> bool:
+        from .reproduce import SELECTORS
+
+        return name in SELECTORS
+
+    def __iter__(self):
+        from .reproduce import SELECTORS
+
+        return iter(SELECTORS)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
@@ -136,6 +151,8 @@ def _cmd_extrapolate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reproduce import full_scale_config, reproduce
+
     if args.full_scale:
         config = full_scale_config()
         if args.out is not None:
@@ -188,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.set_defaults(func=_cmd_extrapolate)
 
     p_rep = sub.add_parser("reproduce", help="run the benchmark suite")
-    p_rep.add_argument("--selector", choices=SELECTORS, default="desk")
+    # a metavar, so that add_argument does not list the choices itself
+    p_rep.add_argument("--selector", choices=_Selectors(), default="desk",
+                       metavar="SELECTOR",
+                       help="one of %(choices)s (default %(default)s)")
     p_rep.add_argument("--full-scale", action="store_true",
                        help="run the full published long-range configuration "
                             "instead of the desk-scale checks")

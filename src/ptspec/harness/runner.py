@@ -4,19 +4,29 @@ Each half-width L is an independent job, a chain in which each step takes
 only what the previous one returned: grid -> real PT form K of H (built
 from the rows of the second-derivative matrix it reads) -> Schur
 decomposition -> labels and transition.  The grid and matrix entries are
-computed at the working precision of the run.  Jobs run one after
-another: the extended mode's mpmath precision and the LAPACK thread count
-are process-wide state.  The Schur decomposition runs per diagonal block
-of K: two parity blocks at A = 0, one block otherwise.  In double
-precision it runs on numpy's OpenBLAS, the pool that also runs the
-vector products.  A K of order below 512 runs on one LAPACK thread, its
-parity blocks one after another.  From that order on, the two parity
-blocks are solved concurrently, each on one thread, and a single block
-runs on every thread the process has (on 2 cores the two break even
-somewhere between orders 512 and 800, and two threads win from about 1000
-on; the ladder is in BENCH_stages.json).  Any exception
-inside a job aborts that L with a recorded "<Type>: <message>" diagnostic
-while the remaining half-widths still complete.
+computed at the working precision of the run.  The Schur decomposition
+runs per diagonal block of K: two parity blocks at A = 0, one block
+otherwise.  In double precision it runs on numpy's OpenBLAS, the pool
+that also runs the vector products, whose thread count is process-wide.
+
+A double-precision config with two or more half-widths runs them side by
+side: ``run_single`` is mapped over a pool of min(half-widths, process
+threads) workers, and OpenBLAS is held at one thread for the whole sweep
+(``eigensolver.solves_side_by_side``), so each L's Schur decomposition
+and products run on one thread, its parity blocks one after another, and
+no L starts a pool of its own.  Two jobs at once hold two jobs' K, T and
+Z.  Extended-precision configs run their half-widths one after another,
+as mpmath's precision is process-wide, and so does a single L, whose
+solve keeps the eigensolver's own rule: a K of order below 512 on one
+LAPACK thread, its parity blocks one after another; from that order on,
+the two parity blocks concurrently, each on one thread, and a single
+block on every thread the process has (on 2 cores the two break even
+somewhere between orders 512 and 800, and two threads win from about
+1000 on; the ladder is in BENCH_stages.json).  Results, failures and
+spans are filled in the config's order, whichever job finishes first.
+Any exception inside a job aborts that L with a recorded
+"<Type>: <message>" diagnostic while the remaining half-widths still
+complete.
 
 Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio, residual
@@ -31,7 +41,9 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
     timing.json                "runs": per L, the ``trace`` spans of its
                                stages, each a name, wall-clock seconds,
                                counters (among them the LAPACK threads of
-                               the Schur decomposition) and children;
+                               the Schur decomposition and the process's
+                               threads from before a sweep's hold) and
+                               children;
                                "environment": ``trace.environment()``,
                                numpy's OpenBLAS build and threads among it
                                (kept separate so summary.json is
@@ -40,7 +52,9 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -48,7 +62,7 @@ from typing import Dict, List, TextIO, Tuple
 
 from .. import trace
 from ..chebdiff import build_grid
-from ..eigensolver import eigenvalues
+from ..eigensolver import eigenvalues, solves_side_by_side
 from ..hamiltonian import assemble
 from ..potentials import PotentialSpec
 from ..precision import from_name, working_precision
@@ -88,17 +102,38 @@ def run_single(config: ExperimentConfig, half_width: float
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifact:
-    """Run every half-width in the config; failures abort only their own L."""
+    """Run every half-width in the config, side by side where the module
+    docstring says so; failures abort only their own L."""
     artifact = RunArtifact(config=config)
-    for half_width in config.half_widths:
-        try:
-            result, spans = run_single(config, half_width)
-        except Exception as exc:  # recorded per L; the sweep goes on
-            artifact.failures[half_width] = f"{type(exc).__name__}: {exc}"
-            continue
-        artifact.results[half_width] = result
-        artifact.spans[half_width] = spans
+    half_widths = config.half_widths
+    side_by_side = (len(half_widths) > 1
+                    and not from_name(config.precision_mode).is_extended)
+    attempt = functools.partial(_attempt, config)
+    with (solves_side_by_side() if side_by_side
+          else contextlib.nullcontext(1)) as threads:
+        workers = min(len(half_widths), threads)
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(workers) as pool:
+                outcomes = list(pool.map(attempt, half_widths))
+        else:
+            outcomes = list(map(attempt, half_widths))
+    for half_width, (outcome, failure) in zip(half_widths, outcomes):
+        if failure is None:
+            artifact.results[half_width], artifact.spans[half_width] = outcome
+        else:
+            artifact.failures[half_width] = failure
     return artifact
+
+
+def _attempt(config: ExperimentConfig, half_width: float):
+    """(``run_single``'s (result, spans), None), or (None, the "<Type>:
+    <message>" of the exception it raised)."""
+    try:
+        return run_single(config, half_width), None
+    except Exception as exc:  # recorded per L; the sweep goes on
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def write_records(result: SpectrumResult, fh: TextIO, output_format: str,

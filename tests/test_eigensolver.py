@@ -427,16 +427,6 @@ needs_openblas = pytest.mark.skipif(
     reason="numpy's OpenBLAS exports no thread count or no LAPACKE_dgees")
 
 
-@pytest.fixture
-def two_threads():
-    """numpy's OpenBLAS on 2 threads for the test, then as it was."""
-    get, put, _ = _CONTROLS
-    before = get()
-    put(2)
-    yield
-    put(before)
-
-
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
 def test_small_schur_runs_on_one_thread_and_restores_the_count(monkeypatch):
@@ -568,6 +558,34 @@ def test_concurrent_box_blocks_match_each_block_alone():
             eigensolver._dgees(tb, zb)
             assert np.array_equal(t[lo:hi, lo:hi], tb)
             assert np.array_equal(z[lo:hi, lo:hi], zb)
+
+
+def test_held_solves_run_on_one_thread_and_report_the_count_before(two_threads,
+                                                                  monkeypatch):
+    # inside the hold any order takes the one-thread path: a single block is
+    # not put back on two threads, and a box's blocks start no pool of their own
+    get = two_threads
+    seen = []
+    _spy_on_dgees(monkeypatch,
+                  lambda m: seen.append((len(m), get(), threading.get_ident())))
+    n = eigensolver._SERIAL_BELOW
+    box = scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1), np.eye(n) + np.eye(n, k=1))
+    me = threading.get_ident()
+    with eigensolver.solves_side_by_side() as slots:
+        assert slots == 2 and get() == 1
+        single = _schur_counters(np.eye(n) + np.eye(n, k=1))
+        blocks = _schur_counters(box)
+        with eigensolver.solves_side_by_side() as inner:  # already held
+            assert inner == 1
+        assert get() == 1
+    assert get() == 2
+    assert seen == [(n, 1, me)] * 3
+    for counters in (single, blocks):
+        assert (counters["schur_threads"], counters["process_threads"]) == (1, 2)
+    with pytest.raises(KeyError):
+        with eigensolver.solves_side_by_side():
+            raise KeyError("injected")
+    assert get() == 2 and eigensolver._held_from is None
 
 
 def test_no_thread_controls_leaves_the_solve_alone(monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -5,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -193,11 +195,12 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
     assert counters["schur_threads"] == (None if threads is None else 1)
 
 
-def _fresh_interpreter(code, *args):
+def _fresh_interpreter(code, *args, env=()):
     """Run ``code`` in a new interpreter with this checkout's ``src`` on its
-    path; returns its stdout, after asserting that it succeeded."""
+    path and the variables ``env`` added to its environment; returns its
+    stdout, after asserting that it succeeded."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -221,9 +224,11 @@ def test_cli_run_imports_no_scipy_linalg(tmp_path):
 
 # what a double-precision run has no use for: the extended mode's library
 # and kernel, the metadata lookups of a persisted run, numpy's masked
-# arrays and the thread pool of concurrent parity blocks
+# arrays, the thread pool of concurrent parity blocks or half-widths, and
+# the reproduction suite with its reference data
 UNUSED_BY_DOUBLE = ("mpmath", "importlib.metadata", "numpy.ma",
-                    "concurrent.futures", "ptspec._fixed_schur")
+                    "concurrent.futures", "ptspec._fixed_schur",
+                    "ptspec.harness.reproduce", "ptspec.refdata")
 
 
 def test_double_cli_runs_import_only_what_they_use():
@@ -264,18 +269,23 @@ def test_persisted_files_are_reproducible(small_artifact, tmp_path):
             == (again / "summary.json").read_bytes())
 
 
+def _failing_at(half_width, exception):
+    """A ``build_grid`` that raises ``exception`` for ``half_width`` only,
+    whichever order the half-widths run in."""
+    import ptspec.harness.runner as runner
+    build_grid = runner.build_grid
+
+    def build_grid_failing(width, *args, **kwargs):
+        if width == half_width:
+            raise exception
+        return build_grid(width, *args, **kwargs)
+
+    return build_grid_failing
+
+
 def test_failure_in_one_half_width_is_isolated(monkeypatch, tmp_path):
     import ptspec.harness.runner as runner
-    real_eigenvalues = runner.eigenvalues
-    calls = []
-
-    def eigenvalues_failing_first(matrix, precision):
-        calls.append(precision)
-        if len(calls) == 1:  # serial sweep: the first call is L = 5
-            raise ValueError("injected")
-        return real_eigenvalues(matrix, precision=precision)
-
-    monkeypatch.setattr(runner, "eigenvalues", eigenvalues_failing_first)
+    monkeypatch.setattr(runner, "build_grid", _failing_at(5.0, ValueError("injected")))
     artifact = run_experiment(_small_config(half_widths=(5.0, 10.0)))
     assert artifact.failures == {5.0: "ValueError: injected"}
     assert artifact.results[10.0].bound_pairs == 1
@@ -285,12 +295,154 @@ def test_failure_in_one_half_width_is_isolated(monkeypatch, tmp_path):
     assert list(summary["runs"]) == ["L10"]
     assert (run_dir / "L10" / "eigenvalues.csv").exists()
     assert not (run_dir / "L5").exists()
-    # the failed L's spans stay out of the next L's
+    # the failed L's spans stay out of the other L's
     runs = json.loads((run_dir / "timing.json").read_text())["runs"]
     assert list(runs) == ["L10"]
     assert [s["name"] for s in runs["L10"]] == [
         "hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
         "spectrum.tail_tests", "spectrum.transition"]
+
+
+# --- half-widths side by side ---------------------------------------------
+
+def _spy_on_jobs(monkeypatch, get):
+    """Replace ``runner.run_single`` by a spy; returns, per job, its
+    half-width, the thread it ran on and OpenBLAS's count (``get()``) then."""
+    import ptspec.harness.runner as runner
+    jobs = []
+
+    def spy(config, half_width):
+        jobs.append((half_width, threading.get_ident(), get()))
+        return run_single(config, half_width)
+
+    monkeypatch.setattr(runner, "run_single", spy)
+    return jobs
+
+
+def _span_names(spans):
+    return [(s.name, _span_names(s.children)) for s in spans]
+
+
+@pytest.mark.parametrize("family, strength, half_widths, n", [
+    ("coulomb_regulated", 10.0, (10.0, 100.0), 255),  # the benchmark's sweep
+    ("scarf2", 0.0, (10.0, 12.0, 14.0), eigensolver._SERIAL_BELOW + 1),  # box
+])
+def test_sweep_runs_side_by_side_as_each_job_alone(two_threads, monkeypatch,
+                                                   family, strength, half_widths, n):
+    config = _small_config(family=family, strength=strength,
+                           half_widths=half_widths, n_intervals=n)
+    with eigensolver.solves_side_by_side():
+        alone = {w: run_single(config, w) for w in half_widths}
+    jobs = _spy_on_jobs(monkeypatch, two_threads)
+    pools = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    artifact = run_experiment(config)
+    # one pool of two workers, the sweep's own: no L starts a nested one
+    assert pools == [(2,)] and two_threads() == 2
+    assert sorted(w for w, _, _ in jobs) == list(half_widths)
+    assert {count for _, _, count in jobs} == {1}
+    assert len({thread for _, thread, _ in jobs}) == 2
+    assert not artifact.failures
+    assert list(artifact.results) == list(artifact.spans) == list(half_widths)
+    for w in half_widths:
+        result, spans = alone[w]
+        # bit for bit: repr round-trips every float and tells -0.0 from 0.0
+        assert repr(artifact.results[w]) == repr(result)
+        assert _span_names(artifact.spans[w]) == _span_names(spans)
+
+
+def test_more_jobs_than_cores_keep_their_own_results_and_spans(two_threads,
+                                                               monkeypatch):
+    # four workers on a 2-core machine, switching threads as often as the
+    # interpreter allows: no job's spans or numbers may reach another's
+    eigensolver._openblas_threads()[1](4)  # the fixture restores the count
+    config = _small_config(half_widths=tuple(float(w) for w in range(5, 13)),
+                           n_intervals=65)
+    with eigensolver.solves_side_by_side():
+        alone = {w: run_single(config, w) for w in config.half_widths}
+    jobs = _spy_on_jobs(monkeypatch, two_threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        artifact = run_experiment(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 2 <= len({thread for _, thread, _ in jobs}) <= 4
+    assert not artifact.failures
+    for w, (result, spans) in alone.items():
+        assert repr(artifact.results[w]) == repr(result)
+        assert _span_names(artifact.spans[w]) == _span_names(spans)
+    assert two_threads() == 4
+
+
+def test_sweep_spans_report_the_threads_from_before_the_sweep(two_threads, tmp_path):
+    artifact = run_experiment(_small_config(half_widths=(5.0, 10.0),
+                                            output_dir=str(tmp_path)))
+    timing = json.loads((persist(artifact) / "timing.json").read_text())
+    assert timing["environment"]["openblas_threads"] == 2
+    assert set(timing["runs"]) == {"L5", "L10"}
+    for spans in timing["runs"].values():
+        schur = next(s for s in spans if s["name"] == "eigensolver.schur")
+        assert (schur["counters"]["schur_threads"],
+                schur["counters"]["process_threads"]) == (1, 2)
+
+
+def test_sweep_persists_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # of order 512: alone on two threads it would take its Schur form on both
+    code = ("import sys\n"
+            "from ptspec.harness.cli import main\n"
+            "sys.exit(main(['sweep', '--family', 'step', '--strength', '3',"
+            " '--L', '10', '--L', '20', '--N', '513', '--out', sys.argv[1]]))\n")
+    files = {}
+    for threads in ("1", "2"):
+        out = _fresh_interpreter(code, tmp_path / threads,
+                                 env={"OPENBLAS_NUM_THREADS": threads})
+        files[threads] = _files(out.strip())
+        timing = json.loads(files[threads].pop(Path("timing.json")))
+        process = timing["environment"]["openblas_threads"]
+        for spans in timing["runs"].values():
+            schur = next(s for s in spans if s["name"] == "eigensolver.schur")
+            assert schur["counters"]["process_threads"] == process
+            assert schur["counters"]["schur_threads"] == (None if process is None else 1)
+    assert files["1"] == files["2"]
+
+
+@pytest.mark.parametrize("exception", [ValueError("injected"),
+                                       KeyboardInterrupt()],
+                         ids=["recorded", "propagated"])
+def test_thread_count_restored_after_a_sweep_in_which_a_job_raises(
+        two_threads, monkeypatch, exception):
+    import ptspec.harness.runner as runner
+    jobs = _spy_on_jobs(monkeypatch, two_threads)
+    monkeypatch.setattr(runner, "build_grid", _failing_at(5.0, exception))
+    config = _small_config(half_widths=(5.0, 10.0))
+    if isinstance(exception, Exception):
+        artifact = run_experiment(config)
+        assert artifact.failures == {5.0: "ValueError: injected"}
+        assert list(artifact.results) == [10.0]
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config)
+    assert {count for _, _, count in jobs} == {1}
+    assert two_threads() == 2 and eigensolver._held_from is None
+
+
+def test_extended_sweep_runs_one_after_another(two_threads, monkeypatch):
+    # mpmath's precision is process-wide: no pool, and no hold on OpenBLAS
+    import mpmath
+    jobs = _spy_on_jobs(monkeypatch, two_threads)
+    artifact = run_experiment(_small_config(family="scarf2", strength=30.0,
+                                            half_widths=(5.0, 10.0), n_intervals=9,
+                                            precision_mode="extended128"))
+    assert not artifact.failures and list(artifact.results) == [5.0, 10.0]
+    assert jobs == [(5.0, threading.get_ident(), 2), (10.0, threading.get_ident(), 2)]
+    assert mpmath.mp.prec == 53
 
 
 # --- tools -----------------------------------------------------------------
@@ -315,6 +467,14 @@ def test_stage_ladder_measures_a_case(case):
     assert (schur["qr_sweeps"] is None) == (case[-1] == "double64")
     assert (record["spans"]["eigensolver.vectors"]["columns"]
             == record["spans"]["spectrum.tail_tests"]["candidates"] > 0)
+
+
+def test_stage_ladder_measures_a_sweep():
+    ladder = Path(__file__).resolve().parent.parent / "tools" / "stage_ladder.py"
+    record = runpy.run_path(str(ladder))["measure_sweep"](31, [10.0, 100.0], 2)
+    assert len(record["seconds"]) == 2 and min(record["seconds"]) > 0
+    assert set(record["schur"]) == {"L10", "L100"}
+    assert all(schur["largest_block"] == 30 for schur in record["schur"].values())
 
 
 def test_stage_ladder_cold_start_loads_nothing_a_double_run_does_not_use():

@@ -30,13 +30,21 @@ whose K, of order N - 1, is at it, and N=511 runs on one thread either
 way.  The vector stage after the decomposition shows what a two-thread
 decomposition costs the call after it.
 
-Three end-to-end cases follow.  ``cold-start`` times a fresh interpreter
+Four end-to-end cases follow.  ``cold-start`` times a fresh interpreter
 from its start to the end of a first double ``spectrum`` call through
 ``ptspec.harness.cli.main`` (a 4 x 4 K), as perfbench's ``setup_s`` does:
 the child reports when it got there on the system-wide monotonic clock, so
 its teardown is not counted.  It runs ``--runs`` times per checkout, the
 checkouts alternating, and the JSON holds the median seconds, each run's
 seconds and which of ``COLD_START_MODULES`` the first run had loaded.
+``sweep`` times the double sweeps of ``SWEEPS`` through
+``ptspec.harness.cli.main`` (``measure_sweep``): the benchmark's coulomb
+sweep (N=255, L=10 and 100) and a 3-L coulomb sweep at N=1023, each
+persisted, after one untimed sweep at N/8 that loads what a first call
+loads.  Each runs in ``--runs`` fresh interpreters per checkout, the
+checkouts alternating, and the JSON holds the median seconds over every
+timed call, each call's seconds, the median peak RSS, and the Schur
+seconds and threads per L of each interpreter's last call.
 ``reproduce --selector desk`` (``measure_desk``: the seconds of each check
 from its ``reproduce.<check>`` span, where the checkout records one, and
 the checks that passed) and the tier-1 command ``python -m pytest -q
@@ -71,9 +79,14 @@ CASES = (
 
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
+# the sweeps of the ``sweep`` case, coulomb_regulated A=10: (N, half-widths,
+# timed calls per interpreter); the first is the benchmark's
+SWEEPS = ((255, (10.0, 100.0), 10), (1023, (10.0, 30.0, 100.0), 1))
+
 # modules that a double-precision run has no use for (README, "Start-up")
 COLD_START_MODULES = ("mpmath", "importlib.metadata", "numpy.ma",
-                      "concurrent.futures", "ptspec._fixed_schur")
+                      "concurrent.futures", "ptspec._fixed_schur",
+                      "ptspec.harness.reproduce", "ptspec.refdata")
 
 # a first double spectrum call; prints when it was done and which of the
 # modules named in argv[1:] were loaded by then
@@ -119,6 +132,43 @@ def measure(family: str, strength: float, half_width: float, n: int,
         stage.update(node.counters)
         pending.extend(node.children)
     return {"spans": stages, "environment": trace.environment(),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3}
+
+
+def measure_sweep(n: int, half_widths: list, calls: int) -> dict:
+    """``calls`` coulomb_regulated A=10 sweeps over ``half_widths`` at N=n
+    through ``cli.main`` in this interpreter, after one at N/8, untimed.
+
+    Each call persists into a fresh temporary directory.  Returns the
+    seconds of each timed call, the peak RSS of the process in MB, and per
+    L the seconds and counters of the last call's ``eigensolver.schur``
+    span.
+    """
+    import contextlib
+    import io
+    import tempfile
+
+    from ptspec.harness.cli import main
+
+    argv = ["sweep", "--family", "coulomb_regulated", "--strength", "10",
+            *(arg for w in half_widths for arg in ("--L", f"{w:g}"))]
+    seconds = []
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()) as printed:
+        for call in range(-1, calls):
+            start = time.perf_counter()
+            code = main([*argv, "--N", str(n if call >= 0 else max(5, n // 8 | 1)),
+                         "--out", f"{out}/{call}"])
+            if code != 0:
+                raise RuntimeError(f"sweep exited with {code}")
+            if call >= 0:
+                seconds.append(time.perf_counter() - start)
+        timing = json.loads((Path(printed.getvalue().splitlines()[-1])
+                             / "timing.json").read_text())
+    schur = {key: next({"seconds": s["seconds"], **s["counters"]}
+                       for s in spans if s["name"] == "eigensolver.schur")
+             for key, spans in timing["runs"].items()}
+    return {"seconds": seconds, "schur": schur,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3}
 
 
@@ -168,12 +218,13 @@ def cold_start(label: str, path: str) -> dict:
     return {"seconds": record["ready"] - start, "loaded": record["loaded"]}
 
 
-def run_case(label: str, path: str, case: tuple) -> dict:
-    """``measure`` of ``case`` in a fresh interpreter on the checkout at ``path``."""
-    *call, threads = case
-    out = run_child(path, ("-c", _CHILD, __file__, "measure", json.dumps(call)), threads)
+def run_measure(label: str, path: str, function: str, args: tuple,
+                threads=None) -> dict:
+    """The ``function`` of this script (``measure`` or ``measure_sweep``) on
+    ``args`` in a fresh interpreter on the checkout at ``path``."""
+    out = run_child(path, ("-c", _CHILD, __file__, function, json.dumps(args)), threads)
     if out["returncode"] != 0:
-        sys.exit(f"tree {label} ({path}) failed on {call}:\n{out['output']}")
+        sys.exit(f"tree {label} ({path}) failed on {function}{args}:\n{out['output']}")
     return json.loads(out["output"].splitlines()[-1])
 
 
@@ -221,7 +272,8 @@ def main() -> int:
             order = trees if (number + run) % 2 == 0 else trees[::-1]
             for threads in settings:  # side by side, under the same load
                 for label, path in order:
-                    runs[threads, label].append(run_case(label, path, (*call, threads)))
+                    runs[threads, label].append(
+                        run_measure(label, path, "measure", call, threads))
         for threads in settings:
             row = {"family": family, "strength": strength, "half_width": half_width,
                    "n_intervals": n, "precision": precision,
@@ -247,6 +299,23 @@ def main() -> int:
     for label, record in end_to_end["cold-start"].items():
         print(f"cold-start {label}: {record['seconds']:.3f} s, loaded "
               f"{record['loaded']}", flush=True)
+    end_to_end["sweep"] = {}
+    for n, half_widths, calls in SWEEPS:
+        sweeps: dict = {label: [] for label, _ in trees}
+        for run in range(args.runs):
+            for label, path in (trees if run % 2 == 0 else trees[::-1]):
+                sweeps[label].append(run_measure(label, path, "measure_sweep",
+                                                 (n, half_widths, calls)))
+        key = f"N={n} L={','.join(f'{w:g}' for w in half_widths)}"
+        end_to_end["sweep"][key] = {label: {
+            "seconds": statistics.median(s for r in records for s in r["seconds"]),
+            "seconds_runs": [r["seconds"] for r in records],
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in records),
+            "schur_runs": [r["schur"] for r in records]}
+            for label, records in sweeps.items()}
+        for label, record in end_to_end["sweep"][key].items():
+            print(f"sweep {key} {label}: {record['seconds']:.4f} s, rss "
+                  f"{record['peak_rss_mb']:.0f} MB", flush=True)
     for number, case in enumerate(("desk", "tier-1")):
         order = trees if number % 2 == 0 else trees[::-1]
         records = {label: run_end_to_end(label, path, case) for label, path in order}
