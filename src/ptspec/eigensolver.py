@@ -37,20 +37,14 @@ that also runs the Z Y product and the residual products.  A matrix of
 order below ``_SERIAL_BELOW`` runs on one thread of that pool, its blocks
 one after another: at that size the threads' synchronisation costs more
 than the second core gains, and no thread pool is started.  From that
-order on, a single block runs on the process's thread count, and several
-blocks run concurrently, since the ctypes call releases the GIL, each on
-one thread, at most as many at once as the process has threads.  A block
-runs on one thread either way, so its factors do not depend on the rule.
-The count is process-wide, so it is set once around the whole solve and
-restored after it, also on an exception.  Inside ``solves_side_by_side``,
-which holds the count at one thread so that the caller can run whole
-solves concurrently (the half-widths of a double sweep), every solve
-takes the one-thread path at any order: its blocks one after another,
-no pool of its own, the count left alone, and the count from before the
-hold reported as the process's.  Where numpy's library exports no
-``LAPACKE_dgees`` (a build on another BLAS), ``scipy.linalg.schur``
-solves the blocks one after another, imported only then, and the thread
-count is left as it is.
+order on, its diagonal blocks run by the rule of ``side_by_side``, the
+one rule for independent solves, which the half-widths of a double sweep
+follow too: a single block on the process's thread count, several
+concurrently, each on one thread.  A block runs on one thread either
+way, so its factors do not depend on the rule.  Where numpy's library
+exports no ``LAPACKE_dgees`` (a build on another BLAS),
+``scipy.linalg.schur`` solves the blocks one after another, imported only
+then, and the thread count is left as it is.
 """
 
 from __future__ import annotations
@@ -60,7 +54,7 @@ import ctypes
 import functools
 import importlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,8 +70,8 @@ _VECTOR_BATCH = 1024
 # one diagonal block after another
 _SERIAL_BELOW = 512
 
-# while ``solves_side_by_side`` holds numpy's OpenBLAS at one thread: the
-# count it had before; None otherwise
+# while ``_one_thread`` holds numpy's OpenBLAS at one thread: the count it
+# had before; None otherwise
 _held_from: Optional[int] = None
 
 
@@ -176,10 +170,11 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     The work after the input checks is the ``trace`` span
     ``eigensolver.schur``, counting the ``blocks``, the ``largest_block``,
     the ``qr_sweeps`` (None in double mode), the LAPACK threads each block
-    ran on as ``schur_threads`` (None in extended mode, which makes no
+    ran on as ``schur_threads`` (1, but the process's count for a lone
+    block of order ``_SERIAL_BELOW`` or more outside a hold, which
+    ``side_by_side`` runs unchanged; None in extended mode, which makes no
     LAPACK call) and the threads the process had as ``process_threads``
-    (inside ``solves_side_by_side``, those it had before), each None where
-    unknown.
+    (inside a hold, those it had before), each None where unknown.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
@@ -198,15 +193,22 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
             if rounded.imag.any():
                 raise ValueError("eigenvalues expects a real matrix")
         blocks = _diagonal_blocks(a)
-        t, z, sweeps, threads = _schur_factors(a, blocks, precision)
+        t, z, sweeps = _schur_factors(a, blocks, precision)
         # only now: the norm is a threaded BLAS call, whose idle workers
         # spin for a while on the cores that concurrent blocks run on
         fro = float(np.linalg.norm(rounded))
         with working_precision(precision):
             values, partners = _real_schur_eigenvalues(t)
+        process = (_process_threads() if precision.is_extended
+                   or _lapacke_dgees() is not None else None)
+        # only a lone block from _SERIAL_BELOW on, outside a hold, keeps the
+        # process's threads; every other block runs on one
+        lone = len(blocks) == 1 and n >= _SERIAL_BELOW and _held_from is None
         count.update(blocks=len(blocks), largest_block=max(hi - lo for lo, hi in blocks),
                      qr_sweeps=sweeps if precision.is_extended else None,
-                     schur_threads=threads[0], process_threads=threads[1])
+                     schur_threads=(None if precision.is_extended or process is None
+                                    else process if lone else 1),
+                     process_threads=process)
     stats = (sweeps,) if precision.is_extended else ()
     return EigenSolution(values, partners, fro, stats, precision, schur=(t, z))
 
@@ -236,18 +238,15 @@ def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
 
 def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
                    precision: ScalarPrecision):
-    """(T, Z, QR sweeps, (schur_threads, process_threads)) of ``a``.
+    """(T, Z, QR sweeps) of ``a``.
 
     Each of the diagonal ``blocks`` gets its own Schur decomposition.  In
     double precision T starts as a Fortran-order copy of the blocks, zero
     elsewhere, and ``_dgees`` overwrites each block of T and Z in place.
-    Below order ``_SERIAL_BELOW``, and at any order inside
-    ``solves_side_by_side``, the blocks run one after another on one
-    LAPACK thread.  From it on, a single block runs on the process's
-    threads, and several run concurrently, each on one thread, as many at
-    once as the process has threads.  Extended blocks run one after
-    another, and a single one's T and Z are returned as ``real_schur``
-    returns them.
+    Below order ``_SERIAL_BELOW`` the blocks run one after another on one
+    LAPACK thread; from it on they run by the rule of ``side_by_side``.
+    Extended blocks run one after another, and a single one's T and Z are
+    returned as ``real_schur`` returns them.
     """
     n = a.shape[0]
     if precision.is_extended:
@@ -255,16 +254,15 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
 
         from ._fixed_schur import real_schur
 
-        threads = (None, _process_threads())
         if len(blocks) == 1:
-            return (*real_schur(a, precision.bits), threads)
+            return real_schur(a, precision.bits)
         t = np.full((n, n), mpmath.mpf(0), dtype=object)
         z, sweeps = t.copy(), 0
         for lo, hi in blocks:
             t[lo:hi, lo:hi], z[lo:hi, lo:hi], s = real_schur(a[lo:hi, lo:hi],
                                                              precision.bits)
             sweeps += s
-        return t, z, sweeps, threads
+        return t, z, sweeps
     if len(blocks) == 1:
         t = np.array(a, dtype=np.float64, order="F")
     else:
@@ -277,18 +275,13 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
         lo, hi = block
         _dgees(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
 
-    serial = n < _SERIAL_BELOW or _held_from is not None
-    with _lapack_threads(serial or len(blocks) > 1) as threads:
-        workers = 1 if serial or threads[0] != 1 else min(len(blocks), threads[1])
-        if workers == 1:
+    if n < _SERIAL_BELOW:
+        with _one_thread():
             for block in blocks:
                 solve(block)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(solve, blocks))
-    return t, z, 0, threads
+    else:
+        side_by_side(solve, blocks)
+    return t, z, 0
 
 
 # LAPACKE's matrix_layout code for column-major (Fortran-order) arrays
@@ -342,12 +335,14 @@ def _numpy_library() -> Optional[ctypes.CDLL]:
         return None
 
 
-def _thread_controls(lib) -> Optional[Tuple]:
-    """(get, set, build string) of the OpenBLAS that ``lib`` exports, or None.
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> Optional[Tuple]:
+    """(get, set, build string) of numpy's OpenBLAS, or None.
 
     Tries scipy's renamed OpenBLAS first, then a plain one, each also with
     the ``64_`` suffix of the 64-bit-integer build behind numpy.
     """
+    lib = _numpy_library()
     names = ("get_num_threads", "set_num_threads", "get_config")
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("", "64_"):
@@ -358,13 +353,6 @@ def _thread_controls(lib) -> Optional[Tuple]:
                 config.restype = ctypes.c_char_p
                 return get, put, config
     return None
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_threads() -> Optional[Tuple]:
-    """``_thread_controls`` of numpy's OpenBLAS, or None."""
-    lib = _numpy_library()
-    return None if lib is None else _thread_controls(lib)
 
 
 @functools.lru_cache(maxsize=None)
@@ -390,25 +378,54 @@ def _lapacke_dgees():
 
 def _process_threads() -> Optional[int]:
     """The thread count of numpy's OpenBLAS, or None if unknown; inside
-    ``solves_side_by_side``, the count from before it."""
+    ``_one_thread``, the count from before it."""
     if _held_from is not None:
         return _held_from
     controls = _openblas_threads()
     return None if controls is None else controls[0]()
 
 
-@contextlib.contextmanager
-def solves_side_by_side() -> Iterator[int]:
-    """Hold numpy's OpenBLAS at one thread in the block; yields how many
-    solves may run at once, each on one thread.
+def side_by_side(job: Callable, items: Sequence) -> list:
+    """``[job(item) for item in items]``, the items run side by side.
 
-    That is the process's thread count from before, or 1 where it cannot
-    be read or set (no ``LAPACKE_dgees`` or no OpenBLAS controls), is 1
-    already, or is held by an enclosing block: then nothing is set.  The
-    count is set once, and restored on exit, also on an exception.  Inside
-    the block every double ``eigenvalues`` call runs its blocks one after
-    another on that thread, so a solve's factors are those it gets alone
-    on one thread, and the vector products run on one thread too.
+    The one rule by which independent double solves share the cores: the
+    diagonal blocks of a matrix from order ``_SERIAL_BELOW`` on
+    (``_schur_factors``) and the half-widths of a double sweep
+    (``harness.runner.run_experiment``).  A lone item, or items inside an
+    enclosing hold, run on the calling thread unchanged.  Two or more
+    items run in one ``ThreadPoolExecutor`` of min(items, process threads)
+    workers, with numpy's OpenBLAS held at one thread (``_one_thread``)
+    until the last item finishes: each item's LAPACK calls and products
+    run on one thread, overlapping with the others' (the ctypes call
+    releases the GIL), and a solve inside an item runs its blocks one after
+    another, starts no pool and reports the count from before the hold as
+    the process's.  The count is process-wide, so it is set once and
+    restored in ``finally``, also when a job raises.  Where it cannot be
+    read or set, or is 1 already, nothing is set and the items run one
+    after another.  An item's numbers are those it gets alone on one
+    thread, whichever way it runs, and results come in the order of
+    ``items``.
+    """
+    if len(items) < 2:
+        return list(map(job, items))
+    with _one_thread() as threads:
+        if threads == 1:
+            return list(map(job, items))
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(len(items), threads)) as pool:
+            return list(pool.map(job, items))
+
+
+@contextlib.contextmanager
+def _one_thread() -> Iterator[int]:
+    """Hold numpy's OpenBLAS at one thread in the block; yields the count
+    from before.
+
+    Yields 1 and sets nothing where the count cannot be read or set (no
+    ``LAPACKE_dgees`` or no OpenBLAS controls), is 1 already, or is held by
+    an enclosing block.  Otherwise the count is set once, and restored on
+    exit, also on an exception.
     """
     global _held_from
     before = None if _lapacke_dgees() is None else _process_threads()
@@ -422,31 +439,6 @@ def solves_side_by_side() -> Iterator[int]:
         yield before
     finally:
         _held_from = None
-        put(before)
-
-
-@contextlib.contextmanager
-def _lapack_threads(serial: bool) -> Iterator[Tuple[Optional[int], Optional[int]]]:
-    """Run each LAPACK call in the block on one thread when ``serial``.
-
-    Yields (threads each call runs on, threads before the block), both None
-    where the count of the pool that runs ``_dgees`` cannot be read or set,
-    and restores the count on exit, also on an exception.  The count is
-    process-wide: calls in concurrent threads share it.  Inside
-    ``solves_side_by_side`` it is already one and is left so.
-    """
-    before = None if _lapacke_dgees() is None else _process_threads()
-    if _held_from is not None:
-        yield 1, before
-        return
-    if before is None or before == 1 or not serial:
-        yield before, before
-        return
-    put = _openblas_threads()[1]
-    put(1)
-    try:
-        yield 1, before
-    finally:
         put(before)
 
 

@@ -47,6 +47,12 @@ class ExperimentConfig:
             raise ValueError("half_widths must be positive")
         if list(widths) != sorted(set(widths)):
             raise ValueError("half_widths must be strictly ascending")
+        # a run persists each L under its label L<w:g>, which two widths
+        # may share; the label rounds monotonically, so neighbours suffice
+        for low, high in zip(widths, widths[1:]):
+            if f"{low:g}" == f"{high:g}":
+                raise ValueError(f"half_widths {low!r} and {high!r} "
+                                 f"would both persist as L{low:g}")
         object.__setattr__(self, "half_widths", widths)
         object.__setattr__(self, "strength", float(self.strength))
         if self.n_intervals < 4:

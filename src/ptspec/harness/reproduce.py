@@ -36,9 +36,6 @@ from ..spectrum import SpectrumResult
 from .config import ExperimentConfig
 from .runner import run_single
 
-SELECTORS = ("box", "tables", "desk", "all")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -350,6 +347,7 @@ _CHECKS["desk"] = (
     check_eigensolver_properties,
 )
 _CHECKS["all"] = _CHECKS["desk"]
+SELECTORS = tuple(_CHECKS)
 
 
 def full_scale_config() -> ExperimentConfig:

@@ -9,21 +9,18 @@ runs per diagonal block of K: two parity blocks at A = 0, one block
 otherwise.  In double precision it runs on numpy's OpenBLAS, the pool
 that also runs the vector products, whose thread count is process-wide.
 
-A double-precision config with two or more half-widths runs them side by
-side: ``run_single`` is mapped over a pool of min(half-widths, process
-threads) workers, and OpenBLAS is held at one thread for the whole sweep
-(``eigensolver.solves_side_by_side``), so each L's Schur decomposition
-and products run on one thread, its parity blocks one after another, and
-no L starts a pool of its own.  Two jobs at once hold two jobs' K, T and
-Z.  Extended-precision configs run their half-widths one after another,
-as mpmath's precision is process-wide, and so does a single L, whose
-solve keeps the eigensolver's own rule: a K of order below 512 on one
-LAPACK thread, its parity blocks one after another; from that order on,
-the two parity blocks concurrently, each on one thread, and a single
-block on every thread the process has (on 2 cores the two break even
+A double-precision config maps ``run_single`` over its half-widths with
+``eigensolver.side_by_side``, the rule that K's parity blocks follow too:
+two or more L side by side, each on one OpenBLAS thread, its parity
+blocks one after another; a single L alone, its solve on the
+eigensolver's own rule (a K of order below 512 on one LAPACK thread;
+from that order on, the two parity blocks concurrently and a single
+block on every thread the process has: on 2 cores the two break even
 somewhere between orders 512 and 800, and two threads win from about
-1000 on; the ladder is in BENCH_stages.json).  Results, failures and
-spans are filled in the config's order, whichever job finishes first.
+1000 on; the ladder is in BENCH_stages.json).  Two jobs at once hold two
+jobs' K, T and Z.  Extended-precision configs run their half-widths one
+after another, as mpmath's precision is process-wide.  Results, failures
+and spans are filled in the config's order, whichever job finishes first.
 Any exception inside a job aborts that L with a recorded
 "<Type>: <message>" diagnostic while the remaining half-widths still
 complete.
@@ -52,7 +49,6 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import json
@@ -62,7 +58,7 @@ from typing import Dict, List, TextIO, Tuple
 
 from .. import trace
 from ..chebdiff import build_grid
-from ..eigensolver import eigenvalues, solves_side_by_side
+from ..eigensolver import eigenvalues, side_by_side
 from ..hamiltonian import assemble
 from ..potentials import PotentialSpec
 from ..precision import from_name, working_precision
@@ -106,19 +102,8 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     docstring says so; failures abort only their own L."""
     artifact = RunArtifact(config=config)
     half_widths = config.half_widths
-    side_by_side = (len(half_widths) > 1
-                    and not from_name(config.precision_mode).is_extended)
-    attempt = functools.partial(_attempt, config)
-    with (solves_side_by_side() if side_by_side
-          else contextlib.nullcontext(1)) as threads:
-        workers = min(len(half_widths), threads)
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(workers) as pool:
-                outcomes = list(pool.map(attempt, half_widths))
-        else:
-            outcomes = list(map(attempt, half_widths))
+    run = map if from_name(config.precision_mode).is_extended else side_by_side
+    outcomes = list(run(functools.partial(_attempt, config), half_widths))
     for half_width, (outcome, failure) in zip(half_widths, outcomes):
         if failure is None:
             artifact.results[half_width], artifact.spans[half_width] = outcome

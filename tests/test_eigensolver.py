@@ -550,8 +550,8 @@ def test_concurrent_box_blocks_match_each_block_alone():
     blocks = eigensolver._diagonal_blocks(k)
     assert len(blocks) == 2
     t, z = eigenvalues(k).schur
-    with eigensolver._lapack_threads(True) as threads:
-        assert threads == (1, 2)
+    with eigensolver._one_thread() as threads:
+        assert threads == 2 and _CONTROLS[0]() == 1
         for lo, hi in blocks:
             tb = np.array(k[lo:hi, lo:hi], order="F")
             zb = np.empty_like(tb)
@@ -571,11 +571,11 @@ def test_held_solves_run_on_one_thread_and_report_the_count_before(two_threads,
     n = eigensolver._SERIAL_BELOW
     box = scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1), np.eye(n) + np.eye(n, k=1))
     me = threading.get_ident()
-    with eigensolver.solves_side_by_side() as slots:
+    with eigensolver._one_thread() as slots:
         assert slots == 2 and get() == 1
         single = _schur_counters(np.eye(n) + np.eye(n, k=1))
         blocks = _schur_counters(box)
-        with eigensolver.solves_side_by_side() as inner:  # already held
+        with eigensolver._one_thread() as inner:  # already held
             assert inner == 1
         assert get() == 1
     assert get() == 2
@@ -583,16 +583,21 @@ def test_held_solves_run_on_one_thread_and_report_the_count_before(two_threads,
     for counters in (single, blocks):
         assert (counters["schur_threads"], counters["process_threads"]) == (1, 2)
     with pytest.raises(KeyError):
-        with eigensolver.solves_side_by_side():
+        with eigensolver._one_thread():
             raise KeyError("injected")
     assert get() == 2 and eigensolver._held_from is None
 
 
 def test_no_thread_controls_leaves_the_solve_alone(monkeypatch):
-    assert eigensolver._thread_controls(object()) is None
-    monkeypatch.setattr(eigensolver, "_openblas_threads", lambda: None)
-    with trace.record() as spans:
-        sol = eigenvalues(np.diag([3.0, 1.0, 2.0]))
+    # a library that exports none of OpenBLAS's thread controls
+    monkeypatch.setattr(eigensolver, "_numpy_library", lambda: object())
+    eigensolver._openblas_threads.cache_clear()
+    try:
+        assert eigensolver._openblas_threads() is None
+        with trace.record() as spans:
+            sol = eigenvalues(np.diag([3.0, 1.0, 2.0]))
+    finally:
+        eigensolver._openblas_threads.cache_clear()
     assert sorted(sol.eigenvalues.real) == [1.0, 2.0, 3.0]
     counters = spans[0].counters
     assert (counters["schur_threads"], counters["process_threads"]) == (None, None)

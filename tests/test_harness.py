@@ -83,6 +83,7 @@ def test_config_partial_classification_section():
     dict(output_format="xml"),
     dict(precision_mode="half"),
     dict(precision_mode="quad"),
+    dict(half_widths=(10.0, 10.0000001)),  # both persist as L10
 ])
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
@@ -323,17 +324,8 @@ def _span_names(spans):
     return [(s.name, _span_names(s.children)) for s in spans]
 
 
-@pytest.mark.parametrize("family, strength, half_widths, n", [
-    ("coulomb_regulated", 10.0, (10.0, 100.0), 255),  # the benchmark's sweep
-    ("scarf2", 0.0, (10.0, 12.0, 14.0), eigensolver._SERIAL_BELOW + 1),  # box
-])
-def test_sweep_runs_side_by_side_as_each_job_alone(two_threads, monkeypatch,
-                                                   family, strength, half_widths, n):
-    config = _small_config(family=family, strength=strength,
-                           half_widths=half_widths, n_intervals=n)
-    with eigensolver.solves_side_by_side():
-        alone = {w: run_single(config, w) for w in half_widths}
-    jobs = _spy_on_jobs(monkeypatch, two_threads)
+def _count_pools(monkeypatch):
+    """Record the arguments of every ``ThreadPoolExecutor`` started."""
     pools = []
 
     class CountedPool(concurrent.futures.ThreadPoolExecutor):
@@ -342,6 +334,21 @@ def test_sweep_runs_side_by_side_as_each_job_alone(two_threads, monkeypatch,
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    return pools
+
+
+@pytest.mark.parametrize("family, strength, half_widths, n", [
+    ("coulomb_regulated", 10.0, (10.0, 100.0), 255),  # the benchmark's sweep
+    ("scarf2", 0.0, (10.0, 12.0, 14.0), eigensolver._SERIAL_BELOW + 1),  # box
+])
+def test_sweep_runs_side_by_side_as_each_job_alone(two_threads, monkeypatch,
+                                                   family, strength, half_widths, n):
+    config = _small_config(family=family, strength=strength,
+                           half_widths=half_widths, n_intervals=n)
+    with eigensolver._one_thread():
+        alone = {w: run_single(config, w) for w in half_widths}
+    jobs = _spy_on_jobs(monkeypatch, two_threads)
+    pools = _count_pools(monkeypatch)
     artifact = run_experiment(config)
     # one pool of two workers, the sweep's own: no L starts a nested one
     assert pools == [(2,)] and two_threads() == 2
@@ -357,6 +364,22 @@ def test_sweep_runs_side_by_side_as_each_job_alone(two_threads, monkeypatch,
         assert _span_names(artifact.spans[w]) == _span_names(spans)
 
 
+def test_single_l_runs_alone_on_every_thread(two_threads, monkeypatch):
+    # a lone L runs unchanged: on the calling thread, no pool, and its one
+    # Schur block of order _SERIAL_BELOW on both threads, the path of the
+    # benchmark's single-L step call (N=1023 on two threads)
+    jobs = _spy_on_jobs(monkeypatch, two_threads)
+    pools = _count_pools(monkeypatch)
+    artifact = run_experiment(_small_config(
+        n_intervals=eigensolver._SERIAL_BELOW + 1))
+    assert pools == [] and two_threads() == 2
+    assert jobs == [(10.0, threading.get_ident(), 2)]
+    assert not artifact.failures
+    schur = next(s for s in artifact.spans[10.0] if s.name == "eigensolver.schur")
+    assert (schur.counters["blocks"], schur.counters["schur_threads"],
+            schur.counters["process_threads"]) == (1, 2, 2)
+
+
 def test_more_jobs_than_cores_keep_their_own_results_and_spans(two_threads,
                                                                monkeypatch):
     # four workers on a 2-core machine, switching threads as often as the
@@ -364,7 +387,7 @@ def test_more_jobs_than_cores_keep_their_own_results_and_spans(two_threads,
     eigensolver._openblas_threads()[1](4)  # the fixture restores the count
     config = _small_config(half_widths=tuple(float(w) for w in range(5, 13)),
                            n_intervals=65)
-    with eigensolver.solves_side_by_side():
+    with eigensolver._one_thread():
         alone = {w: run_single(config, w) for w in config.half_widths}
     jobs = _spy_on_jobs(monkeypatch, two_threads)
     interval = sys.getswitchinterval()
