@@ -58,9 +58,8 @@ def richardson(a: Sequence[float], order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RichardsonTable:
-    """A sequence and its extrapolant columns of orders 1..max feasible."""
+    """The extrapolant columns of a sequence, orders 1..max feasible."""
 
-    input: Tuple[float, ...]
     columns: Dict[int, Tuple[float, ...]]
 
 
@@ -71,7 +70,7 @@ def build_table(a: Sequence[float], max_order: int = MAX_ORDER) -> RichardsonTab
     columns = {}
     for m in range(1, min(max_order, len(arr) - 1) + 1):
         columns[m] = tuple(richardson(arr, m))
-    return RichardsonTable(input=arr, columns=columns)
+    return RichardsonTable(columns=columns)
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,8 @@ class BalmerEstimate:
     alpha multiplies 1/k^2 in Re E_k, beta multiplies 1/k^3 in |Im E_k|.
     Each per-order entry is the deepest (largest-k) extrapolant of that
     order; the quoted value is the deepest order's, and the spread is the
-    gap to the previous order's estimate.
+    gap to the previous order's estimate.  ``re_table`` and ``im_table``
+    are the tables of the sequences k^2 Re E_k and k^3 |Im E_k|.
     """
 
     alpha: float
@@ -90,6 +90,8 @@ class BalmerEstimate:
     beta_by_order: Tuple[float, ...]
     alpha_spread: float
     beta_spread: float
+    re_table: RichardsonTable
+    im_table: RichardsonTable
 
 
 def estimate_balmer(bound_values: Sequence[complex]) -> BalmerEstimate:
@@ -124,6 +126,8 @@ def estimate_balmer(bound_values: Sequence[complex]) -> BalmerEstimate:
         beta_by_order=b_orders,
         alpha_spread=a_spread,
         beta_spread=b_spread,
+        re_table=re_table,
+        im_table=im_table,
     )
 
 
@@ -132,8 +136,7 @@ def bound_sequence(result) -> List[complex]:
 
     k = 1 is the deepest state, i.e. the pair with largest |Im E|.
     """
-    vals = [r.value for r in result.records if r.label == "bound" and r.value.imag > 0]
-    return sorted(vals, key=lambda z: -abs(z.imag))
+    return sorted(result.bound_values(), key=lambda z: -abs(z.imag))
 
 
 def load_bound_sequence(path) -> List[complex]:

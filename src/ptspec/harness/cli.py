@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..extrapolate import build_table, estimate_balmer, load_bound_sequence
+from ..extrapolate import estimate_balmer, load_bound_sequence
 from ..potentials import FAMILIES
 from ..spectrum import ClassificationPolicy
 from .config import ExperimentConfig, parse_config, serialize_config
@@ -61,21 +61,29 @@ def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+class _ConfigError(ValueError):
+    """A config the flags or ``--config`` describe that cannot be built;
+    ``main`` reports it as a usage error."""
+
+
 def _config_from_args(args, half_widths) -> ExperimentConfig:
     policy = ClassificationPolicy()
     if args.tail_threshold is not None:
         policy = dataclasses.replace(policy,
                                      bound_tail_threshold=args.tail_threshold)
-    return ExperimentConfig(
-        family=args.family,
-        strength=args.strength,
-        half_widths=tuple(half_widths),
-        n_intervals=args.n_intervals,
-        precision_mode=args.precision,
-        output_dir=str(args.out) if args.out else "runs",
-        output_format=args.format,
-        policy=policy,
-    )
+    try:
+        return ExperimentConfig(
+            family=args.family,
+            strength=args.strength,
+            half_widths=tuple(half_widths),
+            n_intervals=args.n_intervals,
+            precision_mode=args.precision,
+            output_dir=str(args.out) if args.out else "runs",
+            output_format=args.format,
+            policy=policy,
+        )
+    except ValueError as exc:
+        raise _ConfigError(exc) from None
 
 
 def _run(config: ExperimentConfig, stdout: bool = False,
@@ -107,7 +115,10 @@ def _cmd_single(args, include_labels: bool) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.config is not None:
-        config = parse_config(args.config)
+        try:
+            config = parse_config(args.config)
+        except ValueError as exc:
+            raise _ConfigError(exc) from None
         if args.out is not None:
             config = dataclasses.replace(config, output_dir=str(args.out))
     else:
@@ -120,8 +131,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_extrapolate(args) -> int:
-    sequence = load_bound_sequence(args.input)
-    estimate = estimate_balmer(sequence)
+    estimate = estimate_balmer(load_bound_sequence(args.input))
     if args.format == "json":
         json.dump({
             "alpha": estimate.alpha,
@@ -136,13 +146,8 @@ def _cmd_extrapolate(args) -> int:
     print(f"alpha {estimate.alpha:.6f} (spread {estimate.alpha_spread:.2e})")
     print(f"beta  {estimate.beta:.6f} (spread {estimate.beta_spread:.2e})")
     if args.table:
-        import numpy as np
-        k = np.arange(1, len(sequence) + 1, dtype=float)
-        for name, seq in (
-            ("k^2 Re E_k", k ** 2 * np.array([z.real for z in sequence])),
-            ("k^3 |Im E_k|", k ** 3 * np.array([abs(z.imag) for z in sequence])),
-        ):
-            table = build_table(seq)
+        for name, table in (("k^2 Re E_k", estimate.re_table),
+                            ("k^3 |Im E_k|", estimate.im_table)):
             print(f"# {name}")
             for order in sorted(table.columns):
                 entries = " ".join(f"{v:.6g}" for v in table.columns[order])
@@ -218,8 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run the subcommand ``argv`` names; a config that cannot be built
+    from its flags or ``--config`` is a usage error (exit code 2)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except _ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import refdata, trace
 from ..eigensolver import eigenvalues
-from ..extrapolate import build_table, estimate_balmer
+from ..extrapolate import RichardsonTable, estimate_balmer
 from ..precision import EXTENDED, as_working, working_precision
 from ..spectrum import SpectrumResult
 from .config import ExperimentConfig
@@ -85,7 +85,7 @@ def check_box_oracle() -> CheckResult:
 
 def check_scarf2_bound_l10() -> CheckResult:
     result = _spectrum("scarf2", 30.0, 10.0, 1023)
-    bound = [z for z in result.bound_values() if z.imag > 0]
+    bound = result.bound_values()
     errs = []
     for ref in refdata.SCARF2_BOUND_L10:
         if bound:
@@ -104,7 +104,7 @@ def check_scarf2_bound_l10() -> CheckResult:
 
 def check_scarf2_third_pair() -> CheckResult:
     result = _spectrum("scarf2", 30.0, 100.0, 2047)
-    bound = [z for z in result.bound_values() if z.imag > 0]
+    bound = result.bound_values()
     if bound:
         _, err = _nearest(bound, refdata.SCARF2_BOUND_THIRD_L100)
     else:
@@ -202,9 +202,8 @@ def check_continuum_collapse() -> CheckResult:
     )
 
 
-def _table_agreement(input_seq, reference_columns) -> float:
+def _table_agreement(table: RichardsonTable, reference_columns) -> float:
     """Worst relative disagreement between computed and reference extrapolants."""
-    table = build_table(input_seq)
     worst = 0.0
     for order, ref_col in reference_columns.items():
         col = table.columns[order]
@@ -216,18 +215,19 @@ def _table_agreement(input_seq, reference_columns) -> float:
 def check_richardson_tables() -> CheckResult:
     """Reproduce the published extrapolant tables to 4 significant figures.
 
-    The scaled input sequences k^2 Re E_k and k^3 |Im E_k| are rebuilt at
-    full precision from the published 8-decimal eigenvalues; the printed
-    6-significant-figure roundings of the inputs are too coarse to pin the
-    order-5 column to 4 figures (the alternating binomial weights amplify
-    input rounding by ~2^5 k^5).
+    The tables are those ``estimate_balmer`` builds from the published
+    8-decimal eigenvalues, whose scaled sequences k^2 Re E_k and
+    k^3 |Im E_k| it forms at full precision; the printed
+    6-significant-figure roundings of those inputs are too coarse to pin
+    the order-5 column to 4 figures (the alternating binomial weights
+    amplify input rounding by ~2^5 k^5).
     """
-    k = np.arange(1, 10, dtype=float)
-    re_inputs = k ** 2 * np.array(refdata.REG_COULOMB_RE)
-    im_inputs = k ** 3 * np.array(refdata.REG_COULOMB_IM)
+    estimate = estimate_balmer(refdata.REG_COULOMB_BOUND)
     worst = max(
-        _table_agreement(re_inputs, refdata.REG_COULOMB_RE_EXTRAPOLANTS),
-        _table_agreement(im_inputs, refdata.REG_COULOMB_IM_EXTRAPOLANTS),
+        _table_agreement(estimate.re_table,
+                         refdata.REG_COULOMB_RE_EXTRAPOLANTS),
+        _table_agreement(estimate.im_table,
+                         refdata.REG_COULOMB_IM_EXTRAPOLANTS),
     )
     return CheckResult(
         name="richardson_tables",

@@ -29,9 +29,15 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio, residual
                                (or eigenvalues.json, a list of such rows);
                                ``write_records`` also prints them for the CLI
-    L<value>/complex_plane.csv, L<value>/log_im.csv, L<value>/loglog_bound.csv
-                               the plot data of ``plotdata.PLOT_KINDS``
-    summary.json               counts, transitions, config snapshot, the
+    L<value>/complex_plane.csv re, im, label of every eigenvalue
+    L<value>/log_im.csv        re, log10_abs_im, kind: the continuum records
+                               (kind "point"), then the detected transition
+                               as a row of kind "transition" with an empty
+                               log10_abs_im
+    L<value>/loglog_bound.csv  log10_re, log10_abs_im of each bound pair's
+                               Im > 0 member
+    summary.json               counts, transitions, config snapshot (its
+                               thresholds under "classification"), the
                                installed ptspec's version ("unknown" in a
                                source tree), and "failures": per failed L
                                its diagnostic
@@ -45,6 +51,9 @@ Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
                                numpy's OpenBLAS build and threads among it
                                (kept separate so summary.json is
                                bit-for-bit reproducible)
+Floats are written by repr, a missing value empty, and log10 |x| is
+taken of |x| + 1e-300.  No images are rendered; the files plot directly
+with any tool.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, TextIO, Tuple
@@ -64,9 +74,11 @@ from ..potentials import PotentialSpec
 from ..precision import from_name, working_precision
 from ..spectrum import SpectrumResult, classify
 from .config import ExperimentConfig
-from .plotdata import PLOT_KINDS, emit_plot_data
 
 COLUMNS = ("re", "im", "label", "tail_ratio", "residual")
+
+# keeps log10 finite for eigenvalues with an exactly zero component
+_LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -126,8 +138,7 @@ def write_records(result: SpectrumResult, fh: TextIO, output_format: str,
     """Write one row per eigenvalue to the open text file ``fh``.
 
     Columns re, im and, with ``labels``, label, tail_ratio and residual; as
-    CSV (floats by repr, a missing tail ratio or residual empty) or as a
-    JSON list of objects.
+    CSV or as a JSON list of objects.
     """
     columns = COLUMNS if labels else COLUMNS[:2]
     rows = [(r.value.real, r.value.imag, r.label, r.tail_ratio,
@@ -137,9 +148,32 @@ def write_records(result: SpectrumResult, fh: TextIO, output_format: str,
         json.dump([dict(zip(columns, row)) for row in rows], fh, indent=1)
         fh.write("\n")
     else:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        _write_csv(fh, columns, rows)
+
+
+def _write_csv(fh: TextIO, header: Tuple[str, ...], rows) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _log10(x: float) -> float:
+    return math.log10(abs(x) + _LOG_FLOOR)
+
+
+def _plot_tables(result: SpectrumResult):
+    """(file stem, header, rows) of each plot file of the layout above."""
+    log_im = [(z.real, _log10(z.imag), "point")
+              for z in result.continuum_values()]
+    if result.transition_point is not None:
+        log_im.append((result.transition_point, None, "transition"))
+    return (
+        ("complex_plane", ("re", "im", "label"),
+         [(r.value.real, r.value.imag, r.label) for r in result.records]),
+        ("log_im", ("re", "log10_abs_im", "kind"), log_im),
+        ("loglog_bound", ("log10_re", "log10_abs_im"),
+         [(_log10(z.real), _log10(z.imag)) for z in result.bound_values()]),
+    )
 
 
 def _result_summary(result: SpectrumResult) -> dict:
@@ -171,6 +205,7 @@ def persist(artifact: RunArtifact) -> Path:
             "half_widths": list(config.half_widths),
             "n_intervals": config.n_intervals,
             "precision": config.precision_mode,
+            "classification": asdict(config.policy),
         },
         "runs": {},
         "failures": dict(sorted(artifact.failures.items())),
@@ -182,8 +217,9 @@ def persist(artifact: RunArtifact) -> Path:
         with open(l_dir / f"eigenvalues.{config.output_format}", "w",
                   newline="") as fh:
             write_records(result, fh, config.output_format)
-        for kind in PLOT_KINDS:
-            emit_plot_data(result, kind, l_dir / f"{kind}.csv")
+        for stem, header, rows in _plot_tables(result):
+            with open(l_dir / f"{stem}.csv", "w", newline="") as fh:
+                _write_csv(fh, header, rows)
         summary["runs"][f"L{half_width:g}"] = _result_summary(result)
 
     with open(run_dir / "summary.json", "w") as fh:

@@ -109,7 +109,9 @@ class SpectrumResult:
     policy: ClassificationPolicy
 
     def bound_values(self) -> List[complex]:
-        return [r.value for r in self.records if r.label == BOUND]
+        """One value per bound pair, its Im > 0 member, in record order."""
+        return [r.value for r in self.records
+                if r.label == BOUND and r.value.imag > 0]
 
     def continuum_values(self) -> List[complex]:
         return [
@@ -119,8 +121,8 @@ class SpectrumResult:
         ]
 
 
-def _sort_key(z: complex):
-    return (z.real, z.imag)
+# a fetched vector's label by its code: 0 not bound, 1 bound, 2 unresolved
+_LABELS = np.array((CONTINUUM_COMPLEX, BOUND, UNRESOLVED), dtype=object)
 
 
 def _non_increasing(seq: np.ndarray, floor: float, slack: float) -> np.ndarray:
@@ -213,14 +215,14 @@ def classify(
     """
     policy = policy or ClassificationPolicy()
     L = op.grid.half_width
-    raw = [complex(z) for z in solution.eigenvalues]
-    partners = solution.partners.tolist()
-    order = sorted(range(len(raw)), key=lambda i: _sort_key(raw[i]))
-    position = {i: k for k, i in enumerate(order)}
+    values = to_complex128(solution.eigenvalues)
+    order = np.lexsort((values.imag, values.real))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
     x = to_complex128(op.grid.interior_nodes).real
 
-    upper = [i for i in order if raw[i].imag > policy.vector_threshold]
-    ks, vectors, residuals = solution.eigenvectors(op.matrix, upper)
+    ks, vectors, residuals = solution.eigenvectors(
+        op.matrix, np.flatnonzero(values.imag > policy.vector_threshold))
     with span("spectrum.tail_tests") as count:
         resolved = residuals <= solution.precision.residual_tol
         absv = np.abs(op.grid_vector(to_complex128(vectors)))
@@ -232,34 +234,28 @@ def classify(
         for c in relaxed:
             bound[c] = _relaxed_fit(absv[:, c], x, L, policy)
         count.update(candidates=len(ks), relaxed_fits=len(relaxed))
-    labels = {}
-    for c, i in enumerate(ks.tolist()):
-        residual = float(residuals[c])
-        if resolved[c]:
-            label = (BOUND if bound[c] else CONTINUUM_COMPLEX, float(tails[c]),
-                     residual)
-        else:
-            label = (UNRESOLVED, None, residual)
-        labels[i] = labels[partners[i]] = label
-    records: List[EigenRecord] = []
-    for i in order:
-        if abs(raw[i].imag) <= policy.vector_threshold:
-            label, tail_ratio, residual = CONTINUUM_REAL, None, None
-        else:
-            label, tail_ratio, residual = labels[i]
-        pair = (position[partners[i]]
-                if label in (BOUND, CONTINUUM_COMPLEX) else None)
-        records.append(EigenRecord(value=raw[i], label=label,
-                                   tail_ratio=tail_ratio, residual=residual,
-                                   pair_index=pair))
+    # per-position columns: the rows of the fetched members, then those of
+    # their partners, which share their label, tail ratio and residual
+    label = np.full(len(order), CONTINUUM_REAL, dtype=object)
+    tail_ratio, residual, pair_index = (np.full(len(order), None, dtype=object)
+                                        for _ in range(3))
+    rows = np.concatenate((position[ks], position[solution.partners[ks]]))
+    label[rows] = np.tile(_LABELS[np.where(resolved, bound, 2)], 2)
+    tail_ratio[rows] = np.tile(np.where(resolved, tails, None), 2)
+    residual[rows] = np.tile(residuals, 2)
+    pair_index[rows] = np.where(np.tile(resolved, 2), np.roll(rows, len(ks)),
+                                None)
+    records = tuple(map(EigenRecord, values[order].tolist(), label.tolist(),
+                        tail_ratio.tolist(), residual.tolist(),
+                        pair_index.tolist()))
     eps = solution.precision.machine_epsilon
     floor = eps * eps * max(solution.matrix_fro_norm, 1.0)
     with span("spectrum.transition"):
         point, drop = (_transition(records, floor, policy.jump_min_decades)
                        or (None, None))
     return SpectrumResult(
-        records=tuple(records),
-        bound_pairs=sum(r.label == BOUND and r.value.imag > 0 for r in records),
+        records=records,
+        bound_pairs=int(np.count_nonzero(resolved & bound)),
         transition_point=point,
         transition_drop=drop,
         policy=policy,

@@ -15,7 +15,6 @@ import pytest
 from ptspec import eigensolver
 from ptspec.harness.cli import main
 from ptspec.harness.config import ExperimentConfig, parse_config, serialize_config
-from ptspec.harness.plotdata import PLOT_KINDS, emit_plot_data
 from ptspec.harness.reproduce import full_scale_config, reproduce
 from ptspec.harness.runner import RunArtifact, persist, run_experiment, run_single
 from ptspec.spectrum import ClassificationPolicy
@@ -509,38 +508,33 @@ def test_stage_ladder_cold_start_loads_nothing_a_double_run_does_not_use():
 
 # --- plot data -------------------------------------------------------------
 
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_plot_data_schemas(small_artifact, tmp_path):
     result = small_artifact.results[10.0]
-    paths = {kind: emit_plot_data(result, kind, tmp_path / f"{kind}.csv")
-             for kind in PLOT_KINDS}
-    with open(paths["complex_plane"]) as fh:
-        rows = list(csv.reader(fh))
+    l_dir = persist(_output_to(small_artifact, tmp_path)) / "L10"
+    rows = _rows(l_dir / "complex_plane.csv")
     assert rows[0] == ["re", "im", "label"]
     assert len(rows) == 1 + len(result.records)
 
-    with open(paths["log_im"]) as fh:
-        rows = list(csv.reader(fh))
+    rows = _rows(l_dir / "log_im.csv")
     assert rows[0] == ["re", "log10_abs_im", "kind"]
     assert rows[-1][2] == "transition"
     assert float(rows[-1][0]) == result.transition_point
 
-    with open(paths["loglog_bound"]) as fh:
-        rows = list(csv.reader(fh))
+    rows = _rows(l_dir / "loglog_bound.csv")
     assert rows[0] == ["log10_re", "log10_abs_im"]
     assert len(rows) == 1 + result.bound_pairs
 
 
 def test_plot_data_empty_bound_set(tmp_path):
-    artifact = run_experiment(_small_config(strength=0.0))
-    path = emit_plot_data(artifact.results[10.0], "loglog_bound",
-                          tmp_path / "empty.csv")
+    artifact = run_experiment(_small_config(strength=0.0,
+                                            output_dir=str(tmp_path)))
+    path = persist(artifact) / "L10" / "loglog_bound.csv"
     assert path.read_text().strip() == "log10_re,log10_abs_im"
-
-
-def test_plot_data_rejects_unknown_kind(small_artifact, tmp_path):
-    with pytest.raises(ValueError):
-        emit_plot_data(small_artifact.results[10.0], "histogram",
-                       tmp_path / "x.csv")
 
 
 # --- cli -------------------------------------------------------------------
@@ -599,7 +593,8 @@ def test_cli_classify_and_sweep_persist_one_layout(tmp_path, capsys):
     swept = _files(capsys.readouterr().out.strip())
     assert set(classified) == set(swept) == {
         Path("summary.json"), Path("timing.json"),
-        *(Path("L10") / f"{name}.csv" for name in ("eigenvalues", *PLOT_KINDS))}
+        *(Path("L10") / f"{name}.csv" for name in (
+            "eigenvalues", "complex_plane", "log_im", "loglog_bound"))}
     # the same job, so the same bytes wherever no time is recorded
     del classified[Path("timing.json")], swept[Path("timing.json")]
     assert classified == swept
@@ -625,6 +620,41 @@ def test_cli_classify_reports_and_persists_a_failure(monkeypatch, tmp_path,
 
 def test_cli_sweep_needs_target(capsys):
     assert main(["sweep", "--N", "129"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "scarf2", "--strength", "1", "--L", "10", "--L", "10",
+     "--N", "33"],
+    ["sweep", "--family", "scarf2", "--strength", "1", "--L", "10",
+     "--L", "10.0000001", "--N", "33"],
+    ["classify", "--family", "step", "--strength", "3", "--L", "10",
+     "--N", "3"],
+    ["sweep", "--config", "{bad_ini}"],
+])
+def test_cli_bad_config_is_a_usage_error(argv, tmp_path, capsys):
+    bad_ini = tmp_path / "bad.ini"
+    bad_ini.write_text(serialize_config(_small_config()).replace(
+        "[classification]", "[classification]\nbogus = 1.0"))
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(bad_ini=bad_ini) for arg in argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert lines[-1].startswith("ptspec: error: ")
+    assert sum("error:" in line for line in lines) == 1
+    assert "Traceback" not in err
+
+
+def test_cli_persists_the_thresholds_of_each_run(tmp_path, capsys):
+    job = ["classify", "--family", "step", "--strength", "3", "--L", "10",
+           "--N", "129"]
+    for name, extra, threshold in (("default", [], 1e-6),
+                                   ("relaxed", ["--tail-threshold", "0.5"], 0.5)):
+        assert main([*job, *extra, "--out", str(tmp_path / name)]) == 0
+        run_dir = Path(capsys.readouterr().out.strip())
+        summary = json.loads((run_dir / "summary.json").read_text())
+        policy = ClassificationPolicy(bound_tail_threshold=threshold)
+        assert summary["config"]["classification"] == dataclasses.asdict(policy)
 
 
 def test_cli_extrapolate(tmp_path, capsys):

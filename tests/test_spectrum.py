@@ -5,6 +5,8 @@ from ptspec import trace
 from ptspec.chebdiff import build_grid
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
+from ptspec.harness.config import ExperimentConfig
+from ptspec.harness.runner import run_single
 from ptspec.potentials import PotentialSpec
 from ptspec.precision import DOUBLE, to_complex128
 from ptspec.spectrum import (
@@ -38,6 +40,27 @@ def test_records_sorted_and_counted(step_result):
     assert values == sorted(values, key=lambda z: (z.real, z.imag))
     n_bound = sum(1 for r in step_result.records if r.label == BOUND)
     assert n_bound == 2 * step_result.bound_pairs
+    bound = step_result.bound_values()
+    assert len(bound) == step_result.bound_pairs
+    assert all(z.imag > 0 for z in bound)
+
+
+@pytest.mark.parametrize("family, strength, n, precision_mode", [
+    ("step", 3.0, 129, "double64"),
+    ("scarf2", 30.0, 21, "extended128"),
+])
+def test_record_fields_are_python_scalars(family, strength, n, precision_mode):
+    # the records are built from numpy columns; none of their scalars leaks
+    config = ExperimentConfig(family, strength, (10.0,), n,
+                              precision_mode=precision_mode)
+    result, _ = run_single(config, 10.0)
+    assert {r.label for r in result.records} & {BOUND, CONTINUUM_COMPLEX}
+    for r in result.records:
+        assert type(r.value) is complex
+        assert type(r.label) is str
+        assert r.tail_ratio is None or type(r.tail_ratio) is float
+        assert r.residual is None or type(r.residual) is float
+        assert r.pair_index is None or type(r.pair_index) is int
 
 
 def test_step_small_grid_finds_one_pair(step_result):
@@ -58,6 +81,8 @@ def test_bound_records_have_conjugate_partners(step_result):
             partner = records[r.pair_index]
             assert partner.pair_index == i
             assert r.value == partner.value.conjugate()
+            assert ((partner.label, partner.tail_ratio, partner.residual)
+                    == (r.label, r.tail_ratio, r.residual))
 
 
 @pytest.mark.parametrize("family, strength, half_width", [
