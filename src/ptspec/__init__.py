@@ -8,15 +8,6 @@ sequence of the long-range family.
 
 from .chebdiff import Grid, build_grid
 from .eigensolver import ConvergenceError, EigenSolution, eigenvalues
-from .extrapolate import (
-    BalmerEstimate,
-    InsufficientDataError,
-    RichardsonTable,
-    bound_sequence,
-    build_table,
-    estimate_balmer,
-    richardson,
-)
 from .hamiltonian import OperatorMatrix, assemble
 from .potentials import FAMILIES, PotentialSpec, evaluate, evaluate_on_grid
 from .precision import DOUBLE, EXTENDED, ScalarPrecision, from_name
@@ -31,4 +22,19 @@ from .spectrum import (
     classify,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the module and the names of ``extrapolate``, which no spectrum run uses:
+# imported on first use (``__getattr__``)
+_LAZY = ("extrapolate", "BalmerEstimate", "InsufficientDataError",
+         "RichardsonTable", "bound_sequence", "build_table", "estimate_balmer",
+         "richardson")
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_LAZY))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f"{__name__}.extrapolate")
+    return module if name == "extrapolate" else getattr(module, name)

@@ -40,9 +40,10 @@ than the second core gains, and no thread pool is started.  From that
 order on, its diagonal blocks run by the rule of ``side_by_side``, the
 one rule for independent solves, which the half-widths of a double sweep
 follow too: a single block on the process's thread count, several
-concurrently, each on one thread.  A block runs on one thread either
-way, so its factors do not depend on the rule.  Where numpy's library
-exports no ``LAPACKE_dgees`` (a build on another BLAS),
+concurrently, each on one thread, after OpenBLAS's idle workers, which
+spin for a while after any threaded call, are stopped.  A block runs on
+one thread either way, so its factors do not depend on the rule.  Where
+numpy's library exports no ``LAPACKE_dgees`` (a build on another BLAS),
 ``scipy.linalg.schur`` solves the blocks one after another, imported only
 then, and the thread count is left as it is.
 """
@@ -167,14 +168,15 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     A block-diagonal matrix gets one per diagonal block
     (``_diagonal_blocks``), written into one n x n T and Z.  Raises
     ConvergenceError when the QR iteration behind it fails to converge.
-    The work after the input checks is the ``trace`` span
-    ``eigensolver.schur``, counting the ``blocks``, the ``largest_block``,
-    the ``qr_sweeps`` (None in double mode), the LAPACK threads each block
-    ran on as ``schur_threads`` (1, but the process's count for a lone
-    block of order ``_SERIAL_BELOW`` or more outside a hold, which
-    ``side_by_side`` runs unchanged; None in extended mode, which makes no
-    LAPACK call) and the threads the process had as ``process_threads``
-    (inside a hold, those it had before), each None where unknown.
+    ||A||_F is taken with the input checks; the work after them is the
+    ``trace`` span ``eigensolver.schur``, counting the ``blocks``, the
+    ``largest_block``, the ``qr_sweeps`` (None in double mode), the LAPACK
+    threads each block ran on as ``schur_threads`` (1, but the process's
+    count for a lone block of order ``_SERIAL_BELOW`` or more outside a
+    hold, which ``side_by_side`` runs unchanged; None in extended mode,
+    which makes no LAPACK call) and the threads the process had as
+    ``process_threads`` (inside a hold, those it had before), each None
+    where unknown.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
@@ -184,19 +186,17 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
         raise ValueError(f"eigenvalues expects a real matrix, not {a.dtype}")
     if not precision.is_extended and not np.isfinite(a).all():
         raise ValueError("eigenvalues expects a finite matrix")
+    rounded = a
+    if a.dtype == object:
+        # rounded to double for the norm; an imaginary part too small to
+        # survive the rounding is left to real_schur's own check
+        rounded = to_complex128(a)
+        if rounded.imag.any():
+            raise ValueError("eigenvalues expects a real matrix")
+    fro = float(np.linalg.norm(rounded))
     with span("eigensolver.schur") as count:
-        rounded = a
-        if a.dtype == object:
-            # rounded to double for the norm; an imaginary part too small to
-            # survive the rounding is left to real_schur's own check
-            rounded = to_complex128(a)
-            if rounded.imag.any():
-                raise ValueError("eigenvalues expects a real matrix")
         blocks = _diagonal_blocks(a)
         t, z, sweeps = _schur_factors(a, blocks, precision)
-        # only now: the norm is a threaded BLAS call, whose idle workers
-        # spin for a while on the cores that concurrent blocks run on
-        fro = float(np.linalg.norm(rounded))
         with working_precision(precision):
             values, partners = _real_schur_eigenvalues(t)
         process = (_process_threads() if precision.is_extended
@@ -376,6 +376,21 @@ def _lapacke_dgees():
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_shutdown() -> Optional[Callable[[], int]]:
+    """OpenBLAS's ``blas_thread_shutdown_``, typed for ctypes, or None.
+
+    It joins the workers of OpenBLAS's thread pool; the next call that runs
+    on more than one thread, or the next thread count set, starts them
+    again.  numpy's OpenBLAS exports it without the prefix and suffix of
+    its other symbols.
+    """
+    entry = getattr(_numpy_library(), "blas_thread_shutdown_", None)
+    if entry is not None:
+        entry.restype, entry.argtypes = ctypes.c_int, []
+    return entry
+
+
 def _process_threads() -> Optional[int]:
     """The thread count of numpy's OpenBLAS, or None if unknown; inside
     ``_one_thread``, the count from before it."""
@@ -402,13 +417,22 @@ def side_by_side(job: Callable, items: Sequence) -> list:
     the process's.  The count is process-wide, so it is set once and
     restored in ``finally``, also when a job raises.  Where it cannot be
     read or set, or is 1 already, nothing is set and the items run one
-    after another.  An item's numbers are those it gets alone on one
+    after another.  The hold also stops OpenBLAS's own workers
+    (``_one_thread(stop_workers=True)``), before the pool starts and after
+    the count is restored: after a threaded call an idle worker spins on a
+    core for about 0.13 s, which a count of one does not end, and would
+    take that core from an item; the restore starts a new worker, which
+    would spin the same way next to whatever follows.  The next threaded
+    call starts them again.  A lone item runs on the process's threads,
+    workers included, and the serial path of ``_schur_factors`` on one
+    thread, which a spinning worker leaves a core of its own on two;
+    neither stops them.  An item's numbers are those it gets alone on one
     thread, whichever way it runs, and results come in the order of
     ``items``.
     """
     if len(items) < 2:
         return list(map(job, items))
-    with _one_thread() as threads:
+    with _one_thread(stop_workers=True) as threads:
         if threads == 1:
             return list(map(job, items))
         from concurrent.futures import ThreadPoolExecutor
@@ -418,14 +442,18 @@ def side_by_side(job: Callable, items: Sequence) -> list:
 
 
 @contextlib.contextmanager
-def _one_thread() -> Iterator[int]:
+def _one_thread(stop_workers: bool = False) -> Iterator[int]:
     """Hold numpy's OpenBLAS at one thread in the block; yields the count
     from before.
 
     Yields 1 and sets nothing where the count cannot be read or set (no
     ``LAPACKE_dgees`` or no OpenBLAS controls), is 1 already, or is held by
     an enclosing block.  Otherwise the count is set once, and restored on
-    exit, also on an exception.
+    exit, also on an exception.  With ``stop_workers``, OpenBLAS's workers
+    are stopped (``_openblas_shutdown``, where it is exported) once the
+    count is set, and again once it is restored: setting it starts them
+    anew, and a new worker spins like an idle one.  The next threaded call
+    starts them again.
     """
     global _held_from
     before = None if _lapacke_dgees() is None else _process_threads()
@@ -433,13 +461,16 @@ def _one_thread() -> Iterator[int]:
         yield 1
         return
     put = _openblas_threads()[1]
+    stop = (_openblas_shutdown() if stop_workers else None) or (lambda: 0)
     put(1)
+    stop()
     _held_from = before
     try:
         yield before
     finally:
         _held_from = None
         put(before)
+        stop()
 
 
 def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-from ..extrapolate import estimate_balmer, load_bound_sequence
 from ..potentials import FAMILIES
 from ..spectrum import ClassificationPolicy
 from .config import ExperimentConfig, parse_config, serialize_config
@@ -61,9 +60,10 @@ def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-class _ConfigError(ValueError):
-    """A config the flags or ``--config`` describe that cannot be built;
-    ``main`` reports it as a usage error."""
+class _UsageError(ValueError):
+    """An input the subcommand cannot use: a config the flags or
+    ``--config`` describe that cannot be built, or an ``extrapolate`` file
+    that cannot be read or fitted; ``main`` reports it as a usage error."""
 
 
 def _config_from_args(args, half_widths) -> ExperimentConfig:
@@ -83,7 +83,7 @@ def _config_from_args(args, half_widths) -> ExperimentConfig:
             policy=policy,
         )
     except ValueError as exc:
-        raise _ConfigError(exc) from None
+        raise _UsageError(exc) from None
 
 
 def _run(config: ExperimentConfig, stdout: bool = False,
@@ -118,7 +118,7 @@ def _cmd_sweep(args) -> int:
         try:
             config = parse_config(args.config)
         except ValueError as exc:
-            raise _ConfigError(exc) from None
+            raise _UsageError(exc) from None
         if args.out is not None:
             config = dataclasses.replace(config, output_dir=str(args.out))
     else:
@@ -131,7 +131,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_extrapolate(args) -> int:
-    estimate = estimate_balmer(load_bound_sequence(args.input))
+    # only this subcommand fits a sequence, so only it imports the module
+    from ..extrapolate import estimate_balmer, load_bound_sequence
+
+    try:
+        estimate = estimate_balmer(load_bound_sequence(args.input))
+    except (OSError, ValueError) as exc:  # InsufficientDataError among them
+        raise _UsageError(exc) from None
     if args.format == "json":
         json.dump({
             "alpha": estimate.alpha,
@@ -223,13 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the subcommand ``argv`` names; a config that cannot be built
-    from its flags or ``--config`` is a usage error (exit code 2)."""
+    """Run the subcommand ``argv`` names; an input it cannot use (a config
+    that cannot be built from its flags or ``--config``, an ``extrapolate``
+    file that cannot be read or fitted) is a usage error (exit code 2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigError as exc:
+    except _UsageError as exc:
         parser.error(str(exc))
 
 

@@ -12,12 +12,14 @@ that also runs the vector products, whose thread count is process-wide.
 A double-precision config maps ``run_single`` over its half-widths with
 ``eigensolver.side_by_side``, the rule that K's parity blocks follow too:
 two or more L side by side, each on one OpenBLAS thread, its parity
-blocks one after another; a single L alone, its solve on the
-eigensolver's own rule (a K of order below 512 on one LAPACK thread;
-from that order on, the two parity blocks concurrently and a single
-block on every thread the process has: on 2 cores the two break even
-somewhere between orders 512 and 800, and two threads win from about
-1000 on; the ladder is in BENCH_stages.json).  Two jobs at once hold two
+blocks one after another, with OpenBLAS's idle workers stopped before
+and after (after a threaded call, such as a caller's own linear algebra,
+one would spin for about 0.13 s on a core an L runs on); a single L
+alone, its solve on the eigensolver's own rule (a K of order below 512
+on one LAPACK thread; from that order on, the two parity blocks
+concurrently and a single block on every thread the process has: on 2
+cores the two break even somewhere between orders 512 and 800, and two
+threads win from about 1000 on; the ladder is in BENCH_stages.json).  Two jobs at once hold two
 jobs' K, T and Z.  Extended-precision configs run their half-widths one
 after another, as mpmath's precision is process-wide.  Results, failures
 and spans are filled in the config's order, whichever job finishes first.
@@ -25,7 +27,10 @@ Any exception inside a job aborts that L with a recorded
 "<Type>: <message>" diagnostic while the remaining half-widths still
 complete.
 
-Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/:
+Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/, the
+name followed by _<field><value> for each ``ClassificationPolicy`` field
+that differs from its default (value by repr), so that a run with other
+thresholds does not overwrite the default run's files:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio, residual
                                (or eigenvalues.json, a list of such rows);
                                ``write_records`` also prints them for the CLI
@@ -72,7 +77,7 @@ from ..eigensolver import eigenvalues, side_by_side
 from ..hamiltonian import assemble
 from ..potentials import PotentialSpec
 from ..precision import from_name, working_precision
-from ..spectrum import SpectrumResult, classify
+from ..spectrum import ClassificationPolicy, SpectrumResult, classify
 from .config import ExperimentConfig
 
 COLUMNS = ("re", "im", "label", "tail_ratio", "residual")
@@ -192,9 +197,12 @@ def persist(artifact: RunArtifact) -> Path:
     """Write the artifact's files under the config's ``output_dir`` in the
     layout above; returns the run directory."""
     config = artifact.config
+    policy, default = asdict(config.policy), asdict(ClassificationPolicy())
     run_dir = Path(config.output_dir) / (
         f"{config.family}_A{config.strength:g}"
-        f"_N{config.n_intervals}_{config.precision_mode}")
+        f"_N{config.n_intervals}_{config.precision_mode}"
+        + "".join(f"_{name}{value!r}" for name, value in policy.items()
+                  if value != default[name]))
     run_dir.mkdir(parents=True, exist_ok=True)
 
     summary = {
@@ -205,7 +213,7 @@ def persist(artifact: RunArtifact) -> Path:
             "half_widths": list(config.half_widths),
             "n_intervals": config.n_intervals,
             "precision": config.precision_mode,
-            "classification": asdict(config.policy),
+            "classification": policy,
         },
         "runs": {},
         "failures": dict(sorted(artifact.failures.items())),

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import mpmath
 import numpy as np
@@ -621,3 +622,112 @@ def test_one_and_two_threads_give_the_same_labels(monkeypatch):
     z1 = np.array([r.value for r in one.records])
     z2 = np.array([r.value for r in two.records])
     assert np.max(np.abs(z1 - z2)) <= 1e-12 * np.max(np.abs(z1))
+
+
+def _spy_on_shutdown(monkeypatch):
+    """Replace OpenBLAS's worker shutdown by a spy; returns the OpenBLAS
+    thread count at each call."""
+    calls = []
+
+    def spy():
+        calls.append(_CONTROLS[0]())
+        return 0
+
+    monkeypatch.setattr(eigensolver, "_openblas_shutdown", lambda: spy)
+    return calls
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_a_pool_of_two_or_more_stops_the_idle_workers_first(monkeypatch):
+    calls = _spy_on_shutdown(monkeypatch)
+    seen = []
+
+    def job(item):
+        seen.append((item, len(calls)))
+        return item * 2
+
+    assert eigensolver.side_by_side(job, [1, 2, 3]) == [2, 4, 6]
+    # on one thread before any item starts, and once the count is restored
+    assert calls == [1, 2] and sorted(seen) == [(1, 1), (2, 1), (3, 1)]
+    assert _CONTROLS[0]() == 2
+    # K's parity blocks from order _SERIAL_BELOW on are such a pool too
+    n = eigensolver._SERIAL_BELOW
+    box = scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1), np.eye(n))
+    _schur_counters(box)
+    assert calls == [1, 2, 1, 2] and _CONTROLS[0]() == 2
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_no_pool_stops_no_workers(monkeypatch):
+    calls = _spy_on_shutdown(monkeypatch)
+    # one item runs unchanged, on the process's threads
+    assert eigensolver.side_by_side(lambda item: _CONTROLS[0](), [7]) == [2]
+    # items inside an enclosing hold run one after another
+    with eigensolver._one_thread():
+        assert eigensolver.side_by_side(lambda item: item, [1, 2]) == [1, 2]
+    # a K below order _SERIAL_BELOW runs its blocks on the serial path
+    _schur_counters(_three_blocks(np.random.default_rng(29)))
+    # and a lone block from that order on runs on the process's threads
+    n = eigensolver._SERIAL_BELOW
+    _schur_counters(np.eye(n) + np.eye(n, k=1))
+    assert calls == [] and _CONTROLS[0]() == 2
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_without_the_shutdown_symbol_the_pool_runs_as_before(monkeypatch):
+    lib = eigensolver._numpy_library()
+
+    class WithoutShutdown:
+        def __getattr__(self, name):
+            if name == "blas_thread_shutdown_":
+                raise AttributeError(name)
+            return getattr(lib, name)
+
+    monkeypatch.setattr(eigensolver, "_numpy_library", WithoutShutdown)
+    eigensolver._openblas_shutdown.cache_clear()
+    try:
+        assert eigensolver._openblas_shutdown() is None
+        seen = eigensolver.side_by_side(lambda item: _CONTROLS[0](), [1, 2])
+    finally:
+        eigensolver._openblas_shutdown.cache_clear()
+    assert seen == [1, 1] and _CONTROLS[0]() == 2
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_thread_count_restored_after_the_shutdown_when_an_item_raises(monkeypatch):
+    calls = _spy_on_shutdown(monkeypatch)
+
+    def job(item):
+        if item == 2:
+            raise ConvergenceError("injected")
+        return item
+
+    with pytest.raises(ConvergenceError, match="injected"):
+        eigensolver.side_by_side(job, [1, 2])
+    assert calls == [1, 2] and _CONTROLS[0]() == 2
+    assert eigensolver._held_from is None
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+def test_the_real_shutdown_leaves_no_worker_spinning():
+    if eigensolver._openblas_shutdown() is None:
+        pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
+    rng = np.random.default_rng(30)
+    m = rng.standard_normal((300, 300))
+    product = m @ m  # on two threads: an idle worker spins after it
+    a = scipy.linalg.block_diag(*rng.standard_normal((2, 300, 300)))
+    sol = eigenvalues(a)  # its two blocks run side by side
+    assert _CONTROLS[0]() == 2
+    # no worker is left, so none spins (one would take ~0.13 s of CPU)
+    start = time.process_time()
+    time.sleep(0.2)
+    assert time.process_time() - start < 0.05
+    # the next threaded call starts them again, with the same result
+    assert np.array_equal(m @ m, product)
+    assert np.allclose(np.sort_complex(to_complex128(sol.eigenvalues)),
+                       np.sort_complex(np.linalg.eigvals(a)), atol=1e-10)

@@ -224,11 +224,13 @@ def test_cli_run_imports_no_scipy_linalg(tmp_path):
 
 # what a double-precision run has no use for: the extended mode's library
 # and kernel, the metadata lookups of a persisted run, numpy's masked
-# arrays, the thread pool of concurrent parity blocks or half-widths, and
-# the reproduction suite with its reference data
+# arrays, the thread pool of concurrent parity blocks or half-widths, the
+# reproduction suite with its reference data, and the extrapolation of
+# bound-state sequences
 UNUSED_BY_DOUBLE = ("mpmath", "importlib.metadata", "numpy.ma",
                     "concurrent.futures", "ptspec._fixed_schur",
-                    "ptspec.harness.reproduce", "ptspec.refdata")
+                    "ptspec.harness.reproduce", "ptspec.refdata",
+                    "ptspec.extrapolate")
 
 
 def test_double_cli_runs_import_only_what_they_use():
@@ -657,6 +659,23 @@ def test_cli_persists_the_thresholds_of_each_run(tmp_path, capsys):
         assert summary["config"]["classification"] == dataclasses.asdict(policy)
 
 
+def test_runs_with_other_thresholds_keep_their_own_files(tmp_path, capsys):
+    # the same job into one --out: each run keeps its own directory, and
+    # the default run keeps the name it had before thresholds were in it
+    job = ["classify", "--family", "step", "--strength", "3", "--L", "10",
+           "--N", "129", "--out", str(tmp_path)]
+    dirs = []
+    for extra in ([], ["--tail-threshold", "0.5"], ["--tail-threshold", "1e-06"]):
+        assert main([*job, *extra]) == 0
+        dirs.append(Path(capsys.readouterr().out.strip()))
+    assert [d.name for d in dirs] == [
+        "step_A3_N129_double64", "step_A3_N129_double64_bound_tail_threshold0.5",
+        "step_A3_N129_double64"]
+    thresholds = [json.loads((d / "summary.json").read_text())["config"]
+                  ["classification"]["bound_tail_threshold"] for d in dirs[:2]]
+    assert thresholds == [1e-6, 0.5]
+
+
 def test_cli_extrapolate(tmp_path, capsys):
     path = tmp_path / "bound.txt"
     path.write_text("".join(
@@ -665,6 +684,27 @@ def test_cli_extrapolate(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["alpha"] == pytest.approx(25.0, abs=1e-9)
     assert payload["beta"] == pytest.approx(61.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2\n3 4\n5 6 7\n", "expected two columns"),  # a malformed row
+    ("1 2\n3 four\n5 6\n", "could not convert"),
+    ("1 2\n3 4\n", "at least 3 bound states"),  # InsufficientDataError
+    (None, "No such file"),
+])
+def test_cli_extrapolate_bad_input_is_a_usage_error(text, message, tmp_path,
+                                                    capsys):
+    path = tmp_path / "bound.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["extrapolate", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert lines[-1].startswith("ptspec: error: ") and message in lines[-1]
+    assert sum("error:" in line for line in lines) == 1
+    assert "Traceback" not in err
 
 
 def test_cli_reproduce_tables(capsys):

@@ -41,10 +41,14 @@ seconds and which of ``COLD_START_MODULES`` the first run had loaded.
 ``ptspec.harness.cli.main`` (``measure_sweep``): the benchmark's coulomb
 sweep (N=255, L=10 and 100) and a 3-L coulomb sweep at N=1023, each
 persisted, after one untimed sweep at N/8 that loads what a first call
-loads.  Each runs in ``--runs`` fresh interpreters per checkout, the
-checkouts alternating, and the JSON holds the median seconds over every
-timed call, each call's seconds, the median peak RSS, and the Schur
-seconds and threads per L of each interpreter's last call.
+loads.  Each sweep is timed twice: as is, and "after matmul", with one
+product of a ``MATMUL_ORDER`` square matrix on every OpenBLAS thread
+before each call, untimed, as a caller's own linear algebra would leave
+OpenBLAS (its idle workers spin for a while after it).  Each runs in
+``--runs`` fresh interpreters per checkout, the checkouts alternating,
+and the JSON holds the median seconds over every timed call, each call's
+seconds, the median peak RSS, and the Schur seconds and threads per L of
+each interpreter's last call.
 ``reproduce --selector desk`` (``measure_desk``: the seconds of each check
 from its ``reproduce.<check>`` span, where the checkout records one, and
 the checks that passed) and the tier-1 command ``python -m pytest -q
@@ -83,10 +87,15 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 # timed calls per interpreter); the first is the benchmark's
 SWEEPS = ((255, (10.0, 100.0), 10), (1023, (10.0, 30.0, 100.0), 1))
 
+# the order of the square matrix whose product precedes each call of the
+# "after matmul" sweeps; OpenBLAS runs it on every thread
+MATMUL_ORDER = 1000
+
 # modules that a double-precision run has no use for (README, "Start-up")
 COLD_START_MODULES = ("mpmath", "importlib.metadata", "numpy.ma",
                       "concurrent.futures", "ptspec._fixed_schur",
-                      "ptspec.harness.reproduce", "ptspec.refdata")
+                      "ptspec.harness.reproduce", "ptspec.refdata",
+                      "ptspec.extrapolate")
 
 # a first double spectrum call; prints when it was done and which of the
 # modules named in argv[1:] were loaded by then
@@ -135,27 +144,34 @@ def measure(family: str, strength: float, half_width: float, n: int,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3}
 
 
-def measure_sweep(n: int, half_widths: list, calls: int) -> dict:
+def measure_sweep(n: int, half_widths: list, calls: int,
+                  matmul: bool = False) -> dict:
     """``calls`` coulomb_regulated A=10 sweeps over ``half_widths`` at N=n
     through ``cli.main`` in this interpreter, after one at N/8, untimed.
 
-    Each call persists into a fresh temporary directory.  Returns the
-    seconds of each timed call, the peak RSS of the process in MB, and per
-    L the seconds and counters of the last call's ``eigensolver.schur``
-    span.
+    Each call persists into a fresh temporary directory; with ``matmul``,
+    an untimed product of a ``MATMUL_ORDER`` square matrix precedes it.
+    Returns the seconds of each timed call, the peak RSS of the process in
+    MB, and per L the seconds and counters of the last call's
+    ``eigensolver.schur`` span.
     """
     import contextlib
     import io
     import tempfile
 
+    import numpy as np
+
     from ptspec.harness.cli import main
 
+    square = np.random.default_rng(0).standard_normal((MATMUL_ORDER,) * 2)
     argv = ["sweep", "--family", "coulomb_regulated", "--strength", "10",
             *(arg for w in half_widths for arg in ("--L", f"{w:g}"))]
     seconds = []
     with tempfile.TemporaryDirectory() as out, \
             contextlib.redirect_stdout(io.StringIO()) as printed:
         for call in range(-1, calls):
+            if matmul:
+                np.matmul(square, square)
             start = time.perf_counter()
             code = main([*argv, "--N", str(n if call >= 0 else max(5, n // 8 | 1)),
                          "--out", f"{out}/{call}"])
@@ -300,13 +316,15 @@ def main() -> int:
         print(f"cold-start {label}: {record['seconds']:.3f} s, loaded "
               f"{record['loaded']}", flush=True)
     end_to_end["sweep"] = {}
-    for n, half_widths, calls in SWEEPS:
+    for (n, half_widths, calls), matmul in ((sweep, matmul) for sweep in SWEEPS
+                                            for matmul in (False, True)):
         sweeps: dict = {label: [] for label, _ in trees}
         for run in range(args.runs):
             for label, path in (trees if run % 2 == 0 else trees[::-1]):
                 sweeps[label].append(run_measure(label, path, "measure_sweep",
-                                                 (n, half_widths, calls)))
-        key = f"N={n} L={','.join(f'{w:g}' for w in half_widths)}"
+                                                 (n, half_widths, calls, matmul)))
+        key = (f"N={n} L={','.join(f'{w:g}' for w in half_widths)}"
+               + (" after matmul" if matmul else ""))
         end_to_end["sweep"][key] = {label: {
             "seconds": statistics.median(s for r in records for s in r["seconds"]),
             "seconds_runs": [r["seconds"] for r in records],
