@@ -1,4 +1,5 @@
-"""The real Schur form in fixed-point integer arithmetic: the extended mode's kernel.
+"""The real Schur form and its eigenvectors in fixed-point integer
+arithmetic: the extended mode's kernel.
 
 ``real_schur`` takes the real Schur form of a real matrix on an array of
 ints: reduction to Hessenberg form by Givens rotations, then the Francis
@@ -21,18 +22,25 @@ backward error of the decomposition is a few units of
 2**-(bits + GUARD_BITS) * max|a_ij| per transformation -- far below a
 ``bits``-bit float's -- and the deflation test's threshold, relative
 2**(1 - bits), stays well above that rounding level.
+
+``eigenvectors`` takes the factors back: the back substitution of LAPACK
+``dtrevc3`` on T, V = Z Y and each residual ||A v - lambda v|| run on
+ints converted exactly from the ``mpf`` factors, each complex column as
+two int planes, where the ``mpf`` entries multiplied into ``mpc`` columns
+took one Python call per operation.
 """
 
 from __future__ import annotations
 
-from math import isqrt
-from typing import Tuple
+from math import isqrt, ldexp
+from typing import Sequence, Tuple
 
 import mpmath
 import numpy as np
 from mpmath import libmp
 
 from .eigensolver import ConvergenceError
+from .trace import span
 
 #: Bits kept beyond the target precision.  The deflation test needs its
 #: threshold well above the rounding level: on scarf2 K (A = 30, L = 10,
@@ -69,17 +77,24 @@ def real_schur(a: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray, int]:
     return _to_mpf(h, f, bits), _to_mpf(z, g, bits), sweeps
 
 
-def _to_fixed(a: np.ndarray, g: int) -> Tuple[np.ndarray, int]:
-    """Ints a * 2**f, the largest with g bits, and f; ValueError unless a is real."""
+def _to_fixed(a: np.ndarray, g: int, exact: bool = False) -> Tuple[np.ndarray, int]:
+    """Ints a * 2**f, the largest with g bits, and f; ValueError unless a is real.
+
+    With ``exact``, f is raised where needed so that every entry is exact.
+    """
     a = np.asarray(a, dtype=object)
     parts = []
     for x in a.ravel().tolist():
-        x = mpmath.mpmathify(x)
-        if x.imag:
-            raise ValueError("real_schur needs a real matrix")
-        parts.append(_man_exp(x.real))
+        if type(x) is not mpmath.mpf:
+            x = mpmath.mpmathify(x)
+            if x.imag:
+                raise ValueError("expected a real matrix")
+            x = x.real
+        parts.append(_man_exp(x))
     top = max((m.bit_length() + e for m, e in parts if m), default=0)
     f = g - top
+    if exact:
+        f = max([f, *(-e for m, e in parts if m)])
     fixed = np.empty(len(parts), dtype=object)
     fixed[:] = [_shift(m, e + f) for m, e in parts]
     return fixed.reshape(a.shape), f
@@ -335,3 +350,151 @@ def _standardize(h: np.ndarray, z: np.ndarray, p: int, g: int) -> None:
             _transform(h, z, _rotation(cs, -sn if sigma >= 0 else sn), p, p,
                        p + 2, g)
             h[p, p] = h[p + 1, p + 1] = _shift(h[p, p] + h[p + 1, p + 1], -1)
+
+
+def eigenvectors(t: np.ndarray, z: np.ndarray, a: np.ndarray, ks: np.ndarray,
+                 lam: Sequence, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Right eigenvectors of A = Z T Z^T for the eigenvalues at ``ks``, and
+    their residuals.
+
+    T and Z are the factors ``real_schur`` returns for A, ``ks`` ascending
+    positions on T's diagonal and ``lam`` their eigenvalues, as
+    ``eigensolver`` reads them off T.  Returns an n x len(ks) object array
+    of ``mpc`` rounded to ``bits`` bits, whose column c is the eigenvector
+    of ``lam[c]`` scaled so that its largest entry (the first of largest
+    modulus) is exactly 1, and each column's ||A v - lam v|| as float64.
+
+    T with ``lam``, Z, and A with ``lam`` are converted exactly to fixed
+    point (``_to_fixed``), each with at least g = bits + GUARD_BITS bits on
+    its largest entry; each complex column is held as two int planes.
+    ``_back_substitute`` solves T y = lam y, V = Z Y, and V is divided by
+    its largest entry at scale 2**g before the rounding to ``bits``.  The
+    residual is exact for the returned vectors and ``lam``, and only its
+    norm is rounded.  Each column is computed on its own, so a vector does
+    not depend on which other columns share the call.  The stages are the
+    ``trace`` spans ``eigensolver.backsub``, ``eigensolver.zy`` and
+    ``eigensolver.residual``.
+    """
+    n, m = len(t), len(ks)
+    g = bits + GUARD_BITS
+    lam = [mpmath.mpmathify(x) for x in lam]
+    parts = np.array([x.real for x in lam] + [x.imag for x in lam], dtype=object)
+    with span("eigensolver.backsub"):
+        fixed, f = _to_fixed(np.concatenate((np.ravel(t), parts)), g, exact=True)
+        y = _back_substitute(fixed[:n * n].reshape(n, n), ks, fixed[n * n:n * n + m],
+                             fixed[n * n + m:], g, bits - 1)
+    with span("eigensolver.zy"):
+        zz, _ = _to_fixed(z, g, exact=True)
+        vectors, v = _unit_largest(zz[:, :y.shape[1]] @ y, g, bits)
+        del y
+    with span("eigensolver.residual"):
+        fixed, fa = _to_fixed(np.concatenate((np.ravel(a), parts)), g, exact=True)
+        lr, li = fixed[n * n:n * n + m], fixed[n * n + m:]
+        r = fixed[:n * n].reshape(n, n) @ v
+        r[0] -= v[0] * lr - v[1] * li
+        r[1] -= v[1] * lr + v[0] * li
+        norms = (r[0] * r[0] + r[1] * r[1]).sum(axis=0).tolist()
+    return vectors, np.array([_root(x, fa + g) for x in norms], dtype=np.float64)
+
+
+def _back_substitute(t: np.ndarray, ks: np.ndarray, lr: np.ndarray,
+                     li: np.ndarray, g: int, up: int) -> np.ndarray:
+    """Planes (re, im) of the eigenvectors of the integer Schur form ``t``.
+
+    ``t`` holds T * 2**f, and ``lr``, ``li`` the parts of each column's
+    eigenvalue at the same scale.  Column c solves (T - lam[c] I) y = 0 as
+    LAPACK ``dtrevc3`` does: its own diagonal block is seeded with the
+    block's exact eigenvector, 1 on a 1 x 1 block and [b, i Im lam] on a
+    2 x 2 one [[a, b], [c, a]], divided by its larger part; the rows below
+    are 0, and the diagonal blocks above are solved bottom-up, each for
+    every column still open there.  Returns y * 2**g, shape (2, rows, m),
+    with the rows up to the last column's own block.
+
+    With eps = 2**-up, ``dtrevc3``'s floor smin = eps (|Re lam| + |Im lam|),
+    but at least one unit of the scale, replaces a 1 x 1 divisor of smaller
+    modulus, and ``dlaln2``'s floor smin max|m_ij| the determinant of a
+    2 x 2 system M that is smaller than it, so a (near-)repeated
+    eigenvalue still yields a finite vector.  Both tests compare squares of
+    ints, exact.  Divisors and determinants are held 2**up above their
+    natural scale, where smin is an integer.
+    """
+    n, m = len(t), len(ks)
+    # pair[j]: rows j, j+1 hold a 2 x 2 block; pair[-1] == pair[n] is False
+    pair = np.zeros(n + 1, dtype=bool)
+    pair[:n - 1] = np.diagonal(t, -1) != 0
+    own = ks - pair[ks - 1]  # first row of each column's own block
+    size = int(own[-1]) + 1 + int(pair[own[-1]])
+    y = np.zeros((2, size, m), dtype=object)
+    for c, row in enumerate(own.tolist()):
+        if pair[row]:
+            b, w = t[row, row + 1], li[c]
+            top = max(abs(b), abs(w))
+            y[0, row, c], y[1, row + 1, c] = _divide(b << g, top), _divide(w << g, top)
+        else:
+            y[0, row, c] = 1 << g
+    smin = np.maximum(np.abs(lr) + np.abs(li), 1 << up)
+    rows = np.arange(size)
+    tops = rows[~pair[rows - 1]]
+    for top, end in zip(tops[::-1].tolist(), np.append(tops[1:], size)[::-1].tolist()):
+        s = int(np.searchsorted(own, end - 1, side="right"))  # the open columns
+        if s == m:
+            continue
+        r = t[top:end, end:size] @ y[:, end:size, s:]  # at scale 2**(f + g)
+        p0, w, lo = t[top, top] - lr[s:], li[s:], smin[s:]
+        if end - top == 1:
+            # the divisor p0 - i w, raised to smin when smaller
+            small = (p0 * p0 + w * w) << 2 * up < lo * lo
+            dr, di = np.where(small, lo, p0 << up), np.where(small, 0, -w << up)
+            u = r[:, 0]
+        else:
+            # M = [[p0 - i w, m01], [m10, p1 - i w]]: u = adj(M) r, x = -u / det M
+            p1, m01, m10 = t[top + 1, top + 1] - lr[s:], t[top, top + 1], t[top + 1, top]
+            det_r, det_i = p0 * p1 - w * w - m01 * m10, -w * (p0 + p1)
+            big = np.maximum(np.maximum(p0 * p0, p1 * p1) + w * w,
+                             max(m01 * m01, m10 * m10))
+            small = (det_r * det_r + det_i * det_i) << 2 * up < lo * lo * big
+            floor = lo * np.frompyfunc(isqrt, 1, 1)(big)
+            dr, di = np.where(small, floor, det_r << up), np.where(small, 0, det_i << up)
+            u = np.stack((p1 * r[0, 0] + w * r[1, 0] - m01 * r[0, 1],
+                          p1 * r[1, 0] - w * r[0, 0] - m01 * r[1, 1],
+                          p0 * r[0, 1] + w * r[1, 1] - m10 * r[0, 0],
+                          p0 * r[1, 1] - w * r[0, 1] - m10 * r[1, 0]))
+            u = u.reshape(2, 2, -1).transpose(1, 0, 2)
+        # x = -u conj(d) / |d|^2, d held 2**up above its scale
+        norm = dr * dr + di * di
+        y[0, top:end, s:] = _divide(-(u[0] * dr + u[1] * di) << up, norm)
+        y[1, top:end, s:] = _divide(-(u[1] * dr - u[0] * di) << up, norm)
+    return y
+
+
+def _unit_largest(v: np.ndarray, g: int, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns of planes ``v`` (at any one scale) divided by their
+    largest entry: as ``mpc`` rounded to ``bits`` bits, and as the planes
+    of those values at scale 2**g.
+
+    The largest entry is the first of largest modulus; it becomes exactly 1.
+    The quotients are rounded at scale 2**g, then to ``bits`` bits, which
+    keeps every part a multiple of 2**-g.
+    """
+    n, m = v.shape[1:]
+    cols = np.arange(m)
+    big = np.argmax(v[0] * v[0] + v[1] * v[1], axis=0)
+    mr, mi = v[0, big, cols], v[1, big, cols]
+    norm = mr * mr + mi * mi
+    parts = [[libmp.from_man_exp(q, -g, bits, "n") for q in plane.ravel().tolist()]
+             for plane in (_divide((v[0] * mr + v[1] * mi) << g, norm),
+                           _divide((v[1] * mr - v[0] * mi) << g, norm))]
+    make = mpmath.mp.make_mpc
+    vectors = np.empty((n, m), dtype=object)
+    vectors.ravel()[:] = [make(pair) for pair in zip(*parts)]
+    planes = np.empty((2, n * m), dtype=object)
+    for plane, values in zip(planes, parts):
+        plane[:] = [(-man if sign else man) << (exp + g)
+                    for sign, man, exp, _ in values]
+    return vectors, planes.reshape(2, n, m)
+
+
+def _root(x: int, f: int) -> float:
+    """sqrt(x) * 2**-f, x >= 0, to double precision."""
+    k = x.bit_length() // 2 - 64  # keeps 64 bits of the root
+    return ldexp(isqrt(x >> 2 * k if k > 0 else x << -2 * k), k - f)

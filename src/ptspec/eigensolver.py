@@ -25,12 +25,15 @@ one after another, as ``real_schur`` is Python code and mpmath's precision
 is process-wide.
 
 Right eigenvectors for any subset of eigenvalues come from the same
-factors in either precision, as one batch with their measured residuals:
-a blocked back substitution on T for the selected columns only (the
-algorithm of LAPACK ``dtrevc3``, in real arithmetic on a double real
-form, where a 2 x 2 block is one small complex system per column), then
-V = Z Y, so one decomposition serves both values and vectors.  One
-routine serves both precisions.
+factors, as one batch with their measured residuals: a back substitution
+on T for the selected columns only (the algorithm of LAPACK ``dtrevc3``,
+where a 2 x 2 block is one small complex system per column), then
+V = Z Y, so one decomposition serves both values and vectors.  As for
+the Schur form, each precision has its own routine: double precision runs
+``_schur_vectors``, blocked, in real arithmetic on float64 factors and
+with BLAS products; extended precision runs ``_fixed_schur.eigenvectors``
+on fixed-point integers converted exactly from the ``mpf`` factors, and
+measures each residual exactly.
 
 The double Schur decomposition runs on numpy's OpenBLAS, the thread pool
 that also runs the Z Y product and the residual products.  A matrix of
@@ -116,45 +119,35 @@ class EigenSolution:
         or object in extended mode); and each column's relative residual
         ||A v - lambda v|| / ||A||_F (float64).  The caller judges the
         residual; the solver's own bound is ``precision.residual_tol``.
-        Vectors are back-substituted on the Schur factors, at most
-        ``_VECTOR_BATCH`` columns at a time.  The call is the ``trace``
-        span ``eigensolver.vectors`` (counter ``columns``), with the spans
+        Vectors are back-substituted on the Schur factors, by
+        ``_schur_vectors`` in double precision (at most ``_VECTOR_BATCH``
+        columns at a time) and by ``_fixed_schur.eigenvectors`` in
+        extended precision.  The call is the ``trace`` span
+        ``eigensolver.vectors`` (counter ``columns``), with the spans
         ``eigensolver.backsub``, ``eigensolver.zy`` and
-        ``eigensolver.residual`` per batch.
+        ``eigensolver.residual`` per batch in either precision; no index
+        runs neither routine.
         """
         ks = np.sort(np.asarray(indices, dtype=np.intp).ravel())
         distinct = np.ones(len(ks), dtype=bool)
         distinct[1:] = ks[1:] != ks[:-1]
         ks = ks[distinct]
         t, z = self.schur
-        a = np.asarray(matrix)
-        # per batch, after an empty part that holds the shapes for no index
-        vectors = [np.empty((a.shape[0], 0),
-                            dtype=object if t.dtype == object else np.complex128)]
-        residual2 = [np.empty(0)]
-        with working_precision(self.precision), span("eigensolver.vectors") as count:
+        with span("eigensolver.vectors") as count:
             count["columns"] = len(ks)
-            for start in range(0, len(ks), _VECTOR_BATCH):
-                batch = ks[start:start + _VECTOR_BATCH]
-                lam = self.eigenvalues[batch]
-                with span("eigensolver.backsub"):
-                    y = _schur_eigenvectors(t, batch, lam,
-                                            self.precision.machine_epsilon)
-                with span("eigensolver.zy"):
-                    v = _product(z[:, :y.shape[0]], y)
-                    del y
-                    v /= v[np.argmax(np.abs(v), axis=0), np.arange(len(batch))]
-                with span("eigensolver.residual"):
-                    r = _product(a, v)
-                    r -= v * lam
-                    vectors.append(v)
-                    residual2.append((np.abs(r) ** 2).sum(axis=0).astype(np.float64))
-                    del r
-        # a single batch is returned as computed, without a copy
-        vectors = (vectors[1] if len(vectors) == 2
-                   else np.concatenate(vectors, axis=1))
-        residuals = np.sqrt(np.concatenate(residual2))
-        return ks, vectors, residuals / (self.matrix_fro_norm or 1.0)
+            if not len(ks):
+                vectors = np.empty((len(t), 0), dtype=object if self.precision.is_extended
+                                   else np.complex128)
+                norms = np.empty(0)
+            elif self.precision.is_extended:
+                from ._fixed_schur import eigenvectors
+
+                vectors, norms = eigenvectors(t, z, matrix, ks, self.eigenvalues[ks],
+                                              self.precision.bits)
+            else:
+                vectors, norms = _schur_vectors(t, z, matrix, ks, self.eigenvalues[ks],
+                                                self.precision.machine_epsilon)
+        return ks, vectors, norms / (self.matrix_fro_norm or 1.0)
 
 
 def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> EigenSolution:
@@ -502,34 +495,58 @@ def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return values, partners
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.
+def _schur_vectors(t: np.ndarray, z: np.ndarray, matrix: np.ndarray, ks: np.ndarray,
+                   lam: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of A = Z T Z^T (float64 factors) for the eigenvalues
+    ``lam`` at the ascending positions ``ks``, and their ||A v - lam v||.
 
-    A real ``a`` times a complex ``b`` is one real product over b's
-    interleaved real and imaginary parts, without a complex copy of ``a``;
-    the last axis of ``b`` must be contiguous.
+    At most ``_VECTOR_BATCH`` columns at a time: the back substitution on T
+    (``_schur_eigenvectors``), V = Z Y scaled to a largest entry of 1, and
+    the residual, as the ``trace`` spans ``eigensolver.backsub``,
+    ``eigensolver.zy`` and ``eigensolver.residual`` per batch.  Returns
+    complex128 vectors, a single batch as computed without a copy, and
+    float64 norms.
     """
-    if a.dtype == np.float64 and b.dtype == np.complex128:
-        return (a @ b.view(np.float64)).view(np.complex128)
-    return a @ b
+    a = np.asarray(matrix, dtype=np.float64)
+    vectors, norms = [], []
+    for start in range(0, len(ks), _VECTOR_BATCH):
+        batch = slice(start, start + _VECTOR_BATCH)
+        with span("eigensolver.backsub"):
+            y = _schur_eigenvectors(t, ks[batch], lam[batch], eps)
+        with span("eigensolver.zy"):
+            v = _product(z[:, :y.shape[0]], y)
+            del y
+            v /= v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        with span("eigensolver.residual"):
+            r = _product(a, v)
+            r -= v * lam[batch]
+            vectors.append(v)
+            norms.append(np.sqrt((np.abs(r) ** 2).sum(axis=0)))
+            del r
+    return (vectors[0] if len(vectors) == 1 else np.concatenate(vectors, axis=1),
+            np.concatenate(norms))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real ``a`` and a complex128 ``b``: one real product over
+    b's interleaved real and imaginary parts, without a complex copy of
+    ``a``; the last axis of ``b`` must be contiguous."""
+    return (a @ b.view(np.float64)).view(np.complex128)
 
 
 def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
                         eps: float) -> np.ndarray:
     """Eigenvectors of the Schur factor T for the ascending positions ``ks``.
 
-    T is a real Schur form, float64 or object of ``mpf``: quasi-triangular
-    with standardized 2 x 2 blocks [[a, b], [c, a]], read off its nonzero
-    subdiagonal entries.  Column c solves
-    (T - lam[c] I) y = 0 for the eigenvalue lam[c] at position ks[c].  Its
-    own diagonal block is seeded with the block's exact eigenvector, 1 on a
-    1 x 1 block and [b, i Im lam] on a 2 x 2 one, and the rows below that
-    block are 0.  Only rows up to the last column's own block are
-    returned, complex128 for a double T and object for an object one.
+    T is a float64 real Schur form: quasi-triangular with standardized
+    2 x 2 blocks [[a, b], [c, a]], read off its nonzero subdiagonal entries.
+    Column c solves (T - lam[c] I) y = 0 for the eigenvalue lam[c] at
+    position ks[c].  Its own diagonal block is seeded with the block's
+    exact eigenvector, 1 on a 1 x 1 block and [b, i Im lam] on a 2 x 2 one,
+    and the rows below that block are 0.  Only rows up to the last column's
+    own block are returned, as complex128.
 
-    The algorithm is that of LAPACK ``dtrevc3``, in real arithmetic on a
-    float64 T; an object T multiplies its ``mpf`` entries into the ``mpc``
-    columns directly.
+    The algorithm is that of LAPACK ``dtrevc3``, in real arithmetic on T.
     Rows are solved bottom-up in panels of ``_BACKSUB_BLOCK`` rows anchored
     at its multiples from row 0, so the panels do not depend on which other
     columns share the batch; the matrix products' shapes still do, and
@@ -538,32 +555,24 @@ def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
     that ``_block_solvers`` computes for the whole panel at once; then one
     matrix product carries the panel to every row above it.
     """
-    real = t.dtype == np.float64
     n, m = t.shape[0], len(ks)
     # pair[j]: rows j, j+1 hold a 2 x 2 block; pair[-1] == pair[n] is False
     pair = np.zeros(n + 1, dtype=bool)
     pair[:n - 1] = np.diagonal(t, -1) != 0
     own = ks - pair[ks - 1]  # first row of each column's own block
     size = int(own[-1]) + 1 + int(pair[own[-1]])
-    y = np.zeros((size, m), dtype=object if t.dtype == object else np.complex128)
+    y = np.zeros((size, m), dtype=np.complex128)
     cols = np.arange(m)
     single = ~pair[own]
     y[own[single], cols[single]] = 1
     double = own[~single]
-    if lam.dtype == object:
-        import mpmath
-
-        imag = np.frompyfunc(mpmath.im, 1, 1)(lam[~single])
-    else:
-        imag = np.imag(lam[~single])
     y[double, cols[~single]] = t[double, double + 1]
-    y[double + 1, cols[~single]] = 1j * imag
-    # |Re| + |Im| as in dtrevc3; on an object array .real is the array
-    # itself and .imag is zero, so this reads |lambda| there
+    y[double + 1, cols[~single]] = 1j * lam[~single].imag
+    # |Re| + |Im| as in dtrevc3
     smin = np.maximum(eps * (np.abs(lam.real) + np.abs(lam.imag)),
                       np.finfo(float).tiny)
-    # a real T multiplies the real and imaginary parts of y as one real matrix
-    flat, width = (y.view(np.float64), 2) if real else (y, 1)
+    # T multiplies the real and imaginary parts of y as one real matrix
+    flat = y.view(np.float64)
 
     edges = [0, *(e - int(pair[e - 1]) for e in range(_BACKSUB_BLOCK, size,
                                                        _BACKSUB_BLOCK)), size]
@@ -583,7 +592,7 @@ def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
                     continue
                 block = top if end - top == 1 else slice(top, end)
                 r = y[block, s:] + (t[block, end:hi]
-                                    @ flat[end:hi, width * s:]).view(y.dtype)
+                                    @ flat[end:hi, 2 * s:]).view(np.complex128)
                 if end - top == 1:
                     y[top, s:] = -r / divisor[top - lo, s - first:]
                 else:
@@ -591,7 +600,7 @@ def _schur_eigenvectors(t: np.ndarray, ks: np.ndarray, lam: np.ndarray,
                                     * r).sum(axis=1)
         s = int(np.searchsorted(own, lo, side="left"))
         if lo > 0 and s < m:
-            flat[:lo, width * s:] += t[:lo, lo:hi] @ flat[lo:hi, width * s:]
+            flat[:lo, 2 * s:] += t[:lo, lo:hi] @ flat[lo:hi, 2 * s:]
     return y
 
 

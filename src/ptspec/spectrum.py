@@ -18,10 +18,12 @@ ratios and the strict bound test are array operations over all
 candidates at once; only a candidate that fails the strict test with a
 tail below the relaxed cut gets the per-vector exponential fit.  A vector
 whose residual misses the solver's tolerance leaves its pair
-``unresolved``; the residual is measured on K and equals that on H, as
-the map is unitary.  K is real, so in either precision every eigenvalue
-with Im != 0 has its partner by construction, a conjugate pair is
-exactly conjugate and a PT-unbroken level exactly real.
+``unresolved``, as does a grid too coarse to put a node in the boundary
+bands, which leaves no tail to read; the residual is measured on K and
+equals that on H, as the map is unitary.  K is real, so in either
+precision every eigenvalue with Im != 0 has its partner by construction,
+a conjugate pair is exactly conjugate and a PT-unbroken level exactly
+real.
 ``classify`` also locates the complex-to-real transition of the continuum
 once, from the solution's precision and ||A||_F, and stores both its
 location and its drop on the result, so the result is complete.
@@ -83,7 +85,8 @@ class EigenRecord:
     eigenvector v of K behind the label, v scaled to a largest entry of 1.
     A conjugate partner shares both with the member whose vector was
     fetched.  Both are None where no vector was fetched, and
-    ``tail_ratio`` also where the vector missed the residual tolerance.
+    ``tail_ratio`` also where the record is ``unresolved``: the vector
+    missed the residual tolerance, or the boundary bands hold no node.
     """
 
     value: complex
@@ -145,12 +148,15 @@ def _strict_tails(absv: np.ndarray, x: np.ndarray, half_width: float,
     boundary bands |x| >= (1 - tail_band_fraction) L, at most 1.  The
     strict test asks for a tail ratio below ``bound_tail_threshold`` and
     for both envelopes, read from the interior towards each boundary, to be
-    non-increasing.
+    non-increasing.  Bands that hold no node (with the default fraction,
+    N <= 9, as the outermost interior node is L cos(pi / N)) give every
+    column a tail ratio of NaN, and fail the strict test.
     """
     edge = (1.0 - policy.tail_band_fraction) * half_width
     band = np.abs(x) >= edge
-    tails = (np.minimum(absv[band].max(axis=0), 1.0) if band.any()
-             else np.zeros(absv.shape[1]))
+    if not band.any():
+        return np.full(absv.shape[1], np.nan), np.zeros(absv.shape[1], dtype=bool)
+    tails = np.minimum(absv[band].max(axis=0), 1.0)
     floor, slack = policy.bound_tail_threshold, policy.monotone_slack
     strict = ((tails < floor)
               & _non_increasing(absv[x >= edge][::-1], floor, slack)
@@ -206,7 +212,8 @@ def classify(
     """Label every eigenvalue and locate the continuum transition.
 
     Each conjugate pair shares one label, tail ratio and residual.
-    Eigenvectors that miss the residual tolerance are recorded as
+    Eigenvectors that miss the residual tolerance, and every candidate of a
+    grid whose boundary bands hold no node, are recorded as
     ``unresolved`` rather than silently promoted to bound states.  The
     grid comes from ``op`` and the precision from ``solution``.  Besides
     the ``eigensolver.vectors`` span of the vector fetch, it records the
@@ -224,11 +231,12 @@ def classify(
     ks, vectors, residuals = solution.eigenvectors(
         op.matrix, np.flatnonzero(values.imag > policy.vector_threshold))
     with span("spectrum.tail_tests") as count:
-        resolved = residuals <= solution.precision.residual_tol
         absv = np.abs(op.grid_vector(to_complex128(vectors)))
         del vectors
         absv /= absv.max(axis=0)
         tails, bound = _strict_tails(absv, x, L, policy)
+        # a label needs a vector within the tolerance and a tail to read
+        resolved = (residuals <= solution.precision.residual_tol) & ~np.isnan(tails)
         cut = policy.relaxed_tail_coeff / (L * L)
         relaxed = np.flatnonzero(resolved & ~bound & (tails < cut))
         for c in relaxed:

@@ -317,3 +317,102 @@ def test_reflector_application_matches_an_elementwise_loop(n, p):
     assert np.array_equal(h, expected_h)
     assert np.array_equal(z, expected_z)
 
+
+
+# --- eigenvectors on fixed-point integers -------------------------------------
+
+def _reference_vectors(sol, ks):
+    """Columns of Z y, y back-substituted on T in mpmath at the caller's
+    precision (LAPACK dtrevc3 without its floors), as lists of ``mpc``."""
+    t, z = sol.schur
+    n = len(t)
+    pair = [t[j + 1, j] != 0 for j in range(n - 1)] + [False]
+    columns = []
+    for k in ks:
+        lam = sol.eigenvalues[k]
+        top = k - 1 if k > 0 and pair[k - 1] else k
+        y = [mpmath.mpc(0)] * n
+        if pair[top]:
+            y[top], y[top + 1] = t[top, top + 1], mpmath.mpc(0, lam.imag)
+        else:
+            y[top] = mpmath.mpc(1)
+        j = top - 1
+        while j >= 0:
+            lo = j - 1 if j > 0 and pair[j - 1] else j
+            r = [-sum(t[i, c] * y[c] for c in range(j + 1, n)) for i in range(lo, j + 1)]
+            m = mpmath.matrix([[t[i, c] - (lam if i == c else 0) for c in range(lo, j + 1)]
+                               for i in range(lo, j + 1)])
+            y[lo:j + 1] = list(mpmath.lu_solve(m, mpmath.matrix(r)))
+            j = lo - 1
+        columns.append([sum(z[i, c] * y[c] for c in range(n)) for i in range(n)])
+    return columns
+
+
+@pytest.mark.parametrize("name", ["scarf2_k", "random20"])
+def test_vectors_match_an_mpmath_back_substitution(name):
+    a = _scarf2_k() if name == "scarf2_k" else _random_real(22, 20)
+    sol = eigenvalues(a, precision=EXTENDED)
+    ks, vectors, residuals = sol.eigenvectors(a, range(len(a)))
+    # real eigenvalues and both members of each pair
+    assert 0 < np.count_nonzero(sol.partners >= 0) < len(a)
+    with mpmath.workprec(4 * BITS):
+        for c, reference in enumerate(_reference_vectors(sol, ks)):
+            v = vectors[:, c]
+            unit = next(i for i, x in enumerate(v) if x == 1)
+            assert max(abs(x - y / reference[unit]) for x, y in zip(v, reference)) < 1e-30
+            # the reported residual is that of the returned vector
+            r = a @ v - sol.eigenvalues[ks[c]] * v
+            measured = mpmath.sqrt(sum(abs(x) ** 2 for x in r)) / sol.matrix_fro_norm
+            assert abs(residuals[c] / measured - 1) < 1e-6
+    assert np.all(residuals <= 1e-24)
+
+
+def _solution_of(t):
+    """The extended solution whose Schur form is the standardized T, Z = I."""
+    with working_precision(EXTENDED):
+        t = as_working(t, EXTENDED)
+        values, partners = eigensolver._real_schur_eigenvalues(t)
+    z = np.eye(len(t), dtype=object) * mpmath.mpf(1)
+    return t, eigensolver.EigenSolution(values, partners, float(_fro(t)), (), EXTENDED,
+                                        schur=(t, z))
+
+
+@pytest.mark.parametrize("shape", ["jordan", "identical_blocks", "zero"])
+def test_repeated_eigenvalue_gives_a_finite_vector(shape):
+    # T[k, k] - lam (a 1 x 1 divisor) or det(B - lam I) (a 2 x 2 system) is
+    # exactly 0 for the repeated eigenvalue (1 +- 2i, exact as 1 * sqrt(4));
+    # the smin floors stand in for it, at least one unit where lam = 0
+    t = np.triu(np.random.default_rng(23).standard_normal((6, 6)))
+    if shape == "zero":
+        t[...] = 0
+        ks = [0, 5]
+    elif shape == "jordan":
+        t[1, 1] = t[0, 0]
+        ks = [1]
+    else:
+        for k in (0, 2):
+            t[k:k + 2, k:k + 2] = [[1.0, 1.0], [-4.0, 1.0]]
+        ks = [2, 3]
+    t, sol = _solution_of(t)
+    assert sol.eigenvalues[ks[-1]] == sol.eigenvalues[ks[-1] - (1 if shape == "jordan" else 2)]
+    _, vectors, residuals = sol.eigenvectors(t, ks)
+    assert all(mpmath.isfinite(x) for x in vectors.ravel())
+    assert max(abs(x) for x in vectors.ravel()) == 1
+    assert np.all(residuals <= EXTENDED.residual_tol)
+
+
+def test_no_index_gives_empty_arrays():
+    a = _random_real(24, 7)
+    ks, vectors, residuals = eigenvalues(a, precision=EXTENDED).eigenvectors(a, [])
+    assert ks.shape == (0,) and vectors.shape == (7, 0) and residuals.shape == (0,)
+    assert vectors.dtype == object and residuals.dtype == np.float64
+
+
+def test_a_vector_alone_is_bit_identical_to_its_batch_column():
+    a = _scarf2_k()
+    sol = eigenvalues(a, precision=EXTENDED)
+    ks, vectors, residuals = sol.eigenvectors(a, range(len(a)))
+    for c, k in enumerate(ks):
+        _, alone, residual = sol.eigenvectors(a, [k])
+        assert [x._mpc_ for x in alone[:, 0]] == [x._mpc_ for x in vectors[:, c]]
+        assert residual[0] == residuals[c]

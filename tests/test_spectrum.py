@@ -187,6 +187,32 @@ def test_unresolved_never_counts_as_bound(step_result):
             assert r.pair_index is None
 
 
+@pytest.mark.parametrize("n", [6, 8, 9])
+def test_no_node_in_the_boundary_bands_leaves_every_candidate_unresolved(n):
+    # the outermost interior node, L cos(pi / N), lies inside 0.95 L for N <= 9:
+    # there is no tail to read, so no candidate can be labelled bound
+    result = _classified("scarf2", 30.0, 10.0, n)
+    fetched = [r for r in result.records if r.residual is not None]
+    assert fetched and result.bound_pairs == 0
+    assert all(r.label == UNRESOLVED and r.tail_ratio is None
+               and r.pair_index is None for r in fetched)
+
+
+@pytest.mark.parametrize("n, complex_records, tail", [
+    (10, 6, 0.2534263911476813), (11, 8, 0.23840743161414354), (21, 14, None)])
+def test_a_node_in_the_boundary_bands_keeps_the_labels(n, complex_records, tail):
+    # from N = 10 on the bands hold a node: the labels and tail ratios are
+    # those of the strict and relaxed tests, as before
+    result = _classified("scarf2", 30.0, 10.0, n)
+    labels = [r.label for r in result.records]
+    assert labels.count(CONTINUUM_COMPLEX) == complex_records
+    assert labels.count(CONTINUUM_REAL) == n - 1 - complex_records
+    assert all(r.tail_ratio is not None for r in result.records if r.residual is not None)
+    if tail is not None:
+        first = next(r for r in result.records if r.tail_ratio is not None)
+        assert first.tail_ratio == pytest.approx(tail, rel=1e-9)
+
+
 def test_vector_over_residual_target_is_unresolved(step_result):
     # factors of A + I: the same vectors, every eigenvalue off by 1, so
     # each candidate's residual against A is 1 -- far above 1e-10 ||A||_F

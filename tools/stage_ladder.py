@@ -20,15 +20,16 @@ occurs more than once in a run (one per vector batch) is summed.
 
 The cases are coulomb_regulated A=10 L=100 at N = 255 ... 4095, the box
 (scarf2 A=0 L=10) and the step A=3 L=100 of the benchmark, and scarf2 A=30
-L=10 in extended precision.  Coulomb at N = 513, 767, 1023 and 2047 runs a
-second time with ``OPENBLAS_NUM_THREADS=1`` in the child's environment, so
-that its Schur decomposition runs on one thread.  Each run of the one is
-followed by a run of the other, so the two meet the same load on the
-machine.  The pairs bracket the order (512, ``eigensolver._SERIAL_BELOW``)
-from which a single block runs on every thread: N=513 is the smallest N
-whose K, of order N - 1, is at it, and N=511 runs on one thread either
-way.  The vector stage after the decomposition shows what a two-thread
-decomposition costs the call after it.
+L=10 in extended precision at N = 21 and 41.  Coulomb at N = 513, 767,
+1023 and 2047 runs a second time with ``OPENBLAS_NUM_THREADS=1`` in the
+child's environment, so that its Schur decomposition runs on one thread.
+Each run of the one is followed by a run of the other, so the two meet
+the same load on the machine.  The pairs bracket the order (512,
+``eigensolver._SERIAL_BELOW``) from which a single block runs on every
+thread: N=513 is the smallest N whose K, of order N - 1, is at it, and
+N=511 runs on one thread either way.  The vector stage after the
+decomposition shows what a two-thread decomposition costs the call after
+it.
 
 Four end-to-end cases follow.  ``cold-start`` times a fresh interpreter
 from its start to the end of a first double ``spectrum`` call through
@@ -39,12 +40,13 @@ checkouts alternating, and the JSON holds the median seconds, each run's
 seconds and which of ``COLD_START_MODULES`` the first run had loaded.
 ``sweep`` times the double sweeps of ``SWEEPS`` through
 ``ptspec.harness.cli.main`` (``measure_sweep``): the benchmark's coulomb
-sweep (N=255, L=10 and 100) and a 3-L coulomb sweep at N=1023, each
-persisted, after one untimed sweep at N/8 that loads what a first call
-loads.  Each sweep is timed twice: as is, and "after matmul", with one
-product of a ``MATMUL_ORDER`` square matrix on every OpenBLAS thread
-before each call, untimed, as a caller's own linear algebra would leave
-OpenBLAS (its idle workers spin for a while after it).  Each runs in
+sweep (N=255, L=10 and 100), timed 10 times per interpreter, and a 3-L
+coulomb sweep at N=1023, timed 3 times, each persisted, after one untimed
+sweep at N/8 that loads what a first call loads.  Each sweep is timed
+twice: as is, and "after matmul", with one product of a ``MATMUL_ORDER``
+square matrix on every OpenBLAS thread before each call, untimed, as a
+caller's own linear algebra would leave OpenBLAS (its idle workers spin
+for a while after it).  Each runs in
 ``--runs`` fresh interpreters per checkout, the checkouts alternating,
 and the JSON holds the median seconds over every timed call, each call's
 seconds, the median peak RSS, and the Schur seconds and threads per L of
@@ -78,14 +80,15 @@ CASES = (
     ("coulomb_regulated", 10.0, 100.0, 4095, "double64", (None,)),
     *(("scarf2", 0.0, 10.0, n, "double64", (None,)) for n in (1023, 2047)),
     ("step", 3.0, 100.0, 1023, "double64", (None,)),
-    ("scarf2", 30.0, 10.0, 21, "extended128", (None,)),
+    *(("scarf2", 30.0, 10.0, n, "extended128", (None,)) for n in (21, 41)),
 )
 
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 # the sweeps of the ``sweep`` case, coulomb_regulated A=10: (N, half-widths,
-# timed calls per interpreter); the first is the benchmark's
-SWEEPS = ((255, (10.0, 100.0), 10), (1023, (10.0, 30.0, 100.0), 1))
+# timed calls per interpreter); the first is the benchmark's.  One call of
+# the second spread 1.39-2.12 s over three interpreters of one checkout
+SWEEPS = ((255, (10.0, 100.0), 10), (1023, (10.0, 30.0, 100.0), 3))
 
 # the order of the square matrix whose product precedes each call of the
 # "after matmul" sweeps; OpenBLAS runs it on every thread
