@@ -25,8 +25,7 @@ from .spectrum import (
 # the module and the names of ``extrapolate``, which no spectrum run uses:
 # imported on first use (``__getattr__``)
 _LAZY = ("extrapolate", "BalmerEstimate", "InsufficientDataError",
-         "RichardsonTable", "bound_sequence", "build_table", "estimate_balmer",
-         "richardson")
+         "RichardsonTable", "build_table", "estimate_balmer", "richardson")
 
 __all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_LAZY))
 

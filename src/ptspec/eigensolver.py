@@ -48,7 +48,10 @@ spin for a while after any threaded call, are stopped.  A block runs on
 one thread either way, so its factors do not depend on the rule.  Where
 numpy's library exports no ``LAPACKE_dgees`` (a build on another BLAS),
 ``scipy.linalg.schur`` solves the blocks one after another, imported only
-then, and the thread count is left as it is.
+then, and the thread count is left as it is.  The library's symbols are
+looked up once (``_openblas``); the thread count itself is kept nowhere
+but in OpenBLAS: a hold reads it on entry, and each ``_dgees`` call reads
+the count it runs on, which the ``eigensolver.schur`` span reports.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import ctypes
 import functools
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,10 +76,6 @@ _VECTOR_BATCH = 1024
 # a matrix of lower order takes its double Schur form on one LAPACK thread,
 # one diagonal block after another
 _SERIAL_BELOW = 512
-
-# while ``_one_thread`` holds numpy's OpenBLAS at one thread: the count it
-# had before; None otherwise
-_held_from: Optional[int] = None
 
 
 class ConvergenceError(RuntimeError):
@@ -163,13 +162,11 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     ConvergenceError when the QR iteration behind it fails to converge.
     ||A||_F is taken with the input checks; the work after them is the
     ``trace`` span ``eigensolver.schur``, counting the ``blocks``, the
-    ``largest_block``, the ``qr_sweeps`` (None in double mode), the LAPACK
-    threads each block ran on as ``schur_threads`` (1, but the process's
-    count for a lone block of order ``_SERIAL_BELOW`` or more outside a
-    hold, which ``side_by_side`` runs unchanged; None in extended mode,
-    which makes no LAPACK call) and the threads the process had as
-    ``process_threads`` (inside a hold, those it had before), each None
-    where unknown.
+    ``largest_block``, the ``qr_sweeps`` (None in double mode) and, as
+    ``schur_threads``, the OpenBLAS thread count that ``_dgees`` read as it
+    ran (None in extended mode, which makes no LAPACK call, for the scipy
+    fallback and where the count cannot be read).  The process's own count
+    is ``trace.environment()``'s.
     """
     a = np.asarray(matrix)
     n = a.shape[0]
@@ -189,20 +186,12 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     fro = float(np.linalg.norm(rounded))
     with span("eigensolver.schur") as count:
         blocks = _diagonal_blocks(a)
-        t, z, sweeps = _schur_factors(a, blocks, precision)
+        t, z, sweeps, threads = _schur_factors(a, blocks, precision)
         with working_precision(precision):
             values, partners = _real_schur_eigenvalues(t)
-        process = (_process_threads() if precision.is_extended
-                   or _lapacke_dgees() is not None else None)
-        # only a lone block from _SERIAL_BELOW on, outside a hold, keeps the
-        # process's threads; every other block runs on one
-        lone = len(blocks) == 1 and n >= _SERIAL_BELOW and _held_from is None
         count.update(blocks=len(blocks), largest_block=max(hi - lo for lo, hi in blocks),
-                     qr_sweeps=sweeps if precision.is_extended else None,
-                     schur_threads=(None if precision.is_extended or process is None
-                                    else process if lone else 1),
-                     process_threads=process)
-    stats = (sweeps,) if precision.is_extended else ()
+                     qr_sweeps=sweeps, schur_threads=threads)
+    stats = () if sweeps is None else (sweeps,)
     return EigenSolution(values, partners, fro, stats, precision, schur=(t, z))
 
 
@@ -231,15 +220,18 @@ def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
 
 def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
                    precision: ScalarPrecision):
-    """(T, Z, QR sweeps) of ``a``.
+    """(T, Z, QR sweeps, LAPACK threads) of ``a``.
 
     Each of the diagonal ``blocks`` gets its own Schur decomposition.  In
     double precision T starts as a Fortran-order copy of the blocks, zero
     elsewhere, and ``_dgees`` overwrites each block of T and Z in place.
     Below order ``_SERIAL_BELOW`` the blocks run one after another on one
     LAPACK thread; from it on they run by the rule of ``side_by_side``.
-    Extended blocks run one after another, and a single one's T and Z are
-    returned as ``real_schur`` returns them.
+    Every block runs on the same count, which ``_dgees`` reads, so the
+    first block's is returned; the sweeps are None, as LAPACK does not
+    report them.  Extended blocks run one after another, summing their
+    sweeps, with threads None, and a single one's T and Z are returned as
+    ``real_schur`` returns them.
     """
     n = a.shape[0]
     if precision.is_extended:
@@ -248,14 +240,14 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
         from ._fixed_schur import real_schur
 
         if len(blocks) == 1:
-            return real_schur(a, precision.bits)
+            return (*real_schur(a, precision.bits), None)
         t = np.full((n, n), mpmath.mpf(0), dtype=object)
         z, sweeps = t.copy(), 0
         for lo, hi in blocks:
             t[lo:hi, lo:hi], z[lo:hi, lo:hi], s = real_schur(a[lo:hi, lo:hi],
                                                              precision.bits)
             sweeps += s
-        return t, z, sweeps
+        return t, z, sweeps, None
     if len(blocks) == 1:
         t = np.array(a, dtype=np.float64, order="F")
     else:
@@ -264,133 +256,113 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
             t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
     z = np.zeros_like(t)
 
-    def solve(block: Tuple[int, int]) -> None:
+    def solve(block: Tuple[int, int]) -> Optional[int]:
         lo, hi = block
-        _dgees(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
+        return _dgees(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
 
     if n < _SERIAL_BELOW:
         with _one_thread():
-            for block in blocks:
-                solve(block)
+            threads = [solve(block) for block in blocks]
     else:
-        side_by_side(solve, blocks)
-    return t, z, 0
+        threads = side_by_side(solve, blocks)
+    return t, z, None, next(iter(threads), None)
 
 
 # LAPACKE's matrix_layout code for column-major (Fortran-order) arrays
 _COL_MAJOR = 102
 
 
-def _dgees(t: np.ndarray, z: np.ndarray) -> None:
+def _dgees(t: np.ndarray, z: np.ndarray) -> Optional[int]:
     """Overwrite the square block ``t`` with its real Schur form T, and
-    ``z`` with Z, by LAPACK ``dgees``.
+    ``z`` with Z, by LAPACK ``dgees``; returns the OpenBLAS thread count it
+    ran on.
 
     ``t`` and ``z`` are float64 views with contiguous columns and equal
     strides, such as one diagonal block of two Fortran-order arrays; ``t``
     holds finite entries.  Z is computed and nothing is reordered.  Calls
-    ``LAPACKE_dgees`` of numpy's OpenBLAS (``_lapacke_dgees``), or
-    ``scipy.linalg.schur`` where numpy's library does not export it.
-    Raises ConvergenceError when the QR iteration fails (info > 0) and
-    ValueError on an argument LAPACK rejects (info < 0).
+    ``LAPACKE_dgees`` of numpy's OpenBLAS (``_openblas``), reading the
+    thread count just before, or ``scipy.linalg.schur`` where numpy's
+    library does not export it.  The count is None there and where it
+    cannot be read.  Raises ConvergenceError when the QR iteration fails
+    (info > 0) and ValueError on an argument LAPACK rejects (info < 0).
     """
     n = t.shape[0]
     if (t.dtype != np.float64 or t.shape != (n, n) or t.strides[0] != t.itemsize
             or t.strides[1] < n * t.itemsize or z.strides != t.strides):
         raise ValueError("dgees expects square float64 blocks with contiguous columns")
-    dgees = _lapacke_dgees()
-    if dgees is None:
+    lib = _openblas()
+    if lib.dgees is None:
         import scipy.linalg  # a second LAPACK, loaded only where numpy has none
 
         try:
             t[...], z[...] = scipy.linalg.schur(t, output="real")
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(str(exc)) from exc
-        return
+        return None
     ld = max(t.strides[1] // t.itemsize, 1)  # entries from column to column
     wr, wi = np.empty(n), np.empty(n)
     sdim = ctypes.c_int64()
-    info = dgees(_COL_MAJOR, b"V", b"N", None, n, t.ctypes.data, ld,
-                 ctypes.byref(sdim), wr.ctypes.data, wi.ctypes.data,
-                 z.ctypes.data, ld)
+    threads = None if lib.get_threads is None else lib.get_threads()
+    info = lib.dgees(_COL_MAJOR, b"V", b"N", None, n, t.ctypes.data, ld,
+                     ctypes.byref(sdim), wr.ctypes.data, wi.ctypes.data,
+                     z.ctypes.data, ld)
     if info > 0:
         raise ConvergenceError(f"dgees: the QR iteration failed (info {info})")
     if info < 0:
         raise ValueError(f"dgees: argument {-info} is invalid")
+    return threads
+
+
+class _Symbols(NamedTuple):
+    """The functions of numpy's BLAS and LAPACK library that the solver
+    calls, typed for ctypes, each None where the library does not export
+    it: ``LAPACKE_dgees``, OpenBLAS's thread controls (all three or none)
+    and ``blas_thread_shutdown_``."""
+
+    dgees: Optional[Callable]
+    get_threads: Optional[Callable[[], int]]
+    set_threads: Optional[Callable[[int], None]]
+    config: Optional[Callable[[], bytes]]
+    shutdown: Optional[Callable[[], int]]
 
 
 @functools.lru_cache(maxsize=None)
-def _numpy_library() -> Optional[ctypes.CDLL]:
-    """numpy's linear-algebra extension, through which ctypes finds the
-    BLAS and LAPACK library it links; None where it cannot be loaded."""
+def _openblas() -> _Symbols:
+    """The symbols of numpy's OpenBLAS, looked up once.
+
+    ctypes finds them through numpy's linear-algebra extension, which links
+    the library; where that cannot be loaded, every symbol is None.  numpy's
+    OpenBLAS has 64-bit integers and marks its symbols so, with the ``64_``
+    suffix, and the wheels' build adds the ``scipy_`` prefix: ``dgees`` is
+    tried with both, the thread controls also without the suffix and with
+    the plain ``openblas_`` prefix.  ``blas_thread_shutdown_``, which joins
+    the workers of OpenBLAS's thread pool until the next call that runs on
+    more than one thread or the next count set, has neither.
+    """
     try:
-        return ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
     except (ImportError, AttributeError, OSError):
-        return None
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_threads() -> Optional[Tuple]:
-    """(get, set, build string) of numpy's OpenBLAS, or None.
-
-    Tries scipy's renamed OpenBLAS first, then a plain one, each also with
-    the ``64_`` suffix of the 64-bit-integer build behind numpy.
-    """
-    lib = _numpy_library()
-    names = ("get_num_threads", "set_num_threads", "get_config")
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("", "64_"):
-            get, put, config = (getattr(lib, f"{prefix}_{name}{suffix}", None)
-                                for name in names)
-            if None not in (get, put, config):
-                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                config.restype = ctypes.c_char_p
-                return get, put, config
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _lapacke_dgees():
-    """``LAPACKE_dgees`` of numpy's OpenBLAS, typed for ctypes, or None.
-
-    numpy's OpenBLAS has 64-bit integers and marks its symbols so, with the
-    ``64_`` suffix (and the ``scipy_`` prefix of the wheels' build).
-    """
-    lib = _numpy_library()
-    for name in ("scipy_LAPACKE_dgees64_", "LAPACKE_dgees64_"):
-        entry = getattr(lib, name, None)
-        if entry is not None:
-            i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            entry.restype = i64
-            # layout, jobvs, sort, select, n, a, lda, sdim, wr, wi, vs, ldvs
-            entry.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ptr,
-                              i64, ptr, i64, ctypes.POINTER(i64), ptr, ptr,
-                              ptr, i64]
-            return entry
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_shutdown() -> Optional[Callable[[], int]]:
-    """OpenBLAS's ``blas_thread_shutdown_``, typed for ctypes, or None.
-
-    It joins the workers of OpenBLAS's thread pool; the next call that runs
-    on more than one thread, or the next thread count set, starts them
-    again.  numpy's OpenBLAS exports it without the prefix and suffix of
-    its other symbols.
-    """
-    entry = getattr(_numpy_library(), "blas_thread_shutdown_", None)
-    if entry is not None:
-        entry.restype, entry.argtypes = ctypes.c_int, []
-    return entry
-
-
-def _process_threads() -> Optional[int]:
-    """The thread count of numpy's OpenBLAS, or None if unknown; inside
-    ``_one_thread``, the count from before it."""
-    if _held_from is not None:
-        return _held_from
-    controls = _openblas_threads()
-    return None if controls is None else controls[0]()
+        lib = None
+    dgees = next(filter(None, (getattr(lib, name, None) for name in (
+        "scipy_LAPACKE_dgees64_", "LAPACKE_dgees64_"))), None)
+    if dgees is not None:
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        dgees.restype = i64
+        # layout, jobvs, sort, select, n, a, lda, sdim, wr, wi, vs, ldvs
+        dgees.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ptr, i64, ptr,
+                          i64, ctypes.POINTER(i64), ptr, ptr, ptr, i64]
+    controls = next((found for found in (
+        tuple(getattr(lib, f"{prefix}_{name}{suffix}", None)
+              for name in ("get_num_threads", "set_num_threads", "get_config"))
+        for prefix in ("scipy_openblas", "openblas") for suffix in ("", "64_"))
+        if None not in found), (None, None, None))
+    if controls[0] is not None:
+        get, put, config = controls
+        get.restype, put.argtypes, config.restype = ctypes.c_int, [ctypes.c_int], ctypes.c_char_p
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
+    if shutdown is not None:
+        shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+    return _Symbols(dgees, *controls, shutdown)
 
 
 def side_by_side(job: Callable, items: Sequence) -> list:
@@ -405,9 +377,9 @@ def side_by_side(job: Callable, items: Sequence) -> list:
     workers, with numpy's OpenBLAS held at one thread (``_one_thread``)
     until the last item finishes: each item's LAPACK calls and products
     run on one thread, overlapping with the others' (the ctypes call
-    releases the GIL), and a solve inside an item runs its blocks one after
-    another, starts no pool and reports the count from before the hold as
-    the process's.  The count is process-wide, so it is set once and
+    releases the GIL), and a solve inside an item reads that count of 1,
+    so it runs its blocks one after another, starts no pool and reports
+    one thread.  The count is process-wide, so it is set once and
     restored in ``finally``, also when a job raises.  Where it cannot be
     read or set, or is 1 already, nothing is set and the items run one
     after another.  The hold also stops OpenBLAS's own workers
@@ -439,30 +411,30 @@ def _one_thread(stop_workers: bool = False) -> Iterator[int]:
     """Hold numpy's OpenBLAS at one thread in the block; yields the count
     from before.
 
-    Yields 1 and sets nothing where the count cannot be read or set (no
-    ``LAPACKE_dgees`` or no OpenBLAS controls), is 1 already, or is held by
-    an enclosing block.  Otherwise the count is set once, and restored on
-    exit, also on an exception.  With ``stop_workers``, OpenBLAS's workers
-    are stopped (``_openblas_shutdown``, where it is exported) once the
-    count is set, and again once it is restored: setting it starts them
-    anew, and a new worker spins like an idle one.  The next threaded call
-    starts them again.
+    The live count is read on entry.  Where it cannot be read or set (no
+    ``LAPACKE_dgees`` or no OpenBLAS controls), or is 1, the block yields 1
+    and sets nothing.  An open hold leaves the count at 1, so a nested hold,
+    such as a solve's inside a sweep's pool, sets nothing, as does a
+    process started with ``OPENBLAS_NUM_THREADS=1``.  Otherwise the count is
+    set once, and restored on exit, also on an exception.  With
+    ``stop_workers``, OpenBLAS's workers are stopped
+    (``blas_thread_shutdown_``, where it is exported) once the count is
+    set, and again once it is restored: setting it starts them anew, and a
+    new worker spins like an idle one.  The next threaded call starts them
+    again.
     """
-    global _held_from
-    before = None if _lapacke_dgees() is None else _process_threads()
-    if before is None or before == 1 or _held_from is not None:
+    lib = _openblas()
+    before = 1 if lib.dgees is None or lib.get_threads is None else lib.get_threads()
+    if before == 1:
         yield 1
         return
-    put = _openblas_threads()[1]
-    stop = (_openblas_shutdown() if stop_workers else None) or (lambda: 0)
-    put(1)
+    stop = (lib.shutdown if stop_workers else None) or (lambda: 0)
+    lib.set_threads(1)
     stop()
-    _held_from = before
     try:
         yield before
     finally:
-        _held_from = None
-        put(before)
+        lib.set_threads(before)
         stop()
 
 

@@ -131,14 +131,6 @@ def estimate_balmer(bound_values: Sequence[complex]) -> BalmerEstimate:
     )
 
 
-def bound_sequence(result) -> List[complex]:
-    """Upper-half-plane bound states of a SpectrumResult in k-order.
-
-    k = 1 is the deepest state, i.e. the pair with largest |Im E|.
-    """
-    return sorted(result.bound_values(), key=lambda z: -abs(z.imag))
-
-
 def load_bound_sequence(path) -> List[complex]:
     """Read a two-column (Re, Im) text file into a complex sequence.
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from ..potentials import FAMILIES
 from ..spectrum import ClassificationPolicy
 from .config import ExperimentConfig, parse_config, serialize_config
-from .runner import RunArtifact, persist, run_experiment, write_records
+from .runner import RunArtifact, exact_label, persist, run_experiment, write_records
 
 
 class _Selectors:
@@ -99,7 +99,7 @@ def _run(config: ExperimentConfig, stdout: bool = False,
     else:
         print(persist(artifact))
     for half_width, message in sorted(artifact.failures.items()):
-        print(f"L={half_width:g} failed: {message}", file=sys.stderr)
+        print(f"L={exact_label(half_width)} failed: {message}", file=sys.stderr)
     return artifact
 
 

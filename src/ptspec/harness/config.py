@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Tuple, Union
@@ -43,18 +44,14 @@ class ExperimentConfig:
         widths = tuple(float(w) for w in self.half_widths)
         if not widths:
             raise ValueError("half_widths must be non-empty")
-        if any(w <= 0 for w in widths):
-            raise ValueError("half_widths must be positive")
+        if not all(0 < w < math.inf for w in widths):  # False for nan too
+            raise ValueError("half_widths must be positive and finite")
         if list(widths) != sorted(set(widths)):
             raise ValueError("half_widths must be strictly ascending")
-        # a run persists each L under its label L<w:g>, which two widths
-        # may share; the label rounds monotonically, so neighbours suffice
-        for low, high in zip(widths, widths[1:]):
-            if f"{low:g}" == f"{high:g}":
-                raise ValueError(f"half_widths {low!r} and {high!r} "
-                                 f"would both persist as L{low:g}")
         object.__setattr__(self, "half_widths", widths)
         object.__setattr__(self, "strength", float(self.strength))
+        if not math.isfinite(self.strength):
+            raise ValueError(f"strength must be finite, got {self.strength!r}")
         if self.n_intervals < 4:
             raise ValueError(f"n_intervals must be >= 4, got {self.n_intervals}")
         # one spelling per mode, so that one job gets one run directory

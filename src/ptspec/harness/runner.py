@@ -30,7 +30,10 @@ complete.
 Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/, the
 name followed by _<field><value> for each ``ClassificationPolicy`` field
 that differs from its default (value by repr), so that a run with other
-thresholds does not overwrite the default run's files:
+thresholds does not overwrite the default run's files.  A and each L are
+written by ``exact_label``: by ``:g`` where that reads back as the same
+float (A3, L10), else by repr (A3.0000001, L10.0000001), so that runs and
+half-widths that differ keep their own files:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio, residual
                                (or eigenvalues.json, a list of such rows);
                                ``write_records`` also prints them for the CLI
@@ -48,12 +51,12 @@ thresholds does not overwrite the default run's files:
                                its diagnostic
     timing.json                "runs": per L, the ``trace`` spans of its
                                stages, each a name, wall-clock seconds,
-                               counters (among them the LAPACK threads of
-                               the Schur decomposition and the process's
-                               threads from before a sweep's hold) and
+                               counters (among them the OpenBLAS threads
+                               the Schur decomposition ran on) and
                                children;
                                "environment": ``trace.environment()``,
-                               numpy's OpenBLAS build and threads among it
+                               numpy's OpenBLAS build and the process's
+                               thread count among it
                                (kept separate so summary.json is
                                bit-for-bit reproducible)
 Floats are written by repr, a missing value empty, and log10 |x| is
@@ -193,13 +196,20 @@ def _result_summary(result: SpectrumResult) -> dict:
     }
 
 
+def exact_label(value: float) -> str:
+    """``value`` as a run's or an L's name gives it: by ``:g`` where that
+    reads back as ``value``, else by repr, so that no two values share one."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def persist(artifact: RunArtifact) -> Path:
     """Write the artifact's files under the config's ``output_dir`` in the
     layout above; returns the run directory."""
     config = artifact.config
     policy, default = asdict(config.policy), asdict(ClassificationPolicy())
     run_dir = Path(config.output_dir) / (
-        f"{config.family}_A{config.strength:g}"
+        f"{config.family}_A{exact_label(config.strength)}"
         f"_N{config.n_intervals}_{config.precision_mode}"
         + "".join(f"_{name}{value!r}" for name, value in policy.items()
                   if value != default[name]))
@@ -220,7 +230,7 @@ def persist(artifact: RunArtifact) -> Path:
     }
     for half_width in sorted(artifact.results):
         result = artifact.results[half_width]
-        l_dir = run_dir / f"L{half_width:g}"
+        l_dir = run_dir / f"L{exact_label(half_width)}"
         l_dir.mkdir(exist_ok=True)
         with open(l_dir / f"eigenvalues.{config.output_format}", "w",
                   newline="") as fh:
@@ -228,13 +238,13 @@ def persist(artifact: RunArtifact) -> Path:
         for stem, header, rows in _plot_tables(result):
             with open(l_dir / f"{stem}.csv", "w", newline="") as fh:
                 _write_csv(fh, header, rows)
-        summary["runs"][f"L{half_width:g}"] = _result_summary(result)
+        summary["runs"][l_dir.name] = _result_summary(result)
 
     with open(run_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     with open(run_dir / "timing.json", "w") as fh:
         json.dump({"environment": trace.environment(),
-                   "runs": {f"L{w:g}": [asdict(s) for s in spans]
+                   "runs": {f"L{exact_label(w)}": [asdict(s) for s in spans]
                             for w, spans in sorted(artifact.spans.items())}},
                   fh, indent=1, sort_keys=True)
     return run_dir

@@ -88,14 +88,14 @@ def environment() -> dict:
     versions are those of their installed distributions
     (``installed_version``), so neither need be imported: the first call
     imports ``importlib.metadata`` instead."""
-    from .eigensolver import _openblas_threads  # eigensolver imports this module
+    from .eigensolver import _openblas  # eigensolver imports this module
 
     info = {"numpy": numpy.__version__}
     for name in ("scipy", "mpmath"):
         info[name] = installed_version(name)
     info["cpu_count"] = (len(os.sched_getaffinity(0))
                          if hasattr(os, "sched_getaffinity") else os.cpu_count())
-    get, _, config = _openblas_threads() or (None, None, None)
-    info["openblas"] = None if config is None else config().decode()
-    info["openblas_threads"] = None if get is None else get()
+    lib = _openblas()
+    info["openblas"] = None if lib.config is None else lib.config().decode()
+    info["openblas_threads"] = None if lib.get_threads is None else lib.get_threads()
     return info

@@ -7,11 +7,10 @@ from ptspec import eigensolver
 def two_threads():
     """numpy's OpenBLAS on 2 threads for the test, then as it was; skips
     where the count cannot be set or no LAPACK call would read it."""
-    controls = eigensolver._openblas_threads()
-    if controls is None or eigensolver._lapacke_dgees() is None:
+    lib = eigensolver._openblas()
+    if lib.get_threads is None or lib.dgees is None:
         pytest.skip("numpy's OpenBLAS exports no thread count or no LAPACKE_dgees")
-    get, put, _ = controls
-    before = get()
-    put(2)
-    yield get
-    put(before)
+    before = lib.get_threads()
+    lib.set_threads(2)
+    yield lib.get_threads
+    lib.set_threads(before)

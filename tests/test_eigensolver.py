@@ -340,7 +340,7 @@ def _spy_on_dgees(monkeypatch, before=None):
         calls.append(t.shape[0])
         if before is not None:
             before(t)
-        dgees(t, z)
+        return dgees(t, z)
 
     monkeypatch.setattr(eigensolver, "_dgees", spy)
     return calls
@@ -388,14 +388,13 @@ def test_without_lapacke_dgees_scipy_solves_the_blocks(monkeypatch):
         calls.append(m.shape[0])
         return schur(m, *args, **kwargs)
 
-    monkeypatch.setattr(eigensolver, "_lapacke_dgees", lambda: None)
+    _with_symbols(monkeypatch, dgees=None)
     monkeypatch.setattr(scipy.linalg, "schur", spy)
     with trace.record() as spans:
         sol = eigenvalues(a)
     # one block after another, on a pool whose threads are not known
     assert calls == [5, 3, 4]
-    assert (spans[0].counters["schur_threads"],
-            spans[0].counters["process_threads"]) == (None, None)
+    assert spans[0].counters["schur_threads"] is None
     assert np.allclose(sol.eigenvalues, own.eigenvalues, rtol=0, atol=1e-12)
 
     def fail(*args, **kwargs):
@@ -407,11 +406,10 @@ def test_without_lapacke_dgees_scipy_solves_the_blocks(monkeypatch):
 
 
 def test_lapack_info_is_raised(monkeypatch):
-    if eigensolver._lapacke_dgees() is None:
+    if _LIB.dgees is None:
         pytest.skip("numpy's library exports no LAPACKE_dgees")
     for info, error in ((1, ConvergenceError), (-6, ValueError)):
-        monkeypatch.setattr(eigensolver, "_lapacke_dgees",
-                            lambda: lambda *args: info)
+        _with_symbols(monkeypatch, dgees=lambda *args: info)
         with pytest.raises(error, match="dgees"):
             eigenvalues(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
@@ -425,36 +423,42 @@ def test_dgees_refuses_blocks_lapack_cannot_read():
 
 # --- LAPACK threads ----------------------------------------------------------
 
-_CONTROLS = eigensolver._openblas_threads()
+_LIB = eigensolver._openblas()
 needs_openblas = pytest.mark.skipif(
-    _CONTROLS is None or eigensolver._lapacke_dgees() is None,
+    _LIB.get_threads is None or _LIB.dgees is None,
     reason="numpy's OpenBLAS exports no thread count or no LAPACKE_dgees")
+
+
+def _with_symbols(monkeypatch, **symbols):
+    """Make ``eigensolver._openblas`` return numpy's symbols, those named
+    in ``symbols`` replaced."""
+    replaced = _LIB._replace(**symbols)
+    monkeypatch.setattr(eigensolver, "_openblas", lambda: replaced)
 
 
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
 def test_small_schur_runs_on_one_thread_and_restores_the_count(monkeypatch):
-    get = _CONTROLS[0]
+    get = _LIB.get_threads
     seen = []
     _spy_on_dgees(monkeypatch, lambda m: seen.append(get()))
     a = np.random.default_rng(15).standard_normal((40, 40))
     counters = _schur_counters(a)
     assert seen == [1] and get() == 2
-    assert (counters["schur_threads"], counters["process_threads"]) == (1, 2)
+    assert counters["schur_threads"] == 1
     # a large one keeps the process's count; the superdiagonal couples
     # every row to the next, so it is one block, not n of order 1
     n = eigensolver._SERIAL_BELOW
     big = _schur_counters(np.eye(n) + np.eye(n, k=1))
-    assert (big["schur_threads"], big["process_threads"]) == (2, 2) and get() == 2
+    assert big["schur_threads"] == 2 and get() == 2
     # extended mode makes no LAPACK call
-    ext = _schur_counters(np.eye(3), precision=EXTENDED)
-    assert (ext["schur_threads"], ext["process_threads"]) == (None, 2)
+    assert _schur_counters(np.eye(3), precision=EXTENDED)["schur_threads"] is None
 
 
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
 def test_concurrent_blocks_each_run_on_one_thread(monkeypatch):
-    get = _CONTROLS[0]
+    get = _LIB.get_threads
     seen = []
     both = threading.Barrier(2, timeout=60)
 
@@ -469,7 +473,7 @@ def test_concurrent_blocks_each_run_on_one_thread(monkeypatch):
                                                        small))
     assert seen == [1, 1] and get() == 2
     assert counters == {"blocks": 2, "largest_block": n, "qr_sweeps": None,
-                        "schur_threads": 1, "process_threads": 2}
+                        "schur_threads": 1}
 
 
 @needs_openblas
@@ -484,7 +488,7 @@ def test_no_more_concurrent_blocks_than_threads(monkeypatch):
             running[0] += 1
             most[0] = max(most[0], running[0])
         try:
-            dgees(t, z)
+            return dgees(t, z)
         finally:
             with lock:
                 running[0] -= 1
@@ -503,15 +507,14 @@ def test_no_more_concurrent_blocks_than_threads(monkeypatch):
 def test_small_blocks_run_one_after_another_on_one_thread(monkeypatch):
     # below order _SERIAL_BELOW no pool is started: the blocks run in order,
     # on the calling thread, each on one LAPACK thread
-    get = _CONTROLS[0]
+    get = _LIB.get_threads
     seen = []
     _spy_on_dgees(monkeypatch,
                   lambda m: seen.append((len(m), get(), threading.get_ident())))
     counters = _schur_counters(_three_blocks(np.random.default_rng(28)))
     me = threading.get_ident()
     assert seen == [(5, 1, me), (3, 1, me), (4, 1, me)] and get() == 2
-    assert (counters["blocks"], counters["schur_threads"],
-            counters["process_threads"]) == (3, 1, 2)
+    assert (counters["blocks"], counters["schur_threads"]) == (3, 1)
 
 
 @needs_openblas
@@ -520,7 +523,7 @@ def test_thread_count_restored_when_one_concurrent_block_fails(monkeypatch):
     seen = []
 
     def fail_one(m):
-        seen.append(_CONTROLS[0]())
+        seen.append(_LIB.get_threads())
         if m.shape[0] == 3:
             raise ConvergenceError("injected")
 
@@ -531,18 +534,18 @@ def test_thread_count_restored_when_one_concurrent_block_fails(monkeypatch):
                                 _three_blocks(np.random.default_rng(27)))
     with pytest.raises(ConvergenceError, match="injected"):
         eigenvalues(a)
-    assert set(seen) == {1} and _CONTROLS[0]() == 2
+    assert set(seen) == {1} and _LIB.get_threads() == 2
 
 
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
 def test_thread_count_restored_when_schur_fails(monkeypatch):
     # LAPACK reports no convergence, on one block and on several
-    monkeypatch.setattr(eigensolver, "_lapacke_dgees", lambda: lambda *args: 1)
+    _with_symbols(monkeypatch, dgees=lambda *args: 1)
     for a in (np.ones((8, 8)), np.eye(8)):
         with pytest.raises(ConvergenceError):
             eigenvalues(a)
-        assert _CONTROLS[0]() == 2
+        assert _LIB.get_threads() == 2
 
 
 @needs_openblas
@@ -555,7 +558,7 @@ def test_concurrent_box_blocks_match_each_block_alone():
     assert len(blocks) == 2
     t, z = eigenvalues(k).schur
     with eigensolver._one_thread() as threads:
-        assert threads == 2 and _CONTROLS[0]() == 1
+        assert threads == 2 and _LIB.get_threads() == 1
         for lo, hi in blocks:
             tb = np.array(k[lo:hi, lo:hi], order="F")
             zb = np.empty_like(tb)
@@ -567,7 +570,8 @@ def test_concurrent_box_blocks_match_each_block_alone():
 def test_held_solves_run_on_one_thread_and_report_the_count_before(two_threads,
                                                                   monkeypatch):
     # inside the hold any order takes the one-thread path: a single block is
-    # not put back on two threads, and a box's blocks start no pool of their own
+    # not put back on two threads, and a box's blocks start no pool of their
+    # own; the hold yields the count from before, each solve the one it ran on
     get = two_threads
     seen = []
     _spy_on_dgees(monkeypatch,
@@ -585,26 +589,36 @@ def test_held_solves_run_on_one_thread_and_report_the_count_before(two_threads,
     assert get() == 2
     assert seen == [(n, 1, me)] * 3
     for counters in (single, blocks):
-        assert (counters["schur_threads"], counters["process_threads"]) == (1, 2)
+        assert counters["schur_threads"] == 1
     with pytest.raises(KeyError):
         with eigensolver._one_thread():
             raise KeyError("injected")
-    assert get() == 2 and eigensolver._held_from is None
+    assert get() == 2
 
 
 def test_no_thread_controls_leaves_the_solve_alone(monkeypatch):
-    # a library that exports none of OpenBLAS's thread controls
-    monkeypatch.setattr(eigensolver, "_numpy_library", lambda: object())
-    eigensolver._openblas_threads.cache_clear()
-    try:
-        assert eigensolver._openblas_threads() is None
-        with trace.record() as spans:
-            sol = eigenvalues(np.diag([3.0, 1.0, 2.0]))
-    finally:
-        eigensolver._openblas_threads.cache_clear()
+    # a library that exports none of OpenBLAS's thread controls: no hold is
+    # taken, so two items run one after another on the calling thread
+    _with_symbols(monkeypatch, get_threads=None, set_threads=None, config=None)
+    me = threading.get_ident()
+    assert eigensolver.side_by_side(lambda item: threading.get_ident(), [1, 2]) == [me, me]
+    with trace.record() as spans:
+        sol = eigenvalues(np.diag([3.0, 1.0, 2.0]))
     assert sorted(sol.eigenvalues.real) == [1.0, 2.0, 3.0]
-    counters = spans[0].counters
-    assert (counters["schur_threads"], counters["process_threads"]) == (None, None)
+    assert spans[0].counters["schur_threads"] is None
+    environment = trace.environment()
+    assert (environment["openblas"], environment["openblas_threads"]) == (None, None)
+
+
+def test_a_library_that_cannot_be_read_exports_nothing():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigensolver.ctypes, "CDLL", lambda path: object())
+        eigensolver._openblas.cache_clear()
+        try:
+            symbols = eigensolver._openblas()
+        finally:
+            eigensolver._openblas.cache_clear()  # looked up anew once restored
+    assert symbols == (None,) * 5
 
 
 @needs_openblas
@@ -613,12 +627,10 @@ def test_one_and_two_threads_give_the_same_labels(monkeypatch):
     config = ExperimentConfig(family="scarf2", strength=30.0,
                               half_widths=(10.0,), n_intervals=255)
     one, spans = run_single(config, 10.0)
-    schur = spans[1].counters
-    assert (schur["schur_threads"], schur["process_threads"]) == (1, 2)
+    assert spans[1].counters["schur_threads"] == 1
     monkeypatch.setattr(eigensolver, "_SERIAL_BELOW", 0)
     two, spans = run_single(config, 10.0)
-    schur = spans[1].counters
-    assert (schur["schur_threads"], schur["process_threads"]) == (2, 2)
+    assert spans[1].counters["schur_threads"] == 2
     assert one.bound_pairs == two.bound_pairs > 0
     assert ([(r.label, r.pair_index) for r in one.records]
             == [(r.label, r.pair_index) for r in two.records])
@@ -633,10 +645,10 @@ def _spy_on_shutdown(monkeypatch):
     calls = []
 
     def spy():
-        calls.append(_CONTROLS[0]())
+        calls.append(_LIB.get_threads())
         return 0
 
-    monkeypatch.setattr(eigensolver, "_openblas_shutdown", lambda: spy)
+    _with_symbols(monkeypatch, shutdown=spy)
     return calls
 
 
@@ -653,12 +665,12 @@ def test_a_pool_of_two_or_more_stops_the_idle_workers_first(monkeypatch):
     assert eigensolver.side_by_side(job, [1, 2, 3]) == [2, 4, 6]
     # on one thread before any item starts, and once the count is restored
     assert calls == [1, 2] and sorted(seen) == [(1, 1), (2, 1), (3, 1)]
-    assert _CONTROLS[0]() == 2
+    assert _LIB.get_threads() == 2
     # K's parity blocks from order _SERIAL_BELOW on are such a pool too
     n = eigensolver._SERIAL_BELOW
     box = scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1), np.eye(n))
     _schur_counters(box)
-    assert calls == [1, 2, 1, 2] and _CONTROLS[0]() == 2
+    assert calls == [1, 2, 1, 2] and _LIB.get_threads() == 2
 
 
 @needs_openblas
@@ -666,7 +678,7 @@ def test_a_pool_of_two_or_more_stops_the_idle_workers_first(monkeypatch):
 def test_no_pool_stops_no_workers(monkeypatch):
     calls = _spy_on_shutdown(monkeypatch)
     # one item runs unchanged, on the process's threads
-    assert eigensolver.side_by_side(lambda item: _CONTROLS[0](), [7]) == [2]
+    assert eigensolver.side_by_side(lambda item: _LIB.get_threads(), [7]) == [2]
     # items inside an enclosing hold run one after another
     with eigensolver._one_thread():
         assert eigensolver.side_by_side(lambda item: item, [1, 2]) == [1, 2]
@@ -675,28 +687,15 @@ def test_no_pool_stops_no_workers(monkeypatch):
     # and a lone block from that order on runs on the process's threads
     n = eigensolver._SERIAL_BELOW
     _schur_counters(np.eye(n) + np.eye(n, k=1))
-    assert calls == [] and _CONTROLS[0]() == 2
+    assert calls == [] and _LIB.get_threads() == 2
 
 
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
 def test_without_the_shutdown_symbol_the_pool_runs_as_before(monkeypatch):
-    lib = eigensolver._numpy_library()
-
-    class WithoutShutdown:
-        def __getattr__(self, name):
-            if name == "blas_thread_shutdown_":
-                raise AttributeError(name)
-            return getattr(lib, name)
-
-    monkeypatch.setattr(eigensolver, "_numpy_library", WithoutShutdown)
-    eigensolver._openblas_shutdown.cache_clear()
-    try:
-        assert eigensolver._openblas_shutdown() is None
-        seen = eigensolver.side_by_side(lambda item: _CONTROLS[0](), [1, 2])
-    finally:
-        eigensolver._openblas_shutdown.cache_clear()
-    assert seen == [1, 1] and _CONTROLS[0]() == 2
+    _with_symbols(monkeypatch, shutdown=None)
+    seen = eigensolver.side_by_side(lambda item: _LIB.get_threads(), [1, 2])
+    assert seen == [1, 1] and _LIB.get_threads() == 2
 
 
 @needs_openblas
@@ -711,21 +710,20 @@ def test_thread_count_restored_after_the_shutdown_when_an_item_raises(monkeypatc
 
     with pytest.raises(ConvergenceError, match="injected"):
         eigensolver.side_by_side(job, [1, 2])
-    assert calls == [1, 2] and _CONTROLS[0]() == 2
-    assert eigensolver._held_from is None
+    assert calls == [1, 2] and _LIB.get_threads() == 2
 
 
 @needs_openblas
 @pytest.mark.usefixtures("two_threads")
 def test_the_real_shutdown_leaves_no_worker_spinning():
-    if eigensolver._openblas_shutdown() is None:
+    if _LIB.shutdown is None:
         pytest.skip("numpy's OpenBLAS exports no blas_thread_shutdown_")
     rng = np.random.default_rng(30)
     m = rng.standard_normal((300, 300))
     product = m @ m  # on two threads: an idle worker spins after it
     a = scipy.linalg.block_diag(*rng.standard_normal((2, 300, 300)))
     sol = eigenvalues(a)  # its two blocks run side by side
-    assert _CONTROLS[0]() == 2
+    assert _LIB.get_threads() == 2
     # no worker is left, so none spins (one would take ~0.13 s of CPU)
     start = time.process_time()
     time.sleep(0.2)

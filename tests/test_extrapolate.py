@@ -4,18 +4,10 @@ import pytest
 from ptspec import refdata
 from ptspec.extrapolate import (
     InsufficientDataError,
-    bound_sequence,
     build_table,
     estimate_balmer,
     load_bound_sequence,
     richardson,
-)
-from ptspec.spectrum import (
-    BOUND,
-    CONTINUUM_COMPLEX,
-    ClassificationPolicy,
-    EigenRecord,
-    SpectrumResult,
 )
 
 
@@ -64,6 +56,17 @@ def test_build_table_short_input():
         build_table([1.0])
 
 
+def test_published_inputs_are_the_scaled_reference_states():
+    # the tables' printed inputs: k^2 Re E_k and k^3 Im E_k, to 6 figures
+    k = np.arange(1, 10, dtype=float)
+    for scaled, printed in (
+        (k ** 2 * np.array(refdata.REG_COULOMB_BOUND).real, refdata.REG_COULOMB_RE_INPUT),
+        (k ** 3 * np.array(refdata.REG_COULOMB_BOUND).imag, refdata.REG_COULOMB_IM_INPUT),
+    ):
+        assert len(printed) == len(scaled)
+        assert np.allclose(printed, scaled, rtol=1e-5, atol=0)
+
+
 def test_reference_tables_reproduced():
     k = np.arange(1, 10, dtype=float)
     for scaled, reference in (
@@ -105,20 +108,6 @@ def test_balmer_sign_of_im_ignored():
 def test_balmer_needs_three_states():
     with pytest.raises(InsufficientDataError):
         estimate_balmer([1 + 1j, 2 + 2j])
-
-
-def test_bound_sequence_ordering():
-    records = (
-        EigenRecord(value=1.0 + 0.5j, label=BOUND),
-        EigenRecord(value=1.0 - 0.5j, label=BOUND),
-        EigenRecord(value=0.3 + 4.0j, label=BOUND),
-        EigenRecord(value=0.3 - 4.0j, label=BOUND),
-        EigenRecord(value=2.0 + 1.0j, label=CONTINUUM_COMPLEX),
-    )
-    result = SpectrumResult(records=records, bound_pairs=2,
-                            transition_point=None, transition_drop=None,
-                            policy=ClassificationPolicy())
-    assert bound_sequence(result) == [0.3 + 4.0j, 1.0 + 0.5j]
 
 
 def test_load_bound_sequence(tmp_path):

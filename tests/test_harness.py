@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -82,7 +83,11 @@ def test_config_partial_classification_section():
     dict(output_format="xml"),
     dict(precision_mode="half"),
     dict(precision_mode="quad"),
-    dict(half_widths=(10.0, 10.0000001)),  # both persist as L10
+    dict(strength=math.nan),
+    dict(strength=math.inf),
+    dict(strength=-math.inf),
+    dict(half_widths=(math.nan,)),     # nan <= 0 is False
+    dict(half_widths=(10.0, math.inf)),
 ])
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
@@ -186,13 +191,13 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
                                 "openblas", "openblas_threads"}
     schur = timing["runs"]["L10"][1]
     assert schur["name"] == "eigensolver.schur"
-    counters = schur["counters"]
-    threads = counters["process_threads"]
-    # the pool that runs the Schur decomposition is numpy's OpenBLAS
-    assert threads == (None if eigensolver._lapacke_dgees() is None
-                       else environment["openblas_threads"])
-    # N=129 is a small solve: one LAPACK thread where the count can be set
-    assert counters["schur_threads"] == (None if threads is None else 1)
+    # the process's thread count is the environment's alone
+    assert set(schur["counters"]) == {"blocks", "largest_block", "qr_sweeps",
+                                      "schur_threads"}
+    # N=129 is a small solve: one LAPACK thread where the count can be read
+    lib = eigensolver._openblas()
+    assert schur["counters"]["schur_threads"] == (
+        None if lib.dgees is None or lib.get_threads is None else 1)
 
 
 def _fresh_interpreter(code, *args, env=()):
@@ -208,7 +213,7 @@ def _fresh_interpreter(code, *args, env=()):
     return done.stdout
 
 
-@pytest.mark.skipif(eigensolver._lapacke_dgees() is None,
+@pytest.mark.skipif(eigensolver._openblas().dgees is None,
                     reason="numpy's library exports no LAPACKE_dgees")
 def test_cli_run_imports_no_scipy_linalg(tmp_path):
     # scipy's LAPACK is a second library, slow to import, that no stage uses
@@ -377,15 +382,14 @@ def test_single_l_runs_alone_on_every_thread(two_threads, monkeypatch):
     assert jobs == [(10.0, threading.get_ident(), 2)]
     assert not artifact.failures
     schur = next(s for s in artifact.spans[10.0] if s.name == "eigensolver.schur")
-    assert (schur.counters["blocks"], schur.counters["schur_threads"],
-            schur.counters["process_threads"]) == (1, 2, 2)
+    assert (schur.counters["blocks"], schur.counters["schur_threads"]) == (1, 2)
 
 
 def test_more_jobs_than_cores_keep_their_own_results_and_spans(two_threads,
                                                                monkeypatch):
     # four workers on a 2-core machine, switching threads as often as the
     # interpreter allows: no job's spans or numbers may reach another's
-    eigensolver._openblas_threads()[1](4)  # the fixture restores the count
+    eigensolver._openblas().set_threads(4)  # the fixture restores the count
     config = _small_config(half_widths=tuple(float(w) for w in range(5, 13)),
                            n_intervals=65)
     with eigensolver._one_thread():
@@ -413,8 +417,7 @@ def test_sweep_spans_report_the_threads_from_before_the_sweep(two_threads, tmp_p
     assert set(timing["runs"]) == {"L5", "L10"}
     for spans in timing["runs"].values():
         schur = next(s for s in spans if s["name"] == "eigensolver.schur")
-        assert (schur["counters"]["schur_threads"],
-                schur["counters"]["process_threads"]) == (1, 2)
+        assert schur["counters"]["schur_threads"] == 1
 
 
 def test_sweep_persists_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
@@ -432,7 +435,6 @@ def test_sweep_persists_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
         process = timing["environment"]["openblas_threads"]
         for spans in timing["runs"].values():
             schur = next(s for s in spans if s["name"] == "eigensolver.schur")
-            assert schur["counters"]["process_threads"] == process
             assert schur["counters"]["schur_threads"] == (None if process is None else 1)
     assert files["1"] == files["2"]
 
@@ -454,7 +456,7 @@ def test_thread_count_restored_after_a_sweep_in_which_a_job_raises(
         with pytest.raises(KeyboardInterrupt):
             run_experiment(config)
     assert {count for _, _, count in jobs} == {1}
-    assert two_threads() == 2 and eigensolver._held_from is None
+    assert two_threads() == 2
 
 
 def test_extended_sweep_runs_one_after_another(two_threads, monkeypatch):
@@ -499,6 +501,19 @@ def test_stage_ladder_measures_a_sweep():
     assert len(record["seconds"]) == 2 and min(record["seconds"]) > 0
     assert set(record["schur"]) == {"L10", "L100"}
     assert all(schur["largest_block"] == 30 for schur in record["schur"].values())
+
+
+def test_stage_ladder_tells_when_a_sweep_difference_is_unresolved():
+    ladder = runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools"
+                                / "stage_ladder.py"))
+    seconds, difference = ladder["sweep_seconds"], ladder["sweep_difference"]
+    assert seconds([4.0, 1.0, 3.0, 2.0, 5.0]) == {"seconds": 3.0, "q1": 2.0, "q3": 4.0}
+    parent = seconds([1.0, 2.0, 3.0, 4.0, 5.0])  # interquartile range 2
+    # medians 1.5 apart: within the wider range, though the change's is 1
+    assert difference(seconds([3.5, 4.0, 4.5, 5.0, 5.5]), parent) == "unresolved"
+    assert difference(parent, seconds([3.5, 4.0, 4.5, 5.0, 5.5])) == "unresolved"
+    assert difference(seconds([5.5, 6.0, 6.5]), parent) == "+3.0000 s"
+    assert difference(parent, seconds([5.5, 6.0, 6.5])) == "-3.0000 s"
 
 
 def test_stage_ladder_cold_start_loads_nothing_a_double_run_does_not_use():
@@ -627,24 +642,60 @@ def test_cli_sweep_needs_target(capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "scarf2", "--strength", "1", "--L", "10", "--L", "10",
      "--N", "33"],
-    ["sweep", "--family", "scarf2", "--strength", "1", "--L", "10",
-     "--L", "10.0000001", "--N", "33"],
+    ["classify", "--family", "step", "--strength", "nan", "--L", "10",
+     "--N", "33"],
     ["classify", "--family", "step", "--strength", "3", "--L", "10",
      "--N", "3"],
     ["sweep", "--config", "{bad_ini}"],
+    ["classify", "--family", "step", "--strength", "3", "--L", "inf",
+     "--N", "33"],
+    ["spectrum", "--family", "step", "--strength", "3", "--L", "nan",
+     "--N", "33"],
+    ["sweep", "--family", "scarf2", "--strength=-inf", "--L", "10",
+     "--N", "33"],
+    ["sweep", "--config", "{nan_ini}"],
 ])
 def test_cli_bad_config_is_a_usage_error(argv, tmp_path, capsys):
     bad_ini = tmp_path / "bad.ini"
     bad_ini.write_text(serialize_config(_small_config()).replace(
         "[classification]", "[classification]\nbogus = 1.0"))
+    nan_ini = tmp_path / "nan.ini"
+    nan_ini.write_text(serialize_config(_small_config()).replace(
+        "strength = 3.0", "strength = nan"))
     with pytest.raises(SystemExit) as exit_info:
-        main([arg.format(bad_ini=bad_ini) for arg in argv])
+        main([arg.format(bad_ini=bad_ini, nan_ini=nan_ini)
+              for arg in argv])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     lines = err.splitlines()
     assert lines[-1].startswith("ptspec: error: ")
     assert sum("error:" in line for line in lines) == 1
     assert "Traceback" not in err
+
+
+def test_half_widths_that_differ_past_six_digits_keep_their_own_files(tmp_path, capsys):
+    assert main(["sweep", "--family", "step", "--strength", "3", "--L", "10",
+                 "--L", "10.0000001", "--N", "33", "--out", str(tmp_path)]) == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    assert sorted(p.name for p in run_dir.iterdir() if p.is_dir()) == [
+        "L10", "L10.0000001"]
+    summary = json.loads((run_dir / "summary.json").read_text())
+    timing = json.loads((run_dir / "timing.json").read_text())
+    assert list(summary["runs"]) == list(timing["runs"]) == ["L10", "L10.0000001"]
+
+
+def test_strengths_that_differ_past_six_digits_keep_their_own_files(tmp_path, capsys):
+    # the same job at A = 3 and 3.0000001 into one --out
+    dirs = []
+    for strength in ("3", "3.0000001"):
+        assert main(["classify", "--family", "step", "--strength", strength,
+                     "--L", "10", "--N", "33", "--out", str(tmp_path)]) == 0
+        dirs.append(Path(capsys.readouterr().out.strip()))
+    assert [d.name for d in dirs] == ["step_A3_N33_double64",
+                                      "step_A3.0000001_N33_double64"]
+    strengths = [json.loads((d / "summary.json").read_text())["config"]["strength"]
+                 for d in dirs]
+    assert strengths == [3.0, 3.0000001]
 
 
 def test_cli_persists_the_thresholds_of_each_run(tmp_path, capsys):

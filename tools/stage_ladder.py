@@ -48,9 +48,13 @@ square matrix on every OpenBLAS thread before each call, untimed, as a
 caller's own linear algebra would leave OpenBLAS (its idle workers spin
 for a while after it).  Each runs in
 ``--runs`` fresh interpreters per checkout, the checkouts alternating,
-and the JSON holds the median seconds over every timed call, each call's
-seconds, the median peak RSS, and the Schur seconds and threads per L of
-each interpreter's last call.
+and the JSON holds the median seconds over every timed call with their
+quartiles ``q1`` and ``q3``, each call's seconds, the median peak RSS,
+and the Schur seconds and threads per L of each interpreter's last call.
+With two or more checkouts, each one's sweep is printed against the
+first's as the difference of the medians, or "unresolved" where that is
+smaller than the wider of the two interquartile ranges
+(``sweep_difference``).
 ``reproduce --selector desk`` (``measure_desk``: the seconds of each check
 from its ``reproduce.<check>`` span, where the checkout records one, and
 the checks that passed) and the tier-1 command ``python -m pytest -q
@@ -261,6 +265,21 @@ def run_end_to_end(label: str, path: str, case: str) -> dict:
     return {**record, "wall_s": out["wall_s"], "peak_rss_mb": out["peak_rss_mb"]}
 
 
+def sweep_seconds(seconds: list) -> dict:
+    """The median of ``seconds`` (two or more) and its quartiles q1, q3."""
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return {"seconds": median, "q1": q1, "q3": q3}
+
+
+def sweep_difference(record: dict, against: dict) -> str:
+    """``record``'s median seconds less ``against``'s, each a
+    ``sweep_seconds``; "unresolved" where the medians differ by less than
+    the wider of the two interquartile ranges."""
+    delta = record["seconds"] - against["seconds"]
+    spread = max(record["q3"] - record["q1"], against["q3"] - against["q1"])
+    return "unresolved" if abs(delta) < spread else f"{delta:+.4f} s"
+
+
 def summarize(results: list) -> dict:
     """Per span the median seconds over the runs, and the first run's counters."""
     stages = {}
@@ -329,14 +348,18 @@ def main() -> int:
         key = (f"N={n} L={','.join(f'{w:g}' for w in half_widths)}"
                + (" after matmul" if matmul else ""))
         end_to_end["sweep"][key] = {label: {
-            "seconds": statistics.median(s for r in records for s in r["seconds"]),
+            **sweep_seconds([s for r in records for s in r["seconds"]]),
             "seconds_runs": [r["seconds"] for r in records],
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in records),
             "schur_runs": [r["schur"] for r in records]}
             for label, records in sweeps.items()}
+        first = end_to_end["sweep"][key][trees[0][0]]
         for label, record in end_to_end["sweep"][key].items():
-            print(f"sweep {key} {label}: {record['seconds']:.4f} s, rss "
-                  f"{record['peak_rss_mb']:.0f} MB", flush=True)
+            versus = ("" if record is first else
+                      f", against {trees[0][0]}: {sweep_difference(record, first)}")
+            print(f"sweep {key} {label}: {record['seconds']:.4f} s "
+                  f"[{record['q1']:.4f}, {record['q3']:.4f}], rss "
+                  f"{record['peak_rss_mb']:.0f} MB{versus}", flush=True)
     for number, case in enumerate(("desk", "tier-1")):
         order = trees if number % 2 == 0 else trees[::-1]
         records = {label: run_end_to_end(label, path, case) for label, path in order}
