@@ -371,8 +371,11 @@ def side_by_side(job: Callable, items: Sequence) -> list:
     The one rule by which independent double solves share the cores: the
     diagonal blocks of a matrix from order ``_SERIAL_BELOW`` on
     (``_schur_factors``) and the half-widths of a double sweep
-    (``harness.runner.run_experiment``).  A lone item, or items inside an
-    enclosing hold, run on the calling thread unchanged.  Two or more
+    (``harness.runner.run_experiment``), where an item is one L's whole
+    job: its solve, its classification and the formatting of its files,
+    so the Python steps of one L run while another L is in LAPACK, and
+    only the writing of the files follows the pool.  A lone item, or items
+    inside an enclosing hold, run on the calling thread unchanged.  Two or more
     items run in one ``ThreadPoolExecutor`` of min(items, process threads)
     workers, with numpy's OpenBLAS held at one thread (``_one_thread``)
     until the last item finishes: each item's LAPACK calls and products

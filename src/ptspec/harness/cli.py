@@ -19,7 +19,7 @@ from pathlib import Path
 from ..potentials import FAMILIES
 from ..spectrum import ClassificationPolicy
 from .config import ExperimentConfig, parse_config, serialize_config
-from .runner import RunArtifact, exact_label, persist, run_experiment, write_records
+from .runner import RunArtifact, exact_label, persist, render, run_experiment
 
 
 class _Selectors:
@@ -67,11 +67,11 @@ class _UsageError(ValueError):
 
 
 def _config_from_args(args, half_widths) -> ExperimentConfig:
-    policy = ClassificationPolicy()
-    if args.tail_threshold is not None:
-        policy = dataclasses.replace(policy,
-                                     bound_tail_threshold=args.tail_threshold)
     try:
+        policy = ClassificationPolicy()
+        if args.tail_threshold is not None:
+            policy = dataclasses.replace(
+                policy, bound_tail_threshold=args.tail_threshold)
         return ExperimentConfig(
             family=args.family,
             strength=args.strength,
@@ -89,13 +89,16 @@ def _config_from_args(args, half_widths) -> ExperimentConfig:
 def _run(config: ExperimentConfig, stdout: bool = False,
          labels: bool = True) -> RunArtifact:
     """Run every half-width of ``config``, then persist the run and print
-    its directory, or with ``stdout`` print each L's records instead (only
-    re, im without ``labels``); each failed L is reported on stderr."""
+    its directory, or with ``stdout`` print each L's eigenvalues file
+    instead (only re, im without ``labels``); each failed L is reported on
+    stderr."""
     artifact = run_experiment(config)
     if stdout:
-        for result in artifact.results.values():
-            write_records(result, sys.stdout, config.output_format,
-                          labels=labels)
+        name = f"eigenvalues.{config.output_format}"
+        for half_width, result in artifact.results.items():
+            files = (artifact.files[half_width] if labels
+                     else render(result, config.output_format, labels=False))
+            sys.stdout.write(files[name])
     else:
         print(persist(artifact))
     for half_width, message in sorted(artifact.failures.items()):

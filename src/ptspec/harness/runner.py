@@ -9,23 +9,29 @@ runs per diagonal block of K: two parity blocks at A = 0, one block
 otherwise.  In double precision it runs on numpy's OpenBLAS, the pool
 that also runs the vector products, whose thread count is process-wide.
 
-A double-precision config maps ``run_single`` over its half-widths with
-``eigensolver.side_by_side``, the rule that K's parity blocks follow too:
-two or more L side by side, each on one OpenBLAS thread, its parity
-blocks one after another, with OpenBLAS's idle workers stopped before
-and after (after a threaded call, such as a caller's own linear algebra,
-one would spin for about 0.13 s on a core an L runs on); a single L
-alone, its solve on the eigensolver's own rule (a K of order below 512
-on one LAPACK thread; from that order on, the two parity blocks
+Each job is ``run_single`` followed by ``render``, which formats the text
+of the L's files; ``run_single``, the pipeline the reproduce cache keeps,
+formats nothing.  A double-precision config maps that job over its
+half-widths with ``eigensolver.side_by_side``, the rule that K's parity
+blocks follow too: two or more L side by side, each on one OpenBLAS
+thread, its parity blocks one after another, with OpenBLAS's idle workers
+stopped before and after (after a threaded call, such as a caller's own
+linear algebra, one would spin for about 0.13 s on a core an L runs on);
+a single L alone, its solve on the eigensolver's own rule (a K of order
+below 512 on one LAPACK thread; from that order on, the two parity blocks
 concurrently and a single block on every thread the process has: on 2
 cores the two break even somewhere between orders 512 and 800, and two
-threads win from about 1000 on; the ladder is in BENCH_stages.json).  Two jobs at once hold two
-jobs' K, T and Z.  Extended-precision configs run their half-widths one
-after another, as mpmath's precision is process-wide.  Results, failures
-and spans are filled in the config's order, whichever job finishes first.
-Any exception inside a job aborts that L with a recorded
+threads win from about 1000 on; the ladder is in BENCH_stages.json).  So
+one L formats its files while another is still in LAPACK, which releases
+the GIL.  Two jobs at once hold two jobs' K, T and Z.  Extended-precision
+configs run their half-widths one after another, as mpmath's precision
+is process-wide.  Results, files, failures and spans are filled in the
+config's order, whichever job finishes first.  Any exception inside a
+job, in its rendering too, aborts that L with a recorded
 "<Type>: <message>" diagnostic while the remaining half-widths still
-complete.
+complete.  ``persist`` is the only code that writes files: the texts the
+jobs rendered, then summary.json and timing.json.  The CLI prints a
+rendered eigenvalues text, so stdout carries the bytes of the file.
 
 Persisted layout under <output_dir>/<family>_A<A>_N<N>_<precision>/, the
 name followed by _<field><value> for each ``ClassificationPolicy`` field
@@ -35,8 +41,7 @@ written by ``exact_label``: by ``:g`` where that reads back as the same
 float (A3, L10), else by repr (A3.0000001, L10.0000001), so that runs and
 half-widths that differ keep their own files:
     L<value>/eigenvalues.csv   columns re, im, label, tail_ratio, residual
-                               (or eigenvalues.json, a list of such rows);
-                               ``write_records`` also prints them for the CLI
+                               (or eigenvalues.json, a list of such rows)
     L<value>/complex_plane.csv re, im, label of every eigenvalue
     L<value>/log_im.csv        re, log10_abs_im, kind: the continuum records
                                (kind "point"), then the detected transition
@@ -52,7 +57,8 @@ half-widths that differ keep their own files:
     timing.json                "runs": per L, the ``trace`` spans of its
                                stages, each a name, wall-clock seconds,
                                counters (among them the OpenBLAS threads
-                               the Schur decomposition ran on) and
+                               the Schur decomposition ran on, and the
+                               bytes of the closing harness.render) and
                                children;
                                "environment": ``trace.environment()``,
                                numpy's OpenBLAS build and the process's
@@ -60,19 +66,19 @@ half-widths that differ keep their own files:
                                (kept separate so summary.json is
                                bit-for-bit reproducible)
 Floats are written by repr, a missing value empty, and log10 |x| is
-taken of |x| + 1e-300.  No images are rendered; the files plot directly
+taken of |x| + 1e-300; the CSV files are those ``csv.writer`` writes,
+rows ending in "\\r\\n".  No images are rendered; the files plot directly
 with any tool.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, TextIO, Tuple
+from typing import Dict, List, Tuple
 
 from .. import trace
 from ..chebdiff import build_grid
@@ -80,7 +86,8 @@ from ..eigensolver import eigenvalues, side_by_side
 from ..hamiltonian import assemble
 from ..potentials import PotentialSpec
 from ..precision import from_name, working_precision
-from ..spectrum import ClassificationPolicy, SpectrumResult, classify
+from ..spectrum import (CONTINUUM_COMPLEX, CONTINUUM_REAL, ClassificationPolicy,
+                        SpectrumResult, classify)
 from .config import ExperimentConfig
 
 COLUMNS = ("re", "im", "label", "tail_ratio", "residual")
@@ -91,10 +98,12 @@ _LOG_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class RunArtifact:
-    """Everything one run produced: results, failures and stage spans."""
+    """Everything one run produced: results, the text of each L's files
+    (``render``), failures and stage spans."""
 
     config: ExperimentConfig
     results: Dict[float, SpectrumResult] = field(default_factory=dict)
+    files: Dict[float, Dict[str, str]] = field(default_factory=dict)
     failures: Dict[float, str] = field(default_factory=dict)
     spans: Dict[float, List[trace.Span]] = field(default_factory=dict)
 
@@ -126,62 +135,90 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     outcomes = list(run(functools.partial(_attempt, config), half_widths))
     for half_width, (outcome, failure) in zip(half_widths, outcomes):
         if failure is None:
-            artifact.results[half_width], artifact.spans[half_width] = outcome
+            (artifact.results[half_width], artifact.files[half_width],
+             artifact.spans[half_width]) = outcome
         else:
             artifact.failures[half_width] = failure
     return artifact
 
 
 def _attempt(config: ExperimentConfig, half_width: float):
-    """(``run_single``'s (result, spans), None), or (None, the "<Type>:
-    <message>" of the exception it raised)."""
+    """One L's job: ((result, files, spans), None), ``run_single``'s result
+    rendered in the config's format, its spans followed by the
+    ``harness.render`` span with the ``bytes`` rendered; or (None, the
+    "<Type>: <message>" of the exception either step raised)."""
     try:
-        return run_single(config, half_width), None
+        result, spans = run_single(config, half_width)
+        with trace.record() as rendered, trace.span("harness.render") as count:
+            files = render(result, config.output_format)
+            count["bytes"] = sum(map(len, files.values()))  # ASCII: a byte a char
+        return (result, files, spans + rendered), None
     except Exception as exc:  # recorded per L; the sweep goes on
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def write_records(result: SpectrumResult, fh: TextIO, output_format: str,
-                  labels: bool = True) -> None:
-    """Write one row per eigenvalue to the open text file ``fh``.
+# a CSV cell as JSON writes the same value, where the two differ
+_JSON_CELLS = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Columns re, im and, with ``labels``, label, tail_ratio and residual; as
-    CSV or as a JSON list of objects.
+
+def render(result: SpectrumResult, output_format: str,
+           labels: bool = True) -> Dict[str, str]:
+    """The text of each of one L's files in the layout above, by file name.
+
+    One pass: each float is formatted once, by repr, and shared by every
+    file that carries it.  The bytes are those of ``csv.writer`` (rows
+    ending in "\\r\\n", an empty cell for None) and of ``json.dump`` with
+    ``indent=1`` and a final newline.  Without ``labels``, only the
+    eigenvalues file, of columns re and im, as ``spectrum`` prints it.
     """
-    columns = COLUMNS if labels else COLUMNS[:2]
-    rows = [(r.value.real, r.value.imag, r.label, r.tail_ratio,
-             r.residual)[:len(columns)]
-            for r in result.records]
+    records = result.records
+    re = [repr(r.value.real) for r in records]
+    im = [repr(r.value.imag) for r in records]
+    name = f"eigenvalues.{output_format}"
+    if not labels:
+        if output_format == "json":
+            return {name: _json(COLUMNS[:2], (re, im))}
+        return {name: _csv(COLUMNS[:2], map(",".join, zip(re, im)))}
+    label = [r.label for r in records]
+    tail_ratio = ["" if r.tail_ratio is None else repr(r.tail_ratio)
+                  for r in records]
+    residual = ["" if r.residual is None else repr(r.residual) for r in records]
+    plane = list(map(",".join, zip(re, im, label)))  # a prefix of each record
     if output_format == "json":
-        json.dump([dict(zip(columns, row)) for row in rows], fh, indent=1)
-        fh.write("\n")
+        records_text = _json(COLUMNS, (re, im, [f'"{c}"' for c in label],
+                                       tail_ratio, residual))
     else:
-        _write_csv(fh, columns, rows)
+        records_text = _csv(COLUMNS, map(",".join, zip(plane, tail_ratio, residual)))
+    log_im = [f"{re[i]},{_log10(r.value.imag)!r},point"
+              for i, r in enumerate(records)
+              if r.label in (CONTINUUM_REAL, CONTINUUM_COMPLEX)]
+    if result.transition_point is not None:
+        log_im.append(f"{result.transition_point!r},,transition")
+    loglog = [f"{_log10(z.real)!r},{_log10(z.imag)!r}" for z in result.bound_values()]
+    return {
+        name: records_text,
+        "complex_plane.csv": _csv(("re", "im", "label"), plane),
+        "log_im.csv": _csv(("re", "log10_abs_im", "kind"), log_im),
+        "loglog_bound.csv": _csv(("log10_re", "log10_abs_im"), loglog),
+    }
 
 
-def _write_csv(fh: TextIO, header: Tuple[str, ...], rows) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _csv(header: Tuple[str, ...], lines) -> str:
+    """``header`` and the already joined ``lines`` as CSV text."""
+    return "\r\n".join((",".join(header), *lines)) + "\r\n"
+
+
+def _json(header: Tuple[str, ...], columns) -> str:
+    """The rows of ``columns``, each a list of CSV cells (strings already
+    quoted), as the JSON text of a list of objects keyed by ``header``."""
+    template = " {{\n" + ",\n".join(f'  "{key}": {{}}' for key in header) + "\n }}"
+    cells = [[_JSON_CELLS.get(c, c) for c in column] for column in columns]
+    rows = [template.format(*row) for row in zip(*cells)]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def _log10(x: float) -> float:
     return math.log10(abs(x) + _LOG_FLOOR)
-
-
-def _plot_tables(result: SpectrumResult):
-    """(file stem, header, rows) of each plot file of the layout above."""
-    log_im = [(z.real, _log10(z.imag), "point")
-              for z in result.continuum_values()]
-    if result.transition_point is not None:
-        log_im.append((result.transition_point, None, "transition"))
-    return (
-        ("complex_plane", ("re", "im", "label"),
-         [(r.value.real, r.value.imag, r.label) for r in result.records]),
-        ("log_im", ("re", "log10_abs_im", "kind"), log_im),
-        ("loglog_bound", ("log10_re", "log10_abs_im"),
-         [(_log10(z.real), _log10(z.imag)) for z in result.bound_values()]),
-    )
 
 
 def _result_summary(result: SpectrumResult) -> dict:
@@ -204,8 +241,9 @@ def exact_label(value: float) -> str:
 
 
 def persist(artifact: RunArtifact) -> Path:
-    """Write the artifact's files under the config's ``output_dir`` in the
-    layout above; returns the run directory."""
+    """Write the texts the artifact carries under the config's
+    ``output_dir`` in the layout above, then summary.json and timing.json;
+    returns the run directory."""
     config = artifact.config
     policy, default = asdict(config.policy), asdict(ClassificationPolicy())
     run_dir = Path(config.output_dir) / (
@@ -229,16 +267,11 @@ def persist(artifact: RunArtifact) -> Path:
         "failures": dict(sorted(artifact.failures.items())),
     }
     for half_width in sorted(artifact.results):
-        result = artifact.results[half_width]
         l_dir = run_dir / f"L{exact_label(half_width)}"
         l_dir.mkdir(exist_ok=True)
-        with open(l_dir / f"eigenvalues.{config.output_format}", "w",
-                  newline="") as fh:
-            write_records(result, fh, config.output_format)
-        for stem, header, rows in _plot_tables(result):
-            with open(l_dir / f"{stem}.csv", "w", newline="") as fh:
-                _write_csv(fh, header, rows)
-        summary["runs"][l_dir.name] = _result_summary(result)
+        for name, text in artifact.files[half_width].items():
+            (l_dir / name).write_text(text, newline="")
+        summary["runs"][l_dir.name] = _result_summary(artifact.results[half_width])
 
     with open(run_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)

@@ -64,6 +64,11 @@ class ClassificationPolicy:
     of order 1e-4 at any L, so a fixed cut lax enough to catch marginally
     converged bound states on small intervals would sweep in whole bands
     of continuum on large ones.
+
+    Every threshold is finite and not negative, ``bound_tail_threshold``
+    above 0, the two band fractions inside (0, 1) and
+    ``relaxed_min_correlation`` inside [0, 1]; any other value raises
+    ValueError.
     """
 
     vector_threshold: float = 0.05
@@ -74,6 +79,23 @@ class ClassificationPolicy:
     relaxed_min_correlation: float = 0.999
     monotone_slack: float = 1e-6
     jump_min_decades: float = 6.0
+
+    def __post_init__(self):
+        # a nan threshold fails every comparison, so it would label silently
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got {value!r}")
+        for name in ("tail_band_fraction", "relaxed_band_fraction"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1), "
+                                 f"got {getattr(self, name)!r}")
+        if self.relaxed_min_correlation > 1:
+            raise ValueError("relaxed_min_correlation must lie in [0, 1], "
+                             f"got {self.relaxed_min_correlation!r}")
+        if self.bound_tail_threshold == 0:
+            raise ValueError("bound_tail_threshold must be above 0")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -17,8 +18,10 @@ from ptspec import eigensolver
 from ptspec.harness.cli import main
 from ptspec.harness.config import ExperimentConfig, parse_config, serialize_config
 from ptspec.harness.reproduce import full_scale_config, reproduce
-from ptspec.harness.runner import RunArtifact, persist, run_experiment, run_single
-from ptspec.spectrum import ClassificationPolicy
+from ptspec.harness.runner import (COLUMNS, RunArtifact, persist, render,
+                                   run_experiment, run_single)
+from ptspec.spectrum import (BOUND, CONTINUUM_COMPLEX, CONTINUUM_REAL, UNRESOLVED,
+                             ClassificationPolicy, EigenRecord, SpectrumResult)
 
 
 def _small_config(**overrides):
@@ -88,10 +91,38 @@ def test_config_partial_classification_section():
     dict(strength=-math.inf),
     dict(half_widths=(math.nan,)),     # nan <= 0 is False
     dict(half_widths=(10.0, math.inf)),
+    # classification thresholds, built inside the test
+    dict(policy=dict(bound_tail_threshold=math.nan)),
+    dict(policy=dict(bound_tail_threshold=-1.0)),
+    dict(policy=dict(bound_tail_threshold=0.0)),
+    dict(policy=dict(vector_threshold=math.inf)),
+    dict(policy=dict(vector_threshold=-0.05)),
+    dict(policy=dict(tail_band_fraction=0.0)),
+    dict(policy=dict(tail_band_fraction=1.0)),
+    dict(policy=dict(relaxed_band_fraction=1.5)),
+    dict(policy=dict(relaxed_min_correlation=1.001)),
+    dict(policy=dict(relaxed_min_correlation=-0.1)),
+    dict(policy=dict(relaxed_tail_coeff=-0.5)),
+    dict(policy=dict(monotone_slack=math.nan)),
+    dict(policy=dict(jump_min_decades=-6.0)),
 ])
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
+        if "policy" in overrides:
+            overrides = dict(overrides,
+                             policy=ClassificationPolicy(**overrides["policy"]))
         _small_config(**overrides)
+
+
+@pytest.mark.parametrize("thresholds", [
+    {}, dict(relaxed_min_correlation=0.0), dict(relaxed_min_correlation=1.0),
+    dict(vector_threshold=0.0, relaxed_tail_coeff=0.0, monotone_slack=0.0,
+         jump_min_decades=0.0),
+    dict(tail_band_fraction=0.5, relaxed_band_fraction=0.999),
+])
+def test_classification_policy_accepts_its_range(thresholds):
+    policy = ClassificationPolicy(**thresholds)
+    assert _small_config(policy=policy).policy == policy
 
 
 @pytest.mark.parametrize("name, mode", [
@@ -152,8 +183,8 @@ def test_run_experiment_produces_results(small_artifact):
     spans = small_artifact.spans[10.0]
     assert [s.name for s in spans] == [
         "hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
-        "spectrum.tail_tests", "spectrum.transition"]
-    assemble, schur, vectors, tails, _ = spans
+        "spectrum.tail_tests", "spectrum.transition", "harness.render"]
+    assemble, schur, vectors, tails, _, rendered = spans
     assert [c.name for c in vectors.children] == [
         "eigensolver.backsub", "eigensolver.zy", "eigensolver.residual"]
     assert sum(c.seconds for c in vectors.children) <= vectors.seconds
@@ -167,6 +198,20 @@ def test_run_experiment_produces_results(small_artifact):
     assert vectors.counters == {"columns": candidates}
     assert tails.counters["candidates"] == candidates
     assert 0 <= tails.counters["relaxed_fits"] <= candidates
+    assert rendered.counters == {
+        "bytes": sum(map(len, small_artifact.files[10.0].values()))}
+
+
+def test_run_single_renders_nothing(monkeypatch):
+    # the reproduce cache keeps run_single's results, which need no files
+    import ptspec.harness.runner as runner
+
+    def render_refused(*args, **kwargs):
+        raise AssertionError("run_single rendered")
+
+    monkeypatch.setattr(runner, "render", render_refused)
+    _, spans = run_single(_small_config(n_intervals=33), 10.0)
+    assert "harness.render" not in [s.name for s in spans]
 
 
 def test_persist_layout_and_schema(small_artifact, tmp_path):
@@ -198,6 +243,11 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
     lib = eigensolver._openblas()
     assert schur["counters"]["schur_threads"] == (
         None if lib.dgees is None or lib.get_threads is None else 1)
+    # the rendered bytes are the bytes of the L's files
+    rendered = timing["runs"]["L10"][-1]
+    assert rendered["name"] == "harness.render"
+    assert rendered["counters"]["bytes"] == sum(
+        path.stat().st_size for path in (run_dir / "L10").iterdir())
 
 
 def _fresh_interpreter(code, *args, env=()):
@@ -307,7 +357,7 @@ def test_failure_in_one_half_width_is_isolated(monkeypatch, tmp_path):
     assert list(runs) == ["L10"]
     assert [s["name"] for s in runs["L10"]] == [
         "hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
-        "spectrum.tail_tests", "spectrum.transition"]
+        "spectrum.tail_tests", "spectrum.transition", "harness.render"]
 
 
 # --- half-widths side by side ---------------------------------------------
@@ -367,7 +417,9 @@ def test_sweep_runs_side_by_side_as_each_job_alone(two_threads, monkeypatch,
         result, spans = alone[w]
         # bit for bit: repr round-trips every float and tells -0.0 from 0.0
         assert repr(artifact.results[w]) == repr(result)
-        assert _span_names(artifact.spans[w]) == _span_names(spans)
+        assert artifact.files[w] == render(result, "csv")
+        assert _span_names(artifact.spans[w]) == [*_span_names(spans),
+                                                  ("harness.render", [])]
 
 
 def test_single_l_runs_alone_on_every_thread(two_threads, monkeypatch):
@@ -405,7 +457,8 @@ def test_more_jobs_than_cores_keep_their_own_results_and_spans(two_threads,
     assert not artifact.failures
     for w, (result, spans) in alone.items():
         assert repr(artifact.results[w]) == repr(result)
-        assert _span_names(artifact.spans[w]) == _span_names(spans)
+        assert _span_names(artifact.spans[w]) == [*_span_names(spans),
+                                                  ("harness.render", [])]
     assert two_threads() == 4
 
 
@@ -475,7 +528,7 @@ def test_extended_sweep_runs_one_after_another(two_threads, monkeypatch):
 
 STAGES = {"hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
           "eigensolver.backsub", "eigensolver.zy", "eigensolver.residual",
-          "spectrum.tail_tests", "spectrum.transition"}
+          "spectrum.tail_tests", "spectrum.transition", "harness.render"}
 
 
 @pytest.mark.parametrize("case", [
@@ -493,6 +546,7 @@ def test_stage_ladder_measures_a_case(case):
     assert (schur["qr_sweeps"] is None) == (case[-1] == "double64")
     assert (record["spans"]["eigensolver.vectors"]["columns"]
             == record["spans"]["spectrum.tail_tests"]["candidates"] > 0)
+    assert record["spans"]["harness.render"]["bytes"] > 0
 
 
 def test_stage_ladder_measures_a_sweep():
@@ -552,6 +606,160 @@ def test_plot_data_empty_bound_set(tmp_path):
                                             output_dir=str(tmp_path)))
     path = persist(artifact) / "L10" / "loglog_bound.csv"
     assert path.read_text().strip() == "log10_re,log10_abs_im"
+
+
+def _csv_writer_files(result, output_format, labels=True):
+    """One L's files as ``csv.writer`` and ``json.dump`` wrote them before
+    ``render``: the reference for its bytes."""
+    columns = COLUMNS if labels else COLUMNS[:2]
+    rows = [(r.value.real, r.value.imag, r.label, r.tail_ratio,
+             r.residual)[:len(columns)] for r in result.records]
+
+    def table(header, rows):
+        fh = io.StringIO(newline="")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return fh.getvalue()
+
+    name = f"eigenvalues.{output_format}"
+    if output_format == "json":
+        files = {name: json.dumps([dict(zip(columns, row)) for row in rows],
+                                  indent=1) + "\n"}
+    else:
+        files = {name: table(columns, rows)}
+    if not labels:
+        return files
+
+    def log10(x):
+        return math.log10(abs(x) + 1e-300)
+
+    log_im = [(z.real, log10(z.imag), "point") for z in result.continuum_values()]
+    if result.transition_point is not None:
+        log_im.append((result.transition_point, None, "transition"))
+    files["complex_plane.csv"] = table(
+        ("re", "im", "label"),
+        [(r.value.real, r.value.imag, r.label) for r in result.records])
+    files["log_im.csv"] = table(("re", "log10_abs_im", "kind"), log_im)
+    files["loglog_bound.csv"] = table(
+        ("log10_re", "log10_abs_im"),
+        [(log10(z.real), log10(z.imag)) for z in result.bound_values()])
+    return files
+
+
+def _result(records, transition_point):
+    return SpectrumResult(
+        records=tuple(records),
+        bound_pairs=sum(r.label == BOUND and r.value.imag > 0 for r in records),
+        transition_point=transition_point,
+        transition_drop=None if transition_point is None else 7.0,
+        policy=ClassificationPolicy())
+
+
+# every label; a None tail ratio and residual; -0.0 in either part; a zero
+# Im, whose log10 is the floor's -300; values that need 17 digits; a
+# residual that is nan or infinite, which JSON writes as NaN and Infinity
+RECORDS = (
+    EigenRecord(complex(-0.0, 0.0), CONTINUUM_REAL),
+    EigenRecord(complex(0.1 + 0.2, -0.0), CONTINUUM_REAL),
+    EigenRecord(complex(1.5, -0.25), BOUND, 3.2e-9, 2.5e-14, 3),
+    EigenRecord(complex(1.5, 0.25), BOUND, 3.2e-9, 2.5e-14, 2),
+    EigenRecord(complex(2.0, 1 / 3), CONTINUUM_COMPLEX, 0.31, 1e-15, None),
+    EigenRecord(complex(3e5, 5e-324), UNRESOLVED, None, math.nan, None),
+    EigenRecord(complex(4e5, 0.06), UNRESOLVED, None, math.inf, None),
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("records, transition_point", [
+    (RECORDS, 2.5),
+    ([r for r in RECORDS if r.label != BOUND], None),  # no bound pair
+    ((), None),
+], ids=["every-label", "no-bound-pair", "empty"])
+def test_render_gives_the_bytes_csv_writer_gave(fmt, records, transition_point):
+    result = _result(records, transition_point)
+    assert render(result, fmt) == _csv_writer_files(result, fmt)
+    assert (render(result, fmt, labels=False)
+            == _csv_writer_files(result, fmt, labels=False))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_of_a_run_gives_the_bytes_csv_writer_gave(small_artifact, fmt):
+    result = small_artifact.results[10.0]
+    assert render(result, fmt) == _csv_writer_files(result, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_spectrum_prints_re_im_as_csv_writer_did(capsys, fmt):
+    argv = ["--family", "step", "--strength", "3", "--L", "10", "--N", "129",
+            "--format", fmt]
+    assert main(["spectrum", *argv]) == 0
+    printed = capsys.readouterr().out
+    result, _ = run_single(_small_config(), 10.0)
+    assert printed == _csv_writer_files(result, fmt, labels=False)[
+        f"eigenvalues.{fmt}"]
+
+
+def test_sweep_renders_each_half_width_on_the_thread_that_solved_it(
+        two_threads, monkeypatch):
+    import ptspec.harness.runner as runner
+    jobs = _spy_on_jobs(monkeypatch, two_threads)
+    solved, rendered = [], []
+    dgees, render_files = eigensolver._dgees, runner.render
+
+    def dgees_spy(t, z):
+        solved.append(threading.get_ident())
+        return dgees(t, z)
+
+    def render_spy(result, output_format):
+        rendered.append((result, threading.get_ident()))
+        return render_files(result, output_format)
+
+    monkeypatch.setattr(eigensolver, "_dgees", dgees_spy)
+    monkeypatch.setattr(runner, "render", render_spy)
+    artifact = run_experiment(_small_config(
+        family="coulomb_regulated", strength=10.0, half_widths=(10.0, 100.0),
+        n_intervals=255))
+    assert not artifact.failures
+    job_threads = {w: thread for w, thread, _ in jobs}
+    assert len(set(job_threads.values())) == 2
+    assert threading.get_ident() not in job_threads.values()
+    # each worker ran one L's Schur decomposition, and rendered that L
+    assert set(solved) == set(job_threads.values())
+    assert len(rendered) == 2
+    for result, thread in rendered:
+        (w,) = [w for w, r in artifact.results.items() if r is result]
+        assert thread == job_threads[w]
+
+
+def test_a_render_failure_stays_in_its_half_width(monkeypatch, tmp_path, capsys):
+    import ptspec.harness.runner as runner
+    solve, render_files = runner.run_single, runner.render
+    widths = []
+
+    def run_single_spy(config, half_width):
+        result, spans = solve(config, half_width)
+        widths.append((result, half_width))
+        return result, spans
+
+    def render_failing(result, output_format):
+        if [w for r, w in widths if r is result] == [5.0]:
+            raise ValueError("injected")
+        return render_files(result, output_format)
+
+    monkeypatch.setattr(runner, "run_single", run_single_spy)
+    monkeypatch.setattr(runner, "render", render_failing)
+    assert main(["sweep", "--family", "step", "--strength", "3", "--L", "5",
+                 "--L", "10", "--N", "129", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "L=5 failed: ValueError: injected\n"
+    run_dir = Path(captured.out.strip())
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["failures"] == {"5.0": "ValueError: injected"}
+    assert list(summary["runs"]) == ["L10"]
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "L10", "summary.json", "timing.json"]
+    assert len(list((run_dir / "L10").iterdir())) == 4
 
 
 # --- cli -------------------------------------------------------------------
@@ -654,23 +862,33 @@ def test_cli_sweep_needs_target(capsys):
     ["sweep", "--family", "scarf2", "--strength=-inf", "--L", "10",
      "--N", "33"],
     ["sweep", "--config", "{nan_ini}"],
+    *(["classify", "--family", "step", "--strength", "3", "--L", "10",
+       "--N", "129", "--tail-threshold", threshold]
+      for threshold in ("nan", "-1", "0", "inf")),
+    ["sweep", "--config", "{band_ini}"],
+    ["sweep", "--config", "{nan_threshold_ini}"],
 ])
 def test_cli_bad_config_is_a_usage_error(argv, tmp_path, capsys):
-    bad_ini = tmp_path / "bad.ini"
-    bad_ini.write_text(serialize_config(_small_config()).replace(
-        "[classification]", "[classification]\nbogus = 1.0"))
-    nan_ini = tmp_path / "nan.ini"
-    nan_ini.write_text(serialize_config(_small_config()).replace(
-        "strength = 3.0", "strength = nan"))
+    inis = {}
+    for name, old, new in (
+            ("bad_ini", "[classification]", "[classification]\nbogus = 1.0"),
+            ("nan_ini", "strength = 3.0", "strength = nan"),
+            ("band_ini", "tail_band_fraction = 0.05", "tail_band_fraction = 1.5"),
+            ("nan_threshold_ini", "bound_tail_threshold = 1e-06",
+             "bound_tail_threshold = nan")):
+        text = serialize_config(_small_config(output_dir=str(tmp_path / "runs")))
+        assert old in text
+        inis[name] = tmp_path / f"{name}.ini"
+        inis[name].write_text(text.replace(old, new))
     with pytest.raises(SystemExit) as exit_info:
-        main([arg.format(bad_ini=bad_ini, nan_ini=nan_ini)
-              for arg in argv])
+        main([arg.format(**inis) for arg in argv])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     lines = err.splitlines()
     assert lines[-1].startswith("ptspec: error: ")
     assert sum("error:" in line for line in lines) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()  # nothing ran
 
 
 def test_half_widths_that_differ_past_six_digits_keep_their_own_files(tmp_path, capsys):

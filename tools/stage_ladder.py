@@ -9,7 +9,8 @@ Run from the root of a checkout of the repository:
 
 Each ``--tree label=path`` names a checkout whose ``src/`` is timed (by
 default the one the script is run from).  Every case runs
-``ptspec.harness.runner.run_single`` for one L in a fresh interpreter with
+``ptspec.harness.runner.run_experiment`` for one L, as the CLI does short
+of persisting it, in a fresh interpreter with
 that checkout's ``src/`` on its path, and reads only what the run records:
 the ``ptspec.trace`` spans of its stages, ``trace.environment()`` and the
 process's peak RSS.  A checkout without ``ptspec.trace`` is an error.  Each
@@ -126,19 +127,22 @@ _CHILD = ("import json, runpy, sys; function = runpy.run_path(sys.argv[1])"
 
 def measure(family: str, strength: float, half_width: float, n: int,
             precision: str) -> dict:
-    """One case through ``run_single`` in this interpreter.
+    """One case through ``run_experiment`` in this interpreter.
 
     Returns the seconds and counters of each span by name, the environment
     and the peak RSS of the process in MB.
     """
     from ptspec import trace
     from ptspec.harness.config import ExperimentConfig
-    from ptspec.harness.runner import run_single
+    from ptspec.harness.runner import run_experiment
 
     config = ExperimentConfig(family=family, strength=strength,
                               half_widths=(half_width,), n_intervals=n,
                               precision_mode=precision)
-    _, spans = run_single(config, half_width)
+    artifact = run_experiment(config)
+    if artifact.failures:
+        raise RuntimeError(f"the run failed: {artifact.failures}")
+    spans = artifact.spans[half_width]
     stages: dict = {}
     pending = list(spans)
     while pending:
