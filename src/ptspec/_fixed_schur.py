@@ -65,15 +65,19 @@ def real_schur(a: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray, int]:
     block [[a, b], [c, a]] with b c < 0, whose eigenvalues are the
     conjugate pair a +- i sqrt|b| sqrt|c|.  Raises ConvergenceError when
     the active block goes more than ``SWEEPS_PER_DIGIT`` sweeps per decimal
-    digit of ``bits`` without an eigenvalue or a pair converging.
+    digit of ``bits`` without an eigenvalue or a pair converging.  The
+    two steps are the ``trace`` spans ``eigensolver.hessenberg`` and
+    ``eigensolver.qr``.
     """
     n = a.shape[0]
     g = bits + GUARD_BITS
     h, f = _to_fixed(a, g)
     z = np.zeros((n, n), dtype=object)
     np.fill_diagonal(z, 1 << g)
-    _hessenberg(h, z, g)
-    sweeps = _francis_qr(h, z, g, bits)
+    with span("eigensolver.hessenberg"):
+        _hessenberg(h, z, g)
+    with span("eigensolver.qr"):
+        sweeps = _francis_qr(h, z, g, bits)
     return _to_mpf(h, f, bits), _to_mpf(z, g, bits), sweeps
 
 

@@ -2,56 +2,64 @@
 
 The solver takes real matrices only: the PT form K that
 ``hamiltonian.assemble`` builds is real for every built-in potential.
-Every matrix gets one real Schur decomposition A = Z T Z^T, kept on the
-solution: from LAPACK ``dgees`` in double precision, called through ctypes
-in the OpenBLAS that numpy itself is built on, and from
-``_fixed_schur.real_schur`` in extended precision, the Francis
-double-shift QR of LAPACK ``dlahqr`` on fixed-point integers with
-``GUARD_BITS`` bits beyond the mode's ``bits``.  Each complex conjugate
-pair is read off its standardized 2 x 2 block of the quasi-triangular T
-as a +- i sqrt|b| sqrt|c|, so pairs are bitwise conjugate, partners of
-each other by construction, and real eigenvalues have an imaginary part of
-exactly 0.  Extended T and Z come back as object arrays of ``mpf``, and
-the extended kernel's normwise backward error is below that of floats of
-``bits`` bits.  mpmath and ``_fixed_schur`` are imported by the extended
-branches only, so a double-precision solve loads neither.
+Every matrix gets one real Schur decomposition, kept on the solution.  In
+double precision it comes in three factors, A = (Q Z) T (Q Z)^T: LAPACK
+``dgehrd`` reduces A to Hessenberg form H = Q^T A Q, and ``dhseqr`` takes
+H = Z T Z^T, both called through ctypes in the OpenBLAS that numpy itself
+is built on.  Q is kept as ``dgehrd``'s Householder reflectors, in panels
+of about n^2 / 2 entries (``_Reflectors``), and is never formed: it is
+applied only to the eigenvectors asked for.  Extended precision takes
+A = Z T Z^T with an explicit Z from ``_fixed_schur.real_schur``, the
+Givens reduction and Francis double-shift QR of LAPACK ``dlahqr`` on
+fixed-point integers with ``GUARD_BITS`` bits beyond the mode's ``bits``.
+Each complex conjugate pair is read off its standardized 2 x 2 block of
+the quasi-triangular T as a +- i sqrt|b| sqrt|c|, so pairs are bitwise
+conjugate, partners of each other by construction, and real eigenvalues
+have an imaginary part of exactly 0.  Extended T and Z come back as object
+arrays of ``mpf``, and the extended kernel's normwise backward error is
+below that of floats of ``bits`` bits.  mpmath and ``_fixed_schur`` are
+imported by the extended branches only, so a double-precision solve loads
+neither.
 
 A block-diagonal matrix -- no nonzero entry couples the rows and columns
 before some index with those from it on -- gets one Schur decomposition
 per diagonal block, found from its nonzero pattern in O(n^2), written into
-one n x n T and Z.  K splits so when A = 0, into its even and odd parity
-blocks; with A != 0 it is one block.  Extended precision solves the blocks
-one after another, as ``real_schur`` is Python code and mpmath's precision
-is process-wide.
+one n x n T and Z, with each block's own reflectors.  K splits so when
+A = 0, into its even and odd parity blocks; with A != 0 it is one block.
+Extended precision solves the blocks one after another, as ``real_schur``
+is Python code and mpmath's precision is process-wide.
 
 Right eigenvectors for any subset of eigenvalues come from the same
 factors, as one batch with their measured residuals: a back substitution
 on T for the selected columns only (the algorithm of LAPACK ``dtrevc3``,
 where a 2 x 2 block is one small complex system per column), then
-V = Z Y, so one decomposition serves both values and vectors.  As for
-the Schur form, each precision has its own routine: double precision runs
+V = Z Y, and in double precision V = Q (Z Y) by LAPACK ``dormqr``, so one
+decomposition serves both values and vectors.  As for the Schur form,
+each precision has its own routine: double precision runs
 ``_schur_vectors``, blocked, in real arithmetic on float64 factors and
 with BLAS products; extended precision runs ``_fixed_schur.eigenvectors``
 on fixed-point integers converted exactly from the ``mpf`` factors, and
 measures each residual exactly.
 
 The double Schur decomposition runs on numpy's OpenBLAS, the thread pool
-that also runs the Z Y product and the residual products.  A matrix of
-order below ``_SERIAL_BELOW`` runs on one thread of that pool, its blocks
-one after another: at that size the threads' synchronisation costs more
-than the second core gains, and no thread pool is started.  From that
-order on, its diagonal blocks run by the rule of ``side_by_side``, the
-one rule for independent solves, which the half-widths of a double sweep
-follow too: a single block on the process's thread count, several
-concurrently, each on one thread, after OpenBLAS's idle workers, which
-spin for a while after any threaded call, are stopped.  A block runs on
-one thread either way, so its factors do not depend on the rule.  Where
-numpy's library exports no ``LAPACKE_dgees`` (a build on another BLAS),
-``scipy.linalg.schur`` solves the blocks one after another, imported only
-then, and the thread count is left as it is.  The library's symbols are
-looked up once (``_openblas``); the thread count itself is kept nowhere
-but in OpenBLAS: a hold reads it on entry, and each ``_dgees`` call reads
-the count it runs on, which the ``eigensolver.schur`` span reports.
+that also runs the Z Y product, the reflectors and the residual products.
+A matrix of order below ``_SERIAL_BELOW`` runs on one thread of that pool,
+its blocks one after another: at that size the threads' synchronisation
+costs more than the second core gains, and no thread pool is started.
+From that order on, its diagonal blocks run by the rule of
+``side_by_side``, the one rule for independent solves, which the
+half-widths of a double sweep follow too: a single block on the process's
+thread count, several concurrently, each on one thread, after OpenBLAS's
+idle workers, which spin for a while after any threaded call, are
+stopped.  The Hessenberg reductions of the blocks run so, then their QR
+iterations.  A block runs on one thread either way, so its factors do not
+depend on the rule.  Where numpy's library exports none of the LAPACKE
+functions (a build on another BLAS), ``scipy.linalg.schur`` solves the
+blocks one after another with an explicit Z, imported only then, and the
+thread count is left as it is.  The library's symbols are looked up once
+(``_openblas``); the thread count itself is kept nowhere but in OpenBLAS:
+a hold reads it on entry, and each ``_qr`` call reads the count it runs
+on, which the ``eigensolver.schur`` span reports.
 """
 
 from __future__ import annotations
@@ -73,6 +81,9 @@ from .trace import span
 _BACKSUB_BLOCK = 64
 _VECTOR_BATCH = 1024
 
+# Hessenberg reflectors per panel, as kept and as applied (``_Reflectors``)
+_PANEL = 64
+
 # a matrix of lower order takes its double Schur form on one LAPACK thread,
 # one diagonal block after another
 _SERIAL_BELOW = 512
@@ -86,10 +97,13 @@ class ConvergenceError(RuntimeError):
 class EigenSolution:
     """All eigenvalues of one matrix plus its Schur factors.
 
-    ``schur`` holds (T, Z) with A = Z T Z^T, the real Schur form (T
-    quasi-triangular): float64 in double precision and object arrays of
-    ``mpf`` in extended precision.  A block-diagonal matrix has
-    block-diagonal factors.  ``eigenvalues[k]`` is T[k, k], or one of the
+    ``schur`` holds (T, Z) of the real Schur form (T quasi-triangular), with
+    A = (Q Z) T (Q Z)^T for Q the product of the Householder reflectors in
+    ``reflectors``, one ``_Reflectors`` per diagonal block, or A = Z T Z^T
+    where ``reflectors`` is None (Q = I): extended precision, whose factors
+    are object arrays of ``mpf``, and the scipy fallback.  Double-precision
+    T and Z are float64, and Q is never formed.  A block-diagonal matrix
+    has block-diagonal factors.  ``eigenvalues[k]`` is T[k, k], or one of the
     conjugate pair of the 2 x 2 block at rows k..k+1, the one with positive
     imaginary part first.  ``partners[k]`` is the position of the
     conjugate partner of ``eigenvalues[k]``, the other row of its block,
@@ -106,6 +120,8 @@ class EigenSolution:
     iteration_stats: Tuple[int, ...]
     precision: ScalarPrecision
     schur: Tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    reflectors: Optional[Tuple["_Reflectors", ...]] = field(default=None, repr=False,
+                                                          compare=False)
 
     def eigenvectors(self, matrix: np.ndarray, indices: Sequence[int]
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,9 +139,9 @@ class EigenSolution:
         columns at a time) and by ``_fixed_schur.eigenvectors`` in
         extended precision.  The call is the ``trace`` span
         ``eigensolver.vectors`` (counter ``columns``), with the spans
-        ``eigensolver.backsub``, ``eigensolver.zy`` and
-        ``eigensolver.residual`` per batch in either precision; no index
-        runs neither routine.
+        ``eigensolver.backsub``, ``eigensolver.zy``, in double precision
+        ``eigensolver.q`` (V = Q Z Y), and ``eigensolver.residual`` per
+        batch; no index runs neither routine.
         """
         ks = np.sort(np.asarray(indices, dtype=np.intp).ravel())
         distinct = np.ones(len(ks), dtype=bool)
@@ -144,7 +160,8 @@ class EigenSolution:
                 vectors, norms = eigenvectors(t, z, matrix, ks, self.eigenvalues[ks],
                                               self.precision.bits)
             else:
-                vectors, norms = _schur_vectors(t, z, matrix, ks, self.eigenvalues[ks],
+                vectors, norms = _schur_vectors(t, z, self.reflectors, matrix, ks,
+                                                self.eigenvalues[ks],
                                                 self.precision.machine_epsilon)
         return ks, vectors, norms / (self.matrix_fro_norm or 1.0)
 
@@ -155,15 +172,18 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     The matrix has a real dtype, or in extended mode is an object array of
     real numbers (``mpf``, or ``mpc`` with imaginary part 0); any other
     raises ValueError before a Schur decomposition starts, as does a
-    double-mode matrix with an entry that is not finite.  One real Schur
-    decomposition is kept on the solution for later eigenvector requests.
-    A block-diagonal matrix gets one per diagonal block
-    (``_diagonal_blocks``), written into one n x n T and Z.  Raises
-    ConvergenceError when the QR iteration behind it fails to converge.
-    ||A||_F is taken with the input checks; the work after them is the
-    ``trace`` span ``eigensolver.schur``, counting the ``blocks``, the
+    double-mode matrix with an entry that is not finite, and a matrix whose
+    ||A||_F overflows a double (no residual relative to it could be
+    measured).  One real Schur decomposition is kept on the solution for
+    later eigenvector requests.  A block-diagonal matrix gets one per
+    diagonal block (``_diagonal_blocks``), written into one n x n T and Z.
+    Raises ConvergenceError when the QR iteration behind it fails to
+    converge.  ||A||_F is taken with the input checks; the work after them
+    is the ``trace`` span ``eigensolver.schur``, with the child spans
+    ``eigensolver.hessenberg`` and ``eigensolver.qr`` (one per diagonal
+    block in extended precision), counting the ``blocks``, the
     ``largest_block``, the ``qr_sweeps`` (None in double mode) and, as
-    ``schur_threads``, the OpenBLAS thread count that ``_dgees`` read as it
+    ``schur_threads``, the OpenBLAS thread count that ``_qr`` read as it
     ran (None in extended mode, which makes no LAPACK call, for the scipy
     fallback and where the count cannot be read).  The process's own count
     is ``trace.environment()``'s.
@@ -183,16 +203,21 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
         rounded = to_complex128(a)
         if rounded.imag.any():
             raise ValueError("eigenvalues expects a real matrix")
-    fro = float(np.linalg.norm(rounded))
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(rounded))
+    if not np.isfinite(fro):
+        raise ValueError("eigenvalues expects a matrix whose Frobenius norm is finite "
+                         "in double precision")
     with span("eigensolver.schur") as count:
         blocks = _diagonal_blocks(a)
-        t, z, sweeps, threads = _schur_factors(a, blocks, precision)
+        t, z, reflectors, sweeps, threads = _schur_factors(a, blocks, precision)
         with working_precision(precision):
             values, partners = _real_schur_eigenvalues(t)
         count.update(blocks=len(blocks), largest_block=max(hi - lo for lo, hi in blocks),
                      qr_sweeps=sweeps, schur_threads=threads)
     stats = () if sweeps is None else (sweeps,)
-    return EigenSolution(values, partners, fro, stats, precision, schur=(t, z))
+    return EigenSolution(values, partners, fro, stats, precision, schur=(t, z),
+                         reflectors=reflectors)
 
 
 def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
@@ -220,17 +245,22 @@ def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
 
 def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
                    precision: ScalarPrecision):
-    """(T, Z, QR sweeps, LAPACK threads) of ``a``.
+    """(T, Z, reflectors, QR sweeps, LAPACK threads) of ``a``.
 
     Each of the diagonal ``blocks`` gets its own Schur decomposition.  In
     double precision T starts as a Fortran-order copy of the blocks, zero
-    elsewhere, and ``_dgees`` overwrites each block of T and Z in place.
-    Below order ``_SERIAL_BELOW`` the blocks run one after another on one
-    LAPACK thread; from it on they run by the rule of ``side_by_side``.
-    Every block runs on the same count, which ``_dgees`` reads, so the
-    first block's is returned; the sweeps are None, as LAPACK does not
-    report them.  Extended blocks run one after another, summing their
-    sweeps, with threads None, and a single one's T and Z are returned as
+    elsewhere, and each block is solved in place in two steps, the ``trace``
+    spans ``eigensolver.hessenberg`` (``_hessenberg``: T's block becomes H
+    = Q^T A Q, and Q is kept as the block's reflectors) and
+    ``eigensolver.qr`` (``_qr``: H = Z T Z^T).  Z is zero outside the
+    blocks.  Below order ``_SERIAL_BELOW`` the blocks run one after another
+    on one LAPACK thread; from it on each step runs them by the rule of
+    ``side_by_side``.  Every block runs on the same count, which ``_qr``
+    reads, so the first block's is returned; the sweeps are None, as LAPACK
+    does not report them.  The reflectors are a tuple of ``_Reflectors``,
+    one per block, or None where the scipy fallback returned Z = Q Z itself.
+    Extended blocks run one after another, summing their sweeps, with
+    reflectors and threads None, and a single one's T and Z are returned as
     ``real_schur`` returns them.
     """
     n = a.shape[0]
@@ -240,58 +270,156 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
         from ._fixed_schur import real_schur
 
         if len(blocks) == 1:
-            return (*real_schur(a, precision.bits), None)
+            t, z, sweeps = real_schur(a, precision.bits)
+            return t, z, None, sweeps, None
         t = np.full((n, n), mpmath.mpf(0), dtype=object)
         z, sweeps = t.copy(), 0
         for lo, hi in blocks:
             t[lo:hi, lo:hi], z[lo:hi, lo:hi], s = real_schur(a[lo:hi, lo:hi],
                                                              precision.bits)
             sweeps += s
-        return t, z, sweeps, None
+        return t, z, None, sweeps, None
     if len(blocks) == 1:
         t = np.array(a, dtype=np.float64, order="F")
+        z = np.empty_like(t)  # dhseqr sets it
     else:
         t = np.zeros((n, n), order="F")
         for lo, hi in blocks:
             t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
-    z = np.zeros_like(t)
+        z = np.zeros_like(t)
 
-    def solve(block: Tuple[int, int]) -> Optional[int]:
+    def hessenberg(block: Tuple[int, int]) -> Optional[_Reflectors]:
         lo, hi = block
-        return _dgees(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
+        return _hessenberg(t[lo:hi, lo:hi], lo)
 
-    if n < _SERIAL_BELOW:
-        with _one_thread():
-            threads = [solve(block) for block in blocks]
-    else:
-        threads = side_by_side(solve, blocks)
-    return t, z, None, next(iter(threads), None)
+    def qr(block: Tuple[int, int]) -> Optional[int]:
+        lo, hi = block
+        return _qr(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
+
+    serial = n < _SERIAL_BELOW
+
+    def run(job: Callable) -> list:
+        return list(map(job, blocks)) if serial else side_by_side(job, blocks)
+
+    with _one_thread() if serial else contextlib.nullcontext():
+        with span("eigensolver.hessenberg"):
+            reflectors = run(hessenberg)
+        with span("eigensolver.qr"):
+            threads = run(qr)
+    return (t, z, None if None in reflectors else tuple(reflectors), None,
+            next(iter(threads), None))
 
 
 # LAPACKE's matrix_layout code for column-major (Fortran-order) arrays
 _COL_MAJOR = 102
 
 
-def _dgees(t: np.ndarray, z: np.ndarray) -> Optional[int]:
-    """Overwrite the square block ``t`` with its real Schur form T, and
-    ``z`` with Z, by LAPACK ``dgees``; returns the OpenBLAS thread count it
-    ran on.
+class _Reflectors(NamedTuple):
+    """The Hessenberg factor Q of one diagonal block, rows and columns
+    ``lo``.., as LAPACK ``dgehrd`` leaves it, in panels.
 
-    ``t`` and ``z`` are float64 views with contiguous columns and equal
-    strides, such as one diagonal block of two Fortran-order arrays; ``t``
-    holds finite entries.  Z is computed and nothing is reordered.  Calls
-    ``LAPACKE_dgees`` of numpy's OpenBLAS (``_openblas``), reading the
-    thread count just before, or ``scipy.linalg.schur`` where numpy's
-    library does not export it.  The count is None there and where it
-    cannot be read.  Raises ConvergenceError when the QR iteration fails
-    (info > 0) and ValueError on an argument LAPACK rejects (info < 0).
+    Q = H_0 H_1 ... H_{m-2} for a block of order m, H_j = I - tau[j] v v^T
+    with v 0 above row j + 1, 1 there, and below it the entries that
+    ``dgehrd`` leaves in column j below T's subdiagonal.  Panel p holds
+    rows p * _PANEL + 1.. of columns p * _PANEL.. (at most ``_PANEL`` of
+    them, up to column m - 3; H_{m-2} is the identity) in Fortran order,
+    the layout of LAPACK ``dgeqrf`` that ``dormqr`` reads, whose entries
+    on and above the unit diagonal are not read: about m^2 / 2 entries in
+    all, where Q itself would take m^2, as views of one buffer.
     """
+
+    lo: int
+    tau: np.ndarray
+    panels: Tuple[np.ndarray, ...]
+
+
+def _column_stride(t: np.ndarray, z: Optional[np.ndarray] = None) -> int:
+    """The entries from column to column of the square float64 block
+    ``t`` (and ``z``, which must share its strides), such as one diagonal
+    block of a Fortran-order array; ValueError for any other layout."""
     n = t.shape[0]
     if (t.dtype != np.float64 or t.shape != (n, n) or t.strides[0] != t.itemsize
-            or t.strides[1] < n * t.itemsize or z.strides != t.strides):
-        raise ValueError("dgees expects square float64 blocks with contiguous columns")
+            or t.strides[1] < n * t.itemsize
+            or (z is not None and z.strides != t.strides)):
+        raise ValueError("LAPACK expects square float64 blocks with contiguous columns")
+    return max(t.strides[1] // t.itemsize, 1)
+
+
+def _lapack(routine: str, function: Callable, *args) -> None:
+    """``function(*args, work, lwork)``, a LAPACKE ``_work`` function, on
+    the workspace it asks for in a query call first.
+
+    The ``_work`` functions skip LAPACKE's scans of every input for NaN,
+    which would also read the unset Z of ``_qr``.  Raises ConvergenceError
+    for info > 0 (the QR iteration failed) and ValueError for an argument
+    LAPACK rejects (info < 0), each naming ``routine``.
+    """
+    def call(work: np.ndarray, lwork: int) -> None:
+        info = function(*args, work.ctypes.data, lwork)
+        if info > 0:
+            raise ConvergenceError(f"{routine}: the QR iteration failed (info {info})")
+        if info < 0:
+            raise ValueError(f"{routine}: argument {-info} is invalid")
+
+    work = np.empty(1)
+    call(work, -1)
+    work = np.empty(max(int(work[0]), 1))
+    call(work, len(work))
+
+
+def _hessenberg(t: np.ndarray, lo: int) -> Optional[_Reflectors]:
+    """Reduce the square block ``t``, rows and columns ``lo``.. of the whole
+    matrix, to upper Hessenberg form H = Q^T t Q in place, by LAPACK
+    ``dgehrd``; returns Q as ``_Reflectors``.
+
+    ``t`` is laid out as ``_column_stride`` requires and holds finite
+    entries.  Calls ``LAPACKE_dgehrd`` of numpy's OpenBLAS
+    (``_openblas``); where numpy's library does not export it, ``t`` is
+    left as it is and None returned, and ``_qr`` takes the whole Schur form
+    with scipy.  The reflectors below H's subdiagonal stay in ``t``, for
+    ``_qr`` to clear.  Raises ValueError on an argument LAPACK rejects.
+    """
+    m, ld = t.shape[0], _column_stride(t)
     lib = _openblas()
-    if lib.dgees is None:
+    if lib.dgehrd is None:
+        return None
+    tau = np.zeros(max(m - 1, 1))
+    _lapack("dgehrd", lib.dgehrd, _COL_MAJOR, m, 1, m, t.ctypes.data, ld, tau.ctypes.data)
+    # one buffer for all panels: at large m one mapping, returned whole when
+    # freed, where some 60 panels of up to 2 MB each fragmented the heap
+    # (the desk's peak RSS rose by 143 MB, against 66 MB for its coulomb
+    # N=4095 job alone)
+    shapes = [(m - j - 1, min(_PANEL, m - 2 - j)) for j in range(0, m - 2, _PANEL)]
+    buffer = np.empty(sum(h * w for h, w in shapes))
+    offsets = np.cumsum([0, *(h * w for h, w in shapes)])
+    panels = tuple(buffer[start:start + h * w].reshape(w, h).T
+                   for start, (h, w) in zip(offsets.tolist(), shapes))
+    for j, panel in zip(range(0, m - 2, _PANEL), panels):
+        panel[...] = t[j + 1:, j:j + panel.shape[1]]
+    return _Reflectors(lo, tau, panels)
+
+
+def _qr(t: np.ndarray, z: np.ndarray) -> Optional[int]:
+    """Overwrite the Hessenberg block ``t`` with its real Schur form T, and
+    ``z`` with Z, H = Z T Z^T, by LAPACK ``dhseqr``; returns the OpenBLAS
+    thread count it ran on.
+
+    ``t`` and ``z`` are laid out as ``_column_stride`` requires; ``t``
+    holds what ``_hessenberg`` left, and T is zero below its subdiagonal.
+    Nothing is reordered.  Z's entries below eps^2 are set to 0: Z is
+    orthogonal, so that moves it by at most n eps^2 in norm, and each
+    vector W = Z Y by n eps^2 relative, far below the rounding of the
+    decomposition itself.  Calls ``LAPACKE_dhseqr`` of numpy's OpenBLAS
+    (``_openblas``), reading the thread count just before, or, where
+    numpy's library does not export it, ``scipy.linalg.schur`` on the
+    block as ``_hessenberg`` left it, unreduced, so that ``z`` is the whole
+    block's Schur vectors.  The count is None there and where it cannot be
+    read.  Raises ConvergenceError when the QR iteration fails and
+    ValueError on an argument LAPACK rejects.
+    """
+    m, ld = t.shape[0], _column_stride(t, z)
+    lib = _openblas()
+    if lib.dhseqr is None:
         import scipy.linalg  # a second LAPACK, loaded only where numpy has none
 
         try:
@@ -299,27 +427,58 @@ def _dgees(t: np.ndarray, z: np.ndarray) -> Optional[int]:
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(str(exc)) from exc
         return None
-    ld = max(t.strides[1] // t.itemsize, 1)  # entries from column to column
-    wr, wi = np.empty(n), np.empty(n)
-    sdim = ctypes.c_int64()
+    wr, wi = np.empty(m), np.empty(m)
     threads = None if lib.get_threads is None else lib.get_threads()
-    info = lib.dgees(_COL_MAJOR, b"V", b"N", None, n, t.ctypes.data, ld,
-                     ctypes.byref(sdim), wr.ctypes.data, wi.ctypes.data,
-                     z.ctypes.data, ld)
-    if info > 0:
-        raise ConvergenceError(f"dgees: the QR iteration failed (info {info})")
-    if info < 0:
-        raise ValueError(f"dgees: argument {-info} is invalid")
+    _lapack("dhseqr", lib.dhseqr, _COL_MAJOR, b"S", b"I", m, 1, m, t.ctypes.data, ld,
+            wr.ctypes.data, wi.ctypes.data, z.ctypes.data, ld)
+    # Z of H has entries down to the subnormal range where K's vectors are
+    # localized; multiplied on into W = Z Y and through Q's reflectors they
+    # take the processor's slow path for subnormal results (coulomb at
+    # N=2047: 0.24 s for Q W, 0.13 s once Z's entries below eps^2 are 0)
+    floor = np.finfo(np.float64).eps ** 2
+    for j in range(0, m, _PANEL):
+        part = z[:, j:j + _PANEL]
+        part[np.abs(part) < floor] = 0
     return threads
+
+
+def _apply_q(reflectors: Tuple[_Reflectors, ...], w: np.ndarray, rows: int) -> None:
+    """w := Q w in place, Q block-diagonal with each block's ``_Reflectors``.
+
+    ``w`` is a C-contiguous complex128 n x m array, such as ``_product``
+    returns; rows from ``rows`` on are zero, so the blocks
+    that start there are skipped.  LAPACK reads its float64 view, n x 2m
+    in C order, as the 2m x n column-major matrix W^T, so each panel P of
+    reflectors is applied from the right as W^T P^T by ``dormqr`` (``'R',
+    'T'``), the last panel first, without a transposed copy.  Raises
+    ValueError for any other ``w`` and on an argument LAPACK rejects.
+    """
+    if w.dtype != np.complex128 or not w.flags.c_contiguous:
+        raise ValueError("dormqr expects a complex128 array with contiguous rows")
+    lib = _openblas()
+    flat = w.view(np.float64)
+    width = flat.shape[1]
+    for block in reflectors:
+        if block.lo >= rows:
+            continue
+        for first, v in reversed(list(zip(range(0, len(block.tau), _PANEL),
+                                          block.panels))):
+            height, k = v.shape
+            _lapack("dormqr", lib.dormqr, _COL_MAJOR, b"R", b"T", width, height, k,
+                    v.ctypes.data, height, block.tau[first:].ctypes.data,
+                    flat[block.lo + first + 1:].ctypes.data, width)
 
 
 class _Symbols(NamedTuple):
     """The functions of numpy's BLAS and LAPACK library that the solver
     calls, typed for ctypes, each None where the library does not export
-    it: ``LAPACKE_dgees``, OpenBLAS's thread controls (all three or none)
-    and ``blas_thread_shutdown_``."""
+    it: ``LAPACKE_dgehrd_work``, ``LAPACKE_dhseqr_work`` and
+    ``LAPACKE_dormqr_work`` (all three or none), OpenBLAS's thread controls
+    (all three or none) and ``blas_thread_shutdown_``."""
 
-    dgees: Optional[Callable]
+    dgehrd: Optional[Callable]
+    dhseqr: Optional[Callable]
+    dormqr: Optional[Callable]
     get_threads: Optional[Callable[[], int]]
     set_threads: Optional[Callable[[int], None]]
     config: Optional[Callable[[], bytes]]
@@ -333,24 +492,34 @@ def _openblas() -> _Symbols:
     ctypes finds them through numpy's linear-algebra extension, which links
     the library; where that cannot be loaded, every symbol is None.  numpy's
     OpenBLAS has 64-bit integers and marks its symbols so, with the ``64_``
-    suffix, and the wheels' build adds the ``scipy_`` prefix: ``dgees`` is
-    tried with both, the thread controls also without the suffix and with
-    the plain ``openblas_`` prefix.  ``blas_thread_shutdown_``, which joins
-    the workers of OpenBLAS's thread pool until the next call that runs on
-    more than one thread or the next count set, has neither.
+    suffix, and the wheels' build adds the ``scipy_`` prefix: the LAPACKE
+    functions are tried with both, the thread controls also without the
+    suffix and with the plain ``openblas_`` prefix.
+    ``blas_thread_shutdown_``, which joins the workers of OpenBLAS's thread
+    pool until the next call that runs on more than one thread or the next
+    count set, has neither.
     """
     try:
         lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
     except (ImportError, AttributeError, OSError):
         lib = None
-    dgees = next(filter(None, (getattr(lib, name, None) for name in (
-        "scipy_LAPACKE_dgees64_", "LAPACKE_dgees64_"))), None)
-    if dgees is not None:
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        dgees.restype = i64
-        # layout, jobvs, sort, select, n, a, lda, sdim, wr, wi, vs, ldvs
-        dgees.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ptr, i64, ptr,
-                          i64, ctypes.POINTER(i64), ptr, ptr, ptr, i64]
+    lapack = next((found for found in (
+        tuple(getattr(lib, f"{prefix}LAPACKE_{name}_work64_", None)
+              for name in ("dgehrd", "dhseqr", "dormqr"))
+        for prefix in ("scipy_", "")) if None not in found), (None, None, None))
+    if lapack[0] is not None:
+        i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+        for function in lapack:
+            function.restype = i64
+        dgehrd, dhseqr, dormqr = lapack
+        # layout, n, ilo, ihi, a, lda, tau, work, lwork
+        dgehrd.argtypes = [ctypes.c_int, i64, i64, i64, ptr, i64, ptr, ptr, i64]
+        # layout, job, compz, n, ilo, ihi, h, ldh, wr, wi, z, ldz, work, lwork
+        dhseqr.argtypes = [ctypes.c_int, char, char, i64, i64, i64, ptr, i64, ptr, ptr,
+                           ptr, i64, ptr, i64]
+        # layout, side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork
+        dormqr.argtypes = [ctypes.c_int, char, char, i64, i64, i64, ptr, i64, ptr, ptr,
+                           i64, ptr, i64]
     controls = next((found for found in (
         tuple(getattr(lib, f"{prefix}_{name}{suffix}", None)
               for name in ("get_num_threads", "set_num_threads", "get_config"))
@@ -362,7 +531,7 @@ def _openblas() -> _Symbols:
     shutdown = getattr(lib, "blas_thread_shutdown_", None)
     if shutdown is not None:
         shutdown.restype, shutdown.argtypes = ctypes.c_int, []
-    return _Symbols(dgees, *controls, shutdown)
+    return _Symbols(*lapack, *controls, shutdown)
 
 
 def side_by_side(job: Callable, items: Sequence) -> list:
@@ -415,7 +584,7 @@ def _one_thread(stop_workers: bool = False) -> Iterator[int]:
     from before.
 
     The live count is read on entry.  Where it cannot be read or set (no
-    ``LAPACKE_dgees`` or no OpenBLAS controls), or is 1, the block yields 1
+    LAPACKE functions or no OpenBLAS controls), or is 1, the block yields 1
     and sets nothing.  An open hold leaves the count at 1, so a nested hold,
     such as a solve's inside a sweep's pool, sets nothing, as does a
     process started with ``OPENBLAS_NUM_THREADS=1``.  Otherwise the count is
@@ -427,7 +596,7 @@ def _one_thread(stop_workers: bool = False) -> Iterator[int]:
     again.
     """
     lib = _openblas()
-    before = 1 if lib.dgees is None or lib.get_threads is None else lib.get_threads()
+    before = 1 if lib.dhseqr is None or lib.get_threads is None else lib.get_threads()
     if before == 1:
         yield 1
         return
@@ -470,17 +639,20 @@ def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return values, partners
 
 
-def _schur_vectors(t: np.ndarray, z: np.ndarray, matrix: np.ndarray, ks: np.ndarray,
-                   lam: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of A = Z T Z^T (float64 factors) for the eigenvalues
-    ``lam`` at the ascending positions ``ks``, and their ||A v - lam v||.
+def _schur_vectors(t: np.ndarray, z: np.ndarray,
+                   reflectors: Optional[Tuple[_Reflectors, ...]], matrix: np.ndarray,
+                   ks: np.ndarray, lam: np.ndarray, eps: float
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of A = (Q Z) T (Q Z)^T (float64 factors, Q the product
+    of ``reflectors``, or I where that is None) for the eigenvalues ``lam``
+    at the ascending positions ``ks``, and their ||A v - lam v||.
 
     At most ``_VECTOR_BATCH`` columns at a time: the back substitution on T
-    (``_schur_eigenvectors``), V = Z Y scaled to a largest entry of 1, and
-    the residual, as the ``trace`` spans ``eigensolver.backsub``,
-    ``eigensolver.zy`` and ``eigensolver.residual`` per batch.  Returns
-    complex128 vectors, a single batch as computed without a copy, and
-    float64 norms.
+    (``_schur_eigenvectors``), W = Z Y, V = Q W (``_apply_q``) scaled to a
+    largest entry of 1, and the residual, as the ``trace`` spans
+    ``eigensolver.backsub``, ``eigensolver.zy``, ``eigensolver.q`` and
+    ``eigensolver.residual`` per batch.  Returns complex128 vectors, a
+    single batch as computed without a copy, and float64 norms.
     """
     a = np.asarray(matrix, dtype=np.float64)
     vectors, norms = [], []
@@ -490,7 +662,11 @@ def _schur_vectors(t: np.ndarray, z: np.ndarray, matrix: np.ndarray, ks: np.ndar
             y = _schur_eigenvectors(t, ks[batch], lam[batch], eps)
         with span("eigensolver.zy"):
             v = _product(z[:, :y.shape[0]], y)
+            rows = y.shape[0]
             del y
+        with span("eigensolver.q"):
+            if reflectors is not None:
+                _apply_q(reflectors, v, rows)
             v /= v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
         with span("eigensolver.residual"):
             r = _product(a, v)

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -83,14 +84,16 @@ def test_schur_vectors_residual_and_normalization():
 def test_schur_vectors_match_scipy_eig():
     rng = np.random.default_rng(8)
     n = 150  # more rows than one back-substitution block
-    a = rng.standard_normal((n, n))
-    sol = eigenvalues(a)
-    values, columns = scipy.linalg.eig(a)
-    for k, v in _vectors(sol, a, [n - 1, 0, 70, 71, 130]).items():
-        u = columns[:, np.argmin(np.abs(values - sol.eigenvalues[k]))]
-        phase = np.vdot(u, v) / np.vdot(u, u)
-        assert abs(abs(phase) - np.linalg.norm(v)) < 1e-9 * np.linalg.norm(v)
-        assert np.linalg.norm(v - phase * u) < 1e-9 * np.linalg.norm(v)
+    # one block, and two diagonal blocks, each with its own reflectors
+    for a in (rng.standard_normal((n, n)),
+              scipy.linalg.block_diag(*rng.standard_normal((2, n // 2, n // 2)))):
+        sol = eigenvalues(a)
+        values, columns = scipy.linalg.eig(a)
+        for k, v in _vectors(sol, a, [n - 1, 0, 70, 71, 130]).items():
+            u = columns[:, np.argmin(np.abs(values - sol.eigenvalues[k]))]
+            phase = np.vdot(u, v) / np.vdot(u, u)
+            assert abs(abs(phase) - np.linalg.norm(v)) < 1e-9 * np.linalg.norm(v)
+            assert np.linalg.norm(v - phase * u) < 1e-9 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("precision, n", [(DOUBLE, 30), (EXTENDED, 12)],
@@ -328,21 +331,21 @@ def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision):
     assert np.count_nonzero(split.partners >= 0) == np.count_nonzero(whole.partners >= 0)
 
 
-def _spy_on_dgees(monkeypatch, before=None):
-    """Replace ``eigensolver._dgees`` by a spy; returns the block orders it saw.
+def _spy_on_qr(monkeypatch, before=None):
+    """Replace ``eigensolver._qr`` by a spy; returns the block orders it saw.
 
     ``before(t)``, if given, runs in the spy ahead of the real call.
     """
     calls = []
-    dgees = eigensolver._dgees
+    qr = eigensolver._qr
 
     def spy(t, z):
         calls.append(t.shape[0])
         if before is not None:
             before(t)
-        return dgees(t, z)
+        return qr(t, z)
 
-    monkeypatch.setattr(eigensolver, "_dgees", spy)
+    monkeypatch.setattr(eigensolver, "_qr", spy)
     return calls
 
 
@@ -356,7 +359,7 @@ def _schur_counters(a, precision=DOUBLE):
 def test_one_coupling_entry_makes_one_schur_call(monkeypatch):
     rng = np.random.default_rng(23)
     a = _three_blocks(rng)
-    calls = _spy_on_dgees(monkeypatch)
+    calls = _spy_on_qr(monkeypatch)
     eigenvalues(a)
     assert calls == [5, 3, 4]
     a[2, 10] = 0.5  # couples the first block with the last, and so all three
@@ -365,7 +368,9 @@ def test_one_coupling_entry_makes_one_schur_call(monkeypatch):
     assert calls == [12]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+# 1e160: finite, but the Frobenius norm overflows, so no residual relative
+# to it could be measured
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
 def test_non_finite_matrix_is_refused_before_any_schur_call(monkeypatch, bad):
     def fail(*args):
         raise AssertionError("Schur decomposition of a non-finite matrix")
@@ -377,7 +382,7 @@ def test_non_finite_matrix_is_refused_before_any_schur_call(monkeypatch, bad):
         eigenvalues(a)
 
 
-def test_without_lapacke_dgees_scipy_solves_the_blocks(monkeypatch):
+def test_without_lapacke_scipy_solves_the_blocks(monkeypatch):
     rng = np.random.default_rng(25)
     a = _three_blocks(rng)
     own = eigenvalues(a)
@@ -388,14 +393,17 @@ def test_without_lapacke_dgees_scipy_solves_the_blocks(monkeypatch):
         calls.append(m.shape[0])
         return schur(m, *args, **kwargs)
 
-    _with_symbols(monkeypatch, dgees=None)
+    _with_symbols(monkeypatch, dgehrd=None, dhseqr=None, dormqr=None)
     monkeypatch.setattr(scipy.linalg, "schur", spy)
     with trace.record() as spans:
         sol = eigenvalues(a)
-    # one block after another, on a pool whose threads are not known
-    assert calls == [5, 3, 4]
+    # one block after another, on a pool whose threads are not known, with
+    # Z explicit: no reflectors
+    assert calls == [5, 3, 4] and sol.reflectors is None
     assert spans[0].counters["schur_threads"] is None
     assert np.allclose(sol.eigenvalues, own.eigenvalues, rtol=0, atol=1e-12)
+    _, vectors, residuals = sol.eigenvectors(a, range(len(a)))
+    assert np.all(residuals <= DOUBLE.residual_tol)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
@@ -406,27 +414,99 @@ def test_without_lapacke_dgees_scipy_solves_the_blocks(monkeypatch):
 
 
 def test_lapack_info_is_raised(monkeypatch):
-    if _LIB.dgees is None:
-        pytest.skip("numpy's library exports no LAPACKE_dgees")
-    for info, error in ((1, ConvergenceError), (-6, ValueError)):
-        _with_symbols(monkeypatch, dgees=lambda *args: info)
-        with pytest.raises(error, match="dgees"):
-            eigenvalues(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    if _LIB.dhseqr is None:
+        pytest.skip("numpy's library exports no LAPACKE_dhseqr")
+    a = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 1.0], [0.5, 2.0, 1.0]])
+    for routine, info, error in (("dhseqr", 1, ConvergenceError),
+                                 ("dhseqr", -6, ValueError), ("dgehrd", -5, ValueError)):
+        _with_symbols(monkeypatch, **{routine: lambda *args: info})
+        with pytest.raises(error, match=routine):
+            eigenvalues(a)
+    monkeypatch.undo()
+    sol = eigenvalues(a)
+    _with_symbols(monkeypatch, dormqr=lambda *args: -9)
+    with pytest.raises(ValueError, match="dormqr"):
+        sol.eigenvectors(a, [0])
 
 
-def test_dgees_refuses_blocks_lapack_cannot_read():
+def test_lapack_refuses_blocks_it_cannot_read():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])  # C order: its rows are contiguous
     for t, z in ((a, np.empty_like(a, order="F")), (a.T, np.empty_like(a))):
         with pytest.raises(ValueError, match="contiguous columns"):
-            eigensolver._dgees(t, z)
+            eigensolver._qr(t, z)
+    with pytest.raises(ValueError, match="contiguous columns"):
+        eigensolver._hessenberg(a, 0)
+    # the reflectors read the vectors' rows as LAPACK's columns
+    with pytest.raises(ValueError, match="contiguous rows"):
+        eigensolver._apply_q((), np.zeros((2, 2), dtype=np.complex128, order="F"), 2)
+
+
+# --- the factored Schur form: T, Z and the Hessenberg reflectors ----------------
+
+def _k(strength):
+    """K of scarf2 at L=10, N=129: two parity blocks at A=0, one otherwise."""
+    return assemble(build_grid(10.0, 129), PotentialSpec("scarf2", strength)).matrix
+
+
+@pytest.mark.parametrize("case", ["random", "box", "scarf2"])
+def test_reflectors_and_z_factor_the_matrix(case):
+    a = (np.random.default_rng(31).standard_normal((150, 150)) if case == "random"
+         else _k(0.0 if case == "box" else 30.0))
+    n = len(a)
+    sol = eigenvalues(a)
+    t, z = sol.schur
+    blocks = eigensolver._diagonal_blocks(a)
+    assert len(blocks) == (2 if case == "box" else 1)
+    assert [r.lo for r in sol.reflectors] == [lo for lo, _ in blocks]
+    assert not np.tril(t, -2).any()
+    # Q Z, from the reflectors applied to the columns of Z
+    qz = np.ascontiguousarray(z, dtype=np.complex128)
+    eigensolver._apply_q(sol.reflectors, qz, n)
+    assert not qz.imag.any()
+    qz = qz.real
+    assert np.linalg.norm(a - qz @ t @ qz.T) <= 1e-13 * np.linalg.norm(a)
+    assert np.linalg.norm(qz.T @ qz - np.eye(n)) <= 1e-13
+
+
+def test_without_lapacke_the_labels_are_the_same(monkeypatch):
+    config = ExperimentConfig(family="scarf2", strength=30.0,
+                              half_widths=(10.0,), n_intervals=255)
+    own, _ = run_single(config, 10.0)
+    _with_symbols(monkeypatch, dgehrd=None, dhseqr=None, dormqr=None)
+    fallback, _ = run_single(config, 10.0)
+    assert fallback.bound_pairs == own.bound_pairs > 0
+    assert ([(r.label, r.pair_index) for r in fallback.records]
+            == [(r.label, r.pair_index) for r in own.records])
+    z1 = np.array([r.value for r in own.records])
+    z2 = np.array([r.value for r in fallback.records])
+    assert np.max(np.abs(z1 - z2)) <= 1e-12 * np.max(np.abs(z1))
+
+
+def test_the_solve_keeps_no_n_by_n_hessenberg_factor():
+    if _LIB.dhseqr is None:
+        pytest.skip("numpy's library exports no LAPACKE_dhseqr")
+    n = 400
+    a = np.random.default_rng(32).standard_normal((n, n))
+    eigenvalues(a)  # a first call's imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        sol = eigenvalues(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # T, Z and the reflectors' panels (about n^2 / 2), where Q itself would
+    # take n^2 more; the slack is the panels' unused triangles and one
+    # LAPACK workspace, each under n * _PANEL entries
+    assert len(sol.reflectors) == 1
+    assert peak <= (2.5 * n * n + 2 * n * eigensolver._PANEL) * 8
 
 
 # --- LAPACK threads ----------------------------------------------------------
 
 _LIB = eigensolver._openblas()
 needs_openblas = pytest.mark.skipif(
-    _LIB.get_threads is None or _LIB.dgees is None,
-    reason="numpy's OpenBLAS exports no thread count or no LAPACKE_dgees")
+    _LIB.get_threads is None or _LIB.dhseqr is None,
+    reason="numpy's OpenBLAS exports no thread count or no LAPACKE_dhseqr")
 
 
 def _with_symbols(monkeypatch, **symbols):
@@ -441,7 +521,7 @@ def _with_symbols(monkeypatch, **symbols):
 def test_small_schur_runs_on_one_thread_and_restores_the_count(monkeypatch):
     get = _LIB.get_threads
     seen = []
-    _spy_on_dgees(monkeypatch, lambda m: seen.append(get()))
+    _spy_on_qr(monkeypatch, lambda m: seen.append(get()))
     a = np.random.default_rng(15).standard_normal((40, 40))
     counters = _schur_counters(a)
     assert seen == [1] and get() == 2
@@ -466,7 +546,7 @@ def test_concurrent_blocks_each_run_on_one_thread(monkeypatch):
         seen.append(get())
         both.wait()  # passes only while both blocks are in the solver at once
 
-    _spy_on_dgees(monkeypatch, meet)
+    _spy_on_qr(monkeypatch, meet)
     n = eigensolver._SERIAL_BELOW
     small = np.random.default_rng(24).standard_normal((40, 40))
     counters = _schur_counters(scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1),
@@ -481,19 +561,19 @@ def test_concurrent_blocks_each_run_on_one_thread(monkeypatch):
 def test_no_more_concurrent_blocks_than_threads(monkeypatch):
     lock = threading.Lock()
     running, most = [0], [0]
-    dgees = eigensolver._dgees
+    qr = eigensolver._qr
 
     def spy(t, z):
         with lock:
             running[0] += 1
             most[0] = max(most[0], running[0])
         try:
-            return dgees(t, z)
+            return qr(t, z)
         finally:
             with lock:
                 running[0] -= 1
 
-    monkeypatch.setattr(eigensolver, "_dgees", spy)
+    monkeypatch.setattr(eigensolver, "_qr", spy)
     # six blocks of order _SERIAL_BELOW or more in all, so they run concurrently
     size = -(-eigensolver._SERIAL_BELOW // 6)
     a = scipy.linalg.block_diag(
@@ -509,7 +589,7 @@ def test_small_blocks_run_one_after_another_on_one_thread(monkeypatch):
     # on the calling thread, each on one LAPACK thread
     get = _LIB.get_threads
     seen = []
-    _spy_on_dgees(monkeypatch,
+    _spy_on_qr(monkeypatch,
                   lambda m: seen.append((len(m), get(), threading.get_ident())))
     counters = _schur_counters(_three_blocks(np.random.default_rng(28)))
     me = threading.get_ident()
@@ -527,7 +607,7 @@ def test_thread_count_restored_when_one_concurrent_block_fails(monkeypatch):
         if m.shape[0] == 3:
             raise ConvergenceError("injected")
 
-    _spy_on_dgees(monkeypatch, fail_one)
+    _spy_on_qr(monkeypatch, fail_one)
     # of order _SERIAL_BELOW or more in all, so the blocks run concurrently
     n = eigensolver._SERIAL_BELOW
     a = scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1),
@@ -541,7 +621,7 @@ def test_thread_count_restored_when_one_concurrent_block_fails(monkeypatch):
 @pytest.mark.usefixtures("two_threads")
 def test_thread_count_restored_when_schur_fails(monkeypatch):
     # LAPACK reports no convergence, on one block and on several
-    _with_symbols(monkeypatch, dgees=lambda *args: 1)
+    _with_symbols(monkeypatch, dhseqr=lambda *args: 1)
     for a in (np.ones((8, 8)), np.eye(8)):
         with pytest.raises(ConvergenceError):
             eigenvalues(a)
@@ -556,15 +636,20 @@ def test_concurrent_box_blocks_match_each_block_alone():
     k = assemble(grid, PotentialSpec("scarf2", 0.0)).matrix
     blocks = eigensolver._diagonal_blocks(k)
     assert len(blocks) == 2
-    t, z = eigenvalues(k).schur
+    sol = eigenvalues(k)
+    t, z = sol.schur
     with eigensolver._one_thread() as threads:
         assert threads == 2 and _LIB.get_threads() == 1
-        for lo, hi in blocks:
+        for (lo, hi), reflectors in zip(blocks, sol.reflectors):
             tb = np.array(k[lo:hi, lo:hi], order="F")
             zb = np.empty_like(tb)
-            eigensolver._dgees(tb, zb)
+            alone = eigensolver._hessenberg(tb, lo)
+            eigensolver._qr(tb, zb)
             assert np.array_equal(t[lo:hi, lo:hi], tb)
             assert np.array_equal(z[lo:hi, lo:hi], zb)
+            assert alone.lo == reflectors.lo == lo
+            assert np.array_equal(alone.tau, reflectors.tau)
+            assert all(map(np.array_equal, alone.panels, reflectors.panels))
 
 
 def test_held_solves_run_on_one_thread_and_report_the_count_before(two_threads,
@@ -574,7 +659,7 @@ def test_held_solves_run_on_one_thread_and_report_the_count_before(two_threads,
     # own; the hold yields the count from before, each solve the one it ran on
     get = two_threads
     seen = []
-    _spy_on_dgees(monkeypatch,
+    _spy_on_qr(monkeypatch,
                   lambda m: seen.append((len(m), get(), threading.get_ident())))
     n = eigensolver._SERIAL_BELOW
     box = scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1), np.eye(n) + np.eye(n, k=1))
@@ -618,7 +703,7 @@ def test_a_library_that_cannot_be_read_exports_nothing():
             symbols = eigensolver._openblas()
         finally:
             eigensolver._openblas.cache_clear()  # looked up anew once restored
-    assert symbols == (None,) * 5
+    assert symbols == (None,) * 7
 
 
 @needs_openblas
@@ -666,11 +751,12 @@ def test_a_pool_of_two_or_more_stops_the_idle_workers_first(monkeypatch):
     # on one thread before any item starts, and once the count is restored
     assert calls == [1, 2] and sorted(seen) == [(1, 1), (2, 1), (3, 1)]
     assert _LIB.get_threads() == 2
-    # K's parity blocks from order _SERIAL_BELOW on are such a pool too
+    # K's parity blocks from order _SERIAL_BELOW on are such a pool too, once
+    # for their Hessenberg reductions and once for their QR iterations
     n = eigensolver._SERIAL_BELOW
     box = scipy.linalg.block_diag(np.eye(n) + np.eye(n, k=1), np.eye(n))
     _schur_counters(box)
-    assert calls == [1, 2, 1, 2] and _LIB.get_threads() == 2
+    assert calls == [1, 2, 1, 2, 1, 2] and _LIB.get_threads() == 2
 
 
 @needs_openblas

@@ -185,10 +185,13 @@ def test_run_experiment_produces_results(small_artifact):
         "hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
         "spectrum.tail_tests", "spectrum.transition", "harness.render"]
     assemble, schur, vectors, tails, _, rendered = spans
+    assert [c.name for c in schur.children] == [
+        "eigensolver.hessenberg", "eigensolver.qr"]
     assert [c.name for c in vectors.children] == [
-        "eigensolver.backsub", "eigensolver.zy", "eigensolver.residual"]
-    assert sum(c.seconds for c in vectors.children) <= vectors.seconds
-    assert not any(s.children for s in spans if s is not vectors)
+        "eigensolver.backsub", "eigensolver.zy", "eigensolver.q", "eigensolver.residual"]
+    for parent in (schur, vectors):
+        assert sum(c.seconds for c in parent.children) <= parent.seconds
+    assert not any(s.children for s in spans if s not in (schur, vectors))
     assert assemble.counters == {"d2_rows": 64}  # N=129: 128 interior nodes
     assert schur.counters["blocks"] == 1
     assert schur.counters["largest_block"] == 128
@@ -242,7 +245,7 @@ def test_persist_layout_and_schema(small_artifact, tmp_path):
     # N=129 is a small solve: one LAPACK thread where the count can be read
     lib = eigensolver._openblas()
     assert schur["counters"]["schur_threads"] == (
-        None if lib.dgees is None or lib.get_threads is None else 1)
+        None if lib.dhseqr is None or lib.get_threads is None else 1)
     # the rendered bytes are the bytes of the L's files
     rendered = timing["runs"]["L10"][-1]
     assert rendered["name"] == "harness.render"
@@ -263,8 +266,8 @@ def _fresh_interpreter(code, *args, env=()):
     return done.stdout
 
 
-@pytest.mark.skipif(eigensolver._openblas().dgees is None,
-                    reason="numpy's library exports no LAPACKE_dgees")
+@pytest.mark.skipif(eigensolver._openblas().dhseqr is None,
+                    reason="numpy's library exports no LAPACKE_dhseqr")
 def test_cli_run_imports_no_scipy_linalg(tmp_path):
     # scipy's LAPACK is a second library, slow to import, that no stage uses
     code = ("import sys\n"
@@ -526,9 +529,10 @@ def test_extended_sweep_runs_one_after_another(two_threads, monkeypatch):
 
 # --- tools -----------------------------------------------------------------
 
-STAGES = {"hamiltonian.assemble", "eigensolver.schur", "eigensolver.vectors",
-          "eigensolver.backsub", "eigensolver.zy", "eigensolver.residual",
-          "spectrum.tail_tests", "spectrum.transition", "harness.render"}
+STAGES = {"hamiltonian.assemble", "eigensolver.schur", "eigensolver.hessenberg",
+          "eigensolver.qr", "eigensolver.vectors", "eigensolver.backsub",
+          "eigensolver.zy", "eigensolver.residual", "spectrum.tail_tests",
+          "spectrum.transition", "harness.render"}
 
 
 @pytest.mark.parametrize("case", [
@@ -540,7 +544,10 @@ def test_stage_ladder_measures_a_case(case):
     ladder = Path(__file__).resolve().parent.parent / "tools" / "stage_ladder.py"
     record = runpy.run_path(str(ladder))["measure"](*case)
     assert set(record) == {"spans", "environment", "peak_rss_mb"}
-    assert set(record["spans"]) == STAGES
+    # double precision applies the Hessenberg reflectors to the vectors;
+    # the extended kernel keeps Z = Q Z whole
+    assert set(record["spans"]) == STAGES | ({"eigensolver.q"} if case[-1] == "double64"
+                                             else set())
     assert all(stage["seconds"] >= 0 for stage in record["spans"].values())
     schur = record["spans"]["eigensolver.schur"]
     assert (schur["qr_sweeps"] is None) == (case[-1] == "double64")
@@ -705,17 +712,17 @@ def test_sweep_renders_each_half_width_on_the_thread_that_solved_it(
     import ptspec.harness.runner as runner
     jobs = _spy_on_jobs(monkeypatch, two_threads)
     solved, rendered = [], []
-    dgees, render_files = eigensolver._dgees, runner.render
+    qr, render_files = eigensolver._qr, runner.render
 
-    def dgees_spy(t, z):
+    def qr_spy(t, z):
         solved.append(threading.get_ident())
-        return dgees(t, z)
+        return qr(t, z)
 
     def render_spy(result, output_format):
         rendered.append((result, threading.get_ident()))
         return render_files(result, output_format)
 
-    monkeypatch.setattr(eigensolver, "_dgees", dgees_spy)
+    monkeypatch.setattr(eigensolver, "_qr", qr_spy)
     monkeypatch.setattr(runner, "render", render_spy)
     artifact = run_experiment(_small_config(
         family="coulomb_regulated", strength=10.0, half_widths=(10.0, 100.0),
@@ -841,6 +848,24 @@ def test_cli_classify_reports_and_persists_a_failure(monkeypatch, tmp_path,
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["failures"] == {"10.0": "ValueError: injected"}
     assert summary["runs"] == {}
+
+
+def test_cli_classify_fails_a_matrix_whose_norm_overflows(tmp_path, capsys):
+    # at A=1e160 ||K||_F^2 overflows a double, so no residual relative to
+    # ||K||_F could be measured and no label defended: the L fails
+    run = ["classify", "--family", "step", "--L", "10", "--N", "33"]
+    assert main([*run, "--strength", "1e160", "--out", str(tmp_path / "over")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("L=10 failed: ValueError:")
+    summary = json.loads((Path(captured.out.strip()) / "summary.json").read_text())
+    assert list(summary["failures"]) == ["10.0"] and summary["runs"] == {}
+    # at A=1e150 it runs, every fetched vector with a measured residual, and
+    # without a warning (the suite makes warnings errors)
+    assert main([*run, "--strength", "1e150", "--out", str(tmp_path / "runs")]) == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    with open(run_dir / "L10" / "eigenvalues.csv", newline="") as handle:
+        rows = [row for row in csv.DictReader(handle) if row["label"] == "bound"]
+    assert rows and all(0 < float(row["residual"]) <= 1e-10 for row in rows)
 
 
 def test_cli_sweep_needs_target(capsys):
