@@ -9,7 +9,7 @@ sequence of the long-range family.
 from .chebdiff import Grid, build_grid
 from .eigensolver import ConvergenceError, EigenSolution, eigenvalues
 from .hamiltonian import OperatorMatrix, assemble
-from .potentials import FAMILIES, PotentialSpec, evaluate, evaluate_on_grid
+from .potentials import FAMILIES, PotentialSpec, odd_profile
 from .precision import DOUBLE, EXTENDED, ScalarPrecision, from_name
 from .spectrum import (
     BOUND,

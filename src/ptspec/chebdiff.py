@@ -32,10 +32,6 @@ class Grid:
         self.nodes.setflags(write=False)
 
     @property
-    def n_nodes(self) -> int:
-        return self.n_intervals + 1
-
-    @property
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
 
@@ -52,8 +48,8 @@ def build_grid(
     """
     L = float(half_width)
     n = int(n_intervals)
-    if not L > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not 0 < L < np.inf:  # False for nan too
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
     if n < 4:
         raise ValueError(f"n_intervals must be >= 4, got {n_intervals}")
     precision = precision or DOUBLE

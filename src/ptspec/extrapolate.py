@@ -18,6 +18,7 @@ printed "+k^5 a_k" variant of the order-5 formula is treated as a typo.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -135,7 +136,8 @@ def load_bound_sequence(path) -> List[complex]:
     """Read a two-column (Re, Im) text file into a complex sequence.
 
     Blank lines and '#' comments are skipped; rows keep file order, which
-    is expected to be the k-order described in estimate_balmer.
+    is expected to be the k-order described in estimate_balmer.  A row
+    that is not two finite numbers raises ``ValueError``.
     """
     out = []
     with open(path) as fh:
@@ -146,5 +148,8 @@ def load_bound_sequence(path) -> List[complex]:
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
                 raise ValueError(f"expected two columns, got {line!r}")
-            out.append(complex(float(parts[0]), float(parts[1])))
+            value = complex(float(parts[0]), float(parts[1]))
+            if not cmath.isfinite(value):
+                raise ValueError(f"non-finite value in row {line!r}")
+            out.append(value)
     return out

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebdiff import Grid, second_derivative_rows
-from .potentials import PotentialSpec, evaluate_on_grid
+from .potentials import PotentialSpec, odd_profile
 from .trace import span
 
 
@@ -94,8 +94,8 @@ def assemble(grid: Grid, spec: PotentialSpec) -> OperatorMatrix:
         top = second_derivative_rows(grid, range(1, me + 1))[:, 1:-1]
         np.negative(top, out=top)
         flip = top[:, ::-1]  # column l -> mirror column n-1-l
-        v = evaluate_on_grid(spec, grid)[1:m + 1]  # i A f(x_k) on the top half
-        w = np.array([z.imag for z in v], dtype=object) if v.dtype == object else v.imag
+        # W = A f(x_k) on the top-half nodes, in the arithmetic of the grid
+        w = spec.strength * odd_profile(spec.family, grid.nodes[1:m + 1])
         mat = np.zeros((n, n), dtype=top.dtype)
         even = top[:, :me] + flip[:, :me]
         if n % 2:

@@ -62,8 +62,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
 
 class _UsageError(ValueError):
     """An input the subcommand cannot use: a config the flags or
-    ``--config`` describe that cannot be built, or an ``extrapolate`` file
-    that cannot be read or fitted; ``main`` reports it as a usage error."""
+    ``--config`` describe that cannot be read or built, or an
+    ``extrapolate`` file that cannot be read or fitted; ``main`` reports it
+    as a usage error."""
 
 
 def _config_from_args(args, half_widths) -> ExperimentConfig:
@@ -120,7 +121,7 @@ def _cmd_sweep(args) -> int:
     if args.config is not None:
         try:
             config = parse_config(args.config)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise _UsageError(exc) from None
         if args.out is not None:
             config = dataclasses.replace(config, output_dir=str(args.out))

@@ -89,24 +89,35 @@ def parse_config(source: Union[str, Path]) -> ExperimentConfig:
     """Parse INI text (or a path to an INI file) into an ExperimentConfig.
 
     The [classification] section is optional and may be partial; omitted
-    keys keep their defaults.
+    keys keep their defaults.  Text that is not INI, or lacks a required
+    key, raises ``ValueError``; an unreadable path raises ``OSError``.
     """
     cp = configparser.ConfigParser()
-    if isinstance(source, Path):
-        with open(source) as fh:
-            cp.read_file(fh)
-    else:
-        cp.read_string(source)
-    if "experiment" not in cp:
+    try:
+        if isinstance(source, Path):
+            with open(source) as fh:
+                cp.read_file(fh)
+        else:
+            cp.read_string(source)
+        # values are interpolated when read, and a bad '%' raises then
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as exc:  # a message of several lines
+        message = " ".join(str(exc).splitlines())
+        raise ValueError(f"config is not valid INI: {message}") from None
+    if "experiment" not in sections:
         raise ValueError("config is missing the [experiment] section")
-    exp = cp["experiment"]
+    exp = sections["experiment"]
+    missing = [key for key in ("family", "strength", "half_widths", "n_intervals")
+               if key not in exp]
+    if missing:
+        raise ValueError(f"config [experiment] is missing {', '.join(missing)}")
     widths = tuple(
         float(tok) for tok in exp["half_widths"].replace(",", " ").split()
     )
     policy_kwargs = {}
-    if "classification" in cp:
+    if "classification" in sections:
         names = {f.name for f in dataclasses.fields(ClassificationPolicy)}
-        for key, raw in cp["classification"].items():
+        for key, raw in sections["classification"].items():
             if key not in names:
                 raise ValueError(f"unknown classification key {key!r}")
             policy_kwargs[key] = float(raw)

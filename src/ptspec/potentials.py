@@ -5,19 +5,16 @@ V(-x) = -V(x) and Re V = 0: the parity/conjugation symmetry that makes the
 Hamiltonian p^2 + V PT-symmetric, and that symmetry is what lets
 ``hamiltonian.assemble`` solve a real matrix.  All families vanish as
 |x| -> infinity, at rates ranging from exponential (scarf2) down to 1/|x|
-(coulomb_regulated).  mpmath, which an ``mpf`` argument needs, is
-imported by the extended branches only.
+(coulomb_regulated).  ``odd_profile`` evaluates f on an array of nodes;
+mpmath, which an ``mpf`` array needs, is imported by the scarf2 branch
+only when it gets one.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from .chebdiff import Grid
 
 FAMILIES = (
     "scarf2",
@@ -46,23 +43,23 @@ class PotentialSpec:
             raise ValueError(f"unknown potential family {self.family!r}")
 
 
-def _is_mp(x) -> bool:
-    """Whether ``x`` is an mpmath number; there is none before mpmath is
-    imported, so a double argument does not import it."""
-    mpmath = sys.modules.get("mpmath")
-    return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
+def odd_profile(family: str, x: np.ndarray) -> np.ndarray:
+    """The real odd factor f of V = i * A * f, elementwise over ``x``.
 
-
-def _odd_profile(family: str, x):
-    """The real odd factor f(x) such that V = i * A * f(x)."""
+    ``x`` is a float64 array, evaluated with numpy ufuncs, or an object
+    array of ``mpf``, evaluated at the current mpmath working precision;
+    the result has the shape of ``x`` and, for an object array, ``mpf``
+    entries.
+    """
     if family == "scarf2":
-        if _is_mp(x):
+        if x.dtype == object:
             import mpmath
 
-            return mpmath.tanh(x) / mpmath.cosh(x)
-        if abs(x) > _SECH_CUTOFF:
-            return 0.0
-        return math.tanh(x) / math.cosh(x)
+            return np.frompyfunc(lambda t: mpmath.tanh(t) / mpmath.cosh(t), 1, 1)(x)
+        # past the cutoff f is 0, and cosh would overflow
+        inside = abs(x) <= _SECH_CUTOFF
+        t = np.where(inside, x, 0.0)
+        return np.where(inside, np.tanh(t) / np.cosh(t), 0.0)
     if family == "rational4":
         return x / (1 + x ** 4)
     if family == "rational3":
@@ -70,37 +67,8 @@ def _odd_profile(family: str, x):
     if family == "step":
         # sgn(0) = 0 keeps f odd at the centre node of an even N;
         # the support's edge |x| = 2.5 counts as inside, for determinism.
-        sgn = (x > 0) - (x < 0)
-        return sgn if abs(x) <= STEP_HALF_WIDTH else 0 * x
+        # 0 * x carries the arithmetic of x: mpf entries on an mpf grid.
+        return 0 * x + np.sign(x) * (abs(x) <= STEP_HALF_WIDTH)
     if family == "coulomb_regulated":
         return x / (1 + x ** 2)
     raise ValueError(f"no closed form for family {family!r}")
-
-
-def evaluate(spec: PotentialSpec, x):
-    """Evaluate V(x) at a single point.
-
-    Accepts float or mpmath.mpf arguments; the return type (complex or
-    mpc) follows the argument so extended-precision assemblies stay in
-    extended precision throughout.
-    """
-    extended = _is_mp(x)
-    if not extended:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"potential argument must be finite, got {x}")
-    f = _odd_profile(spec.family, x)
-    if extended:
-        import mpmath
-
-        return mpmath.mpc(0, 1) * spec.strength * f
-    return 1j * spec.strength * f
-
-
-def evaluate_on_grid(spec: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Pointwise potential samples at all N + 1 nodes, in node order."""
-    if grid.nodes.dtype == object:
-        out = np.empty(grid.n_nodes, dtype=object)
-        out[:] = [evaluate(spec, x) for x in grid.nodes]
-        return out
-    return np.array([evaluate(spec, x) for x in grid.nodes], dtype=np.complex128)

@@ -7,7 +7,7 @@ from ptspec.precision import EXTENDED, to_complex128, working_precision
 
 def test_nodes_descending_with_endpoints():
     grid = build_grid(10.0, 16)
-    assert grid.n_nodes == 17
+    assert grid.nodes.shape == (17,)
     assert grid.nodes[0] == pytest.approx(10.0)
     assert grid.nodes[-1] == pytest.approx(-10.0)
     assert np.all(np.diff(grid.nodes) < 0)
@@ -25,7 +25,7 @@ def test_interior_nodes_drop_endpoints():
 
 
 def _d2(grid):
-    return second_derivative_rows(grid, range(grid.n_nodes))
+    return second_derivative_rows(grid, range(grid.n_intervals + 1))
 
 
 def test_two_interval_corner_entry():
@@ -69,7 +69,7 @@ def test_second_derivative_accuracy():
 def test_constant_annihilated():
     grid = build_grid(7.0, 20)
     d2 = _d2(grid)
-    assert np.max(np.abs(d2 @ np.ones(grid.n_nodes))) < 1e-10
+    assert np.max(np.abs(d2 @ np.ones(grid.nodes.size))) < 1e-10
     assert np.max(np.abs(d2 @ grid.nodes)) < 1e-10
 
 
@@ -79,7 +79,7 @@ def test_half_width_scaling():
     assert np.allclose(scaled, base / 16.0)
 
 
-@pytest.mark.parametrize("half_width", [0.0, -3.0])
+@pytest.mark.parametrize("half_width", [0.0, -3.0, np.inf, np.nan])
 def test_rejects_nonpositive_half_width(half_width):
     with pytest.raises(ValueError):
         build_grid(half_width, 16)

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from ptspec.chebdiff import build_grid, second_derivative_rows
 from ptspec.eigensolver import eigenvalues
 from ptspec.hamiltonian import assemble
-from ptspec.potentials import FAMILIES, PotentialSpec, evaluate_on_grid
+from ptspec.potentials import FAMILIES, PotentialSpec, odd_profile
 from ptspec.precision import DOUBLE, EXTENDED, working_precision
 
 
@@ -40,7 +40,8 @@ def _interior_d2(grid):
 
 def _complex_h(op):
     """The complex collocation matrix H that K is similar to, built directly."""
-    v = evaluate_on_grid(op.spec, op.grid)[1:-1]
+    v = 1j * op.spec.strength * odd_profile(op.spec.family,
+                                            op.grid.interior_nodes)
     return -_interior_d2(op.grid) + np.diag(v)
 
 
@@ -57,7 +58,7 @@ def test_pt_form_block_structure():
     assert not np.any(k_mat[me:, :m] - np.diag(w))
     assert not np.any(k_mat[:m, me:] - np.diag(-w))
     assert not np.any(k_mat[m, me:])
-    assert np.array_equal(w, evaluate_on_grid(op.spec, op.grid)[1:m + 1].imag)
+    assert np.array_equal(w, 30.0 * odd_profile("scarf2", op.grid.nodes[1:m + 1]))
     # grid samples near (but not exactly at) the potential's peak of 15
     assert 14.0 < np.max(np.abs(w)) <= 15.0
     # De = T + R J, Do = T - R J from the top rows of -d2, centre scaled

@@ -892,15 +892,24 @@ def test_cli_sweep_needs_target(capsys):
       for threshold in ("nan", "-1", "0", "inf")),
     ["sweep", "--config", "{band_ini}"],
     ["sweep", "--config", "{nan_threshold_ini}"],
+    ["sweep", "--config", "{missing_ini}"],
+    ["sweep", "--config", "{headless_ini}"],
+    ["sweep", "--config", "{repeated_key_ini}"],
+    ["sweep", "--config", "{no_family_ini}"],
+    ["sweep", "--config", "{percent_ini}"],
 ])
 def test_cli_bad_config_is_a_usage_error(argv, tmp_path, capsys):
-    inis = {}
+    inis = {"missing_ini": tmp_path / "absent.ini"}
     for name, old, new in (
             ("bad_ini", "[classification]", "[classification]\nbogus = 1.0"),
             ("nan_ini", "strength = 3.0", "strength = nan"),
             ("band_ini", "tail_band_fraction = 0.05", "tail_band_fraction = 1.5"),
             ("nan_threshold_ini", "bound_tail_threshold = 1e-06",
-             "bound_tail_threshold = nan")):
+             "bound_tail_threshold = nan"),
+            ("headless_ini", "[experiment]\n", ""),
+            ("repeated_key_ini", "strength = 3.0", "strength = 3.0\nstrength = 4.0"),
+            ("no_family_ini", "family = step\n", ""),
+            ("percent_ini", "output_format = csv", "output_format = csv%x")):
         text = serialize_config(_small_config(output_dir=str(tmp_path / "runs")))
         assert old in text
         inis[name] = tmp_path / f"{name}.ini"
@@ -985,6 +994,7 @@ def test_cli_extrapolate(tmp_path, capsys):
     ("1 2\n3 four\n5 6\n", "could not convert"),
     ("1 2\n3 4\n", "at least 3 bound states"),  # InsufficientDataError
     (None, "No such file"),
+    ("1 2\nnan nan\n5 6\n7 8\n", "non-finite"),
 ])
 def test_cli_extrapolate_bad_input_is_a_usage_error(text, message, tmp_path,
                                                     capsys):

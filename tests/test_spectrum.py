@@ -9,6 +9,7 @@ from ptspec.harness.config import ExperimentConfig
 from ptspec.harness.runner import run_single
 from ptspec.potentials import PotentialSpec
 from ptspec.precision import DOUBLE, to_complex128
+from ptspec.refdata import SCARF2_CONTINUUM_L10
 from ptspec.spectrum import (
     BOUND,
     CONTINUUM_COMPLEX,
@@ -117,6 +118,16 @@ def test_step_transition_location(step_result):
     location, drop = step_result.transition_point, step_result.transition_drop
     assert location == pytest.approx(10.2, abs=1.0)
     assert drop >= 6.0
+
+
+def test_scarf2_continuum_reference_l10():
+    # a continuum level near the bound states, whose eigenfunction drops
+    # abruptly at an endpoint: it must not be taken for one
+    result = _classified("scarf2", 30.0, 10.0, 255)
+    nearest = min(result.records,
+                  key=lambda r: abs(r.value - SCARF2_CONTINUUM_L10))
+    assert abs(nearest.value - SCARF2_CONTINUUM_L10) <= 1e-8
+    assert nearest.label == CONTINUUM_COMPLEX
 
 
 def test_zero_strength_all_real():
