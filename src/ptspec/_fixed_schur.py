@@ -1,39 +1,44 @@
-"""The real Schur form and its eigenvectors in fixed-point integer
+"""The real Schur form and selected eigenvectors in fixed-point integer
 arithmetic: the extended mode's kernel.
 
 ``real_schur`` takes the real Schur form of a real matrix on an array of
-ints: reduction to Hessenberg form by Givens rotations, then the Francis
-double-shift QR (J. G. F. Francis, Comput. J. 4, 1961-62; Golub & Van
-Loan, Matrix Computations, 7.5) as LAPACK ``dlahqr`` runs it, with its
-Ahues-Kressner deflation test and exceptional shifts, each bulge step one
-3 x 3 reflector; every converged 2 x 2 block is standardized as ``dlanv2``
-does.  mpmath applies a rotation to two rows as ~4n separate ``mpf``
-products, each a Python-level call; here every entry is a fixed-point
-integer, so a rotation or reflector is one small integer matrix product
-over whole object arrays of Python ints, looped in C.
+ints without forming its orthogonal factor, LAPACK's eigenvalues-first
+route (Golub & Van Loan, Matrix Computations, 7.6.1): reduction to
+Hessenberg form H = Q^T A Q by Householder reflectors as ``dgehrd`` takes
+it, the reflectors recorded in place of Q, then the Francis double-shift
+QR (J. G. F. Francis, Comput. J. 4, 1961-62; Golub & Van Loan, 7.5) on H
+alone as LAPACK ``dlahqr`` runs it, with its Ahues-Kressner deflation
+test and exceptional shifts, each bulge step one 3 x 3 reflector; every
+converged 2 x 2 block is standardized as ``dlanv2`` does.  mpmath applies
+a rotation to two rows as ~4n separate ``mpf`` products, each a
+Python-level call; here every entry is a fixed-point integer, so a
+reflector is one small integer matrix product over whole object arrays of
+Python ints, looped in C.
 
 Entries are held at one common scale 2**f with f = bits + GUARD_BITS -
 ceil(log2 max|a_ij|): the largest entry has bits + GUARD_BITS significant
-bits, and every entry is off by at most half a unit of 2**-f.  Rotation
-and reflector coefficients and the orthogonal factor, whose entries are
-at most 1, are held at scale 2**g with g = bits + GUARD_BITS.  Every
-product is rounded back to its scale to the nearest unit, so the normwise
-backward error of the decomposition is a few units of
-2**-(bits + GUARD_BITS) * max|a_ij| per transformation -- far below a
+bits, and every entry is off by at most half a unit of 2**-f.  Reflector
+and rotation coefficients, whose entries are at most 1 (at most sqrt 2
+for a Householder vector), are held at scale 2**g with g = bits +
+GUARD_BITS.  Every product is rounded back to its scale to the nearest
+unit, so the normwise backward error of the decomposition is a few units
+of 2**-(bits + GUARD_BITS) * max|a_ij| per transformation -- far below a
 ``bits``-bit float's -- and the deflation test's threshold, relative
 2**(1 - bits), stays well above that rounding level.
 
-``eigenvectors`` takes the factors back: the back substitution of LAPACK
-``dtrevc3`` on T, V = Z Y and each residual ||A v - lambda v|| run on
-ints converted exactly from the ``mpf`` factors, each complex column as
-two int planes, where the ``mpf`` entries multiplied into ``mpc`` columns
-took one Python call per operation.
+``eigenvectors`` takes the vectors asked for from the Hessenberg H kept
+before the QR, by the inverse iteration of LAPACK ``dlaein`` (one pivoted
+LU of H - lambda I per vector, a floored last pivot, one solve, and
+another start vector only for a column whose solve shows too little
+growth), maps them back through the recorded reflectors (``dormhr``), and
+measures each residual ||A v - lambda v|| exactly; each complex column is
+held as two int planes.
 """
 
 from __future__ import annotations
 
 from math import isqrt, ldexp
-from typing import Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -54,31 +59,73 @@ GUARD_BITS = 96
 SWEEPS_PER_DIGIT = 4
 
 
-def real_schur(a: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Real Schur form A = Z T Z^T of a square matrix of real numbers.
+class Hessenberg(NamedTuple):
+    """What the eigenvectors of one diagonal block are taken from: its
+    Hessenberg form H = Q^T A Q before the QR, and Q as reflectors.
+
+    ``h`` holds H * 2**f as ints, ``f`` its scale, and ``lo`` the block's
+    first row and column in the whole matrix.  ``reflectors`` are the
+    Householder vectors u at scale 2**g (g = bits + GUARD_BITS), in the
+    order of the reduction: each P = I - u u^T / 2**(2 g), with ||u|| =
+    sqrt 2 * 2**g, acts on the last len(u) rows and columns, and Q is
+    their product in that order.  A column with nothing below its
+    subdiagonal has none.  They hold about n^2 / 2 ints where Q would take
+    n^2.
+    """
+
+    lo: int
+    h: np.ndarray
+    f: int
+    reflectors: Tuple[np.ndarray, ...]
+
+
+def real_schur(a: np.ndarray, bits: int) -> Tuple[np.ndarray, int, Hessenberg]:
+    """Real Schur form A = Z T Z^T of a square matrix of real numbers, Z not formed.
 
     ``a`` holds anything ``mpmath.mpmathify`` accepts, with every imaginary
-    part 0 (ValueError otherwise).  Returns T, quasi-triangular, and the
-    orthogonal Z as object arrays of ``mpf`` rounded to ``bits`` bits, and
-    the number of QR sweeps taken.  T is exactly 0 below its subdiagonal,
-    and each nonzero subdiagonal entry belongs to a standardized 2 x 2
-    block [[a, b], [c, a]] with b c < 0, whose eigenvalues are the
-    conjugate pair a +- i sqrt|b| sqrt|c|.  Raises ConvergenceError when
-    the active block goes more than ``SWEEPS_PER_DIGIT`` sweeps per decimal
-    digit of ``bits`` without an eigenvalue or a pair converging.  The
-    two steps are the ``trace`` spans ``eigensolver.hessenberg`` and
-    ``eigensolver.qr``.
+    part 0 (ValueError otherwise).  Returns T * 2**f as ints, the number of
+    QR sweeps taken, and the ``Hessenberg`` factor (``lo`` 0) at the same
+    scale f.  T is exactly 0 below its subdiagonal, and each nonzero
+    subdiagonal entry belongs to a standardized 2 x 2 block [[a, b], [c, a]]
+    with b c < 0, whose eigenvalues are the conjugate pair
+    a +- i sqrt|b| sqrt|c| (``schur_eigenvalues``).  Z = Q Z', Q of the
+    reflectors and Z' of the QR's transformations, is never formed.
+    Raises ConvergenceError when the active block goes more than
+    ``SWEEPS_PER_DIGIT`` sweeps per decimal digit of ``bits`` without an
+    eigenvalue or a pair converging.  The two steps are the ``trace``
+    spans ``eigensolver.hessenberg`` and ``eigensolver.qr``.
     """
-    n = a.shape[0]
     g = bits + GUARD_BITS
     h, f = _to_fixed(a, g)
-    z = np.zeros((n, n), dtype=object)
-    np.fill_diagonal(z, 1 << g)
     with span("eigensolver.hessenberg"):
-        _hessenberg(h, z, g)
+        reflectors = _hessenberg(h, g)
+        kept = Hessenberg(0, h.copy(), f, reflectors)
     with span("eigensolver.qr"):
-        sweeps = _francis_qr(h, z, g, bits)
-    return _to_mpf(h, f, bits), _to_mpf(z, g, bits), sweeps
+        sweeps = _francis_qr(h, g, bits)
+    return h, sweeps, kept
+
+
+def schur_eigenvalues(t: np.ndarray, f: int, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and conjugate partners of the real Schur form T * 2**f
+    that ``real_schur`` returns, as ``mpc`` at mpmath's working precision.
+
+    T's entries are rounded to ``bits`` bits once; each pair sits in a
+    standardized block [[a, b], [c, a]] with b c < 0, whose eigenvalues
+    a +- i sqrt|b| sqrt|c| are bitwise conjugate, the one with positive
+    imaginary part first, and partners of each other (-1 for a real one).
+    """
+    n = len(t)
+    k = np.flatnonzero(np.diagonal(t, -1))
+    imag = np.zeros(n, dtype=object)
+    if len(k):
+        root = np.frompyfunc(mpmath.sqrt, 1, 1)
+        omega = (root(np.abs(_to_mpf(t[k, k + 1], f, bits)))
+                 * root(np.abs(_to_mpf(t[k + 1, k], f, bits))))
+        imag[k], imag[k + 1] = omega, -omega
+    values = np.frompyfunc(mpmath.mpc, 2, 1)(_to_mpf(np.diagonal(t), f, bits), imag)
+    partners = np.full(n, -1)
+    partners[k], partners[k + 1] = k + 1, k
+    return values, partners
 
 
 def _to_fixed(a: np.ndarray, g: int, exact: bool = False) -> Tuple[np.ndarray, int]:
@@ -165,32 +212,63 @@ def _rotation(c: int, s: int) -> np.ndarray:
 def _reflector(x, g: int) -> Tuple[np.ndarray, int]:
     """(P, beta): the symmetric orthogonal P at scale 2**g with P x = beta e_1.
 
-    P = I - 2 v v^T / (v^T v), v = x - beta e_1, beta = -sign(x_0) ||x||
-    (LAPACK ``dlarfg``); beta is at the scale of the ints ``x``.  P = I when
-    x has no entry below its first.
+    ``x`` has 2 or 3 entries.  P = I - v v^T / d from ``_reflection``;
+    P = I when x has no entry below its first.  The entries of v v^T are
+    divided by d through one reciprocal, 16 bits wider than P needs.
     """
-    k = len(x)
-    p = np.zeros((k, k), dtype=object)
-    np.fill_diagonal(p, 1 << g)
     if not any(x[1:]):
+        p = np.zeros((len(x), len(x)), dtype=object)
+        np.fill_diagonal(p, 1 << g)
         return p, x[0]
-    up = max(g + 8 - max(abs(v) for v in x).bit_length(), 0)
-    v = [int(e) << up for e in x]
-    r = isqrt(sum(e * e for e in v))
+    v, d, beta = _reflection(x, g)
+    s = d.bit_length() + 16
+    reciprocal, half, one = (1 << (s + g)) // d, 1 << (s - 1), 1 << g
+    a, b = v[0], v[1]
+    wa, wb = a * reciprocal, b * reciprocal
+    ab = -((a * wb + half) >> s)
+    if len(v) == 2:
+        p = [[one - ((a * wa + half) >> s), ab], [ab, one - ((b * wb + half) >> s)]]
+    else:
+        c = v[2]
+        wc = c * reciprocal
+        ac, bc = -((a * wc + half) >> s), -((b * wc + half) >> s)
+        p = [[one - ((a * wa + half) >> s), ab, ac],
+             [ab, one - ((b * wb + half) >> s), bc],
+             [ac, bc, one - ((c * wc + half) >> s)]]
+    return np.array(p, dtype=object), beta
+
+
+def _householder(x: List[int], g: int) -> Tuple[np.ndarray, int]:
+    """(u, beta): P = I - u u^T / 2**(2 g) with P x = beta e_1, for ``x``
+    with an entry below its first; u = v / sqrt(d) at scale 2**g, v and d
+    from ``_reflection``, so ||u|| = sqrt(2) * 2**g."""
+    v, d, beta = _reflection(x, g)
+    root = isqrt(d)
+    u = np.empty(len(v), dtype=object)
+    u[:] = [_divide(e << g, root) for e in v]
+    return u, beta
+
+
+def _reflection(x: List[int], g: int) -> Tuple[List[int], int, int]:
+    """(v, d, beta) of the Householder reflection I - v v^T / d that takes
+    ``x`` to beta e_1 (LAPACK ``dlarfg``): beta = -sign(x_0) ||x|| at the
+    scale of the ints ``x``, v = x - beta e_1 and d = v^T v / 2, both with
+    x first shifted up to at least g + 8 bits, so that ``isqrt`` keeps
+    what is built from them to 2**-g relative.  ``x`` has an entry below
+    its first."""
+    up = max(g + 8 - max(map(abs, x)).bit_length(), 0)
+    v = [e << up for e in x]
+    r = isqrt(sum([e * e for e in v]))
     sign = 1 if v[0] >= 0 else -1
-    d = r * (r + abs(v[0]))  # v^T v / 2 after the update below
+    d = r * (r + abs(v[0]))
     v[0] += sign * r
-    for i in range(k):
-        for j in range(i, k):
-            p[i, j] -= _divide(v[i] * v[j] << g, d)
-            p[j, i] = p[i, j]
-    return p, -sign * _shift(r, -up)
+    return v, d, -sign * _shift(r, -up)
 
 
-def _transform(h: np.ndarray, z: np.ndarray, q: np.ndarray, p: int, start: int,
-               stop: int, g: int) -> None:
-    """h <- Q h Q^T and z <- z Q^T, Q (at scale 2**g) acting on rows and
-    columns p..p + len(Q) - 1.
+def _transform(h: np.ndarray, q: np.ndarray, p: int, start: int, stop: int,
+               g: int) -> None:
+    """h <- Q h Q^T, Q (at scale 2**g) acting on rows and columns
+    p..p + len(Q) - 1.
 
     Row entries left of column ``start`` and column entries from row
     ``stop`` down are zero in h and are skipped.
@@ -198,21 +276,37 @@ def _transform(h: np.ndarray, z: np.ndarray, q: np.ndarray, p: int, start: int,
     k = len(q)
     h[p:p + k, start:] = _rounded_product(q, h[p:p + k, start:], g)
     h[:stop, p:p + k] = _rounded_product(h[:stop, p:p + k], q.T, g)
-    z[:, p:p + k] = _rounded_product(z[:, p:p + k], q.T, g)
 
 
-def _hessenberg(h: np.ndarray, z: np.ndarray, g: int) -> None:
-    """Reduce ``h`` to upper Hessenberg form by Givens rotations, bottom up."""
+def _hessenberg(h: np.ndarray, g: int) -> Tuple[np.ndarray, ...]:
+    """Reduce ``h`` to upper Hessenberg form in place, column by column,
+    by Householder reflectors (``dgehrd``); returns their vectors u as
+    ``Hessenberg.reflectors`` holds them.
+
+    Its products are rounded down.  The rounding moves H by units, and
+    with it the QR's sweep count on clustered eigenvalues: on scarf2 K
+    (A = 30, L = 10) at n = 120, 140, ..., 220 the QR that follows ran
+    out of sweeps at n = 160, 180, 200 and 220 after a reduction rounded
+    to the nearest unit, and only at 220 after this one.
+    """
     n = h.shape[0]
+    reflectors = []
     for j in range(n - 2):
-        for i in range(n - 1, j + 1, -1):
-            if h[i, j]:
-                c, s, r = _givens(h[i - 1, j], h[i, j], g)
-                h[i - 1, j], h[i, j] = r, 0
-                _transform(h, z, _rotation(c, s), i - 1, j + 1, n, g)
+        x = h[j + 1:, j].tolist()
+        if not any(x[1:]):
+            continue
+        u, h[j + 1, j] = _householder(x, g)
+        h[j + 2:, j] = 0
+        # P h P on the rows and columns from j + 1 on, as rank-one updates
+        rows = h[j + 1:, j + 1:]
+        rows -= np.multiply.outer(u, (u @ rows) >> g) >> g
+        cols = h[:, j + 1:]
+        cols -= np.multiply.outer((cols @ u) >> g, u) >> g
+        reflectors.append(u)
+    return tuple(reflectors)
 
 
-def _francis_qr(h: np.ndarray, z: np.ndarray, g: int, bits: int) -> int:
+def _francis_qr(h: np.ndarray, g: int, bits: int) -> int:
     """Real Schur form of Hessenberg ``h`` in place; returns the sweep count.
 
     LAPACK ``dlahqr`` with ULP = 2**(1 - bits) and, as its small-number
@@ -221,7 +315,9 @@ def _francis_qr(h: np.ndarray, z: np.ndarray, g: int, bits: int) -> int:
     or a pair converges at the bottom of the active block, also drives the
     exceptional shifts (every 10th sweep) and the sweep limit.  The
     deflation test is the Ahues-Kressner criterion of ``dlahqr``; the
-    integer tests below are its inequalities multiplied out, exact.
+    integer tests below are its inequalities multiplied out, exact.  Each
+    transformation updates the whole of h, as ``dlahqr`` with WANTT does,
+    and no Z.
     """
     n = h.shape[0]
     maxits = SWEEPS_PER_DIGIT * libmp.prec_to_dps(bits)
@@ -238,11 +334,10 @@ def _francis_qr(h: np.ndarray, z: np.ndarray, g: int, bits: int) -> int:
             its += 1
             if its > maxits:
                 raise ConvergenceError(f"QR failed to converge after {its} sweeps")
-            _double_shift_sweep(h, z, l, i, _shift_polynomial(h, l, i, its),
-                                g, bits)
+            _double_shift_sweep(h, l, i, _shift_polynomial(h, l, i, its), g, bits)
             sweeps += 1
         if l == i - 1:
-            _standardize(h, z, l, g)
+            _standardize(h, l, g)
         i = l - 1
     return sweeps
 
@@ -288,8 +383,8 @@ def _shift_polynomial(h: np.ndarray, l: int, i: int, its: int) -> Tuple[int, int
     return h11 + h22, h11 * h22 - h12 * h21
 
 
-def _double_shift_sweep(h: np.ndarray, z: np.ndarray, l: int, i: int,
-                        shifts: Tuple[int, int], g: int, bits: int) -> None:
+def _double_shift_sweep(h: np.ndarray, l: int, i: int, shifts: Tuple[int, int],
+                        g: int, bits: int) -> None:
     """One Francis double-shift sweep on the active block l..i (``dlahqr``).
 
     It starts at the lowest row m whose subdiagonal entry the first
@@ -318,17 +413,17 @@ def _double_shift_sweep(h: np.ndarray, z: np.ndarray, l: int, i: int,
             h[k, k - 1] = beta
         elif m > l:
             h[k, k - 1] = _shift(h[k, k - 1] * q[0, 0], -g)
-        _transform(h, z, q, k, k, min(k + 4, i + 1), g)
+        _transform(h, q, k, k, min(k + 4, i + 1), g)
 
 
-def _standardize(h: np.ndarray, z: np.ndarray, p: int, g: int) -> None:
+def _standardize(h: np.ndarray, p: int, g: int) -> None:
     """Bring the converged 2 x 2 block at rows p, p + 1 to ``dlanv2``'s form.
 
     Real eigenvalues: triangular, the eigenvector of the one farther from
     the other diagonal entry rotated onto the first axis.  Complex ones:
     [[a, b], [c, a]] with b c < 0, by the rotation that equalizes the
-    diagonal.  Each rotation also acts on the rest of h and on z; the entry
-    it makes 0 or equal up to rounding is then set exactly.  At most two
+    diagonal.  Each rotation also acts on the rest of h; the entry it
+    makes 0 or equal up to rounding is then set exactly.  At most two
     rotations: one that equalizes the diagonal of a block whose eigenvalues
     turn out real is followed by a triangularizing one.
     """
@@ -343,7 +438,7 @@ def _standardize(h: np.ndarray, z: np.ndarray, p: int, g: int) -> None:
             root = isqrt(disc4 << 2 * g)
             twice_x = ((a - d) << g) + (root if a >= d else -root)
             cs, sn, _ = _givens(twice_x, (2 * c) << g, g)
-            _transform(h, z, _rotation(cs, sn), p, p, p + 2, g)
+            _transform(h, _rotation(cs, sn), p, p, p + 2, g)
             h[p + 1, p] = 0
         else:
             # cs = sqrt((1 + |sigma| / tau) / 2), sn = -sign(sigma) temp / (2 tau cs)
@@ -351,47 +446,54 @@ def _standardize(h: np.ndarray, z: np.ndarray, p: int, g: int) -> None:
             tau = isqrt(sigma * sigma + temp * temp)
             cs = isqrt(((tau + abs(sigma)) << 2 * g) // (2 * tau))
             sn = _divide(temp << 2 * g, 2 * tau * cs)
-            _transform(h, z, _rotation(cs, -sn if sigma >= 0 else sn), p, p,
-                       p + 2, g)
+            _transform(h, _rotation(cs, -sn if sigma >= 0 else sn), p, p, p + 2, g)
             h[p, p] = h[p + 1, p + 1] = _shift(h[p, p] + h[p + 1, p + 1], -1)
 
 
-def eigenvectors(t: np.ndarray, z: np.ndarray, a: np.ndarray, ks: np.ndarray,
+def eigenvectors(factors: Sequence[Hessenberg], a: np.ndarray, ks: np.ndarray,
                  lam: Sequence, bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Right eigenvectors of A = Z T Z^T for the eigenvalues at ``ks``, and
-    their residuals.
+    """Right eigenvectors of A for the eigenvalues at ``ks``, and their residuals.
 
-    T and Z are the factors ``real_schur`` returns for A, ``ks`` ascending
-    positions on T's diagonal and ``lam`` their eigenvalues, as
-    ``eigensolver`` reads them off T.  Returns an n x len(ks) object array
-    of ``mpc`` rounded to ``bits`` bits, whose column c is the eigenvector
-    of ``lam[c]`` scaled so that its largest entry (the first of largest
-    modulus) is exactly 1, and each column's ||A v - lam v|| as float64.
+    ``factors`` are the ``Hessenberg`` factors of A's diagonal blocks, in
+    order, ``ks`` ascending positions of the eigenvalues, each within the
+    rows of its block, and ``lam`` those eigenvalues.  Returns an
+    n x len(ks) object array of ``mpc`` rounded to ``bits`` bits, whose
+    column c is the eigenvector of ``lam[c]`` scaled so that its largest
+    entry (the first of largest modulus) is exactly 1, and each column's
+    ||A v - lam v|| as float64.
 
-    T with ``lam``, Z, and A with ``lam`` are converted exactly to fixed
-    point (``_to_fixed``), each with at least g = bits + GUARD_BITS bits on
-    its largest entry; each complex column is held as two int planes.
-    ``_back_substitute`` solves T y = lam y, V = Z Y, and V is divided by
-    its largest entry at scale 2**g before the rounding to ``bits``.  The
-    residual is exact for the returned vectors and ``lam``, and only its
-    norm is rounded.  Each column is computed on its own, so a vector does
-    not depend on which other columns share the call.  The stages are the
-    ``trace`` spans ``eigensolver.backsub``, ``eigensolver.zy`` and
+    Each column is solved on its block's H (``_inverse_iteration``), mapped
+    back through the block's reflectors and divided by its largest entry at
+    scale 2**g, g = bits + GUARD_BITS, before the rounding to ``bits``; it
+    is 0 outside its block.  A with ``lam`` is converted exactly to fixed
+    point (``_to_fixed``), so the residual is exact for the returned
+    vectors and ``lam``, and only its norm is rounded.  Each column is
+    computed on its own, so a vector does not depend on which other
+    columns share the call.  The stages are the ``trace`` spans
+    ``eigensolver.inverse_iteration``, ``eigensolver.q`` and
     ``eigensolver.residual``.
     """
-    n, m = len(t), len(ks)
+    n, m = len(a), len(ks)
     g = bits + GUARD_BITS
     lam = [mpmath.mpmathify(x) for x in lam]
-    parts = np.array([x.real for x in lam] + [x.imag for x in lam], dtype=object)
-    with span("eigensolver.backsub"):
-        fixed, f = _to_fixed(np.concatenate((np.ravel(t), parts)), g, exact=True)
-        y = _back_substitute(fixed[:n * n].reshape(n, n), ks, fixed[n * n:n * n + m],
-                             fixed[n * n + m:], g, bits - 1)
-    with span("eigensolver.zy"):
-        zz, _ = _to_fixed(z, g, exact=True)
-        vectors, v = _unit_largest(zz[:, :y.shape[1]] @ y, g, bits)
-        del y
+    owner = np.searchsorted([block.lo for block in factors], ks, side="right") - 1
+    with span("eigensolver.inverse_iteration"):
+        solved = []
+        for b in sorted(set(owner.tolist())):  # np.unique would import numpy.ma
+            cols = np.flatnonzero(owner == b)
+            block = factors[b]
+            solved.append((block, cols, _inverse_iteration(
+                block.h, [lam[c] for c in cols.tolist()], block.f, g, bits)))
+    with span("eigensolver.q"):
+        x = np.zeros((2, n, m), dtype=object)
+        for block, cols, y in solved:
+            rows = slice(block.lo, block.lo + len(block.h))
+            x[:, rows, cols] = _apply_q(block.reflectors, y, g)
+        del solved
+        vectors, v = _unit_largest(x, g, bits)
+        del x
     with span("eigensolver.residual"):
+        parts = np.array([z.real for z in lam] + [z.imag for z in lam], dtype=object)
         fixed, fa = _to_fixed(np.concatenate((np.ravel(a), parts)), g, exact=True)
         lr, li = fixed[n * n:n * n + m], fixed[n * n + m:]
         r = fixed[:n * n].reshape(n, n) @ v
@@ -401,78 +503,134 @@ def eigenvectors(t: np.ndarray, z: np.ndarray, a: np.ndarray, ks: np.ndarray,
     return vectors, np.array([_root(x, fa + g) for x in norms], dtype=np.float64)
 
 
-def _back_substitute(t: np.ndarray, ks: np.ndarray, lr: np.ndarray,
-                     li: np.ndarray, g: int, up: int) -> np.ndarray:
-    """Planes (re, im) of the eigenvectors of the integer Schur form ``t``.
+def _inverse_iteration(h: np.ndarray, lam: Sequence, f: int, g: int,
+                       bits: int) -> np.ndarray:
+    """Planes (re, im) of eigenvectors of the Hessenberg H, h = H * 2**f,
+    for the eigenvalues ``lam`` (``mpc``), one column each: LAPACK
+    ``dlaein``.
 
-    ``t`` holds T * 2**f, and ``lr``, ``li`` the parts of each column's
-    eigenvalue at the same scale.  Column c solves (T - lam[c] I) y = 0 as
-    LAPACK ``dtrevc3`` does: its own diagonal block is seeded with the
-    block's exact eigenvector, 1 on a 1 x 1 block and [b, i Im lam] on a
-    2 x 2 one [[a, b], [c, a]], divided by its larger part; the rows below
-    are 0, and the diagonal blocks above are solved bottom-up, each for
-    every column still open there.  Returns y * 2**g, shape (2, rows, m),
-    with the rows up to the last column's own block.
-
-    With eps = 2**-up, ``dtrevc3``'s floor smin = eps (|Re lam| + |Im lam|),
-    but at least one unit of the scale, replaces a 1 x 1 divisor of smaller
-    modulus, and ``dlaln2``'s floor smin max|m_ij| the determinant of a
-    2 x 2 system M that is smaller than it, so a (near-)repeated
-    eigenvalue still yields a finite vector.  Both tests compare squares of
-    ints, exact.  Divisors and determinants are held 2**up above their
-    natural scale, where smin is an integer.
+    Each lam is rounded to the scale of h.  H - lam I = P L U by Gaussian
+    elimination with partial pivoting, which on a Hessenberg matrix only
+    ever swaps a row with the next; a zero pivot is replaced by eps3 =
+    ||H||_inf * 2**(1 - g), a few units of the scale, and the last pivot,
+    which carries the near-singularity, is raised to eps3 when smaller, so
+    a (near-)repeated eigenvalue still yields a finite vector.  (``dlaein``
+    takes ||H|| times the unit roundoff, here 2**(1 - bits): on scarf2 K
+    that floor set every residual near 1e-33 ||A||, where lam's own
+    rounding leaves about 1e-35.)
+    Then U x = e, e all ones, as ``dlaein``'s first solve: x = (H - lam I)^-1
+    P L e, whose growth 1 / |u_nn| makes it the eigenvector to about
+    |u_nn| / ||H||, unless P L e lies near the range of H - lam I; a column
+    that fails ``dlaein``'s growth test is solved again from its next start
+    vector (on scarf2 K and random matrices none does).  Multipliers are
+    held at scale 2**g, e is scaled per column so that x_n has about g
+    bits, and every quotient and product is rounded down: an error of a
+    unit at those scales, 2**-g relative, far below what lam's own rounding
+    leaves in the vector.  The pivot tests compare squares of ints, exact.
+    Returns shape (2, n, len(lam)).
     """
-    n, m = len(t), len(ks)
-    # pair[j]: rows j, j+1 hold a 2 x 2 block; pair[-1] == pair[n] is False
-    pair = np.zeros(n + 1, dtype=bool)
-    pair[:n - 1] = np.diagonal(t, -1) != 0
-    own = ks - pair[ks - 1]  # first row of each column's own block
-    size = int(own[-1]) + 1 + int(pair[own[-1]])
-    y = np.zeros((2, size, m), dtype=object)
-    for c, row in enumerate(own.tolist()):
-        if pair[row]:
-            b, w = t[row, row + 1], li[c]
-            top = max(abs(b), abs(w))
-            y[0, row, c], y[1, row + 1, c] = _divide(b << g, top), _divide(w << g, top)
-        else:
-            y[0, row, c] = 1 << g
-    smin = np.maximum(np.abs(lr) + np.abs(li), 1 << up)
-    rows = np.arange(size)
-    tops = rows[~pair[rows - 1]]
-    for top, end in zip(tops[::-1].tolist(), np.append(tops[1:], size)[::-1].tolist()):
-        s = int(np.searchsorted(own, end - 1, side="right"))  # the open columns
-        if s == m:
-            continue
-        r = t[top:end, end:size] @ y[:, end:size, s:]  # at scale 2**(f + g)
-        p0, w, lo = t[top, top] - lr[s:], li[s:], smin[s:]
-        if end - top == 1:
-            # the divisor p0 - i w, raised to smin when smaller
-            small = (p0 * p0 + w * w) << 2 * up < lo * lo
-            dr, di = np.where(small, lo, p0 << up), np.where(small, 0, -w << up)
-            u = r[:, 0]
-        else:
-            # M = [[p0 - i w, m01], [m10, p1 - i w]]: u = adj(M) r, x = -u / det M
-            p1, m01, m10 = t[top + 1, top + 1] - lr[s:], t[top, top + 1], t[top + 1, top]
-            det_r, det_i = p0 * p1 - w * w - m01 * m10, -w * (p0 + p1)
-            big = np.maximum(np.maximum(p0 * p0, p1 * p1) + w * w,
-                             max(m01 * m01, m10 * m10))
-            small = (det_r * det_r + det_i * det_i) << 2 * up < lo * lo * big
-            floor = lo * np.frompyfunc(isqrt, 1, 1)(big)
-            dr, di = np.where(small, floor, det_r << up), np.where(small, 0, det_i << up)
-            u = np.stack((p1 * r[0, 0] + w * r[1, 0] - m01 * r[0, 1],
-                          p1 * r[1, 0] - w * r[0, 0] - m01 * r[1, 1],
-                          p0 * r[0, 1] + w * r[1, 1] - m10 * r[0, 0],
-                          p0 * r[1, 1] - w * r[0, 1] - m10 * r[1, 0]))
-            u = u.reshape(2, 2, -1).transpose(1, 0, 2)
-        # x = -u conj(d) / |d|^2, d held 2**up above its scale
-        norm = dr * dr + di * di
-        y[0, top:end, s:] = _divide(-(u[0] * dr + u[1] * di) << up, norm)
-        y[1, top:end, s:] = _divide(-(u[1] * dr - u[0] * di) << up, norm)
-    return y
+    n, m = len(h), len(lam)
+    shift = np.array([[_scaled(z.real, f) for z in lam],
+                      [_scaled(z.imag, f) for z in lam]], dtype=object)
+    hnorm = max(sum(abs(v) for v in row) for row in h.tolist())
+    eps3 = max(hnorm >> (g - 1), 1)
+
+    def row(i: int) -> np.ndarray:
+        """Row i of H - lam I from column i - 1 on (column 0 for row 0),
+        as planes."""
+        first = max(i - 1, 0)
+        b = np.zeros((2, n - first, m), dtype=object)
+        b[0] = h[i, first:, None]
+        b[:, i - first] -= shift
+        return b
+
+    # U's rows, each from its diagonal on, with |u_ii|^2
+    upper = []
+    cur = row(0)
+    for i in range(n - 1):
+        following = row(i + 1)
+        e = h[i + 1, i]
+        swap = cur[0, 0] * cur[0, 0] + cur[1, 0] * cur[1, 0] < e * e
+        pivot, other = np.where(swap, following, cur), np.where(swap, cur, following)
+        p, o = pivot[:, 0], other[:, 0]
+        zero = (p[0] == 0) & (p[1] == 0)
+        if zero.any():
+            p[0, zero] = eps3
+        # the multiplier l = o / p at scale 2**g, and the row o - l p
+        norm = p[0] * p[0] + p[1] * p[1]
+        l_r = ((o[0] * p[0] + o[1] * p[1]) << g) // norm
+        l_i = ((o[1] * p[0] - o[0] * p[1]) << g) // norm
+        lp, turned = l_r * pivot[:, 1:], l_i * pivot[::-1, 1:]
+        lp[0] -= turned[0]
+        lp[1] += turned[1]
+        cur = other[:, 1:] - (lp >> g)
+        upper.append((pivot, norm))
+    p = cur[:, 0]
+    small = p[0] * p[0] + p[1] * p[1] < eps3 * eps3
+    if small.any():
+        p[0, small], p[1, small] = eps3, 0
+    upper.append((cur, p[0] * p[0] + p[1] * p[1]))
+
+    # U x = r e, r = 2**g |u_nn| at the scale of U x; then dlaein's growth
+    # test: accept x once 10 sqrt(n) ||x||_1 eps3' >= r, eps3' the floor
+    # ||H|| 2**(1 - bits) of dlaein, which bounds the residual by about
+    # 10 n^1.5 eps3'; a column short of it (e lay near the range of
+    # H - lam I) is solved again from dlaein's next start vector, up to
+    # n - 1 times
+    scale = np.array([1 << (g + max(abs(a), abs(b)).bit_length()) for a, b in zip(*p)],
+                     dtype=object)
+    floor = max(hnorm >> (bits - 1), 1)
+    x = _solve_upper(upper, np.ones((n, m), dtype=object) * scale)
+    root = isqrt(n)
+    for its in range(1, n):
+        size = (np.abs(x[0]) + np.abs(x[1])).sum(axis=0) * floor
+        short = np.flatnonzero(100 * n * size * size < scale * scale)
+        if not len(short):
+            break
+        start = np.ones((n, len(short)), dtype=object) * (scale[short] // (root + 1))
+        start[0] = scale[short]
+        start[n - its] -= scale[short] * root
+        x[:, :, short] = _solve_upper([(u[..., short], norm[short]) for u, norm in upper],
+                                      start)
+    return x
+
+
+def _solve_upper(upper: List[Tuple[np.ndarray, np.ndarray]],
+                 rhs: np.ndarray) -> np.ndarray:
+    """Planes of x with U x = rhs, column by column, bottom-up: U's rows
+    as ``_inverse_iteration`` keeps them, each (planes from its diagonal
+    on, |u_ii|^2), and ``rhs`` real, n x m.  Quotients are rounded down."""
+    n, m = rhs.shape
+    x = np.zeros((2, n, m), dtype=object)
+    for i in range(n - 1, -1, -1):
+        (u, norm), known = upper[i], x[:, i + 1:]
+        re, im = (u[:, 1:] * known[0]).sum(axis=1), (u[:, 1:] * known[1]).sum(axis=1)
+        num_r, num_i = rhs[i] - re[0] + im[1], -re[1] - im[0]
+        x[0, i] = (num_r * u[0, 0] + num_i * u[1, 0]) // norm
+        x[1, i] = (num_i * u[0, 0] - num_r * u[1, 0]) // norm
+    return x
+
+
+def _scaled(x: mpmath.mpf, f: int) -> int:
+    """x * 2**f rounded to the nearest integer."""
+    m, e = _man_exp(x)
+    return _shift(m, e + f)
+
+
+def _apply_q(reflectors: Sequence[np.ndarray], y: np.ndarray, g: int) -> np.ndarray:
+    """Q y for the planes ``y`` (2, n, m), Q the product of ``reflectors``
+    (``Hessenberg.reflectors``), the last applied first (``dormhr``); a new
+    array, each product rounded down at the scale of ``y``."""
+    m = y.shape[2]
+    w = np.concatenate((y[0], y[1]), axis=1)  # the planes side by side
+    for u in reversed(reflectors):
+        rows = w[-len(u):]
+        rows -= np.multiply.outer(u, (u @ rows) >> g) >> g
+    return np.stack((w[:, :m], w[:, m:]))
 
 
 def _unit_largest(v: np.ndarray, g: int, bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The columns of planes ``v`` (at any one scale) divided by their
+    """The columns of planes ``v`` (each at any one scale) divided by their
     largest entry: as ``mpc`` rounded to ``bits`` bits, and as the planes
     of those values at scale 2**g.
 

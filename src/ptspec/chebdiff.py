@@ -78,7 +78,9 @@ def second_derivative_rows(grid: Grid, rows: Sequence[int]) -> np.ndarray:
 
     and each diagonal entry is the negated sum of the off-diagonal entries
     of its row (Weideman & Reddy, ACM TOMS 26, 2000; Baltensperger &
-    Trummer, SIAM J. Sci. Comput. 24, 2003).
+    Trummer, SIAM J. Sci. Comput. 24, 2003).  Float rows with an entry
+    that overflows, from a half-width too small for N, raise ValueError
+    naming both.
     """
     x = grid.nodes
     n = grid.n_intervals
@@ -87,15 +89,21 @@ def second_derivative_rows(grid: Grid, rows: Sequence[int]) -> np.ndarray:
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
     w = c * np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    inv = x[i, None] - x[None, :]
-    inv[own] = 1.0
-    inv = np.divide(1.0, inv, out=inv)  # 1 / (x_i - x_j)
-    first = np.outer(w[i], 1.0 / w) * inv
-    first[own] = 0.0
-    first[own] = -first.sum(axis=1)
-    second = np.subtract(first[own][:, None], inv, out=inv)
-    second *= first
-    second *= 2.0
-    second[own] = 0.0
-    second[own] = -second.sum(axis=1)
+    # a float entry that overflows is refused below, whatever the warning
+    # filter; underflow to 0 is kept
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv = x[i, None] - x[None, :]
+        inv[own] = 1.0
+        inv = np.divide(1.0, inv, out=inv)  # 1 / (x_i - x_j)
+        first = np.outer(w[i], 1.0 / w) * inv
+        first[own] = 0.0
+        first[own] = -first.sum(axis=1)
+        second = np.subtract(first[own][:, None], inv, out=inv)
+        second *= first
+        second *= 2.0
+        second[own] = 0.0
+        second[own] = -second.sum(axis=1)
+    if second.dtype != object and not np.isfinite(second).all():
+        raise ValueError(f"half-width L={grid.half_width!r} is too small for N={n}: "
+                         "the second-derivative matrix overflows a double")
     return second

@@ -2,44 +2,49 @@
 
 The solver takes real matrices only: the PT form K that
 ``hamiltonian.assemble`` builds is real for every built-in potential.
-Every matrix gets one real Schur decomposition, kept on the solution.  In
-double precision it comes in three factors, A = (Q Z) T (Q Z)^T: LAPACK
-``dgehrd`` reduces A to Hessenberg form H = Q^T A Q, and ``dhseqr`` takes
-H = Z T Z^T, both called through ctypes in the OpenBLAS that numpy itself
-is built on.  Q is kept as ``dgehrd``'s Householder reflectors, in panels
-of about n^2 / 2 entries (``_Reflectors``), and is never formed: it is
-applied only to the eigenvectors asked for.  Extended precision takes
-A = Z T Z^T with an explicit Z from ``_fixed_schur.real_schur``, the
-Givens reduction and Francis double-shift QR of LAPACK ``dlahqr`` on
-fixed-point integers with ``GUARD_BITS`` bits beyond the mode's ``bits``.
+Every matrix gets one real Schur decomposition, whose factors are kept on
+the solution.  In double precision it comes in three factors,
+A = (Q Z) T (Q Z)^T: LAPACK ``dgehrd`` reduces A to Hessenberg form
+H = Q^T A Q, and ``dhseqr`` takes H = Z T Z^T, both called through ctypes
+in the OpenBLAS that numpy itself is built on.  Q is kept as ``dgehrd``'s
+Householder reflectors, in panels of about n^2 / 2 entries
+(``_Reflectors``), and is never formed: it is applied only to the
+eigenvectors asked for.  Extended precision runs
+``_fixed_schur.real_schur``, the same two steps on fixed-point integers
+with ``GUARD_BITS`` bits beyond the mode's ``bits``: Householder
+reduction, its reflectors recorded, then the Francis double-shift QR of
+LAPACK ``dlahqr`` on H alone.  It keeps no orthogonal factor at all: only
+H as it was before the QR, and the reflectors (``_fixed_schur.Hessenberg``).
 Each complex conjugate pair is read off its standardized 2 x 2 block of
 the quasi-triangular T as a +- i sqrt|b| sqrt|c|, so pairs are bitwise
 conjugate, partners of each other by construction, and real eigenvalues
-have an imaginary part of exactly 0.  Extended T and Z come back as object
-arrays of ``mpf``, and the extended kernel's normwise backward error is
-below that of floats of ``bits`` bits.  mpmath and ``_fixed_schur`` are
-imported by the extended branches only, so a double-precision solve loads
-neither.
+have an imaginary part of exactly 0.  Extended eigenvalues are ``mpc``
+rounded once from T's integers, and the extended kernel's normwise
+backward error is below that of floats of ``bits`` bits.  mpmath and
+``_fixed_schur`` are imported by the extended branches only, so a
+double-precision solve loads neither.
 
 A block-diagonal matrix -- no nonzero entry couples the rows and columns
 before some index with those from it on -- gets one Schur decomposition
 per diagonal block, found from its nonzero pattern in O(n^2), written into
-one n x n T and Z, with each block's own reflectors.  K splits so when
-A = 0, into its even and odd parity blocks; with A != 0 it is one block.
-Extended precision solves the blocks one after another, as ``real_schur``
-is Python code and mpmath's precision is process-wide.
+one n x n T and Z in double precision, with each block's own reflectors.
+K splits so when A = 0, into its even and odd parity blocks; with A != 0
+it is one block.  Extended precision solves the blocks one after another,
+as ``real_schur`` is Python code and mpmath's precision is process-wide,
+and keeps each block's own H and reflectors.
 
 Right eigenvectors for any subset of eigenvalues come from the same
-factors, as one batch with their measured residuals: a back substitution
-on T for the selected columns only (the algorithm of LAPACK ``dtrevc3``,
-where a 2 x 2 block is one small complex system per column), then
-V = Z Y, and in double precision V = Q (Z Y) by LAPACK ``dormqr``, so one
-decomposition serves both values and vectors.  As for the Schur form,
-each precision has its own routine: double precision runs
-``_schur_vectors``, blocked, in real arithmetic on float64 factors and
-with BLAS products; extended precision runs ``_fixed_schur.eigenvectors``
-on fixed-point integers converted exactly from the ``mpf`` factors, and
-measures each residual exactly.
+factors, as one batch with their measured residuals, so one decomposition
+serves both values and vectors.  Each precision has its own routine.
+Double precision runs ``_schur_vectors``, blocked, in real arithmetic on
+float64 factors and with BLAS products: a back substitution on T for the
+selected columns only (the algorithm of LAPACK ``dtrevc3``, where a 2 x 2
+block is one small complex system per column), then V = Z Y and
+V = Q (Z Y) by LAPACK ``dormqr``.  Extended precision runs
+``_fixed_schur.eigenvectors`` on fixed-point integers: inverse iteration
+on the kept H (LAPACK ``dlaein``: one LU and, unless its growth test
+asks for another start vector, one solve per vector), then Q by the
+reflectors, and each residual measured exactly.
 
 The double Schur decomposition runs on numpy's OpenBLAS, the thread pool
 that also runs the Z Y product, the reflectors and the residual products.
@@ -95,17 +100,20 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """All eigenvalues of one matrix plus its Schur factors.
+    """All eigenvalues of one matrix plus the factors its eigenvectors come from.
 
-    ``schur`` holds (T, Z) of the real Schur form (T quasi-triangular), with
-    A = (Q Z) T (Q Z)^T for Q the product of the Householder reflectors in
-    ``reflectors``, one ``_Reflectors`` per diagonal block, or A = Z T Z^T
-    where ``reflectors`` is None (Q = I): extended precision, whose factors
-    are object arrays of ``mpf``, and the scipy fallback.  Double-precision
-    T and Z are float64, and Q is never formed.  A block-diagonal matrix
-    has block-diagonal factors.  ``eigenvalues[k]`` is T[k, k], or one of the
-    conjugate pair of the 2 x 2 block at rows k..k+1, the one with positive
-    imaginary part first.  ``partners[k]`` is the position of the
+    In double precision ``schur`` holds (T, Z) of the real Schur form (T
+    quasi-triangular, both float64), with A = (Q Z) T (Q Z)^T for Q the
+    product of the Householder reflectors in ``reflectors``, one
+    ``_Reflectors`` per diagonal block, or A = Z T Z^T where
+    ``reflectors`` is None (Q = I, the scipy fallback); Q is never formed.
+    A block-diagonal matrix has block-diagonal factors.  In extended
+    precision ``schur`` is None and ``reflectors`` holds one
+    ``_fixed_schur.Hessenberg`` per diagonal block: its Hessenberg form H =
+    Q^T A Q before the QR, as fixed-point integers, and Q as reflectors; no
+    n x n orthogonal factor is kept.  ``eigenvalues[k]`` is T[k, k], or one
+    of the conjugate pair of the 2 x 2 block at rows k..k+1, the one with
+    positive imaginary part first.  ``partners[k]`` is the position of the
     conjugate partner of ``eigenvalues[k]``, the other row of its block,
     or -1 for a real eigenvalue.  ``matrix_fro_norm`` is ||A||_F;
     eigenvector residuals are judged by the caller.  ``iteration_stats``
@@ -119,9 +127,9 @@ class EigenSolution:
     matrix_fro_norm: float
     iteration_stats: Tuple[int, ...]
     precision: ScalarPrecision
-    schur: Tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    reflectors: Optional[Tuple["_Reflectors", ...]] = field(default=None, repr=False,
-                                                          compare=False)
+    schur: Optional[Tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
+    reflectors: Optional[Tuple[object, ...]] = field(default=None, repr=False,
+                                                   compare=False)
 
     def eigenvectors(self, matrix: np.ndarray, indices: Sequence[int]
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,32 +142,35 @@ class EigenSolution:
         or object in extended mode); and each column's relative residual
         ||A v - lambda v|| / ||A||_F (float64).  The caller judges the
         residual; the solver's own bound is ``precision.residual_tol``.
-        Vectors are back-substituted on the Schur factors, by
-        ``_schur_vectors`` in double precision (at most ``_VECTOR_BATCH``
-        columns at a time) and by ``_fixed_schur.eigenvectors`` in
-        extended precision.  The call is the ``trace`` span
-        ``eigensolver.vectors`` (counter ``columns``), with the spans
-        ``eigensolver.backsub``, ``eigensolver.zy``, in double precision
-        ``eigensolver.q`` (V = Q Z Y), and ``eigensolver.residual`` per
-        batch; no index runs neither routine.
+        In double precision vectors are back-substituted on the Schur
+        factors by ``_schur_vectors``, at most ``_VECTOR_BATCH`` columns at
+        a time, with the ``trace`` spans ``eigensolver.backsub``,
+        ``eigensolver.zy``, ``eigensolver.q`` (V = Q Z Y) and
+        ``eigensolver.residual`` per batch.  In extended precision
+        ``_fixed_schur.eigenvectors`` takes them by inverse iteration on each
+        block's H, with the spans ``eigensolver.inverse_iteration``,
+        ``eigensolver.q`` (V = Q X) and ``eigensolver.residual``.  The call
+        is the span ``eigensolver.vectors`` (counter ``columns``); no index
+        runs neither routine.
         """
         ks = np.sort(np.asarray(indices, dtype=np.intp).ravel())
         distinct = np.ones(len(ks), dtype=bool)
         distinct[1:] = ks[1:] != ks[:-1]
         ks = ks[distinct]
-        t, z = self.schur
         with span("eigensolver.vectors") as count:
             count["columns"] = len(ks)
             if not len(ks):
-                vectors = np.empty((len(t), 0), dtype=object if self.precision.is_extended
+                vectors = np.empty((len(self.eigenvalues), 0),
+                                   dtype=object if self.precision.is_extended
                                    else np.complex128)
                 norms = np.empty(0)
             elif self.precision.is_extended:
                 from ._fixed_schur import eigenvectors
 
-                vectors, norms = eigenvectors(t, z, matrix, ks, self.eigenvalues[ks],
-                                              self.precision.bits)
+                vectors, norms = eigenvectors(self.reflectors, matrix, ks,
+                                              self.eigenvalues[ks], self.precision.bits)
             else:
+                t, z = self.schur
                 vectors, norms = _schur_vectors(t, z, self.reflectors, matrix, ks,
                                                 self.eigenvalues[ks],
                                                 self.precision.machine_epsilon)
@@ -174,9 +185,9 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     raises ValueError before a Schur decomposition starts, as does a
     double-mode matrix with an entry that is not finite, and a matrix whose
     ||A||_F overflows a double (no residual relative to it could be
-    measured).  One real Schur decomposition is kept on the solution for
-    later eigenvector requests.  A block-diagonal matrix gets one per
-    diagonal block (``_diagonal_blocks``), written into one n x n T and Z.
+    measured).  The factors of one real Schur decomposition are kept on the
+    solution for later eigenvector requests.  A block-diagonal matrix gets
+    one per diagonal block (``_diagonal_blocks``).
     Raises ConvergenceError when the QR iteration behind it fails to
     converge.  ||A||_F is taken with the input checks; the work after them
     is the ``trace`` span ``eigensolver.schur``, with the child spans
@@ -210,13 +221,17 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
                          "in double precision")
     with span("eigensolver.schur") as count:
         blocks = _diagonal_blocks(a)
-        t, z, reflectors, sweeps, threads = _schur_factors(a, blocks, precision)
-        with working_precision(precision):
+        if precision.is_extended:
+            values, partners, reflectors, sweeps = _extended_schur(a, blocks, precision)
+            schur, threads = None, None
+        else:
+            t, z, reflectors, sweeps, threads = _schur_factors(a, blocks)
             values, partners = _real_schur_eigenvalues(t)
+            schur = (t, z)
         count.update(blocks=len(blocks), largest_block=max(hi - lo for lo, hi in blocks),
                      qr_sweeps=sweeps, schur_threads=threads)
     stats = () if sweeps is None else (sweeps,)
-    return EigenSolution(values, partners, fro, stats, precision, schur=(t, z),
+    return EigenSolution(values, partners, fro, stats, precision, schur=schur,
                          reflectors=reflectors)
 
 
@@ -243,15 +258,38 @@ def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip([0, *ends[:-1].tolist()], ends.tolist()))
 
 
-def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
-                   precision: ScalarPrecision):
-    """(T, Z, reflectors, QR sweeps, LAPACK threads) of ``a``.
+def _extended_schur(a: np.ndarray, blocks: List[Tuple[int, int]],
+                    precision: ScalarPrecision):
+    """(eigenvalues, partners, Hessenberg factors, QR sweeps) of ``a`` in
+    extended precision.
 
-    Each of the diagonal ``blocks`` gets its own Schur decomposition.  In
-    double precision T starts as a Fortran-order copy of the blocks, zero
-    elsewhere, and each block is solved in place in two steps, the ``trace``
-    spans ``eigensolver.hessenberg`` (``_hessenberg``: T's block becomes H
-    = Q^T A Q, and Q is kept as the block's reflectors) and
+    The diagonal ``blocks`` are solved one after another by
+    ``_fixed_schur.real_schur``, their sweeps summed; each block's
+    eigenvalues are read off its T at the mode's working precision, and its
+    ``Hessenberg`` factor is kept with the block's first row as ``lo``.
+    """
+    from ._fixed_schur import real_schur, schur_eigenvalues
+
+    values, partners, factors, sweeps = [], [], [], 0
+    for lo, hi in blocks:
+        t, s, factor = real_schur(a[lo:hi, lo:hi], precision.bits)
+        with working_precision(precision):
+            v, p = schur_eigenvalues(t, factor.f, precision.bits)
+        values.append(v)
+        partners.append(np.where(p >= 0, p + lo, -1))
+        factors.append(factor._replace(lo=lo))
+        sweeps += s
+    return np.concatenate(values), np.concatenate(partners), tuple(factors), sweeps
+
+
+def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]]):
+    """(T, Z, reflectors, QR sweeps, LAPACK threads) of the double ``a``.
+
+    Each of the diagonal ``blocks`` gets its own Schur decomposition.  T
+    starts as a Fortran-order copy of the blocks, zero elsewhere, and each
+    block is solved in place in two steps, the ``trace`` spans
+    ``eigensolver.hessenberg`` (``_hessenberg``: T's block becomes H =
+    Q^T A Q, and Q is kept as the block's reflectors) and
     ``eigensolver.qr`` (``_qr``: H = Z T Z^T).  Z is zero outside the
     blocks.  Below order ``_SERIAL_BELOW`` the blocks run one after another
     on one LAPACK thread; from it on each step runs them by the rule of
@@ -259,26 +297,8 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]],
     reads, so the first block's is returned; the sweeps are None, as LAPACK
     does not report them.  The reflectors are a tuple of ``_Reflectors``,
     one per block, or None where the scipy fallback returned Z = Q Z itself.
-    Extended blocks run one after another, summing their sweeps, with
-    reflectors and threads None, and a single one's T and Z are returned as
-    ``real_schur`` returns them.
     """
     n = a.shape[0]
-    if precision.is_extended:
-        import mpmath
-
-        from ._fixed_schur import real_schur
-
-        if len(blocks) == 1:
-            t, z, sweeps = real_schur(a, precision.bits)
-            return t, z, None, sweeps, None
-        t = np.full((n, n), mpmath.mpf(0), dtype=object)
-        z, sweeps = t.copy(), 0
-        for lo, hi in blocks:
-            t[lo:hi, lo:hi], z[lo:hi, lo:hi], s = real_schur(a[lo:hi, lo:hi],
-                                                             precision.bits)
-            sweeps += s
-        return t, z, None, sweeps, None
     if len(blocks) == 1:
         t = np.array(a, dtype=np.float64, order="F")
         z = np.empty_like(t)  # dhseqr sets it
@@ -611,29 +631,19 @@ def _one_thread(stop_workers: bool = False) -> Iterator[int]:
 
 
 def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and conjugate partners of a real Schur form.
+    """Eigenvalues and conjugate partners of a float64 real Schur form.
 
     Each pair sits in a standardized block [[a, b], [c, a]] with b c < 0,
-    from LAPACK or ``_fixed_schur.real_schur``, whose eigenvalues are
-    a +- i sqrt|b| sqrt|c|: bitwise conjugate, and partners of each other.
-    A float64 T gives complex128 values; an object T of ``mpf`` gives
-    ``mpc`` at the mpmath working precision.
+    from LAPACK, whose eigenvalues are a +- i sqrt|b| sqrt|c|: bitwise
+    conjugate, and partners of each other (``_fixed_schur.schur_eigenvalues``
+    reads an extended T so).
     """
     k = np.flatnonzero(np.diagonal(t, -1))
-    if t.dtype == object:
-        import mpmath
-
-        root = np.frompyfunc(mpmath.sqrt, 1, 1)
-        omega = root(np.abs(t[k, k + 1])) * root(np.abs(t[k + 1, k]))
-        imag = np.zeros(len(t), dtype=object)
-        imag[k], imag[k + 1] = omega, -omega
-        values = np.frompyfunc(mpmath.mpc, 2, 1)(np.diagonal(t), imag)
-    else:
-        omega = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
-        values = np.diagonal(t).astype(np.complex128)
-        values.real[k + 1] = values.real[k]
-        values.imag[k] = omega
-        values.imag[k + 1] = -omega
+    omega = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+    values = np.diagonal(t).astype(np.complex128)
+    values.real[k + 1] = values.real[k]
+    values.imag[k] = omega
+    values.imag[k + 1] = -omega
     partners = np.full(len(values), -1)
     partners[k], partners[k + 1] = k + 1, k
     return values, partners

@@ -62,9 +62,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
 
 class _UsageError(ValueError):
     """An input the subcommand cannot use: a config the flags or
-    ``--config`` describe that cannot be read or built, or an
-    ``extrapolate`` file that cannot be read or fitted; ``main`` reports it
-    as a usage error."""
+    ``--config`` describe that cannot be read or built, an ``extrapolate``
+    file that cannot be read or fitted, or ``reproduce --out`` without
+    ``--full-scale``; ``main`` reports it as a usage error."""
 
 
 def _config_from_args(args, half_widths) -> ExperimentConfig:
@@ -168,12 +168,15 @@ def _cmd_extrapolate(args) -> int:
 def _cmd_reproduce(args) -> int:
     from .reproduce import full_scale_config, reproduce
 
+    if args.out is not None and not args.full_scale:
+        raise _UsageError("--out needs --full-scale: the desk-scale checks "
+                          "write no files")
     if args.full_scale:
         config = full_scale_config()
         if args.out is not None:
             config = dataclasses.replace(config, output_dir=str(args.out))
         print("# full-scale configuration (opt-in; the extended matrix alone "
-              "needs ~68 GB, and its Schur form at least 1.2 years of compute):")
+              "needs ~68 GB, and its Schur form at least four months of compute):")
         print(serialize_config(config))
         return 1 if _run(config).failures else 0
     results = reproduce(args.selector)
@@ -227,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--full-scale", action="store_true",
                        help="run the full published long-range configuration "
                             "instead of the desk-scale checks")
-    p_rep.add_argument("--out", type=Path, default=None)
+    p_rep.add_argument("--out", type=Path, default=None,
+                       help="where --full-scale persists its run")
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser
 
@@ -235,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the subcommand ``argv`` names; an input it cannot use (a config
     that cannot be built from its flags or ``--config``, an ``extrapolate``
-    file that cannot be read or fitted) is a usage error (exit code 2)."""
+    file that cannot be read or fitted, ``reproduce --out`` without
+    ``--full-scale``) is a usage error (exit code 2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

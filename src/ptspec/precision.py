@@ -8,15 +8,14 @@ regulated-Coulomb runs at very large half-widths need imaginary parts
 resolved far below the double-precision noise floor.  Its grid and
 matrix are computed in mpmath under ``working_precision``.  Its real Schur
 decomposition and its eigenvectors run on fixed-point integers with guard
-bits beyond ``bits`` (``_fixed_schur``): the factors and the vectors come
-back as ``mpf`` and ``mpc`` rounded to ``bits``, and each vector's
-residual is measured exactly.
+bits beyond ``bits`` (``_fixed_schur``): the eigenvalues and the vectors
+come back as ``mpc`` rounded to ``bits``, and each vector's residual is
+measured exactly.
 
 ``ScalarPrecision`` is the one place that says what a mode means: its
-``bits``, the ``machine_epsilon`` 2^(1 - bits) that sets the back
-substitution's floor on divisors (in extended mode as an exact integer
-comparison) and the transition search's floor on |Im E|, and the
-``residual_tol`` that an eigenvector must meet.
+``bits``, the ``machine_epsilon`` 2^(1 - bits) that sets the double back
+substitution's floor on divisors and the transition search's floor on
+|Im E|, and the ``residual_tol`` that an eigenvector must meet.
 ``as_working`` puts a real array in a mode's matrix carrier, and
 ``to_complex128`` rounds ``mpc``/``mpf`` entries to the nearest double.
 

@@ -161,6 +161,7 @@ def test_complex_input_is_refused_before_any_schur_call(monkeypatch, precision):
         raise AssertionError("Schur decomposition of a complex matrix")
 
     monkeypatch.setattr(eigensolver, "_schur_factors", fail)
+    monkeypatch.setattr(eigensolver, "_extended_schur", fail)
     a = np.diag([2 + 3j, 2 - 3j, 5 + 0j])
     with working_precision(EXTENDED):
         mpc = np.frompyfunc(mpmath.mpc, 1, 1)(a)
@@ -319,9 +320,16 @@ def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision):
     outside = np.ones((n, n), dtype=bool)
     for lo, hi in _BLOCKS:
         outside[lo:hi, lo:hi] = False
-    assert all(x == 0 for m in split.schur for x in m[outside])
-    assert (split.schur[0].dtype == np.float64 if precision is DOUBLE
-            else all(type(x) is mpmath.mpf for x in split.schur[0].ravel()))
+    if precision is DOUBLE:
+        assert all(x == 0 for m in split.schur for x in m[outside])
+        assert split.schur[0].dtype == np.float64
+    else:
+        # each block keeps its own Hessenberg factor; a vector is 0 outside
+        # its eigenvalue's block
+        assert split.schur is None
+        assert [(f.lo, len(f.h)) for f in split.reflectors] == [
+            (lo, hi - lo) for lo, hi in _BLOCKS]
+        assert all(x == 0 for x in vectors[outside[:, ks]])
     monkeypatch.setattr(eigensolver, "_diagonal_blocks", lambda a: [(0, len(a))])
     whole = eigenvalues(a, precision=precision)
     ev_split = to_complex128(split.eigenvalues)

@@ -1,5 +1,9 @@
 """The extended-precision real Schur kernel on fixed-point integers."""
 
+import sys
+import tracemalloc
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -19,9 +23,9 @@ BITS = EXTENDED.bits
 G = BITS + kernel.GUARD_BITS
 
 
-def _scarf2_k():
+def _scarf2_k(n_intervals=21):
     with working_precision(EXTENDED):
-        grid = build_grid(10.0, 21, precision=EXTENDED)
+        grid = build_grid(10.0, n_intervals, precision=EXTENDED)
         return assemble(grid, PotentialSpec("scarf2", 30.0)).matrix
 
 
@@ -35,16 +39,46 @@ def _fro(m):
     return mpmath.sqrt(sum(abs(x) ** 2 for x in np.asarray(m).ravel()))
 
 
-def _schur_errors(a, schur=None):
-    """(T, ||A Z - Z T||_F / ||A||_F, ||Z^T Z - I||_F) at 113 bits, of
-    the factors ``schur`` = (T, Z), or else of the kernel's."""
-    t, z = schur or kernel.real_schur(a, BITS)[:2]
+def _orthogonal_factor(n, reflectors, steps):
+    """U = Q Z at 4 x 113 bits: Q the product of the kernel's Householder
+    ``reflectors``, Z that of the QR's transformations ``steps``, each
+    (Q_k, p) with h <- Q_k h Q_k^T on rows and columns p.., in order."""
+    with mpmath.workprec(4 * BITS):
+        scale = mpmath.mpf(2) ** -G
+        u = np.eye(n, dtype=object) * mpmath.mpf(1)
+        for v in reflectors:
+            v = v * scale
+            u[:, -len(v):] -= np.multiply.outer(u[:, -len(v):] @ v, v)
+        for q, p in steps:
+            u[:, p:p + len(q)] = u[:, p:p + len(q)] @ (q.T * scale)
+    return u
+
+
+def _schur_errors(a):
+    """(T, its eigenvalues, ||A U - U T||_F / ||A||_F, ||U^T U - I||_F) of
+    the kernel's Schur form, T rounded to 113 bits as the kernel reads its
+    eigenvalues; the orthogonal U, which the kernel does not form, is
+    formed here from its reflectors and from each QR transformation,
+    recorded as ``_transform`` applies it."""
+    steps = []
+    transform = kernel._transform
+
+    def record(h, q, p, *args):
+        steps.append((q, p))
+        transform(h, q, p, *args)
+
+    with mock.patch.object(kernel, "_transform", record):
+        t, _, hessenberg = kernel.real_schur(a, BITS)
+    u = _orthogonal_factor(len(a), hessenberg.reflectors, steps)
     with working_precision(EXTENDED):
+        values = kernel.schur_eigenvalues(t, hessenberg.f, BITS)[0]
+        t = kernel._to_mpf(t, hessenberg.f, BITS)
+    with mpmath.workprec(4 * BITS):
         a = np.asarray(a, dtype=object)
         fro = _fro(a)
-        residual = _fro(a @ z - z @ t) / (fro if fro else 1)
-        orth = _fro(z.T @ z - np.eye(len(a), dtype=object))
-    return t, float(residual), float(orth)
+        residual = _fro(a @ u - u @ t) / (fro if fro else 1)
+        orth = _fro(u.T @ u - np.eye(len(a), dtype=object))
+    return t, values, float(residual), float(orth)
 
 
 def _is_standard_real_form(t):
@@ -67,10 +101,9 @@ def _matched_gap(a, values, reference):
 
 
 def _random_ints(rng, n):
-    """Two n x n arrays of random ints of about 160 bits."""
-    h = np.empty((2, n, n), dtype=object)
-    h[...] = [[[int(v) << 150 for v in row] for row in plane]
-              for plane in rng.integers(-1000, 1000, (2, n, n))]
+    """An n x n array of random ints of about 160 bits."""
+    h = np.empty((n, n), dtype=object)
+    h[...] = [[int(v) << 150 for v in row] for row in rng.integers(-1000, 1000, (n, n))]
     return h
 
 
@@ -79,14 +112,13 @@ def test_rotation_reads_both_rows_before_writing_either(n):
     # slices of object arrays are views: a rotation that wrote row p back
     # before reading it for row p + 1 would mix new and old entries
     rng = np.random.default_rng(n)
-    h, z = _random_ints(rng, n)
+    h = _random_ints(rng, n)
     c, s, _ = kernel._givens(3, -2, G)
     q = kernel._rotation(c, s)
     p = n - 2
-    expected_h, expected_z = _reference_transform(h, z, q, p, G)
-    kernel._transform(h, z, q, p, 0, n, G)
-    assert np.array_equal(h, expected_h)
-    assert np.array_equal(z, expected_z)
+    expected = _reference_transform(h, q, p, G)
+    kernel._transform(h, q, p, 0, n, G)
+    assert np.array_equal(h, expected)
 
 
 @pytest.mark.parametrize("x, y", [(1, -1), (0, 3), (1 << 300, -5)],
@@ -108,32 +140,28 @@ def test_guard_width_keeps_the_deflation_test_above_rounding(monkeypatch):
     # and it takes 188
     assert kernel.GUARD_BITS >= 64
     a = _scarf2_k()
-    assert 0 < kernel.real_schur(a, BITS)[2] <= 31
+    assert 0 < kernel.real_schur(a, BITS)[1] <= 31
     monkeypatch.setattr(kernel, "GUARD_BITS", 40)
-    assert kernel.real_schur(a, BITS)[2] > 100
+    assert kernel.real_schur(a, BITS)[1] > 100
 
 
 def test_one_by_one():
     # an mpc with imaginary part 0 is a real number
-    t, residual, orth = _schur_errors(np.array([[mpmath.mpc(2, 0)]], dtype=object))
-    assert type(t[0, 0]) is mpmath.mpf and t[0, 0] == 2
+    a = np.array([[mpmath.mpc(2, 0)]], dtype=object)
+    t, values, residual, orth = _schur_errors(a)
+    assert t[0, 0] == values[0] == 2
     assert residual == orth == 0
-
-
-def _eigenvalues_of(t):
-    with working_precision(EXTENDED):
-        return eigensolver._real_schur_eigenvalues(t)[0]
 
 
 def test_jordan_block():
     # [[2, 1], [-1, 0]] = S [[1, 1], [0, 1]] S^-1: a double eigenvalue 1
     # with one eigenvector, which a backward error e moves by sqrt(e)
     a = np.array([[2, 1], [-1, 0]], dtype=object)
-    t, residual, orth = _schur_errors(a)
+    t, values, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
     assert _is_standard_real_form(t)
     with working_precision(EXTENDED):
-        assert all(abs(z - 1) < 1e-16 for z in _eigenvalues_of(t))
+        assert all(abs(z - 1) < 1e-16 for z in values)
 
 
 def test_graded_matrix():
@@ -146,10 +174,10 @@ def test_graded_matrix():
                        * mpmath.mpf(2) ** (-5 * (i + j)) for j in range(n)]
                       for i in range(n)], dtype=object)
         reference = mpmath.schur(mpmath.matrix(a.tolist()))[1]
-    t, residual, orth = _schur_errors(a)
+    t, values, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
     assert _is_standard_real_form(t)
-    assert _matched_gap(a, _eigenvalues_of(t), [reference[k, k] for k in range(n)]) < 1e-30
+    assert _matched_gap(a, values, [reference[k, k] for k in range(n)]) < 1e-30
 
 
 def test_non_convergence_raises_convergence_error(monkeypatch):
@@ -164,15 +192,15 @@ def test_eigenvalues_match_mpmath_schur(name):
     with working_precision(EXTENDED):
         r = mpmath.schur(mpmath.matrix(a.tolist()))[1]
     reference = [r[k, k] for k in range(len(a))]
-    t, residual, orth = _schur_errors(a)
+    t, values, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
-    assert _matched_gap(a, _eigenvalues_of(t), reference) < 1e-30
+    assert _matched_gap(a, values, reference) < 1e-30
 
 
 def test_iteration_stats_carry_the_sweep_count():
     a = _scarf2_k()
     sol = eigenvalues(a, precision=EXTENDED)
-    assert sol.iteration_stats == (kernel.real_schur(a, BITS)[2],)
+    assert sol.iteration_stats == (kernel.real_schur(a, BITS)[1],)
     assert sol.iteration_stats[0] > 0
     assert eigenvalues(np.eye(3) + np.eye(3, k=1), precision=DOUBLE).iteration_stats == ()
 
@@ -183,6 +211,41 @@ def test_zero_matrix():
     assert all(z == 0 for z in sol.eigenvalues)
     assert sol.partners.tolist() == [-1] * 4
     assert sol.iteration_stats == (0,)
+
+
+def test_reflectors_factor_the_kept_hessenberg_form():
+    # H = Q^T A Q as the QR found it, Q the product of the reflectors
+    a = _random_real(9, 12)
+    _, _, hessenberg = kernel.real_schur(a, BITS)
+    h = hessenberg.h
+    assert all(x == 0 for x in np.tril(h, -2).ravel())
+    # one reflector of length n - j - 1 per column j < n - 2
+    assert [len(u) for u in hessenberg.reflectors] == list(range(11, 1, -1))
+    q = _orthogonal_factor(len(a), hessenberg.reflectors, [])
+    with mpmath.workprec(4 * BITS):
+        h = h * mpmath.mpf(2) ** -hessenberg.f
+        assert float(_fro(a @ q - q @ h) / _fro(a)) < 1e-30
+        assert float(_fro(q.T @ q - np.eye(len(a), dtype=object))) < 1e-30
+
+
+def test_the_extended_solve_keeps_no_n_by_n_orthogonal_factor():
+    a = _scarf2_k(41)
+    n = len(a)
+    eigenvalues(a, precision=EXTENDED)  # a first call's imports and caches stay out
+    tracemalloc.start()
+    try:
+        sol = eigenvalues(a, precision=EXTENDED)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.schur is None
+    (hessenberg,) = sol.reflectors
+    # H and its reflectors (about n^2 / 2 ints), where Q would take n^2
+    # more and Z as many again; the slack is the eigenvalues and H's zeros
+    assert sum(len(u) for u in hessenberg.reflectors) <= n * n / 2
+    entry = sys.getsizeof(1 << G) + 8  # an int at the kernel's scale and its pointer
+    assert kept <= 1.5 * n * n * entry
+    assert peak <= 5 * n * n * entry
 
 
 @st.composite
@@ -207,10 +270,12 @@ def test_schur_form_of_small_integer_matrices(a):
         with pytest.raises(ValueError, match="real matrix"):
             eigenvalues(a, precision=EXTENDED)
         return
-    t, residual, orth = _schur_errors(a, eigenvalues(a, precision=EXTENDED).schur)
+    t, _, residual, orth = _schur_errors(a)
     assert residual <= 1e-30
     assert orth <= 1e-30
     assert _is_standard_real_form(t)
+    sol = eigenvalues(a, precision=EXTENDED)
+    assert np.all(sol.eigenvectors(a, range(len(a)))[2] <= 1e-30)
 
 
 @st.composite
@@ -223,20 +288,20 @@ def _real_integer_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(a=_real_integer_matrices())
 def test_real_schur_form_of_small_integer_matrices(a):
-    t, residual, orth = _schur_errors(a)
+    t, _, residual, orth = _schur_errors(a)
     assert residual <= 1e-30
     assert orth <= 1e-30
     assert _is_standard_real_form(t)
 
 
 def test_real_one_by_one():
-    t, residual, orth = _schur_errors(np.array([[mpmath.mpf(-3.5)]], dtype=object))
+    t, _, residual, orth = _schur_errors(np.array([[mpmath.mpf(-3.5)]], dtype=object))
     assert t[0, 0] == -3.5
     assert residual == orth == 0
 
 
 def test_real_zero_matrix():
-    t, residual, orth = _schur_errors(np.zeros((4, 4), dtype=object))
+    t, _, residual, orth = _schur_errors(np.zeros((4, 4), dtype=object))
     assert all(x == 0 for x in t.ravel())
     assert residual == orth == 0
 
@@ -250,13 +315,13 @@ def test_real_zero_matrix():
 ])
 def test_two_by_two_blocks_are_standardized(block, triangular):
     a = np.array(block, dtype=object)
-    t, residual, orth = _schur_errors(a)
+    t, values, residual, orth = _schur_errors(a)
     assert residual < 1e-30 and orth < 1e-30
     assert _is_standard_real_form(t)
     assert (t[1, 0] == 0) == triangular
     exact = np.roots([1, -(block[0][0] + block[1][1]),
                       block[0][0] * block[1][1] - block[0][1] * block[1][0]])
-    assert _matched_gap(a, _eigenvalues_of(t), exact) < 1e-15
+    assert _matched_gap(a, values, exact) < 1e-15
 
 
 def test_real_kernel_rejects_complex_input():
@@ -280,9 +345,9 @@ def _rounded(m, g):
     return (m + (1 << (g - 1))) >> g
 
 
-def _reference_transform(h, z, q, p, g):
-    """h <- Q h Q^T and z <- z Q^T on rows/columns p.., one element at a
-    time from the entries as they were before, each rounded once."""
+def _reference_transform(h, q, p, g):
+    """h <- Q h Q^T on rows/columns p.., one element at a time from the
+    entries as they were before, each rounded once."""
     k, n = len(q), h.shape[0]
     half = 1 << (g - 1)
     rows = h.copy()
@@ -293,17 +358,13 @@ def _reference_transform(h, z, q, p, g):
     for i in range(n):
         for r in range(k):
             out[i, p + r] = (sum(rows[i, p + j] * q[r, j] for j in range(k)) + half) >> g
-    zout = z.copy()
-    for i in range(n):
-        for r in range(k):
-            zout[i, p + r] = (sum(z[i, p + j] * q[r, j] for j in range(k)) + half) >> g
-    return out, zout
+    return out
 
 
 @pytest.mark.parametrize("n, p", [(3, 0), (6, 2), (6, 3)])
 def test_reflector_application_matches_an_elementwise_loop(n, p):
     rng = np.random.default_rng(n + p)
-    h, z = _random_ints(rng, n)
+    h = _random_ints(rng, n)
     x = [int(v) << 150 for v in rng.integers(-1000, 1000, 3)]
     q, beta = kernel._reflector(x, G)
     # P x = beta e_1 and P^2 = I, to a few units of 2^-g
@@ -312,39 +373,22 @@ def test_reflector_application_matches_an_elementwise_loop(n, p):
     assert all(abs(v) <= 4 + (abs(beta) >> (G - 4)) for v in px[1:])
     identity = np.eye(3, dtype=object) * (1 << G)
     assert all(abs(v) <= 8 for v in (_rounded(q @ q, G) - identity).ravel())
-    expected_h, expected_z = _reference_transform(h, z, q, p, G)
-    kernel._transform(h, z, q, p, 0, n, G)
-    assert np.array_equal(h, expected_h)
-    assert np.array_equal(z, expected_z)
-
+    expected = _reference_transform(h, q, p, G)
+    kernel._transform(h, q, p, 0, n, G)
+    assert np.array_equal(h, expected)
 
 
 # --- eigenvectors on fixed-point integers -------------------------------------
 
-def _reference_vectors(sol, ks):
-    """Columns of Z y, y back-substituted on T in mpmath at the caller's
-    precision (LAPACK dtrevc3 without its floors), as lists of ``mpc``."""
-    t, z = sol.schur
-    n = len(t)
-    pair = [t[j + 1, j] != 0 for j in range(n - 1)] + [False]
+def _reference_vectors(a, values):
+    """The eigenvectors of A for ``values`` from ``mpmath.eig`` at the
+    caller's precision, each the column of the reference eigenvalue
+    nearest to it, as lists of ``mpc``."""
+    reference, vectors = mpmath.eig(mpmath.matrix(np.asarray(a).tolist()))
     columns = []
-    for k in ks:
-        lam = sol.eigenvalues[k]
-        top = k - 1 if k > 0 and pair[k - 1] else k
-        y = [mpmath.mpc(0)] * n
-        if pair[top]:
-            y[top], y[top + 1] = t[top, top + 1], mpmath.mpc(0, lam.imag)
-        else:
-            y[top] = mpmath.mpc(1)
-        j = top - 1
-        while j >= 0:
-            lo = j - 1 if j > 0 and pair[j - 1] else j
-            r = [-sum(t[i, c] * y[c] for c in range(j + 1, n)) for i in range(lo, j + 1)]
-            m = mpmath.matrix([[t[i, c] - (lam if i == c else 0) for c in range(lo, j + 1)]
-                               for i in range(lo, j + 1)])
-            y[lo:j + 1] = list(mpmath.lu_solve(m, mpmath.matrix(r)))
-            j = lo - 1
-        columns.append([sum(z[i, c] * y[c] for c in range(n)) for i in range(n)])
+    for lam in values:
+        c = min(range(len(reference)), key=lambda j: abs(reference[j] - lam))
+        columns.append([vectors[i, c] for i in range(len(a))])
     return columns
 
 
@@ -356,7 +400,8 @@ def test_vectors_match_an_mpmath_back_substitution(name):
     # real eigenvalues and both members of each pair
     assert 0 < np.count_nonzero(sol.partners >= 0) < len(a)
     with mpmath.workprec(4 * BITS):
-        for c, reference in enumerate(_reference_vectors(sol, ks)):
+        references = _reference_vectors(a, sol.eigenvalues[ks])
+        for c, reference in enumerate(references):
             v = vectors[:, c]
             unit = next(i for i, x in enumerate(v) if x == 1)
             assert max(abs(x - y / reference[unit]) for x, y in zip(v, reference)) < 1e-30
@@ -368,13 +413,15 @@ def test_vectors_match_an_mpmath_back_substitution(name):
 
 
 def _solution_of(t):
-    """The extended solution whose Schur form is the standardized T, Z = I."""
+    """The extended solution of the standardized real Schur form T, its
+    own Hessenberg form, with Q = I."""
     with working_precision(EXTENDED):
         t = as_working(t, EXTENDED)
-        values, partners = eigensolver._real_schur_eigenvalues(t)
-    z = np.eye(len(t), dtype=object) * mpmath.mpf(1)
+        h, f = kernel._to_fixed(t, G)
+        values, partners = kernel.schur_eigenvalues(h, f, BITS)
     return t, eigensolver.EigenSolution(values, partners, float(_fro(t)), (), EXTENDED,
-                                        schur=(t, z))
+                                        schur=None,
+                                        reflectors=(kernel.Hessenberg(0, h, f, ()),))
 
 
 @pytest.mark.parametrize("shape", ["jordan", "identical_blocks", "zero"])
@@ -399,6 +446,23 @@ def test_repeated_eigenvalue_gives_a_finite_vector(shape):
     assert all(mpmath.isfinite(x) for x in vectors.ravel())
     assert max(abs(x) for x in vectors.ravel()) == 1
     assert np.all(residuals <= EXTENDED.residual_tol)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [0, 3]],
+    [[1, -2], [0, -1]],
+    [[-2, 0, 5], [0, -7, 8], [0, 0, 1]],
+], ids=["2x2", "2x2_negative", "3x3"])
+def test_a_start_vector_in_the_range_is_replaced(rows):
+    # for the top eigenvalue of a triangular H the all-ones start vector
+    # lies in the range of H - lam I ((H - 2 I) (0, 1)^T = (1, 1)^T in the
+    # first case), so the first solve grows no eigenvector component;
+    # dlaein's growth test rejects it and its next start vector succeeds
+    a = np.array(rows, dtype=object)
+    sol = eigenvalues(a, precision=EXTENDED)
+    _, vectors, residuals = sol.eigenvectors(a, range(len(a)))
+    assert np.all(residuals <= 1e-30)
+    assert max(abs(x) for x in vectors.ravel()) == 1
 
 
 def test_no_index_gives_empty_arrays():

@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -530,9 +531,8 @@ def test_extended_sweep_runs_one_after_another(two_threads, monkeypatch):
 # --- tools -----------------------------------------------------------------
 
 STAGES = {"hamiltonian.assemble", "eigensolver.schur", "eigensolver.hessenberg",
-          "eigensolver.qr", "eigensolver.vectors", "eigensolver.backsub",
-          "eigensolver.zy", "eigensolver.residual", "spectrum.tail_tests",
-          "spectrum.transition", "harness.render"}
+          "eigensolver.qr", "eigensolver.vectors", "eigensolver.residual",
+          "spectrum.tail_tests", "spectrum.transition", "harness.render"}
 
 
 @pytest.mark.parametrize("case", [
@@ -544,10 +544,12 @@ def test_stage_ladder_measures_a_case(case):
     ladder = Path(__file__).resolve().parent.parent / "tools" / "stage_ladder.py"
     record = runpy.run_path(str(ladder))["measure"](*case)
     assert set(record) == {"spans", "environment", "peak_rss_mb"}
-    # double precision applies the Hessenberg reflectors to the vectors;
-    # the extended kernel keeps Z = Q Z whole
-    assert set(record["spans"]) == STAGES | ({"eigensolver.q"} if case[-1] == "double64"
-                                             else set())
+    # double precision back-substitutes on T, then applies Z and the
+    # Hessenberg reflectors; the extended kernel takes each vector by
+    # inverse iteration on H, then applies its reflectors
+    vectors = ({"eigensolver.backsub", "eigensolver.zy"} if case[-1] == "double64"
+               else {"eigensolver.inverse_iteration"})
+    assert set(record["spans"]) == STAGES | vectors | {"eigensolver.q"}
     assert all(stage["seconds"] >= 0 for stage in record["spans"].values())
     schur = record["spans"]["eigensolver.schur"]
     assert (schur["qr_sweeps"] is None) == (case[-1] == "double64")
@@ -868,6 +870,25 @@ def test_cli_classify_fails_a_matrix_whose_norm_overflows(tmp_path, capsys):
     assert rows and all(0 < float(row["residual"]) <= 1e-10 for row in rows)
 
 
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_a_half_width_too_small_for_double_fails_with_one_error(action, capsys):
+    # at L=1e-300 and N=21 -d^2 overflows a double: the L fails with one
+    # error that names L and N, raised before K is built, whatever the
+    # warning filter; at L=1e300 its entries underflow to 0, which is kept
+    message = ("ValueError: half-width L=1e-300 is too small for N=21: "
+               "the second-derivative matrix overflows a double")
+    run = ["classify", "--family", "scarf2", "--strength", "30", "--N", "21"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert main([*run, "--L", "1e-300"]) == 1
+        artifact = run_experiment(ExperimentConfig(
+            family="scarf2", strength=30.0, half_widths=(1e-300,), n_intervals=21))
+        assert main([*run, "--L", "1e300"]) == 0
+    assert not caught
+    assert capsys.readouterr().err.splitlines()[0] == f"L=1e-300 failed: {message}"
+    assert artifact.failures == {1e-300: message} and not artifact.results
+
+
 def test_cli_sweep_needs_target(capsys):
     assert main(["sweep", "--N", "129"]) == 2
 
@@ -897,9 +918,11 @@ def test_cli_sweep_needs_target(capsys):
     ["sweep", "--config", "{repeated_key_ini}"],
     ["sweep", "--config", "{no_family_ini}"],
     ["sweep", "--config", "{percent_ini}"],
+    # the desk-scale checks write nothing, so --out has nowhere to go
+    ["reproduce", "--selector", "box", "--out", "{runs}"],
 ])
 def test_cli_bad_config_is_a_usage_error(argv, tmp_path, capsys):
-    inis = {"missing_ini": tmp_path / "absent.ini"}
+    inis = {"missing_ini": tmp_path / "absent.ini", "runs": tmp_path / "runs"}
     for name, old, new in (
             ("bad_ini", "[classification]", "[classification]\nbogus = 1.0"),
             ("nan_ini", "strength = 3.0", "strength = nan"),
