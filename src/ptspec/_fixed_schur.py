@@ -53,10 +53,10 @@ from .trace import span
 #: with 64, 80, 96 and 128.
 GUARD_BITS = 96
 
-#: mpmath's sweep limit: four QR sweeps per decimal digit of the working
-#: precision, counted since an eigenvalue or a pair last converged at the
-#: bottom of the active block.
-SWEEPS_PER_DIGIT = 4
+#: ``dlahqr``'s sweep limit: 30 QR sweeps per row, of at least 10 rows,
+#: counted since an eigenvalue or a pair last converged at the bottom of the
+#: active block.
+SWEEPS_PER_ROW = 30
 
 
 class Hessenberg(NamedTuple):
@@ -91,9 +91,9 @@ def real_schur(a: np.ndarray, bits: int) -> Tuple[np.ndarray, int, Hessenberg]:
     a +- i sqrt|b| sqrt|c| (``schur_eigenvalues``).  Z = Q Z', Q of the
     reflectors and Z' of the QR's transformations, is never formed.
     Raises ConvergenceError when the active block goes more than
-    ``SWEEPS_PER_DIGIT`` sweeps per decimal digit of ``bits`` without an
-    eigenvalue or a pair converging.  The two steps are the ``trace``
-    spans ``eigensolver.hessenberg`` and ``eigensolver.qr``.
+    ``SWEEPS_PER_ROW`` * max(10, n) sweeps without an eigenvalue or a pair
+    converging.  The two steps are the ``trace`` spans
+    ``eigensolver.hessenberg`` and ``eigensolver.qr``.
     """
     g = bits + GUARD_BITS
     h, f = _to_fixed(a, g)
@@ -312,15 +312,16 @@ def _francis_qr(h: np.ndarray, g: int, bits: int) -> int:
     LAPACK ``dlahqr`` with ULP = 2**(1 - bits) and, as its small-number
     floor, n units of the fixed-point scale, but with Francis's shifts
     (``_shift_polynomial``).  Its sweep counter, reset when an eigenvalue
-    or a pair converges at the bottom of the active block, also drives the
-    exceptional shifts (every 10th sweep) and the sweep limit.  The
+    or a pair converges at the bottom of the active block, drives the
+    exceptional shifts (every 10th sweep) and, as in ``dlahqr``, the sweep
+    limit: ``SWEEPS_PER_ROW`` * max(10, n), whatever ``bits``.  The
     deflation test is the Ahues-Kressner criterion of ``dlahqr``; the
     integer tests below are its inequalities multiplied out, exact.  Each
     transformation updates the whole of h, as ``dlahqr`` with WANTT does,
     and no Z.
     """
     n = h.shape[0]
-    maxits = SWEEPS_PER_DIGIT * libmp.prec_to_dps(bits)
+    maxits = SWEEPS_PER_ROW * max(10, n)
     sweeps = 0
     i = n - 1
     while i >= 0:

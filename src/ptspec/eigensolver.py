@@ -225,9 +225,9 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
             values, partners, reflectors, sweeps = _extended_schur(a, blocks, precision)
             schur, threads = None, None
         else:
-            t, z, reflectors, sweeps, threads = _schur_factors(a, blocks)
+            t, z, reflectors, threads = _schur_factors(a, blocks)
             values, partners = _real_schur_eigenvalues(t)
-            schur = (t, z)
+            schur, sweeps = (t, z), None
         count.update(blocks=len(blocks), largest_block=max(hi - lo for lo, hi in blocks),
                      qr_sweeps=sweeps, schur_threads=threads)
     stats = () if sweeps is None else (sweeps,)
@@ -283,30 +283,25 @@ def _extended_schur(a: np.ndarray, blocks: List[Tuple[int, int]],
 
 
 def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]]):
-    """(T, Z, reflectors, QR sweeps, LAPACK threads) of the double ``a``.
+    """(T, Z, reflectors, LAPACK threads) of the double ``a``.
 
-    Each of the diagonal ``blocks`` gets its own Schur decomposition.  T
-    starts as a Fortran-order copy of the blocks, zero elsewhere, and each
-    block is solved in place in two steps, the ``trace`` spans
+    Each of the diagonal ``blocks`` gets its own Schur decomposition.  T and
+    Z start as Fortran-order zeros, T with each block of ``a`` copied in,
+    and each block is solved in place in two steps, the ``trace`` spans
     ``eigensolver.hessenberg`` (``_hessenberg``: T's block becomes H =
     Q^T A Q, and Q is kept as the block's reflectors) and
-    ``eigensolver.qr`` (``_qr``: H = Z T Z^T).  Z is zero outside the
-    blocks.  Below order ``_SERIAL_BELOW`` the blocks run one after another
-    on one LAPACK thread; from it on each step runs them by the rule of
-    ``side_by_side``.  Every block runs on the same count, which ``_qr``
-    reads, so the first block's is returned; the sweeps are None, as LAPACK
-    does not report them.  The reflectors are a tuple of ``_Reflectors``,
-    one per block, or None where the scipy fallback returned Z = Q Z itself.
+    ``eigensolver.qr`` (``_qr``: H = Z T Z^T into Z's block), so both stay
+    zero outside the blocks.  Below order ``_SERIAL_BELOW`` the blocks run
+    one after another on one LAPACK thread; from it on each step runs them
+    by the rule of ``side_by_side``.  Every block runs on the same count,
+    which ``_qr`` reads, so the first block's is returned.  The reflectors
+    are a tuple of ``_Reflectors``, one per block, or None where the scipy
+    fallback returned Z = Q Z itself.
     """
     n = a.shape[0]
-    if len(blocks) == 1:
-        t = np.array(a, dtype=np.float64, order="F")
-        z = np.empty_like(t)  # dhseqr sets it
-    else:
-        t = np.zeros((n, n), order="F")
-        for lo, hi in blocks:
-            t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
-        z = np.zeros_like(t)
+    t, z = np.zeros((n, n), order="F"), np.zeros((n, n), order="F")
+    for lo, hi in blocks:
+        t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
 
     def hessenberg(block: Tuple[int, int]) -> Optional[_Reflectors]:
         lo, hi = block
@@ -326,7 +321,7 @@ def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]]):
             reflectors = run(hessenberg)
         with span("eigensolver.qr"):
             threads = run(qr)
-    return (t, z, None if None in reflectors else tuple(reflectors), None,
+    return (t, z, None if None in reflectors else tuple(reflectors),
             next(iter(threads), None))
 
 
@@ -370,9 +365,10 @@ def _lapack(routine: str, function: Callable, *args) -> None:
     the workspace it asks for in a query call first.
 
     The ``_work`` functions skip LAPACKE's scans of every input for NaN,
-    which would also read the unset Z of ``_qr``.  Raises ConvergenceError
-    for info > 0 (the QR iteration failed) and ValueError for an argument
-    LAPACK rejects (info < 0), each naming ``routine``.
+    a pass over each array that ``eigenvalues``' finiteness check has made
+    needless.  Raises ConvergenceError for info > 0 (the QR iteration
+    failed) and ValueError for an argument LAPACK rejects (info < 0), each
+    naming ``routine``.
     """
     def call(work: np.ndarray, lwork: int) -> None:
         info = function(*args, work.ctypes.data, lwork)

@@ -64,12 +64,12 @@ class RichardsonTable:
     columns: Dict[int, Tuple[float, ...]]
 
 
-def build_table(a: Sequence[float], max_order: int = MAX_ORDER) -> RichardsonTable:
+def build_table(a: Sequence[float]) -> RichardsonTable:
     arr = tuple(float(v) for v in a)
     if len(arr) < 2:
         raise InsufficientDataError("need at least 2 terms")
     columns = {}
-    for m in range(1, min(max_order, len(arr) - 1) + 1):
+    for m in range(1, min(MAX_ORDER, len(arr) - 1) + 1):
         columns[m] = tuple(richardson(arr, m))
     return RichardsonTable(columns=columns)
 

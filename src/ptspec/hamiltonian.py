@@ -45,11 +45,10 @@ def _sqrt2(dtype):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense (N-1) x (N-1) real PT form K of H plus its provenance."""
+    """Dense (N-1) x (N-1) real PT form K of H plus the grid it maps back to."""
 
     matrix: np.ndarray
     grid: Grid
-    spec: PotentialSpec
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -109,4 +108,4 @@ def assemble(grid: Grid, spec: PotentialSpec) -> OperatorMatrix:
         k = np.arange(m)
         mat[k, me + k] = -w
         mat[me + k, k] = w
-    return OperatorMatrix(matrix=mat, grid=grid, spec=spec)
+    return OperatorMatrix(matrix=mat, grid=grid)

@@ -62,9 +62,10 @@ def _add_run_flags(parser: argparse.ArgumentParser, multi_l: bool,
 
 class _UsageError(ValueError):
     """An input the subcommand cannot use: a config the flags or
-    ``--config`` describe that cannot be read or built, an ``extrapolate``
-    file that cannot be read or fitted, or ``reproduce --out`` without
-    ``--full-scale``; ``main`` reports it as a usage error."""
+    ``--config`` describe that cannot be read or built, a ``sweep`` with
+    neither, an ``extrapolate`` file that cannot be read or fitted, or
+    ``reproduce --out`` without ``--full-scale``; ``main`` reports it as a
+    usage error."""
 
 
 def _config_from_args(args, half_widths) -> ExperimentConfig:
@@ -127,9 +128,8 @@ def _cmd_sweep(args) -> int:
             config = dataclasses.replace(config, output_dir=str(args.out))
     else:
         if not args.half_widths or args.family is None or args.strength is None:
-            print("error: sweep needs --config or --family/--strength "
-                  "plus at least one --L", file=sys.stderr)
-            return 2
+            raise _UsageError("sweep needs --config or --family/--strength "
+                              "plus at least one --L")
         config = _config_from_args(args, sorted(args.half_widths))
     return 1 if _run(config).failures else 0
 
@@ -237,10 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the subcommand ``argv`` names; an input it cannot use (a config
-    that cannot be built from its flags or ``--config``, an ``extrapolate``
-    file that cannot be read or fitted, ``reproduce --out`` without
-    ``--full-scale``) is a usage error (exit code 2)."""
+    """Run the subcommand ``argv`` names; an input it cannot use
+    (``_UsageError``) is a usage error (exit code 2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

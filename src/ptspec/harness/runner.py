@@ -157,64 +157,54 @@ def _attempt(config: ExperimentConfig, half_width: float):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-# a CSV cell as JSON writes the same value, where the two differ
-_JSON_CELLS = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def render(result: SpectrumResult, output_format: str,
            labels: bool = True) -> Dict[str, str]:
     """The text of each of one L's files in the layout above, by file name.
 
-    One pass: each float is formatted once, by repr, and shared by every
-    file that carries it.  The bytes are those of ``csv.writer`` (rows
-    ending in "\\r\\n", an empty cell for None) and of ``json.dump`` with
-    ``indent=1`` and a final newline.  Without ``labels``, only the
-    eigenvalues file, of columns re and im, as ``spectrum`` prints it.
+    The CSV files are formatted in one pass: each float once, by repr,
+    shared by every file that carries it, in the bytes of ``csv.writer``
+    (rows ending in "\\r\\n", an empty cell for None).  An eigenvalues.json
+    is ``json.dumps`` of its rows, keys in column order, with ``indent=1``
+    and a final newline.  Without ``labels``, only the eigenvalues file, of
+    columns re and im, as ``spectrum`` prints it.
     """
     records = result.records
+    name = f"eigenvalues.{output_format}"
+    files = {}
+    if output_format == "json":
+        columns = COLUMNS if labels else COLUMNS[:2]
+        rows = [dict(zip(columns, (r.value.real, r.value.imag, r.label,
+                                   r.tail_ratio, r.residual))) for r in records]
+        files[name] = json.dumps(rows, indent=1) + "\n"
+        if not labels:
+            return files
     re = [repr(r.value.real) for r in records]
     im = [repr(r.value.imag) for r in records]
-    name = f"eigenvalues.{output_format}"
     if not labels:
-        if output_format == "json":
-            return {name: _json(COLUMNS[:2], (re, im))}
         return {name: _csv(COLUMNS[:2], map(",".join, zip(re, im)))}
-    label = [r.label for r in records]
-    tail_ratio = ["" if r.tail_ratio is None else repr(r.tail_ratio)
-                  for r in records]
-    residual = ["" if r.residual is None else repr(r.residual) for r in records]
-    plane = list(map(",".join, zip(re, im, label)))  # a prefix of each record
-    if output_format == "json":
-        records_text = _json(COLUMNS, (re, im, [f'"{c}"' for c in label],
-                                       tail_ratio, residual))
-    else:
-        records_text = _csv(COLUMNS, map(",".join, zip(plane, tail_ratio, residual)))
+    plane = list(map(",".join, zip(re, im, (r.label for r in records))))
+    if name not in files:
+        # a record's row is its plane row followed by these two cells
+        tail_ratio = ["" if r.tail_ratio is None else repr(r.tail_ratio)
+                      for r in records]
+        residual = ["" if r.residual is None else repr(r.residual)
+                    for r in records]
+        files[name] = _csv(COLUMNS, map(",".join, zip(plane, tail_ratio, residual)))
     log_im = [f"{re[i]},{_log10(r.value.imag)!r},point"
               for i, r in enumerate(records)
               if r.label in (CONTINUUM_REAL, CONTINUUM_COMPLEX)]
     if result.transition_point is not None:
         log_im.append(f"{result.transition_point!r},,transition")
     loglog = [f"{_log10(z.real)!r},{_log10(z.imag)!r}" for z in result.bound_values()]
-    return {
-        name: records_text,
-        "complex_plane.csv": _csv(("re", "im", "label"), plane),
-        "log_im.csv": _csv(("re", "log10_abs_im", "kind"), log_im),
-        "loglog_bound.csv": _csv(("log10_re", "log10_abs_im"), loglog),
-    }
+    files["complex_plane.csv"] = _csv(("re", "im", "label"), plane)
+    files["log_im.csv"] = _csv(("re", "log10_abs_im", "kind"), log_im)
+    files["loglog_bound.csv"] = _csv(("log10_re", "log10_abs_im"), loglog)
+    return files
 
 
 def _csv(header: Tuple[str, ...], lines) -> str:
     """``header`` and the already joined ``lines`` as CSV text."""
     return "\r\n".join((",".join(header), *lines)) + "\r\n"
-
-
-def _json(header: Tuple[str, ...], columns) -> str:
-    """The rows of ``columns``, each a list of CSV cells (strings already
-    quoted), as the JSON text of a list of objects keyed by ``header``."""
-    template = " {{\n" + ",\n".join(f'  "{key}": {{}}' for key in header) + "\n }}"
-    cells = [[_JSON_CELLS.get(c, c) for c in column] for column in columns]
-    rows = [template.format(*row) for row in zip(*cells)]
-    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def _log10(x: float) -> float:

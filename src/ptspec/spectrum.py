@@ -105,8 +105,10 @@ class EigenRecord:
     ``tail_ratio`` is the boundary-band amplitude of the normalized grid
     eigenfunction and ``residual`` is ||K v - lambda v|| / ||K||_F of the
     eigenvector v of K behind the label, v scaled to a largest entry of 1.
-    A conjugate partner shares both with the member whose vector was
-    fetched.  Both are None where no vector was fetched, and
+    A pair's members are the records of exactly conjugate values (the
+    solver's ``EigenSolution.partners``), and the partner shares the label
+    and both with the member whose vector was fetched.  Both are None
+    where no vector was fetched, and
     ``tail_ratio`` also where the record is ``unresolved``: the vector
     missed the residual tolerance, or the boundary bands hold no node.
     """
@@ -115,7 +117,6 @@ class EigenRecord:
     label: str = UNRESOLVED
     tail_ratio: Optional[float] = None
     residual: Optional[float] = None
-    pair_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -267,17 +268,13 @@ def classify(
     # per-position columns: the rows of the fetched members, then those of
     # their partners, which share their label, tail ratio and residual
     label = np.full(len(order), CONTINUUM_REAL, dtype=object)
-    tail_ratio, residual, pair_index = (np.full(len(order), None, dtype=object)
-                                        for _ in range(3))
+    tail_ratio, residual = (np.full(len(order), None, dtype=object) for _ in range(2))
     rows = np.concatenate((position[ks], position[solution.partners[ks]]))
     label[rows] = np.tile(_LABELS[np.where(resolved, bound, 2)], 2)
     tail_ratio[rows] = np.tile(np.where(resolved, tails, None), 2)
     residual[rows] = np.tile(residuals, 2)
-    pair_index[rows] = np.where(np.tile(resolved, 2), np.roll(rows, len(ks)),
-                                None)
     records = tuple(map(EigenRecord, values[order].tolist(), label.tolist(),
-                        tail_ratio.tolist(), residual.tolist(),
-                        pair_index.tolist()))
+                        tail_ratio.tolist(), residual.tolist()))
     eps = solution.precision.machine_epsilon
     floor = eps * eps * max(solution.matrix_fro_norm, 1.0)
     with span("spectrum.transition"):

@@ -16,7 +16,7 @@ from ptspec.precision import (
     to_complex128,
     working_precision,
 )
-from ptspec.spectrum import classify
+from ptspec.spectrum import BOUND, CONTINUUM_COMPLEX, classify
 
 
 def _to_extended(a):
@@ -140,8 +140,16 @@ def test_extended_pairs_from_the_real_schur_form():
     unpaired = np.flatnonzero(partners < 0)
     assert len(unpaired) == 6
     assert all(values[k].imag == 0 for k in unpaired)
-    # classify pairs the records of the seven blocks
+    # classify labels the records of the seven blocks, each pair by one
+    # fetched vector: its members, exact conjugates, share label and evidence
     result = classify(sol, op)
-    pairs = {tuple(sorted((k, r.pair_index)))
-             for k, r in enumerate(result.records) if r.pair_index is not None}
+    position = {r.value: k for k, r in enumerate(result.records)}
+    pairs = {tuple(sorted((k, position[r.value.conjugate()])))
+             for k, r in enumerate(result.records) if r.value.imag}
     assert sorted(pairs) == [(k, k + 1) for k in range(0, 14, 2)]
+    for k, j in pairs:
+        first, second = result.records[k], result.records[j]
+        assert first.label in (BOUND, CONTINUUM_COMPLEX)
+        assert first.residual is not None
+        assert ((first.label, first.tail_ratio, first.residual)
+                == (second.label, second.tail_ratio, second.residual))

@@ -181,9 +181,34 @@ def test_graded_matrix():
 
 
 def test_non_convergence_raises_convergence_error(monkeypatch):
-    monkeypatch.setattr(kernel, "SWEEPS_PER_DIGIT", 0)
+    monkeypatch.setattr(kernel, "SWEEPS_PER_ROW", 0)
     with pytest.raises(ConvergenceError, match="failed to converge"):
         kernel.real_schur(_random_real(5, 6), BITS)
+
+
+def test_qr_takes_dlahqr_s_sweep_limit(monkeypatch):
+    # the companion matrix of (x^2 + 1)^4: its fourfold pair +-i converges
+    # linearly, 147 sweeps without a deflation, more than the 132 that four
+    # sweeps per decimal digit of 113 bits allowed; dlahqr allows 300 at n = 8
+    coefficients = np.polynomial.polynomial.polypow([1, 0, 1], 4)[::-1]
+    a = np.zeros((8, 8))
+    a[0] = -coefficients[1:]
+    a[1:, :-1] = np.eye(7)
+    longest = []
+    shifts = kernel._shift_polynomial
+
+    def spy(h, l, i, its):
+        longest.append(its)
+        return shifts(h, l, i, its)
+
+    monkeypatch.setattr(kernel, "_shift_polynomial", spy)
+    t, sweeps, factor = kernel.real_schur(a, BITS)
+    assert 132 < max(longest) <= kernel.SWEEPS_PER_ROW * 10
+    assert _is_standard_real_form(t)
+    with working_precision(EXTENDED):
+        values, partners = kernel.schur_eigenvalues(t, factor.f, BITS)
+    assert np.count_nonzero(partners >= 0) == 8
+    assert all(abs(abs(z.imag) - 1) < 1e-12 and abs(z.real) < 1e-12 for z in values)
 
 
 @pytest.mark.parametrize("name", ["random12", "scarf2_k"])
@@ -335,7 +360,7 @@ def test_real_kernel_rejects_complex_input():
 
 
 def test_real_non_convergence_raises_convergence_error(monkeypatch):
-    monkeypatch.setattr(kernel, "SWEEPS_PER_DIGIT", 0)
+    monkeypatch.setattr(kernel, "SWEEPS_PER_ROW", 0)
     a = np.random.default_rng(5).standard_normal((6, 6))
     with pytest.raises(ConvergenceError, match="failed to converge"):
         eigenvalues(np.asarray(a, dtype=object), precision=EXTENDED)

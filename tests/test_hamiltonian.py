@@ -38,10 +38,10 @@ def _interior_d2(grid):
     return second_derivative_rows(grid, range(1, grid.n_intervals))[:, 1:-1]
 
 
-def _complex_h(op):
-    """The complex collocation matrix H that K is similar to, built directly."""
-    v = 1j * op.spec.strength * odd_profile(op.spec.family,
-                                            op.grid.interior_nodes)
+def _complex_h(op, spec):
+    """The complex collocation matrix H of ``spec`` that K is similar to,
+    built directly."""
+    v = 1j * spec.strength * odd_profile(spec.family, op.grid.interior_nodes)
     return -_interior_d2(op.grid) + np.diag(v)
 
 
@@ -73,12 +73,12 @@ def test_pt_form_block_structure():
 @pytest.mark.parametrize("n", [63, 64])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pt_form_has_the_spectrum_of_h(family, n):
-    op = _operator(family=family, strength=3.0 if family == "step" else 30.0,
-                   n=n)
+    spec = PotentialSpec(family, 3.0 if family == "step" else 30.0)
+    op = _operator(spec.family, spec.strength, n=n)
     # the eigensolver takes real matrices only
     assert op.matrix.dtype == np.float64
     ev = np.asarray(eigenvalues(op.matrix).eigenvalues)
-    ref = np.linalg.eigvals(_complex_h(op))
+    ref = np.linalg.eigvals(_complex_h(op, spec))
     cost = np.abs(ev[:, None] - ref[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert np.max(cost[rows, cols]) <= 1e-12 * np.max(np.abs(ref))
@@ -91,7 +91,7 @@ def test_pt_form_has_the_spectrum_of_h(family, n):
 @pytest.mark.parametrize("n", [63, 64])
 def test_mapped_vectors_solve_h(n):
     op = _operator(family="step", strength=3.0, n=n)
-    h = _complex_h(op)
+    h = _complex_h(op, PotentialSpec("step", 3.0))
     sol = eigenvalues(op.matrix)
     ks, vectors, _ = sol.eigenvectors(op.matrix, range(op.dim))
     assert ks.tolist() == list(range(op.dim))
@@ -112,8 +112,9 @@ def test_extended_pt_form_has_the_spectrum_of_h(n):
         for family in FAMILIES:
             k_mat = assemble(grid, PotentialSpec(family, 30.0)).matrix
             assert all(mpmath.im(x) == 0 for x in k_mat.ravel())
-        op = assemble(grid, PotentialSpec("scarf2", 30.0))
-        h = _complex_h(op)
+        spec = PotentialSpec("scarf2", 30.0)
+        op = assemble(grid, spec)
+        h = _complex_h(op, spec)
         sol = eigenvalues(op.matrix, precision=EXTENDED)
         ref = mpmath.eig(mpmath.matrix(h.tolist()), left=False, right=False)
         cost = np.array([[float(abs(a - b)) for b in ref]

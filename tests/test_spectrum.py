@@ -61,7 +61,6 @@ def test_record_fields_are_python_scalars(family, strength, n, precision_mode):
         assert type(r.label) is str
         assert r.tail_ratio is None or type(r.tail_ratio) is float
         assert r.residual is None or type(r.residual) is float
-        assert r.pair_index is None or type(r.pair_index) is int
 
 
 def test_step_small_grid_finds_one_pair(step_result):
@@ -74,14 +73,18 @@ def test_step_small_grid_finds_one_pair(step_result):
     assert upper[0].tail_ratio < 1e-2
 
 
+def _partner(result, record):
+    """The record of the exact conjugate of ``record``'s value."""
+    partners = [r for r in result.records if r.value == record.value.conjugate()]
+    assert len(partners) == 1
+    return partners[0]
+
+
 def test_bound_records_have_conjugate_partners(step_result):
-    records = step_result.records
-    for i, r in enumerate(records):
+    for r in step_result.records:
         if r.label in (BOUND, CONTINUUM_COMPLEX):
-            assert r.pair_index is not None
-            partner = records[r.pair_index]
-            assert partner.pair_index == i
-            assert r.value == partner.value.conjugate()
+            partner = _partner(step_result, r)
+            assert partner is not r
             assert ((partner.label, partner.tail_ratio, partner.residual)
                     == (r.label, r.tail_ratio, r.residual))
 
@@ -94,12 +97,12 @@ def test_pair_members_share_one_classification(family, strength, half_width):
     # double mode: pairs come from the real Schur blocks, exactly
     # conjugate, and one vector classifies both members
     result = _classified(family, strength, half_width, 255)
-    paired = [r for r in result.records if r.pair_index is not None]
-    assert paired
+    paired = [r for r in result.records if r.value.imag]
+    assert any(r.residual is not None for r in paired)
     for r in paired:
-        partner = result.records[r.pair_index]
-        assert r.value == partner.value.conjugate()
-        assert (r.label, r.tail_ratio) == (partner.label, partner.tail_ratio)
+        partner = _partner(result, r)
+        assert ((r.label, r.tail_ratio, r.residual)
+                == (partner.label, partner.tail_ratio, partner.residual))
 
 
 def test_tail_ratio_range(step_result):
@@ -195,7 +198,7 @@ def test_detect_transition_needs_enough_records():
 def test_unresolved_never_counts_as_bound(step_result):
     for r in step_result.records:
         if r.label == UNRESOLVED:
-            assert r.pair_index is None
+            assert r.tail_ratio is None
 
 
 @pytest.mark.parametrize("n", [6, 8, 9])
@@ -205,8 +208,7 @@ def test_no_node_in_the_boundary_bands_leaves_every_candidate_unresolved(n):
     result = _classified("scarf2", 30.0, 10.0, n)
     fetched = [r for r in result.records if r.residual is not None]
     assert fetched and result.bound_pairs == 0
-    assert all(r.label == UNRESOLVED and r.tail_ratio is None
-               and r.pair_index is None for r in fetched)
+    assert all(r.label == UNRESOLVED and r.tail_ratio is None for r in fetched)
 
 
 @pytest.mark.parametrize("n, complex_records, tail", [
@@ -338,7 +340,7 @@ def test_batched_tail_tests_match_the_reference(family, strength, half_width):
         assert record.tail_ratio == tail_ratio
         assert record.label == (BOUND if is_bound else CONTINUUM_COMPLEX)
         assert record.residual == residual
-        partner = result.records[record.pair_index]
+        partner = _partner(result, record)
         assert (partner.tail_ratio, partner.residual) == (tail_ratio, residual)
         labels.add(record.label)
     assert labels == {BOUND, CONTINUUM_COMPLEX}
@@ -364,6 +366,6 @@ def test_records_carry_the_measured_residual(step_result):
     for r in step_result.records:
         if r.label in (BOUND, CONTINUUM_COMPLEX):
             assert 0.0 <= r.residual <= DOUBLE.residual_tol
-            assert step_result.records[r.pair_index].residual == r.residual
+            assert _partner(step_result, r).residual == r.residual
         elif r.label == CONTINUUM_REAL:
             assert r.residual is None

@@ -13,7 +13,10 @@ default the one the script is run from).  Every case runs
 of persisting it, in a fresh interpreter with
 that checkout's ``src/`` on its path, and reads only what the run records:
 the ``ptspec.trace`` spans of its stages, ``trace.environment()`` and the
-process's peak RSS.  A checkout without ``ptspec.trace`` is an error.  Each
+process's peak RSS.  The modules that a run would import inside its spans
+(``CASE_MODULES``) are imported before it, so that no span times an import
+(with ``PYTHONDONTWRITEBYTECODE`` set, the compile of a module's source).
+A checkout without ``ptspec.trace`` is an error.  Each
 case runs in ``--runs`` interpreters per checkout (N=4095 in one), the
 checkouts alternating.  Per span the JSON holds the median seconds over
 them, each run's seconds, and the counters of the first run; a span that
@@ -91,6 +94,12 @@ CASES = (
 
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
+# per precision mode, the modules a first run imports inside its spans: the
+# thread pool of ``side_by_side`` (two parity blocks from order 512 on) and
+# the extended kernel
+CASE_MODULES = {"double64": ("concurrent.futures",),
+                "extended128": ("ptspec._fixed_schur",)}
+
 # the sweeps of the ``sweep`` case, coulomb_regulated A=10: (N, half-widths,
 # timed calls per interpreter).  One call spread 1.39-2.12 s over three
 # interpreters of one checkout
@@ -131,8 +140,13 @@ def measure(family: str, strength: float, half_width: float, n: int,
     """One case through ``run_experiment`` in this interpreter.
 
     Returns the seconds and counters of each span by name, the environment
-    and the peak RSS of the process in MB.
+    and the peak RSS of the process in MB.  The case's ``CASE_MODULES`` are
+    imported first.
     """
+    import importlib
+
+    for module in CASE_MODULES[precision]:
+        importlib.import_module(module)
     from ptspec import trace
     from ptspec.harness.config import ExperimentConfig
     from ptspec.harness.runner import run_experiment
