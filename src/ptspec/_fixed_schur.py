@@ -451,48 +451,35 @@ def _standardize(h: np.ndarray, p: int, g: int) -> None:
             h[p, p] = h[p + 1, p + 1] = _shift(h[p, p] + h[p + 1, p + 1], -1)
 
 
-def eigenvectors(factors: Sequence[Hessenberg], a: np.ndarray, ks: np.ndarray,
-                 lam: Sequence, bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Right eigenvectors of A for the eigenvalues at ``ks``, and their residuals.
+def eigenvectors(factor: Hessenberg, a: np.ndarray, lam: Sequence,
+                 bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Right eigenvectors of the diagonal block A for the eigenvalues
+    ``lam``, and their residuals.
 
-    ``factors`` are the ``Hessenberg`` factors of A's diagonal blocks, in
-    order, ``ks`` ascending positions of the eigenvalues, each within the
-    rows of its block, and ``lam`` those eigenvalues.  Returns an
-    n x len(ks) object array of ``mpc`` rounded to ``bits`` bits, whose
-    column c is the eigenvector of ``lam[c]`` scaled so that its largest
-    entry (the first of largest modulus) is exactly 1, and each column's
-    ||A v - lam v|| as float64.
+    ``factor`` is A's ``Hessenberg`` factor and ``lam`` some of its
+    eigenvalues.  Returns a len(A) x len(lam) object array of ``mpc``
+    rounded to ``bits`` bits, whose column c is the eigenvector of
+    ``lam[c]`` scaled so that its largest entry (the first of largest
+    modulus) is exactly 1, and each column's ||A v - lam v|| as float64.
 
-    Each column is solved on its block's H (``_inverse_iteration``), mapped
-    back through the block's reflectors and divided by its largest entry at
-    scale 2**g, g = bits + GUARD_BITS, before the rounding to ``bits``; it
-    is 0 outside its block.  A with ``lam`` is converted exactly to fixed
-    point (``_to_fixed``), so the residual is exact for the returned
-    vectors and ``lam``, and only its norm is rounded.  Each column is
-    computed on its own, so a vector does not depend on which other
-    columns share the call.  The stages are the ``trace`` spans
-    ``eigensolver.inverse_iteration``, ``eigensolver.q`` and
-    ``eigensolver.residual``.
+    Each column is solved on H (``_inverse_iteration``), mapped back
+    through the reflectors and divided by its largest entry at scale
+    2**g, g = bits + GUARD_BITS, before the rounding to ``bits``.  A with
+    ``lam`` is converted exactly to fixed point (``_to_fixed``), so the
+    residual is exact for the returned vectors and ``lam``, and only its
+    norm is rounded.  Each column is computed on its own, so a vector does
+    not depend on which other columns share the call.  The stages are the
+    ``trace`` spans ``eigensolver.inverse_iteration``, ``eigensolver.q``
+    and ``eigensolver.residual``.
     """
-    n, m = len(a), len(ks)
+    n, m = len(a), len(lam)
     g = bits + GUARD_BITS
     lam = [mpmath.mpmathify(x) for x in lam]
-    owner = np.searchsorted([block.lo for block in factors], ks, side="right") - 1
     with span("eigensolver.inverse_iteration"):
-        solved = []
-        for b in sorted(set(owner.tolist())):  # np.unique would import numpy.ma
-            cols = np.flatnonzero(owner == b)
-            block = factors[b]
-            solved.append((block, cols, _inverse_iteration(
-                block.h, [lam[c] for c in cols.tolist()], block.f, g, bits)))
+        y = _inverse_iteration(factor.h, lam, factor.f, g, bits)
     with span("eigensolver.q"):
-        x = np.zeros((2, n, m), dtype=object)
-        for block, cols, y in solved:
-            rows = slice(block.lo, block.lo + len(block.h))
-            x[:, rows, cols] = _apply_q(block.reflectors, y, g)
-        del solved
-        vectors, v = _unit_largest(x, g, bits)
-        del x
+        vectors, v = _unit_largest(_apply_q(factor.reflectors, y, g), g, bits)
+        del y
     with span("eigensolver.residual"):
         parts = np.array([z.real for z in lam] + [z.imag for z in lam], dtype=object)
         fixed, fa = _to_fixed(np.concatenate((np.ravel(a), parts)), g, exact=True)

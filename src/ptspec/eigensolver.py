@@ -8,7 +8,7 @@ A = (Q Z) T (Q Z)^T: LAPACK ``dgehrd`` reduces A to Hessenberg form
 H = Q^T A Q, and ``dhseqr`` takes H = Z T Z^T, both called through ctypes
 in the OpenBLAS that numpy itself is built on.  Q is kept as ``dgehrd``'s
 Householder reflectors, in panels of about n^2 / 2 entries
-(``_Reflectors``), and is never formed: it is applied only to the
+(``_SchurBlock``), and is never formed: it is applied only to the
 eigenvectors asked for.  Extended precision runs
 ``_fixed_schur.real_schur``, the same two steps on fixed-point integers
 with ``GUARD_BITS`` bits beyond the mode's ``bits``: Householder
@@ -26,24 +26,26 @@ double-precision solve loads neither.
 
 A block-diagonal matrix -- no nonzero entry couples the rows and columns
 before some index with those from it on -- gets one Schur decomposition
-per diagonal block, found from its nonzero pattern in O(n^2), written into
-one n x n T and Z in double precision, with each block's own reflectors.
-K splits so when A = 0, into its even and odd parity blocks; with A != 0
-it is one block.  Extended precision solves the blocks one after another,
-as ``real_schur`` is Python code and mpmath's precision is process-wide,
-and keeps each block's own H and reflectors.
+per diagonal block, found from its nonzero pattern in O(n^2), and keeps
+one factor per block with its first row ``lo``: its own T, Z and
+reflectors in double precision (``_SchurBlock``), its own H and
+reflectors in extended (``_fixed_schur.Hessenberg``).  K splits so when
+A = 0, into its even and odd parity blocks; with A != 0 it is one block.
+Extended precision solves the blocks one after another, as
+``real_schur`` is Python code and mpmath's precision is process-wide.
 
 Right eigenvectors for any subset of eigenvalues come from the same
 factors, as one batch with their measured residuals, so one decomposition
-serves both values and vectors.  Each precision has its own routine.
-Double precision runs ``_schur_vectors``, blocked, in real arithmetic on
-float64 factors and with BLAS products: a back substitution on T for the
-selected columns only (the algorithm of LAPACK ``dtrevc3``, where a 2 x 2
-block is one small complex system per column), then V = Z Y and
-V = Q (Z Y) by LAPACK ``dormqr``.  Extended precision runs
+serves both values and vectors.  The indices are grouped by block, and
+each precision's own routine solves a group on its block's factor and A's
+block.  Double precision runs ``_schur_vectors``, blocked, in real
+arithmetic on float64 factors and with BLAS products: a back substitution
+on T for the selected columns only (the algorithm of LAPACK ``dtrevc3``,
+where a 2 x 2 block is one small complex system per column), then V = Z Y
+and V = Q (Z Y) by LAPACK ``dormqr``.  Extended precision runs
 ``_fixed_schur.eigenvectors`` on fixed-point integers: inverse iteration
-on the kept H (LAPACK ``dlaein``: one LU and, unless its growth test
-asks for another start vector, one solve per vector), then Q by the
+on the kept H (LAPACK ``dlaein``: one LU and, unless its growth test asks
+for another start vector, one solve per vector), then Q by the
 reflectors, and each residual measured exactly.
 
 The double Schur decomposition runs on numpy's OpenBLAS, the thread pool
@@ -86,7 +88,7 @@ from .trace import span
 _BACKSUB_BLOCK = 64
 _VECTOR_BATCH = 1024
 
-# Hessenberg reflectors per panel, as kept and as applied (``_Reflectors``)
+# Hessenberg reflectors per panel, as kept and as applied (``_SchurBlock``)
 _PANEL = 64
 
 # a matrix of lower order takes its double Schur form on one LAPACK thread,
@@ -102,18 +104,17 @@ class ConvergenceError(RuntimeError):
 class EigenSolution:
     """All eigenvalues of one matrix plus the factors its eigenvectors come from.
 
-    In double precision ``schur`` holds (T, Z) of the real Schur form (T
-    quasi-triangular, both float64), with A = (Q Z) T (Q Z)^T for Q the
-    product of the Householder reflectors in ``reflectors``, one
-    ``_Reflectors`` per diagonal block, or A = Z T Z^T where
-    ``reflectors`` is None (Q = I, the scipy fallback); Q is never formed.
-    A block-diagonal matrix has block-diagonal factors.  In extended
-    precision ``schur`` is None and ``reflectors`` holds one
-    ``_fixed_schur.Hessenberg`` per diagonal block: its Hessenberg form H =
-    Q^T A Q before the QR, as fixed-point integers, and Q as reflectors; no
-    n x n orthogonal factor is kept.  ``eigenvalues[k]`` is T[k, k], or one
-    of the conjugate pair of the 2 x 2 block at rows k..k+1, the one with
-    positive imaginary part first.  ``partners[k]`` is the position of the
+    ``blocks`` holds one factor per diagonal block of A, in order, each
+    with the block's first row and column as ``lo``.  In double precision
+    a ``_SchurBlock``: the block's real Schur form, A_b = (Q Z) T (Q Z)^T
+    with T quasi-triangular and Q kept as Householder reflectors, never
+    formed (Q = I for the scipy fallback, which has none).  In extended
+    precision a ``_fixed_schur.Hessenberg``: the block's Hessenberg form H
+    = Q^T A_b Q before the QR, as fixed-point integers, and Q as
+    reflectors; no orthogonal factor of the QR is kept.
+    ``eigenvalues[k]`` is T[k, k] of its block, or one of the conjugate
+    pair of the 2 x 2 block at rows k..k+1, the one with positive
+    imaginary part first.  ``partners[k]`` is the position of the
     conjugate partner of ``eigenvalues[k]``, the other row of its block,
     or -1 for a real eigenvalue.  ``matrix_fro_norm`` is ||A||_F;
     eigenvector residuals are judged by the caller.  ``iteration_stats``
@@ -127,9 +128,7 @@ class EigenSolution:
     matrix_fro_norm: float
     iteration_stats: Tuple[int, ...]
     precision: ScalarPrecision
-    schur: Optional[Tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
-    reflectors: Optional[Tuple[object, ...]] = field(default=None, repr=False,
-                                                   compare=False)
+    blocks: Tuple[object, ...] = field(repr=False, compare=False)
 
     def eigenvectors(self, matrix: np.ndarray, indices: Sequence[int]
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,41 +138,61 @@ class EigenSolution:
         (ks, vectors, residuals): the distinct indices in ascending order;
         an n x len(ks) array whose column c is the eigenvector of
         ``eigenvalues[ks[c]]``, scaled so its largest entry is 1 (complex128,
-        or object in extended mode); and each column's relative residual
-        ||A v - lambda v|| / ||A||_F (float64).  The caller judges the
-        residual; the solver's own bound is ``precision.residual_tol``.
-        In double precision vectors are back-substituted on the Schur
-        factors by ``_schur_vectors``, at most ``_VECTOR_BATCH`` columns at
-        a time, with the ``trace`` spans ``eigensolver.backsub``,
+        or object in extended mode) and 0 outside its block; and each
+        column's relative residual ||A v - lambda v|| / ||A||_F (float64).
+        The caller judges the residual; the solver's own bound is
+        ``precision.residual_tol``.  Raises IndexError for an index outside
+        0..n-1 and ValueError for a matrix that is not n x n.  The indices
+        are grouped by block, and each group is solved on its block's
+        factor and A's block: in double precision back-substituted on the
+        Schur factors by ``_schur_vectors``, at most ``_VECTOR_BATCH``
+        columns at a time, with the ``trace`` spans ``eigensolver.backsub``,
         ``eigensolver.zy``, ``eigensolver.q`` (V = Q Z Y) and
-        ``eigensolver.residual`` per batch.  In extended precision
-        ``_fixed_schur.eigenvectors`` takes them by inverse iteration on each
-        block's H, with the spans ``eigensolver.inverse_iteration``,
-        ``eigensolver.q`` (V = Q X) and ``eigensolver.residual``.  The call
-        is the span ``eigensolver.vectors`` (counter ``columns``); no index
-        runs neither routine.
+        ``eigensolver.residual`` per batch; in extended precision by
+        inverse iteration on H (``_fixed_schur.eigenvectors``), with the
+        spans ``eigensolver.inverse_iteration``, ``eigensolver.q`` (V = Q X)
+        and ``eigensolver.residual``.  A block that is the whole matrix
+        returns its columns without a copy.  The call is the span
+        ``eigensolver.vectors`` (counter ``columns``); no index runs
+        neither routine.
         """
+        a, n = np.asarray(matrix), len(self.eigenvalues)
         ks = np.sort(np.asarray(indices, dtype=np.intp).ravel())
         distinct = np.ones(len(ks), dtype=bool)
         distinct[1:] = ks[1:] != ks[:-1]
         ks = ks[distinct]
+        if len(ks) and not 0 <= ks[0] <= ks[-1] < n:
+            raise IndexError(f"eigenvector indices must lie in 0..{n - 1}")
+        if a.shape != (n, n):
+            raise ValueError(f"expected the {n} x {n} matrix of this solution")
+        extended = self.precision.is_extended
+        if extended:
+            from mpmath import mpc
+
+            from ._fixed_schur import eigenvectors
+        starts = [block.lo for block in self.blocks]
+        stops = [*starts[1:], n]
+        owner = np.searchsorted(starts, ks, side="right") - 1
+        # a lone block is the whole matrix: its columns are returned as they are
+        vectors = (None if len(self.blocks) == 1 and len(ks) else
+                   np.full((n, len(ks)), mpc(0) if extended else 0,
+                           dtype=object if extended else np.complex128))
+        norms = np.empty(len(ks))
         with span("eigensolver.vectors") as count:
             count["columns"] = len(ks)
-            if not len(ks):
-                vectors = np.empty((len(self.eigenvalues), 0),
-                                   dtype=object if self.precision.is_extended
-                                   else np.complex128)
-                norms = np.empty(0)
-            elif self.precision.is_extended:
-                from ._fixed_schur import eigenvectors
-
-                vectors, norms = eigenvectors(self.reflectors, matrix, ks,
-                                              self.eigenvalues[ks], self.precision.bits)
-            else:
-                t, z = self.schur
-                vectors, norms = _schur_vectors(t, z, self.reflectors, matrix, ks,
-                                                self.eigenvalues[ks],
-                                                self.precision.machine_epsilon)
+            for b in sorted(set(owner.tolist())):  # np.unique would import numpy.ma
+                cols = np.flatnonzero(owner == b)
+                lo, hi = starts[b], stops[b]
+                block, lam = self.blocks[b], self.eigenvalues[ks[cols]]
+                v, norms[cols] = (
+                    eigenvectors(block, a[lo:hi, lo:hi], lam, self.precision.bits)
+                    if extended else
+                    _schur_vectors(block, a[lo:hi, lo:hi], ks[cols] - lo, lam,
+                                   self.precision.machine_epsilon))
+                if vectors is None:
+                    vectors = v
+                else:
+                    vectors[lo:hi, cols] = v
         return ks, vectors, norms / (self.matrix_fro_norm or 1.0)
 
 
@@ -185,9 +204,10 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
     raises ValueError before a Schur decomposition starts, as does a
     double-mode matrix with an entry that is not finite, and a matrix whose
     ||A||_F overflows a double (no residual relative to it could be
-    measured).  The factors of one real Schur decomposition are kept on the
-    solution for later eigenvector requests.  A block-diagonal matrix gets
-    one per diagonal block (``_diagonal_blocks``).
+    measured).  Each diagonal block (``_diagonal_blocks``) gets one real
+    Schur decomposition, whose factor is kept on the solution for later
+    eigenvector requests; its eigenvalues and partners are read off its T,
+    and the partners offset by its first row.
     Raises ConvergenceError when the QR iteration behind it fails to
     converge.  ||A||_F is taken with the input checks; the work after them
     is the ``trace`` span ``eigensolver.schur``, with the child spans
@@ -220,19 +240,20 @@ def eigenvalues(matrix: np.ndarray, precision: ScalarPrecision = DOUBLE) -> Eige
         raise ValueError("eigenvalues expects a matrix whose Frobenius norm is finite "
                          "in double precision")
     with span("eigensolver.schur") as count:
-        blocks = _diagonal_blocks(a)
+        ranges = _diagonal_blocks(a)
         if precision.is_extended:
-            values, partners, reflectors, sweeps = _extended_schur(a, blocks, precision)
-            schur, threads = None, None
+            blocks, spectra, sweeps = _extended_schur(a, ranges, precision)
+            threads = None
         else:
-            t, z, reflectors, threads = _schur_factors(a, blocks)
-            values, partners = _real_schur_eigenvalues(t)
-            schur, sweeps = (t, z), None
-        count.update(blocks=len(blocks), largest_block=max(hi - lo for lo, hi in blocks),
+            blocks, threads = _schur_factors(a, ranges)
+            spectra, sweeps = [_real_schur_eigenvalues(b.t) for b in blocks], None
+        values = np.concatenate([v for v, _ in spectra])
+        partners = np.concatenate([np.where(p >= 0, p + b.lo, -1)
+                                   for b, (_, p) in zip(blocks, spectra)])
+        count.update(blocks=len(ranges), largest_block=max(hi - lo for lo, hi in ranges),
                      qr_sweeps=sweeps, schur_threads=threads)
     stats = () if sweeps is None else (sweeps,)
-    return EigenSolution(values, partners, fro, stats, precision, schur=schur,
-                         reflectors=reflectors)
+    return EigenSolution(values, partners, fro, stats, precision, tuple(blocks))
 
 
 def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
@@ -258,106 +279,97 @@ def _diagonal_blocks(a: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip([0, *ends[:-1].tolist()], ends.tolist()))
 
 
-def _extended_schur(a: np.ndarray, blocks: List[Tuple[int, int]],
+def _extended_schur(a: np.ndarray, ranges: List[Tuple[int, int]],
                     precision: ScalarPrecision):
-    """(eigenvalues, partners, Hessenberg factors, QR sweeps) of ``a`` in
-    extended precision.
+    """(Hessenberg factors, (eigenvalues, partners) per block, QR sweeps) of
+    ``a`` in extended precision.
 
-    The diagonal ``blocks`` are solved one after another by
+    The diagonal blocks at ``ranges`` are solved one after another by
     ``_fixed_schur.real_schur``, their sweeps summed; each block's
     eigenvalues are read off its T at the mode's working precision, and its
     ``Hessenberg`` factor is kept with the block's first row as ``lo``.
     """
     from ._fixed_schur import real_schur, schur_eigenvalues
 
-    values, partners, factors, sweeps = [], [], [], 0
-    for lo, hi in blocks:
+    factors, spectra, sweeps = [], [], 0
+    for lo, hi in ranges:
         t, s, factor = real_schur(a[lo:hi, lo:hi], precision.bits)
         with working_precision(precision):
-            v, p = schur_eigenvalues(t, factor.f, precision.bits)
-        values.append(v)
-        partners.append(np.where(p >= 0, p + lo, -1))
+            spectra.append(schur_eigenvalues(t, factor.f, precision.bits))
         factors.append(factor._replace(lo=lo))
         sweeps += s
-    return np.concatenate(values), np.concatenate(partners), tuple(factors), sweeps
+    return factors, spectra, sweeps
 
 
-def _schur_factors(a: np.ndarray, blocks: List[Tuple[int, int]]):
-    """(T, Z, reflectors, LAPACK threads) of the double ``a``.
+def _schur_factors(a: np.ndarray, ranges: List[Tuple[int, int]]
+                   ) -> Tuple[List[_SchurBlock], Optional[int]]:
+    """(one ``_SchurBlock`` per diagonal block, LAPACK threads) of the
+    double ``a``.
 
-    Each of the diagonal ``blocks`` gets its own Schur decomposition.  T and
-    Z start as Fortran-order zeros, T with each block of ``a`` copied in,
-    and each block is solved in place in two steps, the ``trace`` spans
-    ``eigensolver.hessenberg`` (``_hessenberg``: T's block becomes H =
-    Q^T A Q, and Q is kept as the block's reflectors) and
-    ``eigensolver.qr`` (``_qr``: H = Z T Z^T into Z's block), so both stay
-    zero outside the blocks.  Below order ``_SERIAL_BELOW`` the blocks run
-    one after another on one LAPACK thread; from it on each step runs them
-    by the rule of ``side_by_side``.  Every block runs on the same count,
-    which ``_qr`` reads, so the first block's is returned.  The reflectors
-    are a tuple of ``_Reflectors``, one per block, or None where the scipy
-    fallback returned Z = Q Z itself.
+    Each of the diagonal blocks at ``ranges`` is copied to a Fortran-order
+    T and gets its own Schur decomposition in two steps, the ``trace``
+    spans ``eigensolver.hessenberg`` (``_hessenberg``: T becomes H = Q^T A
+    Q in place, Q kept as reflectors) and ``eigensolver.qr`` (``_qr``: H =
+    Z T Z^T, T and Z in place).  Below order ``_SERIAL_BELOW`` the blocks
+    run one after another on one LAPACK thread; from it on each step runs
+    them by the rule of ``side_by_side``.  Every block runs on the same
+    count, which ``_qr`` reads, so the first block's is returned.
     """
-    n = a.shape[0]
-    t, z = np.zeros((n, n), order="F"), np.zeros((n, n), order="F")
-    for lo, hi in blocks:
-        t[lo:hi, lo:hi] = a[lo:hi, lo:hi]
+    # T and Z are allocated here, not in the jobs: glibc keeps what a worker
+    # thread frees in that thread's own arena, where the next solve on the
+    # calling thread cannot reuse it (the box's two blocks at N=1023 on two
+    # threads, then the step: a peak RSS of 83 MB, against 75 MB so)
+    copies = [np.array(a[lo:hi, lo:hi], dtype=np.float64, order="F") for lo, hi in ranges]
+    serial = len(a) < _SERIAL_BELOW
 
-    def hessenberg(block: Tuple[int, int]) -> Optional[_Reflectors]:
-        lo, hi = block
-        return _hessenberg(t[lo:hi, lo:hi], lo)
-
-    def qr(block: Tuple[int, int]) -> Optional[int]:
-        lo, hi = block
-        return _qr(t[lo:hi, lo:hi], z[lo:hi, lo:hi])
-
-    serial = n < _SERIAL_BELOW
-
-    def run(job: Callable) -> list:
-        return list(map(job, blocks)) if serial else side_by_side(job, blocks)
+    def run(job: Callable, items: Sequence) -> list:
+        return list(map(job, items)) if serial else side_by_side(job, items)
 
     with _one_thread() if serial else contextlib.nullcontext():
         with span("eigensolver.hessenberg"):
-            reflectors = run(hessenberg)
+            reflectors = run(_hessenberg, copies)
+        blocks = [_SchurBlock(lo, t, np.empty_like(t), *q)
+                  for (lo, _), t, q in zip(ranges, copies, reflectors)]
         with span("eigensolver.qr"):
-            threads = run(qr)
-    return (t, z, None if None in reflectors else tuple(reflectors),
-            next(iter(threads), None))
+            threads = run(lambda block: _qr(block.t, block.z), blocks)
+    return blocks, next(iter(threads), None)
 
 
 # LAPACKE's matrix_layout code for column-major (Fortran-order) arrays
 _COL_MAJOR = 102
 
 
-class _Reflectors(NamedTuple):
-    """The Hessenberg factor Q of one diagonal block, rows and columns
-    ``lo``.., as LAPACK ``dgehrd`` leaves it, in panels.
+class _SchurBlock(NamedTuple):
+    """The real Schur form of one diagonal block A_b of order m, rows and
+    columns ``lo``.., as A_b = (Q Z) T (Q Z)^T.
 
-    Q = H_0 H_1 ... H_{m-2} for a block of order m, H_j = I - tau[j] v v^T
-    with v 0 above row j + 1, 1 there, and below it the entries that
-    ``dgehrd`` leaves in column j below T's subdiagonal.  Panel p holds
-    rows p * _PANEL + 1.. of columns p * _PANEL.. (at most ``_PANEL`` of
-    them, up to column m - 3; H_{m-2} is the identity) in Fortran order,
-    the layout of LAPACK ``dgeqrf`` that ``dormqr`` reads, whose entries
-    on and above the unit diagonal are not read: about m^2 / 2 entries in
-    all, where Q itself would take m^2, as views of one buffer.
+    ``t`` and ``z`` are the block's own Fortran-order float64 T and Z.  Q =
+    H_0 H_1 ... H_{m-2}, H_j = I - tau[j] v v^T with v 0 above row j + 1,
+    1 there, and below it the entries that LAPACK ``dgehrd`` leaves in
+    column j below T's subdiagonal.  Panel p holds rows p * _PANEL + 1.. of
+    columns p * _PANEL.. (at most ``_PANEL`` of them, up to column m - 3;
+    H_{m-2} is the identity) in Fortran order, the layout of LAPACK
+    ``dgeqrf`` that ``dormqr`` reads, whose entries on and above the unit
+    diagonal are not read: about m^2 / 2 entries in all, where Q itself
+    would take m^2, as views of one buffer.  The scipy fallback has no
+    reflectors (``tau`` None, no panels): Q = I.
     """
 
     lo: int
-    tau: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    tau: Optional[np.ndarray]
     panels: Tuple[np.ndarray, ...]
 
 
-def _column_stride(t: np.ndarray, z: Optional[np.ndarray] = None) -> int:
-    """The entries from column to column of the square float64 block
-    ``t`` (and ``z``, which must share its strides), such as one diagonal
-    block of a Fortran-order array; ValueError for any other layout."""
-    n = t.shape[0]
-    if (t.dtype != np.float64 or t.shape != (n, n) or t.strides[0] != t.itemsize
-            or t.strides[1] < n * t.itemsize
-            or (z is not None and z.strides != t.strides)):
+def _fortran_order(*arrays: np.ndarray) -> int:
+    """The order of the square float64 Fortran-order ``arrays``, all of one
+    shape; ValueError for any other layout."""
+    n = arrays[0].shape[0]
+    if any(x.dtype != np.float64 or x.shape != (n, n) or not x.flags.f_contiguous
+           for x in arrays):
         raise ValueError("LAPACK expects square float64 blocks with contiguous columns")
-    return max(t.strides[1] // t.itemsize, 1)
+    return n
 
 
 def _lapack(routine: str, function: Callable, *args) -> None:
@@ -383,24 +395,24 @@ def _lapack(routine: str, function: Callable, *args) -> None:
     call(work, len(work))
 
 
-def _hessenberg(t: np.ndarray, lo: int) -> Optional[_Reflectors]:
-    """Reduce the square block ``t``, rows and columns ``lo``.. of the whole
-    matrix, to upper Hessenberg form H = Q^T t Q in place, by LAPACK
-    ``dgehrd``; returns Q as ``_Reflectors``.
+def _hessenberg(t: np.ndarray) -> Tuple[Optional[np.ndarray], Tuple[np.ndarray, ...]]:
+    """Reduce the square block ``t`` to upper Hessenberg form H = Q^T t Q in
+    place, by LAPACK ``dgehrd``; returns Q as the ``tau`` and ``panels`` of
+    a ``_SchurBlock``.
 
-    ``t`` is laid out as ``_column_stride`` requires and holds finite
+    ``t`` is laid out as ``_fortran_order`` requires and holds finite
     entries.  Calls ``LAPACKE_dgehrd`` of numpy's OpenBLAS
     (``_openblas``); where numpy's library does not export it, ``t`` is
-    left as it is and None returned, and ``_qr`` takes the whole Schur form
-    with scipy.  The reflectors below H's subdiagonal stay in ``t``, for
-    ``_qr`` to clear.  Raises ValueError on an argument LAPACK rejects.
+    left as it is and (None, ()) returned, and ``_qr`` takes the whole Schur
+    form with scipy.  The reflectors below H's subdiagonal stay in ``t``,
+    for ``_qr`` to clear.  Raises ValueError on an argument LAPACK rejects.
     """
-    m, ld = t.shape[0], _column_stride(t)
+    m = _fortran_order(t)
     lib = _openblas()
     if lib.dgehrd is None:
-        return None
+        return None, ()
     tau = np.zeros(max(m - 1, 1))
-    _lapack("dgehrd", lib.dgehrd, _COL_MAJOR, m, 1, m, t.ctypes.data, ld, tau.ctypes.data)
+    _lapack("dgehrd", lib.dgehrd, _COL_MAJOR, m, 1, m, t.ctypes.data, m, tau.ctypes.data)
     # one buffer for all panels: at large m one mapping, returned whole when
     # freed, where some 60 panels of up to 2 MB each fragmented the heap
     # (the desk's peak RSS rose by 143 MB, against 66 MB for its coulomb
@@ -412,7 +424,7 @@ def _hessenberg(t: np.ndarray, lo: int) -> Optional[_Reflectors]:
                    for start, (h, w) in zip(offsets.tolist(), shapes))
     for j, panel in zip(range(0, m - 2, _PANEL), panels):
         panel[...] = t[j + 1:, j:j + panel.shape[1]]
-    return _Reflectors(lo, tau, panels)
+    return tau, panels
 
 
 def _qr(t: np.ndarray, z: np.ndarray) -> Optional[int]:
@@ -420,7 +432,7 @@ def _qr(t: np.ndarray, z: np.ndarray) -> Optional[int]:
     ``z`` with Z, H = Z T Z^T, by LAPACK ``dhseqr``; returns the OpenBLAS
     thread count it ran on.
 
-    ``t`` and ``z`` are laid out as ``_column_stride`` requires; ``t``
+    ``t`` and ``z`` are laid out as ``_fortran_order`` requires; ``t``
     holds what ``_hessenberg`` left, and T is zero below its subdiagonal.
     Nothing is reordered.  Z's entries below eps^2 are set to 0: Z is
     orthogonal, so that moves it by at most n eps^2 in norm, and each
@@ -433,7 +445,7 @@ def _qr(t: np.ndarray, z: np.ndarray) -> Optional[int]:
     read.  Raises ConvergenceError when the QR iteration fails and
     ValueError on an argument LAPACK rejects.
     """
-    m, ld = t.shape[0], _column_stride(t, z)
+    m = _fortran_order(t, z)
     lib = _openblas()
     if lib.dhseqr is None:
         import scipy.linalg  # a second LAPACK, loaded only where numpy has none
@@ -445,8 +457,8 @@ def _qr(t: np.ndarray, z: np.ndarray) -> Optional[int]:
         return None
     wr, wi = np.empty(m), np.empty(m)
     threads = None if lib.get_threads is None else lib.get_threads()
-    _lapack("dhseqr", lib.dhseqr, _COL_MAJOR, b"S", b"I", m, 1, m, t.ctypes.data, ld,
-            wr.ctypes.data, wi.ctypes.data, z.ctypes.data, ld)
+    _lapack("dhseqr", lib.dhseqr, _COL_MAJOR, b"S", b"I", m, 1, m, t.ctypes.data, m,
+            wr.ctypes.data, wi.ctypes.data, z.ctypes.data, m)
     # Z of H has entries down to the subnormal range where K's vectors are
     # localized; multiplied on into W = Z Y and through Q's reflectors they
     # take the processor's slow path for subnormal results (coulomb at
@@ -458,31 +470,28 @@ def _qr(t: np.ndarray, z: np.ndarray) -> Optional[int]:
     return threads
 
 
-def _apply_q(reflectors: Tuple[_Reflectors, ...], w: np.ndarray, rows: int) -> None:
-    """w := Q w in place, Q block-diagonal with each block's ``_Reflectors``.
+def _apply_q(block: _SchurBlock, w: np.ndarray) -> None:
+    """w := Q w in place, Q the product of ``block``'s reflectors.
 
-    ``w`` is a C-contiguous complex128 n x m array, such as ``_product``
-    returns; rows from ``rows`` on are zero, so the blocks
-    that start there are skipped.  LAPACK reads its float64 view, n x 2m
-    in C order, as the 2m x n column-major matrix W^T, so each panel P of
+    ``w`` is a C-contiguous complex128 array of the block's rows, such as
+    ``_product`` returns.  LAPACK reads its float64 view, m x 2k in C
+    order, as the 2k x m column-major matrix W^T, so each panel P of
     reflectors is applied from the right as W^T P^T by ``dormqr`` (``'R',
-    'T'``), the last panel first, without a transposed copy.  Raises
-    ValueError for any other ``w`` and on an argument LAPACK rejects.
+    'T'``), the last panel first, without a transposed copy; a block
+    without reflectors (Q = I) leaves ``w`` as it is.  Raises ValueError
+    for any other ``w`` and on an argument LAPACK rejects.
     """
     if w.dtype != np.complex128 or not w.flags.c_contiguous:
         raise ValueError("dormqr expects a complex128 array with contiguous rows")
     lib = _openblas()
     flat = w.view(np.float64)
     width = flat.shape[1]
-    for block in reflectors:
-        if block.lo >= rows:
-            continue
-        for first, v in reversed(list(zip(range(0, len(block.tau), _PANEL),
-                                          block.panels))):
-            height, k = v.shape
-            _lapack("dormqr", lib.dormqr, _COL_MAJOR, b"R", b"T", width, height, k,
-                    v.ctypes.data, height, block.tau[first:].ctypes.data,
-                    flat[block.lo + first + 1:].ctypes.data, width)
+    for p, v in reversed(list(enumerate(block.panels))):
+        height, k = v.shape
+        first = p * _PANEL
+        _lapack("dormqr", lib.dormqr, _COL_MAJOR, b"R", b"T", width, height, k,
+                v.ctypes.data, height, block.tau[first:].ctypes.data,
+                flat[first + 1:].ctypes.data, width)
 
 
 class _Symbols(NamedTuple):
@@ -645,34 +654,31 @@ def _real_schur_eigenvalues(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return values, partners
 
 
-def _schur_vectors(t: np.ndarray, z: np.ndarray,
-                   reflectors: Optional[Tuple[_Reflectors, ...]], matrix: np.ndarray,
-                   ks: np.ndarray, lam: np.ndarray, eps: float
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of A = (Q Z) T (Q Z)^T (float64 factors, Q the product
-    of ``reflectors``, or I where that is None) for the eigenvalues ``lam``
-    at the ascending positions ``ks``, and their ||A v - lam v||.
+def _schur_vectors(block: _SchurBlock, matrix: np.ndarray, ks: np.ndarray,
+                   lam: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of the diagonal block ``matrix`` = (Q Z) T (Q Z)^T, its
+    ``_SchurBlock`` ``block``, for the eigenvalues ``lam`` at the ascending
+    positions ``ks`` in the block, and their ||A v - lam v||.
 
     At most ``_VECTOR_BATCH`` columns at a time: the back substitution on T
     (``_schur_eigenvectors``), W = Z Y, V = Q W (``_apply_q``) scaled to a
     largest entry of 1, and the residual, as the ``trace`` spans
     ``eigensolver.backsub``, ``eigensolver.zy``, ``eigensolver.q`` and
-    ``eigensolver.residual`` per batch.  Returns complex128 vectors, a
-    single batch as computed without a copy, and float64 norms.
+    ``eigensolver.residual`` per batch.  Returns complex128 vectors of the
+    block's rows, a single batch as computed without a copy, and float64
+    norms.
     """
     a = np.asarray(matrix, dtype=np.float64)
     vectors, norms = [], []
     for start in range(0, len(ks), _VECTOR_BATCH):
         batch = slice(start, start + _VECTOR_BATCH)
         with span("eigensolver.backsub"):
-            y = _schur_eigenvectors(t, ks[batch], lam[batch], eps)
+            y = _schur_eigenvectors(block.t, ks[batch], lam[batch], eps)
         with span("eigensolver.zy"):
-            v = _product(z[:, :y.shape[0]], y)
-            rows = y.shape[0]
+            v = _product(block.z[:, :y.shape[0]], y)
             del y
         with span("eigensolver.q"):
-            if reflectors is not None:
-                _apply_q(reflectors, v, rows)
+            _apply_q(block, v)
             v /= v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
         with span("eigensolver.residual"):
             r = _product(a, v)

@@ -125,7 +125,7 @@ def test_real_matrix_takes_the_real_schur_form():
     a = rng.standard_normal((n, n))
     fro = np.linalg.norm(a)
     sol = eigenvalues(a)
-    assert all(f.dtype == np.float64 for f in sol.schur)
+    assert all(f.dtype == np.float64 for b in sol.blocks for f in (b.t, b.z))
     ev = np.asarray(sol.eigenvalues)
     ref = scipy.linalg.eigvals(a)
     assert max(np.min(np.abs(ref - z)) for z in ev) < 1e-12 * fro
@@ -211,6 +211,24 @@ def test_repeated_and_unordered_indices_give_each_vector_once():
     assert np.array_equal(vectors, once[1]) and np.array_equal(residuals, once[2])
 
 
+@pytest.mark.parametrize("precision", [DOUBLE, EXTENDED], ids=lambda p: p.mode)
+@pytest.mark.parametrize("case", ["index-minus-one", "index-n", "wrong-order"])
+def test_eigenvectors_refuse_an_index_or_matrix_not_their_own(precision, case):
+    n = 6
+    with working_precision(precision):
+        a = as_working(np.random.default_rng(34).standard_normal((n, n)), precision)
+        sol = eigenvalues(a, precision=precision)
+        with trace.record() as spans:
+            if case == "wrong-order":
+                # a larger matrix would fit every block's slice
+                with pytest.raises(ValueError, match="6 x 6"):
+                    sol.eigenvectors(np.eye(n + 1), [0])
+            else:
+                with pytest.raises(IndexError, match="0..5"):
+                    sol.eigenvectors(a, [-1] if case == "index-minus-one" else [n])
+    assert not spans  # refused before the eigensolver.vectors span opens
+
+
 # --- back substitution on the real Schur form ---------------------------------
 
 def _solution_of_real_schur_form(t):
@@ -219,7 +237,7 @@ def _solution_of_real_schur_form(t):
     fro = float(np.linalg.norm(t))
     return eigensolver.EigenSolution(
         values, partners, fro, (), DOUBLE,
-        schur=(t, np.eye(len(t))))
+        (eigensolver._SchurBlock(0, t, np.eye(len(t)), None, ()),))
 
 
 def _block(a, b, c):
@@ -320,16 +338,16 @@ def test_block_diagonal_matrix_is_solved_per_block(monkeypatch, precision):
     outside = np.ones((n, n), dtype=bool)
     for lo, hi in _BLOCKS:
         outside[lo:hi, lo:hi] = False
+    # each block keeps its own factor, of the block's order: T and Z in
+    # double precision, H in extended; a vector is 0 outside its
+    # eigenvalue's block
+    factor = (lambda f: f.h) if precision.is_extended else (lambda f: f.t)
+    assert [(f.lo, len(factor(f))) for f in split.blocks] == [
+        (lo, hi - lo) for lo, hi in _BLOCKS]
     if precision is DOUBLE:
-        assert all(x == 0 for m in split.schur for x in m[outside])
-        assert split.schur[0].dtype == np.float64
-    else:
-        # each block keeps its own Hessenberg factor; a vector is 0 outside
-        # its eigenvalue's block
-        assert split.schur is None
-        assert [(f.lo, len(f.h)) for f in split.reflectors] == [
-            (lo, hi - lo) for lo, hi in _BLOCKS]
-        assert all(x == 0 for x in vectors[outside[:, ks]])
+        assert all(f.t.shape == f.z.shape and f.t.dtype == np.float64
+                   for f in split.blocks)
+    assert all(x == 0 for x in vectors[outside[:, ks]])
     monkeypatch.setattr(eigensolver, "_diagonal_blocks", lambda a: [(0, len(a))])
     whole = eigenvalues(a, precision=precision)
     ev_split = to_complex128(split.eigenvalues)
@@ -407,7 +425,8 @@ def test_without_lapacke_scipy_solves_the_blocks(monkeypatch):
         sol = eigenvalues(a)
     # one block after another, on a pool whose threads are not known, with
     # Z explicit: no reflectors
-    assert calls == [5, 3, 4] and sol.reflectors is None
+    assert calls == [5, 3, 4]
+    assert all(b.tau is None and not b.panels for b in sol.blocks)
     assert spans[0].counters["schur_threads"] is None
     assert np.allclose(sol.eigenvalues, own.eigenvalues, rtol=0, atol=1e-12)
     _, vectors, residuals = sol.eigenvectors(a, range(len(a)))
@@ -443,10 +462,11 @@ def test_lapack_refuses_blocks_it_cannot_read():
         with pytest.raises(ValueError, match="contiguous columns"):
             eigensolver._qr(t, z)
     with pytest.raises(ValueError, match="contiguous columns"):
-        eigensolver._hessenberg(a, 0)
+        eigensolver._hessenberg(a)
     # the reflectors read the vectors' rows as LAPACK's columns
+    (block,) = eigenvalues(a).blocks
     with pytest.raises(ValueError, match="contiguous rows"):
-        eigensolver._apply_q((), np.zeros((2, 2), dtype=np.complex128, order="F"), 2)
+        eigensolver._apply_q(block, np.zeros((2, 2), dtype=np.complex128, order="F"))
 
 
 # --- the factored Schur form: T, Z and the Hessenberg reflectors ----------------
@@ -462,14 +482,16 @@ def test_reflectors_and_z_factor_the_matrix(case):
          else _k(0.0 if case == "box" else 30.0))
     n = len(a)
     sol = eigenvalues(a)
-    t, z = sol.schur
+    t = scipy.linalg.block_diag(*(b.t for b in sol.blocks))
     blocks = eigensolver._diagonal_blocks(a)
     assert len(blocks) == (2 if case == "box" else 1)
-    assert [r.lo for r in sol.reflectors] == [lo for lo, _ in blocks]
+    assert [b.lo for b in sol.blocks] == [lo for lo, _ in blocks]
     assert not np.tril(t, -2).any()
-    # Q Z, from the reflectors applied to the columns of Z
-    qz = np.ascontiguousarray(z, dtype=np.complex128)
-    eigensolver._apply_q(sol.reflectors, qz, n)
+    # Q Z, from each block's reflectors applied to the columns of its Z
+    parts = [np.ascontiguousarray(b.z, dtype=np.complex128) for b in sol.blocks]
+    for b, part in zip(sol.blocks, parts):
+        eigensolver._apply_q(b, part)
+    qz = scipy.linalg.block_diag(*parts)
     assert not qz.imag.any()
     qz = qz.real
     assert np.linalg.norm(a - qz @ t @ qz.T) <= 1e-13 * np.linalg.norm(a)
@@ -504,8 +526,27 @@ def test_the_solve_keeps_no_n_by_n_hessenberg_factor():
     # T, Z and the reflectors' panels (about n^2 / 2), where Q itself would
     # take n^2 more; the slack is the panels' unused triangles and one
     # LAPACK workspace, each under n * _PANEL entries
-    assert len(sol.reflectors) == 1
+    assert len(sol.blocks) == 1
     assert peak <= (2.5 * n * n + 2 * n * eigensolver._PANEL) * 8
+
+
+def test_two_blocks_keep_no_n_by_n_schur_factor():
+    if _LIB.dhseqr is None:
+        pytest.skip("numpy's library exports no LAPACKE_dhseqr")
+    n = 800
+    rng = np.random.default_rng(33)
+    a = scipy.linalg.block_diag(*rng.standard_normal((2, n // 2, n // 2)))
+    eigenvalues(a)  # a first call's imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        sol = eigenvalues(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each block's own T and Z, n^2 / 4 each, and its panels, about n^2 / 8:
+    # 1.25 n^2 for the two, where an n x n T and Z alone would take 2 n^2
+    assert [(b.lo, len(b.t)) for b in sol.blocks] == [(0, n // 2), (n // 2, n // 2)]
+    assert peak <= 1.5 * n * n * 8
 
 
 # --- LAPACK threads ----------------------------------------------------------
@@ -644,19 +685,18 @@ def test_concurrent_box_blocks_match_each_block_alone():
     blocks = eigensolver._diagonal_blocks(k)
     assert len(blocks) == 2
     sol = eigenvalues(k)
-    t, z = sol.schur
     with eigensolver._one_thread() as threads:
         assert threads == 2 and _LIB.get_threads() == 1
-        for (lo, hi), reflectors in zip(blocks, sol.reflectors):
+        for (lo, hi), block in zip(blocks, sol.blocks):
             tb = np.array(k[lo:hi, lo:hi], order="F")
             zb = np.empty_like(tb)
-            alone = eigensolver._hessenberg(tb, lo)
+            tau, panels = eigensolver._hessenberg(tb)
             eigensolver._qr(tb, zb)
-            assert np.array_equal(t[lo:hi, lo:hi], tb)
-            assert np.array_equal(z[lo:hi, lo:hi], zb)
-            assert alone.lo == reflectors.lo == lo
-            assert np.array_equal(alone.tau, reflectors.tau)
-            assert all(map(np.array_equal, alone.panels, reflectors.panels))
+            assert np.array_equal(block.t, tb)
+            assert np.array_equal(block.z, zb)
+            assert block.lo == lo
+            assert np.array_equal(tau, block.tau)
+            assert all(map(np.array_equal, panels, block.panels))
 
 
 def test_held_solves_run_on_one_thread_and_report_the_count_before(two_threads,

@@ -263,8 +263,8 @@ def test_the_extended_solve_keeps_no_n_by_n_orthogonal_factor():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sol.schur is None
-    (hessenberg,) = sol.reflectors
+    (hessenberg,) = sol.blocks
+    assert isinstance(hessenberg, kernel.Hessenberg)
     # H and its reflectors (about n^2 / 2 ints), where Q would take n^2
     # more and Z as many again; the slack is the eigenvalues and H's zeros
     assert sum(len(u) for u in hessenberg.reflectors) <= n * n / 2
@@ -445,8 +445,7 @@ def _solution_of(t):
         h, f = kernel._to_fixed(t, G)
         values, partners = kernel.schur_eigenvalues(h, f, BITS)
     return t, eigensolver.EigenSolution(values, partners, float(_fro(t)), (), EXTENDED,
-                                        schur=None,
-                                        reflectors=(kernel.Hessenberg(0, h, f, ()),))
+                                        (kernel.Hessenberg(0, h, f, ()),))
 
 
 @pytest.mark.parametrize("shape", ["jordan", "identical_blocks", "zero"])
